@@ -14,11 +14,18 @@ Every fan-in stage is an explicit hash shuffle with hot-key capping
 (stages/candidates.py); every pass streams; nothing materializes the corpus
 on the driver. With a Checkpointer, each boxed stage is an immutable Parquet
 artifact with a manifest (resume = skip).
+
+A fold (``incremental_update``, chained by ``dedup_sharded``) is the same
+four pass builders run over a delta: handed a ``PriorIndex``, each builder
+semi-joins the prior run's key rows against the increment's, keeps only
+pairs touching a new doc, and fans in at the same ``edges_all`` stage.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pyarrow as pa
@@ -35,29 +42,60 @@ from fuzzy_matcher_ray.stages.verify import (
     JaccardVerifier, SubstringVerifier, attach_pair_texts, simhash_pair_filter)
 from fuzzy_matcher_ray.state.checkpoint import Checkpointer
 
+PASSES = ("exact", "minhash", "simhash", "substring")
+EDGE_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+
+
+@dataclasses.dataclass(frozen=True)
+class PriorIndex:
+    """What a fold hands the pass builders: the prior corpus's normalize,
+    signatures and winnow-row artifacts (the key-row sources each pass
+    semi-joins against the increment's keys), and ``texts`` — (doc_id,
+    norm_text) over prior ∪ increment, the verify stages' text source when
+    the broadcast does not fit."""
+    norm: object
+    sigs: object = None
+    winnow_rows: object = None
+    texts: object = None
+
+
 def _edges_only(ds):
     return ds.select_columns(["a", "b"])
 
 
-def exact_dup_edges(norm, cfg: PipelineConfig):
+def _hash_rows(norm):
+    """(text_hash, text_hash2, doc_id) of every doc above the skip tier."""
+    from fuzzy_matcher_ray.stages.normalize_stage import TIER_SKIP
+    return norm.map_batches(
+        lambda t: pa.table({
+            "text_hash": t["text_hash"], "text_hash2": t["text_hash2"],
+            "doc_id": t["doc_id"],
+        }).filter(pc.greater(t["tier"], pa.scalar(TIER_SKIP, pa.int8()))),
+        batch_format="pyarrow")
+
+
+def exact_dup_edges(norm, cfg: PipelineConfig,
+                    prior: PriorIndex | None = None):
     """Exact dedup pre-pass: same 128-bit content key ⇒ duplicate edges.
 
     ≙ terminal-node ID set (fuzzy_types/types.go:38). Runs through the same
     skew-aware pair machinery as the LSH passes (key = the two independent
     content hashes; collision ~2^-128 so no text comparison is needed);
     exact groups larger than max_band_group emit star+chain edges.
+
+    With ``prior`` the prior rows sharing a key with the increment join its
+    rows before the min-rep star. Exact equality is transitive, so the
+    components — hence the min-id labels — match a full re-run's.
     """
     from ray.data.aggregate import Min
 
     from fuzzy_matcher_ray.stages.joins import JOIN_AGG_ARGS, effective_partitions
-    from fuzzy_matcher_ray.stages.normalize_stage import TIER_SKIP
 
-    rows = norm.map_batches(
-        lambda t: pa.table({
-            "text_hash": t["text_hash"], "text_hash2": t["text_hash2"],
-            "doc_id": t["doc_id"],
-        }).filter(pc.greater(t["tier"], pa.scalar(TIER_SKIP, pa.int8()))),
-        batch_format="pyarrow").materialize()
+    rows = _hash_rows(norm).materialize()
+    if prior is not None:
+        rows = _semi_join_rows(_hash_rows(prior.norm), rows,
+                               ["text_hash", "text_hash2"], cfg) \
+            .union(rows).materialize()
     from fuzzy_matcher_ray.stages.candidates import DRIVER_EXPLODE_MAX_ROWS
     if rows.count() <= DRIVER_EXPLODE_MAX_ROWS:
         # driver fast path: one collect, numpy segment min-rep star edges
@@ -123,7 +161,43 @@ def signature_table(norm, cfg: PipelineConfig):
                      Signatures, cfg)
 
 
-def _verified_jaccard(pairs, norm, cfg: PipelineConfig, attacher,
+def winnow_rows(norm, cfg: PipelineConfig):
+    """Winnowed window fingerprints (fp, doc_id, pos) — the substring
+    pass's key rows, checkpointed as the ``winnow_rows`` artifact so a fold
+    never re-winnows the prior corpus."""
+    return add_stage(norm.select_columns(["doc_id", "norm_text", "tier"]),
+                     Winnower, cfg)
+
+
+def _candidate_pairs(rows, prior_rows, key_cols: list[str],
+                     cfg: PipelineConfig, carry_cols=(), pair_filter=None,
+                     **kw):
+    """``key_pairs`` over one pass's key rows.
+
+    In a fold (``prior_rows`` given) the prior rows sharing a key with the
+    increment's (``_semi_join_rows``) join them, tagged ``is_new`` 0 and 1,
+    and only pairs touching a new doc reach the pass's own pair filter —
+    buckets the increment never touches never explode into pairs."""
+    carry_cols = list(carry_cols)
+    if prior_rows is not None:
+        # pinned: the semi-join reads it twice (count gate + key collect)
+        rows = rows.materialize()
+        rows = _tag_new(_semi_join_rows(prior_rows, rows, key_cols, cfg),
+                        0).union(_tag_new(rows, 1))
+        carry_cols.append("is_new")
+        pair_filter = _touches_new if pair_filter is None else \
+            (lambda t, f=pair_filter: f(_touches_new(t)))
+    return key_pairs(rows, key_cols, cfg, carry_cols=carry_cols,
+                     pair_filter=pair_filter, **kw)
+
+
+def _texts(norm, prior: PriorIndex | None):
+    """(doc_id, norm_text) for join-attached verification."""
+    src = norm if prior is None else prior.texts
+    return src.select_columns(["doc_id", "norm_text"])
+
+
+def _verified_jaccard(pairs, texts, cfg: PipelineConfig, attacher,
                       threshold: float | None = None, sets_ref=None):
     """Exact-Jaccard verification. Preference order: the precomputed
     corpus shingle-set artifact (zero per-batch shingling), the shared text
@@ -136,86 +210,69 @@ def _verified_jaccard(pairs, norm, cfg: PipelineConfig, attacher,
         src = pairs
     else:
         ver = JaccardVerifier(cfg, threshold)
-        src = attach_pair_texts(pairs, norm.select_columns(["doc_id", "norm_text"]),
-                                cfg)
+        src = attach_pair_texts(pairs, texts, cfg)
     return src.map_batches(ver, batch_format="pyarrow",
                            batch_size=cfg.verify_batch_size)
 
 
 def minhash_edges(norm, cfg: PipelineConfig, attacher=None, sigs=None,
-                  sets_ref=None):
+                  sets_ref=None, prior: PriorIndex | None = None):
     """MinHash/LSH pass → exact-Jaccard-verified edges (a, b, jaccard).
 
     With ``cfg.verify_budget_per_doc`` set, pairs keep their band-agreement
     multiplicity (``dedup=False``) and each doc verifies only its
     top-budget pairs ranked by band-hit count — the ComputeScore/MaxHeap
     best-first budget (utils.go:54-68) bounding verify cost on adversarial
-    near-threshold corpora."""
+    near-threshold corpora. With ``prior`` only pairs touching the
+    increment are candidates (``_candidate_pairs``)."""
     if sigs is None:
         sigs = signature_table(norm, cfg)
     budget = cfg.verify_budget_per_doc
-    pairs = key_pairs(band_key_rows(sigs, cfg), ["band", "band_hash"], cfg,
-                      dedup=budget is None)
+    pairs = _candidate_pairs(
+        band_key_rows(sigs, cfg),
+        None if prior is None else band_key_rows(prior.sigs, cfg),
+        ["band", "band_hash"], cfg, dedup=budget is None)
     if budget is not None:
         from fuzzy_matcher_ray.stages.candidates import budget_pairs, count_pairs
         pairs = budget_pairs(count_pairs(pairs), budget)
-    return _verified_jaccard(pairs, norm, cfg, attacher, sets_ref=sets_ref)
+    return _verified_jaccard(pairs, _texts(norm, prior), cfg, attacher,
+                             sets_ref=sets_ref)
 
 
 def simhash_edges(norm, cfg: PipelineConfig, attacher=None, sigs=None,
-                  sets_ref=None):
+                  sets_ref=None, prior: PriorIndex | None = None):
     """SimHash block pass: Hamming ≤ d candidates, then exact-Jaccard verify
     at a relaxed threshold (backstop for near-threshold MinHash misses)."""
     if sigs is None:
         sigs = signature_table(norm, cfg)
-    pairs = key_pairs(simhash_key_rows(sigs, cfg), ["block", "block_val"], cfg,
-                      carry_cols=["simhash"],
-                      pair_filter=simhash_pair_filter(cfg.simhash_hamming_max))
+    pairs = _candidate_pairs(
+        simhash_key_rows(sigs, cfg),
+        None if prior is None else simhash_key_rows(prior.sigs, cfg),
+        ["block", "block_val"], cfg, carry_cols=["simhash"],
+        pair_filter=simhash_pair_filter(cfg.simhash_hamming_max))
     pairs = _edges_only(pairs)
     relaxed = max(0.5, cfg.jaccard_threshold - 0.1)
-    return _verified_jaccard(pairs, norm, cfg, attacher, relaxed,
-                             sets_ref=sets_ref)
+    return _verified_jaccard(pairs, _texts(norm, prior), cfg, attacher,
+                             relaxed, sets_ref=sets_ref)
 
 
-def _exclude_known_pairs(pairs, known_edges, broadcast_max: int = 20_000_000):
-    """Anti-join pairs against an already-verified edge set on (a, b).
-
-    Broadcast a packed-key set while it fits; fall back to a hash-partitioned
-    left_anti join beyond (both sides keyed identically at any scale).
-    """
-    from fuzzy_matcher_ray.functions.shingle import splitmix64
-
-    def _pack_ab(t: pa.Table) -> np.ndarray:
-        a = t["a"].to_numpy(zero_copy_only=False).view(np.uint64)
-        b = t["b"].to_numpy(zero_copy_only=False).view(np.uint64)
-        return splitmix64(a * np.uint64(0x9E3779B97F4A7C15) ^ b)
-
-    n = known_edges.count()
-    if n <= broadcast_max:
-        import ray
-        keys_parts = [
-            _pack_ab(t) for t in known_edges.select_columns(["a", "b"]).iter_batches(
-                batch_size=1 << 20, batch_format="pyarrow") if len(t)]
-        keys = np.unique(np.concatenate(keys_parts)) if keys_parts else np.empty(0, np.uint64)
-        ref = ray.put(keys)
-
-        def _f(t: pa.Table) -> pa.Table:
-            ks = ray.get(ref)
-            if len(ks) == 0 or len(t) == 0:
-                return t
-            k = _pack_ab(t)
-            idx = np.clip(np.searchsorted(ks, k), 0, len(ks) - 1)
-            return t.filter(pa.array(ks[idx] != k))
-
-        return pairs.map_batches(_f, batch_format="pyarrow")
-    from fuzzy_matcher_ray.stages.joins import JOIN_AGG_ARGS, effective_partitions
-    return pairs.join(known_edges.select_columns(["a", "b"]), "left_anti",
-                      effective_partitions(32), on=("a", "b"),
-                      aggregator_ray_remote_args=JOIN_AGG_ARGS)
+def _pack_pp(t: pa.Table) -> pa.Array:
+    """Pack the shared-fingerprint seed positions (21 bits each) so ONE
+    consistent (pos_a, pos_b) tuple survives the per-pair Min dedup;
+    out-of-range positions (docs > 2M chars) become null → the verifier
+    falls back to the probe-gram intersection path."""
+    pa_ = t["pos_a"].to_numpy(zero_copy_only=False).astype(np.int64)
+    pb_ = t["pos_b"].to_numpy(zero_copy_only=False).astype(np.int64)
+    ok = (pa_ >= 0) & (pb_ >= 0) & (pa_ < (1 << 21)) & (pb_ < (1 << 21))
+    packed = (pa_ << 21) | pb_
+    arr = pa.array(packed)
+    if not ok.all():
+        arr = pc.if_else(pa.array(ok), arr, pa.scalar(None, pa.int64()))
+    return arr
 
 
-def substring_edges(norm, cfg: PipelineConfig, attacher=None,
-                    exclude_edges=None, ck: Checkpointer | None = None):
+def substring_edges(norm, cfg: PipelineConfig, attacher=None, rows=None,
+                    prior: PriorIndex | None = None):
     """Winnowed-fingerprint co-location → exact long-repeat verification.
 
     Candidate pairs are docs sharing any winnowed window fingerprint
@@ -225,52 +282,78 @@ def substring_edges(norm, cfg: PipelineConfig, attacher=None,
     predicate, with a suffix-array fallback only past a tried-pairs budget
     (pathologically repetitive docs).
 
-    With a Checkpointer the fingerprint rows persist as the ``winnow_rows``
-    artifact — ``incremental_update`` probes it so an increment never
-    re-winnows the prior corpus.
+    ``rows``: ``norm``'s winnow rows (``winnow_rows``), built when None.
+    With ``prior`` only pairs touching the increment are candidates.
     """
-    def _rows():
-        return add_stage(norm.select_columns(["doc_id", "norm_text", "tier"]),
-                         Winnower, cfg)
-
-    rows = ck.stage("winnow_rows", _rows) if ck is not None and ck.enabled \
-        else _rows()
-
-    def _pack_pp(t: pa.Table) -> pa.Array:
-        # pack the shared-fingerprint seed positions (21 bits each) so ONE
-        # consistent (pos_a, pos_b) tuple survives the per-pair Min dedup;
-        # out-of-range positions (docs > 2M chars) become null → verifier
-        # falls back to the probe-gram intersection path
-        pa_ = t["pos_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        pb_ = t["pos_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ok = (pa_ >= 0) & (pb_ >= 0) & (pa_ < (1 << 21)) & (pb_ < (1 << 21))
-        packed = (pa_ << 21) | pb_
-        arr = pa.array(packed)
-        if not ok.all():
-            arr = pc.if_else(pa.array(ok), arr, pa.scalar(None, pa.int64()))
-        return arr
-
-    pairs = key_pairs(rows.select_columns(["fp", "doc_id", "pos"]), ["fp"], cfg,
-                      carry_cols=["pos"], derive={"pp": _pack_pp})
-    if exclude_edges is not None:
-        # pairs already confirmed by the exact/MinHash/SimHash passes are
-        # edges regardless of this pass's verdict — skip their (expensive)
-        # substring verification entirely. Union-find makes the outcome
-        # identical; only wasted work is removed.
-        pairs = _exclude_known_pairs(pairs, exclude_edges)
+    if rows is None:
+        rows = winnow_rows(norm, cfg)
+    cols = ["fp", "doc_id", "pos"]
+    pairs = _candidate_pairs(
+        rows.select_columns(cols),
+        None if prior is None else prior.winnow_rows.select_columns(cols),
+        ["fp"], cfg, carry_cols=["pos"], derive={"pp": _pack_pp})
     if attacher is not None:
-        return pairs.map_batches(SubstringVerifier(cfg, text_ref=attacher.ref),
-                                 batch_format="pyarrow", batch_size=4096)
-    with_texts = attach_pair_texts(pairs,
-                                   norm.select_columns(["doc_id", "norm_text"]),
-                                   cfg)
-    return with_texts.map_batches(SubstringVerifier(cfg),
-                                  batch_format="pyarrow", batch_size=4096)
+        ver = SubstringVerifier(cfg, text_ref=attacher.ref)
+    else:
+        ver = SubstringVerifier(cfg)
+        pairs = attach_pair_texts(pairs, _texts(norm, prior), cfg)
+    return pairs.map_batches(ver, batch_format="pyarrow", batch_size=4096)
+
+
+def _pass_builders(passes: tuple, norm, cfg: PipelineConfig, attacher, sigs,
+                   win, sets_ref=None, prior: PriorIndex | None = None
+                   ) -> dict:
+    """pass name → thunk building that pass's (a, b) edges, for the wanted
+    passes in their fixed order. ``win`` is a thunk for the winnow rows: it
+    runs on the substring pass's thread, so a winnow build overlaps the
+    other passes."""
+    make = {
+        "exact": lambda: exact_dup_edges(norm, cfg, prior),
+        "minhash": lambda: _edges_only(minhash_edges(
+            norm, cfg, attacher, sigs, sets_ref, prior)),
+        "simhash": lambda: _edges_only(simhash_edges(
+            norm, cfg, attacher, sigs, sets_ref, prior)),
+        "substring": lambda: _edges_only(substring_edges(
+            norm, cfg, attacher, win(), prior)),
+    }
+    return {p: make[p] for p in PASSES if p in passes}
+
+
+def _edges_all(ck: Checkpointer, builders: dict, pass_stages: bool):
+    """Build the passes on parallel driver threads, union their edges and
+    dedup them as the ``edges_all`` stage (None without passes).
+
+    The passes are independent until the union: on parallel threads their
+    internal barriers (counts, sorts, collects) overlap instead of
+    serializing end-to-end. Unless checkpointed, the per-pass edge datasets
+    stay LAZY, so the verify stages of all passes execute inside ONE
+    streaming execution at the fan-in (each separate Dataset execution
+    costs ~0.5-1 s of fixed scheduling overhead — the Amdahl term that caps
+    small-corpus scaling). ``pass_stages`` checkpoints each pass's edges
+    as ``edges_<pass>``.
+    """
+    if not builders:
+        return None
+
+    def _build(p):
+        if not pass_stages:
+            return builders[p]()
+        return ck.stage(f"edges_{p}", builders[p],
+                        materialize_if_disabled=False,
+                        empty_schema=EDGE_SCHEMA)
+
+    with ThreadPoolExecutor(max_workers=len(builders)) as pool:
+        edge_sets = list(pool.map(_build, builders))
+    edges = edge_sets[0]
+    for e in edge_sets[1:]:
+        edges = edges.union(e)
+    return ck.stage("edges_all", lambda: dedup_pairs(edges),
+                    empty_schema=EDGE_SCHEMA)
 
 
 def find_duplicates(docs, cfg: PipelineConfig | None = None,
                     checkpointer: Checkpointer | None = None,
-                    passes: tuple = ("exact", "minhash", "simhash", "substring"),
+                    passes: tuple = PASSES,
                     cluster_strategy: str = "auto", now=None):
     """docs (doc_id, url, text, ...) → (doc_id, cluster_id [, url]).
 
@@ -308,8 +391,7 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
         src_bytes = docs.size_bytes()
     except Exception:
         src_bytes = None
-    import dataclasses as _dc
-    cfg = _dc.replace(cfg, join_num_partitions=partitions_for(
+    cfg = dataclasses.replace(cfg, join_num_partitions=partitions_for(
         cfg.join_num_partitions, src_bytes))
     n_blocks = cfg.join_num_partitions
     norm = ck.stage("normalize",
@@ -337,40 +419,13 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
         if needs_verify and cfg.use_shingle_set_artifact:
             from fuzzy_matcher_ray.stages.verify import build_shingle_sets
             sets_ref = build_shingle_sets(norm, cfg)
-    builders = {
-        "exact": lambda: exact_dup_edges(norm, cfg),
-        "minhash": lambda: _edges_only(
-            minhash_edges(norm, cfg, attacher=attacher, sigs=sigs,
-                          sets_ref=sets_ref)),
-        "simhash": lambda: _edges_only(
-            simhash_edges(norm, cfg, attacher=attacher, sigs=sigs,
-                          sets_ref=sets_ref)),
-        "substring": lambda: _edges_only(
-            substring_edges(norm, cfg, attacher=attacher, ck=ck)),
-    }
-    # the four passes are independent until the edge union — build them on
-    # parallel driver threads so their internal barriers (counts, sorts,
-    # collects) overlap instead of serializing end-to-end. With checkpointing
-    # disabled the per-pass edge datasets stay LAZY: the verify stages of all
-    # passes then execute inside ONE streaming execution at the edges_all
-    # fan-in (each separate Dataset execution costs ~0.5-1 s of fixed
-    # scheduling overhead — the Amdahl term that caps small-corpus scaling).
-    from concurrent.futures import ThreadPoolExecutor
-    wanted = [p for p in ("exact", "minhash", "simhash", "substring")
-              if p in passes]
-    edge_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-    with ThreadPoolExecutor(max_workers=len(wanted)) as pool:
-        futs = {p: pool.submit(
-            lambda p=p: ck.stage(f"edges_{p}", builders[p],
-                                 materialize_if_disabled=False,
-                                 empty_schema=edge_schema))
-                for p in wanted}
-        edge_sets = [futs[p].result() for p in wanted]
-    edges = edge_sets[0]
-    for e in edge_sets[1:]:
-        edges = edges.union(e)
-    edges = ck.stage("edges_all", lambda: dedup_pairs(edges),
-                     empty_schema=edge_schema)
+    def win():
+        return ck.stage("winnow_rows", lambda: winnow_rows(norm, cfg),
+                        materialize_if_disabled=False,
+                        empty_schema=_link_schemas(cfg)["winnow_rows"])
+
+    edges = _edges_all(ck, _pass_builders(passes, norm, cfg, attacher, sigs,
+                                          win, sets_ref), pass_stages=True)
     clusters = ck.stage(
         "clusters",
         lambda: cluster_edges(edges, norm.select_columns(["doc_id"]), cfg,
@@ -501,37 +556,19 @@ def _load_stage(prior_root: str, name: str, expect_hash: str | None = None):
     return rd.read_parquet(data_dir), m.get("config_hash")
 
 
-def _semi_join_keys(rows, keys_ds, key_cols, cfg: PipelineConfig):
-    """rows whose ``key_cols`` combo appears in ``keys_ds``.
-
-    Broadcast sorted-array membership while the increment's distinct key
-    set fits (``BROADCAST_KEYS_MAX``); hash-partitioned semi join beyond —
-    the prior corpus side streams through a filter either way and never
-    explodes into pairs for buckets the increment doesn't touch.
-    """
-    from fuzzy_matcher_ray.stages.candidates import (
-        BROADCAST_KEYS_MAX, _collect_combined_keys, _membership_filter)
-    if keys_ds.count() <= BROADCAST_KEYS_MAX:
-        arr = _collect_combined_keys(keys_ds, key_cols)
-        return _membership_filter(rows, key_cols, arr)
-    from fuzzy_matcher_ray.stages.joins import (JOIN_AGG_ARGS,
-                                                effective_partitions)
-    row_schema = {f.name: f.type for f in rows.schema().base_schema}
-
-    def _cast(t: pa.Table) -> pa.Table:
-        return pa.table({c: t[c].cast(row_schema[c])
-                         if t.schema.field(c).type != row_schema[c]
-                         else t[c] for c in key_cols})
-
-    # repartition: hash-aggregate outputs (keys_ds is a groupby) carry
-    # schema-less empty blocks that break the join's key resolution
-    return rows.join(keys_ds.map_batches(_cast, batch_format="pyarrow")
-                     .repartition(effective_partitions(
-                         cfg.join_num_partitions)),
-                     "left_semi",
-                     effective_partitions(cfg.join_num_partitions),
-                     on=tuple(key_cols),
-                     aggregator_ray_remote_args=JOIN_AGG_ARGS)
+def _prior_stage(loaded, name: str, rebuild):
+    """One artifact unioned over a chain's ``loaded`` roots, oldest first.
+    A root built without it (e.g. a pre-LSH checkpoint) re-derives it from
+    its normalize artifact with ``rebuild`` — correct, just not
+    incremental."""
+    out = None
+    for r, n, h in loaded:
+        try:
+            s, _ = _load_stage(r, name, h)
+        except FileNotFoundError:
+            s = rebuild(n)
+        out = s if out is None else out.union(s)
+    return out
 
 
 # one hash-join aggregator gang at a time across the fold's parallel
@@ -550,15 +587,16 @@ def _semi_join_rows(rows_prior, rows_inc, key_cols, cfg: PipelineConfig):
     key rows.
 
     The increment is the small side by definition: while its row count is
-    within the broadcast budget, its distinct combined keys come from ONE
-    driver pass (``np.unique`` over streamed batches) and the prior side
-    streams through a broadcast membership filter — zero Ray shuffles.
-    The distinct-keys hash groupby that a shuffle semi-join needs costs
-    ~5-8 s of fixed overhead per execution on one node regardless of size
-    (and ``_semi_join_keys`` must execute it twice: gate + collect), which
-    at bench scale made the fold slower than a full re-run. Beyond the
-    budget the groupby + hash semi-join path takes over — that is the
-    multi-node shape, where the fixed cost parallelizes.
+    within the broadcast budget (``BROADCAST_KEYS_MAX``), its distinct
+    combined keys come from ONE driver pass (``np.unique`` over streamed
+    batches) and the prior side streams through a broadcast membership
+    filter — zero Ray shuffles. The distinct-keys hash groupby that a
+    shuffle semi-join needs costs ~5-8 s of fixed overhead per execution
+    on one node regardless of size, which at bench scale made the fold
+    slower than a full re-run. Beyond the budget the groupby + hash
+    left_semi join takes over — that is the multi-node shape, where the
+    fixed cost parallelizes. Either way the prior side never explodes
+    into pairs for buckets the increment doesn't touch.
 
     CONCURRENCY CONTRACT: the fold's four pass builders run on parallel
     driver threads. A hash join gang-schedules its aggregator actors per
@@ -574,10 +612,23 @@ def _semi_join_rows(rows_prior, rows_inc, key_cols, cfg: PipelineConfig):
     if rows_inc.count() <= BROADCAST_KEYS_MAX:
         arr = _collect_combined_keys(rows_inc, key_cols)
         return _membership_filter(rows_prior, key_cols, arr)
-    keys_inc = rows_inc.groupby(key_cols).count().select_columns(key_cols)
+    from fuzzy_matcher_ray.stages.joins import (JOIN_AGG_ARGS,
+                                                effective_partitions)
+    P = effective_partitions(cfg.join_num_partitions)
+    row_schema = {f.name: f.type for f in rows_prior.schema().base_schema}
+
+    def _keys(t: pa.Table) -> pa.Table:
+        # the groupby promotes narrow key dtypes (int8 band → int64)
+        return pa.table({c: t[c].cast(row_schema[c]) for c in key_cols})
+
+    # repartition: hash-aggregate outputs carry schema-less empty blocks
+    # that break the join's key resolution
+    keys_inc = rows_inc.groupby(key_cols).count().map_batches(
+        _keys, batch_format="pyarrow").repartition(P)
     with _FALLBACK_JOIN_LOCK:
-        return _semi_join_keys(rows_prior, keys_inc, key_cols,
-                               cfg).materialize()
+        return rows_prior.join(keys_inc, "left_semi", P, on=tuple(key_cols),
+                               aggregator_ray_remote_args=JOIN_AGG_ARGS) \
+            .materialize()
 
 
 def _tag_new(ds, flag: int):
@@ -592,26 +643,64 @@ def _touches_new(t: pa.Table) -> pa.Table:
                            pc.equal(t["is_new_b"], pa.scalar(1))))
 
 
-def _increment_schemas(cfg: PipelineConfig):
-    """Pinned Arrow schemas for an EMPTY increment's checkpoint artifacts
-    (a zero-row shard must still write schema-ful stages so a later fold
-    can union it with the rest of the chain)."""
-    norm = pa.schema([("doc_id", pa.int64()), ("norm_text", pa.string()),
-                      ("fold_text", pa.string()), ("n_norm", pa.int64()),
-                      ("text_hash", pa.int64()), ("text_hash2", pa.int64()),
-                      ("tier", pa.int8())])
-    sig = pa.schema([("doc_id", pa.int64()),
-                     ("bands", pa.list_(pa.int64(), cfg.bands)),
-                     ("simhash", pa.int64())])
-    win = pa.schema([("fp", pa.int64()), ("doc_id", pa.int64()),
-                     ("pos", pa.int64())])
-    return norm, sig, win
+def _link_schemas(cfg: PipelineConfig) -> dict:
+    """Arrow schemas of a chain link's artifacts, pinned when a stage comes
+    out empty (a zero-row shard must still write schema-ful stages so a
+    later fold can union it with the rest of the chain)."""
+    return {
+        "normalize": pa.schema([
+            ("doc_id", pa.int64()), ("norm_text", pa.string()),
+            ("fold_text", pa.string()), ("n_norm", pa.int64()),
+            ("text_hash", pa.int64()), ("text_hash2", pa.int64()),
+            ("tier", pa.int8())]),
+        "signatures": pa.schema([
+            ("doc_id", pa.int64()),
+            ("bands", pa.list_(pa.int64(), cfg.bands)),
+            ("simhash", pa.int64())]),
+        "winnow_rows": pa.schema([("fp", pa.int64()), ("doc_id", pa.int64()),
+                                  ("pos", pa.int64())]),
+        "clusters": pa.schema([("doc_id", pa.int64()),
+                               ("cluster_id", pa.int64())]),
+    }
+
+
+def _write_empty_link(ck: Checkpointer, cfg: PipelineConfig, clusters=None):
+    """Write a zero-row shard's chain link: empty normalize / signatures /
+    winnow_rows artifacts plus ``clusters`` — the labels carried forward
+    from the prior link, or none for a first shard. Returns the clusters
+    stage."""
+    import ray.data as rd
+    out = None
+    for name, sch in _link_schemas(cfg).items():
+        data = clusters if name == "clusters" and clusters is not None \
+            else rd.from_arrow(sch.empty_table())
+        out = ck.stage(name, lambda d=data: d, empty_schema=sch)
+    return out
+
+
+def _shard_artifacts(ck: Checkpointer, docs, cfg: PipelineConfig,
+                     passes: tuple):
+    """A shard's fold-independent artifacts → (normalize, signatures,
+    winnow_rows); the last two are None when no pass needs them. They are
+    pure functions of the shard's own text, so ``dedup_sharded`` prebuilds
+    them ahead of the shard's fold with this same builder and cfg, and the
+    fold's ``ck.stage`` calls resume them from the manifest."""
+    sch = _link_schemas(cfg)
+    norm = ck.stage("normalize", lambda: normalized_docs(docs, cfg),
+                    empty_schema=sch["normalize"])
+    sigs = rows = None
+    if "minhash" in passes or "simhash" in passes:
+        sigs = ck.stage("signatures", lambda: signature_table(norm, cfg),
+                        empty_schema=sch["signatures"])
+    if "substring" in passes:
+        rows = ck.stage("winnow_rows", lambda: winnow_rows(norm, cfg),
+                        empty_schema=sch["winnow_rows"])
+    return norm, sigs, rows
 
 
 def incremental_update(prior_root: str | list[str], new_docs,
                        cfg: PipelineConfig | None = None,
-                       passes: tuple = ("exact", "minhash", "simhash",
-                                        "substring"),
+                       passes: tuple = PASSES,
                        cluster_strategy: str = "auto",
                        checkpointer: Checkpointer | None = None):
     """Cluster a NEW shard against a prior ``find_duplicates`` run without
@@ -619,15 +708,19 @@ def incremental_update(prior_root: str | list[str], new_docs,
     (``fuzzy_matcher.go:21-27``: the reference mutates a live trie; here the
     prior run's immutable checkpoint artifacts are the index).
 
-    Reads the prior run's artifacts (normalize / signatures / winnow_rows /
-    clusters); normalizes and signs ONLY the increment; semi-joins the prior
-    key rows against the increment's key set so buckets the increment never
-    touches never explode into pairs; keeps only pairs with ≥1 new doc
-    (``is_new`` carried through the pair machinery); verifies those pairs;
-    and re-labels with union-find over prior-cluster star edges + the new
-    edges. Signatures are deterministic per doc, so the result is
-    BYTE-IDENTICAL to a full re-run over prior ∪ new (same edge components
-    ⇒ same min-id labels) — asserted by tests/test_incremental.py.
+    A fold is the flagship's own pass builders run over a delta. It reads
+    the prior run's artifacts (normalize / signatures / winnow_rows /
+    clusters), builds ONLY the increment's, and hands the prior ones to
+    ``exact_dup_edges`` / ``minhash_edges`` / ``simhash_edges`` /
+    ``substring_edges`` as a ``PriorIndex``: each semi-joins the prior key
+    rows against the increment's key set, so buckets the increment never
+    touches never explode into pairs, and keeps only pairs with ≥1 new doc.
+    The verified edges fan in at the same ``edges_all`` stage as the
+    flagship; the fold then re-labels with union-find over prior-cluster
+    star edges + the new edges. Signatures are deterministic per doc, so
+    the result is BYTE-IDENTICAL to a full re-run over prior ∪ new (same
+    edge components ⇒ same min-id labels) — asserted by
+    tests/test_incremental.py.
 
     Returns (doc_id, cluster_id) for every doc in prior ∪ new. Requires
     disjoint doc_id spaces (checked) and the same ``cfg`` AND pass set as
@@ -651,13 +744,12 @@ def incremental_update(prior_root: str | list[str], new_docs,
     first): per-shard normalize/signatures/winnow_rows artifacts union into
     the prior index, while ``clusters`` — the current labels for every doc
     folded so far — come from the LAST root only. With ``checkpointer``
-    the increment's own artifacts (normalize/signatures/winnow_rows) and
-    the merged ``clusters`` persist under its root, making the output a
-    valid next link of the chain — ``dedup_sharded`` builds web-scale runs
-    out of exactly this step.
+    the increment's own artifacts (normalize/signatures/winnow_rows), the
+    new edges and the merged ``clusters`` persist under its root, making
+    the output a valid next link of the chain — ``dedup_sharded`` builds
+    web-scale runs out of exactly this step.
     """
     import ray
-    import ray.data as rd
 
     cfg = cfg or PipelineConfig()
     if cfg.verify_budget_per_doc is not None:
@@ -675,42 +767,27 @@ def incremental_update(prior_root: str | list[str], new_docs,
     for _, n, _ in loaded[1:]:
         norm_A = norm_A.union(n)
     clusters_A, _ = _load_stage(roots[-1], "clusters", chash)
-
-    ck = checkpointer if (checkpointer is not None
-                          and checkpointer.enabled) else None
-    norm_schema, sig_schema, win_schema = _increment_schemas(cfg)
-    edge_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+    ck = checkpointer or Checkpointer("/tmp/fmr-ck-disabled",
+                                      cfg.config_hash(), enabled=False)
 
     if new_docs.limit(1).count() == 0:
         out = clusters_A.select_columns(["doc_id", "cluster_id"])
-        if ck is not None:
-            # keep the chain uniform: an empty shard still writes schema-ful
-            # (zero-row) artifacts plus the carried-forward labels
-            import ray.data as _rd
-            for name, sch in (("normalize", norm_schema),
-                              ("signatures", sig_schema),
-                              ("winnow_rows", win_schema)):
-                ck.stage(name, lambda sch=sch: _rd.from_arrow(
-                    sch.empty_table()), empty_schema=sch)
-            return ck.stage("clusters", lambda: out)
-        return out
+        # keep the chain uniform: an empty shard still writes a valid link
+        return _write_empty_link(ck, cfg, out) if ck.enabled else out
+
+    # the caller's cfg, as in dedup_sharded's prebuild: a prebuilt stage
+    # resumes as exactly what the fold would have built
+    norm_B, sigs_B, win_B = _shard_artifacts(ck, new_docs, cfg, passes)
 
     from fuzzy_matcher_ray.stages.joins import (BROADCAST_MAX_ROWS,
                                                 BroadcastAttacher,
                                                 partitions_for)
-    import dataclasses as _dc
     try:
         src_bytes = (new_docs.size_bytes() or 0) + (norm_A.size_bytes() or 0)
     except Exception:
         src_bytes = None
-    cfg = _dc.replace(cfg, join_num_partitions=partitions_for(
+    cfg = dataclasses.replace(cfg, join_num_partitions=partitions_for(
         cfg.join_num_partitions, src_bytes))
-
-    norm_B = (ck.stage("normalize",
-                       lambda: normalized_docs(new_docs, cfg),
-                       empty_schema=norm_schema)
-              if ck is not None
-              else normalized_docs(new_docs, cfg).materialize())
 
     # --- disjoint-id guard: one streaming filter over the slim prior ids
     # against the broadcast increment ids (the increment is the small side
@@ -731,13 +808,6 @@ def incremental_update(prior_root: str | list[str], new_docs,
         n = int((ks[idx] == ids).sum()) if len(ks) else 0
         return pa.table({"n": pa.array([n], pa.int64())})
 
-    # --- prelude barriers in PARALLEL: the overlap guard, the shared text
-    # broadcast and the increment's signatures are independent Dataset
-    # executions; run serially their fixed scheduling costs (~0.5-1 s each
-    # on one node) stack up per fold — the dominant Amdahl term of a cold
-    # dedup_sharded chain. Same driver-thread fan-in as find_duplicates.
-    from concurrent.futures import ThreadPoolExecutor
-
     def _overlap_guard():
         n_overlap = sum(
             t["n"].to_pylist()[0]
@@ -749,128 +819,22 @@ def incremental_update(prior_root: str | list[str], new_docs,
                 f"incremental_update: {n_overlap} doc_ids of the "
                 "increment already exist in the prior corpus")
 
-    def _norm_all_build():
-        # shared text broadcast for the verify stages (A ∪ B, slim columns)
-        na = norm_A.select_columns(["doc_id", "norm_text"]).union(
-            norm_B.select_columns(["doc_id", "norm_text"])).materialize()
-        att = (BroadcastAttacher(na, "doc_id", ["norm_text"])
-               if na.count() <= BROADCAST_MAX_ROWS else None)
-        return na, att
-
-    def _sigs_B_build():
-        if "minhash" not in passes and "simhash" not in passes:
-            return None
-        return (ck.stage("signatures", lambda: signature_table(norm_B, cfg),
-                         empty_schema=sig_schema)
-                if ck is not None
-                else signature_table(norm_B, cfg).materialize())
-
-    with ThreadPoolExecutor(max_workers=3) as pool:
+    # the guard and the shared text broadcast are independent Dataset
+    # executions: overlap their fixed scheduling costs (~0.5-1 s each on
+    # one node), which stack up per fold on a cold dedup_sharded chain
+    with ThreadPoolExecutor(max_workers=1) as pool:
         f_overlap = pool.submit(_overlap_guard)
-        f_norm_all = pool.submit(_norm_all_build)
-        f_sigs = pool.submit(_sigs_B_build)
-        norm_all, attacher = f_norm_all.result()
-        sigs_B = f_sigs.result()
+        # the verify stages' text source (A ∪ B, slim columns)
+        texts = norm_A.select_columns(["doc_id", "norm_text"]).union(
+            norm_B.select_columns(["doc_id", "norm_text"])).materialize()
+        attacher = (BroadcastAttacher(texts, "doc_id", ["norm_text"])
+                    if texts.count() <= BROADCAST_MAX_ROWS else None)
         f_overlap.result()
 
-    from fuzzy_matcher_ray.stages.normalize_stage import TIER_SKIP
-
-    def _hash_rows(norm):
-        return norm.map_batches(
-            lambda t: pa.table({
-                "text_hash": t["text_hash"], "text_hash2": t["text_hash2"],
-                "doc_id": t["doc_id"]}).filter(
-                    pc.greater(t["tier"], pa.scalar(TIER_SKIP, pa.int8()))),
-            batch_format="pyarrow")
-
-    def _exact_inc():
-        from ray.data.aggregate import Min
-
-        from fuzzy_matcher_ray.stages.joins import (JOIN_AGG_ARGS,
-                                                    effective_partitions)
-        # B-internal exact groups
-        intra = exact_dup_edges(norm_B, cfg)
-        # A→B links: only prior rows whose 128-bit key the increment carries
-        rows_B = _hash_rows(norm_B).materialize()
-        rows_A = _semi_join_rows(_hash_rows(norm_A), rows_B,
-                                 ["text_hash", "text_hash2"], cfg) \
-            .materialize()
-        n_A = rows_A.count()
-        if n_A == 0:
-            # no shared 128-bit key across the corpora — a zero-block
-            # dataset has no schema and would break the join below
-            return intra
-        from fuzzy_matcher_ray.stages.candidates import BROADCAST_KEYS_MAX
-        if n_A <= BROADCAST_KEYS_MAX:
-            # driver fast path: rows_A is the semi-joined residue (only
-            # prior rows sharing a 128-bit key with the increment) — small
-            # by construction. Min-rep per key comes from one driver
-            # lexsort; linking B is a streaming EXACT lookup on the full
-            # (text_hash, text_hash2) pair via a structured-dtype
-            # searchsorted (the lossy 64-bit _combined_key mix is fine for
-            # membership, where a collision only admits an extra row the
-            # real-key grouping re-drops, but NOT for rep links, where it
-            # would silently fuse distinct clusters). Replaces a groupby +
-            # repartition + hash join — three fixed-cost shuffles that
-            # dwarf a small fold on one node; past the budget the shuffle
-            # path below is the multi-node shape.
-            _KEY_DT = np.dtype([("h1", "<i8"), ("h2", "<i8")])
-
-            def _keys_of(t: pa.Table) -> np.ndarray:
-                k = np.empty(len(t), dtype=_KEY_DT)
-                k["h1"] = t["text_hash"].to_numpy(zero_copy_only=False)
-                k["h2"] = t["text_hash2"].to_numpy(zero_copy_only=False)
-                return k
-
-            t_A = pa.concat_tables(
-                [b for b in rows_A.iter_batches(batch_size=1 << 20,
-                                                batch_format="pyarrow")
-                 if len(b)])
-            k_A = _keys_of(t_A)
-            ids_A = t_A["doc_id"].to_numpy(zero_copy_only=False)
-            order = np.lexsort((ids_A, k_A["h2"], k_A["h1"]))
-            k_A, ids_A = k_A[order], ids_A[order]
-            first = np.concatenate(([True], k_A[1:] != k_A[:-1]))
-            rep_ref = ray.put((k_A[first], ids_A[first]))
-
-            def _link(t: pa.Table) -> pa.Table:
-                ks, reps = ray.get(rep_ref)
-                q = _keys_of(t)
-                idx = np.clip(np.searchsorted(ks, q), 0, len(ks) - 1)
-                hit = ks[idx] == q
-                return pa.table({
-                    "a": pa.array(reps[idx[hit]]),
-                    "b": pa.array(t["doc_id"].to_numpy(
-                        zero_copy_only=False)[hit])})
-
-            return intra.union(rows_B.map_batches(_link,
-                                                  batch_format="pyarrow"))
-        # repartition: the hash-aggregate emits schema-less EMPTY blocks
-        # for key-less partitions, which poison a downstream hash join
-        # ("no match for key field on right side"); a repartition rebuilds
-        # uniform blocks with the real schema
-        reps_A = rows_A.groupby(["text_hash", "text_hash2"]).aggregate(
-            Min("doc_id", alias_name="rep")).repartition(
-                effective_partitions(cfg.join_num_partitions))
-        linked = rows_B.join(reps_A, "inner",
-                             effective_partitions(cfg.join_num_partitions),
-                             on=("text_hash", "text_hash2"),
-                             aggregator_ray_remote_args=JOIN_AGG_ARGS)
-        cross = linked.map_batches(
-            lambda t: pa.table({"a": t["rep"], "b": t["doc_id"]}),
-            batch_format="pyarrow")
-        return intra.union(cross)
-
-    sigs_A = None
-    if "minhash" in passes or "simhash" in passes:
-        for r, n, h in loaded:
-            try:
-                s, _ = _load_stage(r, "signatures", h)
-            except FileNotFoundError:
-                # root built without the LSH passes: re-sign from its
-                # normalize artifact (correct, just not incremental)
-                s = signature_table(n, cfg)
-            sigs_A = s if sigs_A is None else sigs_A.union(s)
+    sigs_A = win_A = None
+    if sigs_B is not None:
+        sigs_A = _prior_stage(loaded, "signatures",
+                              lambda n: signature_table(n, cfg))
         # both LSH passes scan this prior-signature union (band keys AND
         # simhash keys). While it fits a bounded object-store budget, pin
         # it ONCE so the two semi-joins share a single execution instead
@@ -878,104 +842,21 @@ def incremental_update(prior_root: str | list[str], new_docs,
         # fixed cost that stacks on cold chains. Past the budget the lazy
         # re-read streams: at open-web scale a second pruned parquet read
         # beats pinning the corpus signatures in the object store.
-        if (sigs_A is not None and "minhash" in passes
-                and "simhash" in passes):
+        if "minhash" in passes and "simhash" in passes:
             try:
                 sig_bytes = sigs_A.size_bytes() or 0
             except Exception:
                 sig_bytes = None
             if sig_bytes is not None and sig_bytes <= SIGS_PIN_MAX_BYTES:
                 sigs_A = sigs_A.materialize()
+    if win_B is not None:
+        win_A = _prior_stage(loaded, "winnow_rows",
+                             lambda n: winnow_rows(n, cfg))
 
-    def _lsh_inc(key_rows_fn, key_cols, carry, pair_filter):
-        # materialize the increment's key rows: _semi_join_rows consumes
-        # them twice (count gate + key collect) — lazy they would re-derive
-        # from the signature scan on each consumption
-        rows_B = key_rows_fn(sigs_B, cfg).materialize()
-        rows_A = _semi_join_rows(key_rows_fn(sigs_A, cfg), rows_B,
-                                 key_cols, cfg)
-        rows = _tag_new(rows_A, 0).union(_tag_new(rows_B, 1))
-        return key_pairs(rows, key_cols, cfg,
-                         carry_cols=carry + ["is_new"],
-                         pair_filter=pair_filter)
-
-    def _minhash_inc():
-        pairs = _lsh_inc(band_key_rows, ["band", "band_hash"], [],
-                         _touches_new)
-        return _edges_only(_verified_jaccard(pairs, norm_all, cfg, attacher))
-
-    def _simhash_inc():
-        ham = simhash_pair_filter(cfg.simhash_hamming_max)
-        pairs = _lsh_inc(simhash_key_rows, ["block", "block_val"],
-                         ["simhash"],
-                         lambda t: ham(_touches_new(t)))
-        relaxed = max(0.5, cfg.jaccard_threshold - 0.1)
-        return _edges_only(
-            _verified_jaccard(pairs, norm_all, cfg, attacher, relaxed))
-
-    def _substring_inc():
-        rows_A_all = None
-        for r, n, h in loaded:
-            try:
-                w, _ = _load_stage(r, "winnow_rows", h)
-            except FileNotFoundError:
-                # pre-winnow_rows checkpoint: rebuild from that root's
-                # normalize artifact (correct, just not incremental)
-                w = add_stage(n.select_columns(["doc_id", "norm_text",
-                                                "tier"]), Winnower, cfg)
-            rows_A_all = w if rows_A_all is None else rows_A_all.union(w)
-
-        def _win_B():
-            return add_stage(
-                norm_B.select_columns(["doc_id", "norm_text", "tier"]),
-                Winnower, cfg)
-
-        rows_B = (ck.stage("winnow_rows", _win_B, empty_schema=win_schema)
-                  if ck is not None else _win_B().materialize())
-        rows_A = _semi_join_rows(
-            rows_A_all.select_columns(["fp", "doc_id", "pos"]), rows_B,
-            ["fp"], cfg)
-        rows = _tag_new(rows_A, 0).union(
-            _tag_new(rows_B.select_columns(["fp", "doc_id", "pos"]), 1))
-
-        def _pack_pp(t: pa.Table) -> pa.Array:
-            pa_ = t["pos_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-            pb_ = t["pos_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-            ok = (pa_ >= 0) & (pb_ >= 0) & (pa_ < (1 << 21)) & (pb_ < (1 << 21))
-            packed = (pa_ << 21) | pb_
-            arr = pa.array(packed)
-            if not ok.all():
-                arr = pc.if_else(pa.array(ok), arr, pa.scalar(None, pa.int64()))
-            return arr
-
-        pairs = key_pairs(rows, ["fp"], cfg,
-                          carry_cols=["pos", "is_new"],
-                          pair_filter=_touches_new, derive={"pp": _pack_pp})
-        if attacher is not None:
-            ver = pairs.map_batches(SubstringVerifier(cfg, text_ref=attacher.ref),
-                                    batch_format="pyarrow", batch_size=4096)
-        else:
-            with_texts = attach_pair_texts(pairs, norm_all, cfg)
-            ver = with_texts.map_batches(SubstringVerifier(cfg),
-                                         batch_format="pyarrow",
-                                         batch_size=4096)
-        return _edges_only(ver)
-
-    builders = {"exact": _exact_inc, "minhash": _minhash_inc,
-                "simhash": _simhash_inc, "substring": _substring_inc}
-    # the four fold passes are independent until the edge union — build on
-    # parallel driver threads so their internal barriers (semi-join counts,
-    # key collects, winnow writes) overlap instead of serializing; the lazy
-    # edge datasets then fan into ONE streaming execution at edges_all
-    wanted = [p for p in ("exact", "minhash", "simhash", "substring")
-              if p in passes]
-    new_edges = None
-    if wanted:
-        with ThreadPoolExecutor(max_workers=len(wanted)) as pool:
-            futs = {p: pool.submit(builders[p]) for p in wanted}
-            edge_sets = [futs[p].result() for p in wanted]
-        for e in edge_sets:
-            new_edges = e if new_edges is None else new_edges.union(e)
+    prior = PriorIndex(norm_A, sigs_A, win_A, texts)
+    new_edges = _edges_all(ck, _pass_builders(
+        passes, norm_B, cfg, attacher, sigs_B, lambda: win_B, prior=prior),
+        pass_stages=False)
 
     # touched-only relabel pays ~3 extra fixed-cost Dataset executions per
     # fold (endpoint collect, touched-cid scan, the split) to avoid the
@@ -988,27 +869,13 @@ def incremental_update(prior_root: str | list[str], new_docs,
     min_prior = int(_os.environ.get("FMR_INC_TOUCHED_MIN_PRIOR",
                                     INC_TOUCHED_MIN_PRIOR))
     touched_mode = clusters_A.count() >= min_prior
-
-    if new_edges is not None:
-        raw_edges = new_edges
-        new_edges = (ck.stage("edges_all", lambda: dedup_pairs(raw_edges),
-                              empty_schema=edge_schema)
-                     if ck is not None else
-                     # in touched mode _incremental_labels consumes the
-                     # edges twice (endpoint collect + the label union);
-                     # without a checkpoint backing them with parquet, a
-                     # lazy edge dataset would re-run the whole pair
-                     # machinery per consumption
-                     (dedup_pairs(raw_edges).materialize() if touched_mode
-                      else dedup_pairs(raw_edges)))
-
     ids_B = norm_B.select_columns(["doc_id"])
 
     def _label():
         return _incremental_labels(clusters_A, new_edges, ids_B, cfg,
                                    cluster_strategy, touched_mode)
 
-    return ck.stage("clusters", _label) if ck is not None else _label()
+    return ck.stage("clusters", _label, materialize_if_disabled=False)
 
 
 # New-edge endpoint budget for the touched-component relabel: past it the
@@ -1020,6 +887,20 @@ INC_TOUCHED_MAX = 4_000_000
 # (see the probe numbers at the call site); FMR_INC_TOUCHED_MIN_PRIOR=0
 # forces the touched-only twin in-process.
 INC_TOUCHED_MIN_PRIOR = 2_000_000
+
+
+def _edge_endpoints(edges, budget: int) -> np.ndarray | None:
+    """Sorted distinct endpoints of ``edges``; None once they exceed
+    ``budget``. A running union keeps the count exact when endpoints repeat
+    across batches, so the budget trips on true unique endpoints only."""
+    seen = np.empty(0, np.int64)
+    for t in edges.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
+        seen = np.union1d(seen, np.concatenate(
+            [t["a"].to_numpy(zero_copy_only=False),
+             t["b"].to_numpy(zero_copy_only=False)]))
+        if len(seen) > budget:
+            return None
+    return seen
 
 
 def _incremental_labels(clusters_A, new_edges, ids_B, cfg,
@@ -1068,22 +949,8 @@ def _incremental_labels(clusters_A, new_edges, ids_B, cfg,
     budget = int(os.environ.get("FMR_INC_TOUCHED_MAX", INC_TOUCHED_MAX))
     en = np.empty(0, np.int64)
     if new_edges is not None:
-        chunks, total = [], 0
-        over = False
-        for t in new_edges.iter_batches(batch_size=1 << 20,
-                                        batch_format="pyarrow"):
-            u = np.unique(np.concatenate(
-                [t["a"].to_numpy(zero_copy_only=False),
-                 t["b"].to_numpy(zero_copy_only=False)]))
-            chunks.append(u)
-            total += len(u)
-            if total > budget:
-                over = True
-                break
-        if not over and chunks:
-            en = np.unique(np.concatenate(chunks))
-            over = len(en) > budget
-        if over:
+        en = _edge_endpoints(new_edges, budget)
+        if en is None:
             return _full_relabel()
 
     if not len(en):
@@ -1186,36 +1053,23 @@ def _prune_clusters(root: str) -> None:
 def _prebuild_increment(sroot: str, key: str, ds, cfg: PipelineConfig,
                         passes: tuple, box: dict) -> None:
     """Build a shard's fold-INDEPENDENT artifacts ahead of its turn in a
-    ``dedup_sharded`` chain: normalize / signatures / winnow_rows are pure
-    functions of the shard's own text (the builders below are verbatim the
-    ones ``incremental_update`` runs), so they can be computed while the
-    PREVIOUS fold is still linking — the fold's own ``ck.stage`` calls then
-    resume them from the manifest, byte-identically. Best-effort: any
-    failure here simply leaves the fold to (re)build the stage itself.
-    ``box['data']`` hands the resolved dataset to the fold so shard
-    factories still run once on the success path."""
+    ``dedup_sharded`` chain: ``_shard_artifacts`` — the builder
+    ``incremental_update`` itself runs, with the same cfg — computes them
+    while the PREVIOUS fold is still linking; the fold's own ``ck.stage``
+    calls then resume them from the manifest, byte-identically.
+    Best-effort: any failure here simply leaves the fold to (re)build the
+    stage itself. ``box['data']`` hands the resolved dataset to the fold so
+    shard factories still run once on the success path."""
     data = ds() if callable(ds) else ds
     box["data"] = data
     if data.limit(1).count() == 0:
         return      # the fold's empty path writes its own artifacts
-    ck = Checkpointer(sroot, key)
-    ns, ss, ws = _increment_schemas(cfg)
-    norm_B = ck.stage("normalize", lambda: normalized_docs(data, cfg),
-                      empty_schema=ns)
-    if "minhash" in passes or "simhash" in passes:
-        ck.stage("signatures", lambda: signature_table(norm_B, cfg),
-                 empty_schema=ss)
-    if "substring" in passes:
-        ck.stage("winnow_rows",
-                 lambda: add_stage(norm_B.select_columns(
-                     ["doc_id", "norm_text", "tier"]), Winnower, cfg),
-                 empty_schema=ws)
+    _shard_artifacts(Checkpointer(sroot, key), data, cfg, passes)
 
 
 def dedup_sharded(shards, state_root: str,
                   cfg: PipelineConfig | None = None,
-                  passes: tuple = ("exact", "minhash", "simhash",
-                                   "substring"),
+                  passes: tuple = PASSES,
                   prune: bool = True):
     """Resumable sharded flagship: fold an ordered list of corpus shards
     into ONE clustering, one ``incremental_update`` link at a time — the
@@ -1259,13 +1113,14 @@ def dedup_sharded(shards, state_root: str,
                + ",".join(sorted(passes)))
         return sroot, key
 
-    from concurrent.futures import ThreadPoolExecutor
-
     chain: list[str] = []
     prev_root: str | None = None
     pre: dict[int, tuple] = {}          # shard idx -> (future, box)
     _PRE_WINDOW = 2                     # shards prebuilt ahead of the fold
-    with ThreadPoolExecutor(max_workers=_PRE_WINDOW) as _pre_pool:
+    # not a with-block: its __exit__ would make a raising fold wait for
+    # every queued prebuild before the error propagates
+    _pre_pool = ThreadPoolExecutor(max_workers=_PRE_WINDOW)
+    try:
         for i, (label, ds) in enumerate(shards):
             sroot, key = _shard_ck(i, label)
             if not _fold_done(sroot, key):
@@ -1305,15 +1160,7 @@ def dedup_sharded(shards, state_root: str,
                         # an empty FIRST shard still writes a valid chain
                         # link (find_duplicates' empty fast path writes no
                         # stages)
-                        ns, ss, ws = _increment_schemas(cfg)
-                        cl = pa.schema([("doc_id", pa.int64()),
-                                        ("cluster_id", pa.int64())])
-                        for name, sch in (("normalize", ns),
-                                          ("signatures", ss),
-                                          ("winnow_rows", ws),
-                                          ("clusters", cl)):
-                            ck.stage(name, lambda sch=sch: rd.from_arrow(
-                                sch.empty_table()), empty_schema=sch)
+                        _write_empty_link(ck, cfg)
                     else:
                         find_duplicates(data, cfg, checkpointer=ck,
                                         passes=passes)
@@ -1324,6 +1171,8 @@ def dedup_sharded(shards, state_root: str,
                 _prune_clusters(prev_root)
             chain.append(sroot)
             prev_root = sroot
+    finally:
+        _pre_pool.shutdown(wait=False, cancel_futures=True)
     # Guard: re-running with a TRUNCATED shard list against a state_root
     # from a longer completed run finds every fold done — but the last
     # requested shard's clusters data was pruned when the longer run's next

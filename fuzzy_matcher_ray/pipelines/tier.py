@@ -208,12 +208,9 @@ def dup_funnel(sf_dir: str, cfg: PipelineConfig | None = None,
     lists, never over documents. Driver-side iteration is over the ≤4
     pass names, not data. Not SQL-expressible (LSH/SimHash/winnowing) —
     rows-only contract + planted pytest oracles."""
-    from fuzzy_matcher_ray.pipelines.dedup import (_edges_only,
-                                                   exact_dup_edges,
-                                                   minhash_edges,
+    from fuzzy_matcher_ray.pipelines.dedup import (_pass_builders,
                                                    signature_table,
-                                                   simhash_edges,
-                                                   substring_edges)
+                                                   winnow_rows)
     from fuzzy_matcher_ray.stages.candidates import dedup_pairs
     from fuzzy_matcher_ray.stages.cluster import cluster_edges
     from fuzzy_matcher_ray.stages.normalize_stage import normalized_docs
@@ -223,12 +220,8 @@ def dup_funnel(sf_dir: str, cfg: PipelineConfig | None = None,
     sigs = None
     if "minhash" in passes or "simhash" in passes:
         sigs = signature_table(norm, cfg).materialize()
-    builders = {
-        "exact": lambda: exact_dup_edges(norm, cfg),
-        "minhash": lambda: _edges_only(minhash_edges(norm, cfg, sigs=sigs)),
-        "simhash": lambda: _edges_only(simhash_edges(norm, cfg, sigs=sigs)),
-        "substring": lambda: _edges_only(substring_edges(norm, cfg)),
-    }
+    builders = _pass_builders(passes, norm, cfg, None, sigs,
+                              lambda: winnow_rows(norm, cfg))
     ids = norm.select_columns(["doc_id"]).materialize()
     n_docs = ids.count()
 

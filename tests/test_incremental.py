@@ -5,8 +5,10 @@ co-clustered in a run over A ∪ B. Plus atomic-writer idempotency."""
 
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.sources.webpages import make_webpages
@@ -48,17 +50,43 @@ def test_write_atomic_idempotent(ray_session, tmp_path):
     assert sorted(os.listdir(out)) == ["shard-0", "shard-1"]
 
 
-def test_incremental_update_matches_full_rerun(ray_session, tmp_path):
+def _copies_below(a, n_fresh, n_copies, seed):
+    """An increment whose doc_ids all lie below the prior's: fresh docs,
+    then verbatim copies of the first ``n_copies`` prior docs."""
+    fresh = _docs_tbl(n_fresh, seed=seed)
+    copies = a.slice(0, n_copies)
+    return pa.table({
+        "doc_id": pa.array(list(range(n_fresh + n_copies)), pa.int64()),
+        "url": pa.array(fresh["url"].to_pylist()
+                        + [f"https://copy.example/{i}"
+                           for i in range(n_copies)]),
+        "text": pa.array(fresh["text"].to_pylist()
+                         + copies["text"].to_pylist()),
+        "lang": pa.array(fresh["lang"].to_pylist()
+                         + copies["lang"].to_pylist())})
+
+
+@pytest.mark.parametrize("inc_below", [False, True],
+                         ids=["inc_above", "inc_below"])
+def test_incremental_update_matches_full_rerun(ray_session, tmp_path,
+                                               inc_below):
     """incremental_update over a prior checkpointed run == full re-run over
-    prior ∪ increment, byte-identical labels, all four passes."""
+    prior ∪ increment, byte-identical labels, all four passes. In the
+    ``inc_below`` case the increment's doc_ids lie below the prior's and it
+    carries verbatim copies of prior docs, so an exact group's min-id
+    representative moves across to the increment side."""
     import ray.data as rd
     from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
                                                    incremental_update)
     from fuzzy_matcher_ray.state.checkpoint import Checkpointer
 
     cfg = PipelineConfig()
-    a = _docs_tbl(400, seed=41)
-    b = _docs_tbl(200, seed=42, id_offset=1_000_000)
+    if inc_below:
+        a = _docs_tbl(400, seed=41, id_offset=1_000_000)
+        b = _copies_below(a, 170, 30, seed=42)
+    else:
+        a = _docs_tbl(400, seed=41)
+        b = _docs_tbl(200, seed=42, id_offset=1_000_000)
     root = str(tmp_path / "ck")
     ck = Checkpointer(root, cfg.config_hash())
     find_duplicates(rd.from_arrow(a), cfg, checkpointer=ck).materialize()
@@ -74,6 +102,10 @@ def test_incremental_update_matches_full_rerun(ray_session, tmp_path):
     # the winnow_rows artifact persisted, so the substring pass really ran
     # incrementally (no prior-corpus re-winnow)
     assert os.path.isdir(os.path.join(root, "winnow_rows", "data"))
+    if inc_below:
+        # prior docs now carry an increment doc's id as their label
+        prior = full[full.doc_id >= 1_000_000]
+        assert (prior.cluster_id < 1_000_000).any()
 
 
 def test_incremental_update_guards(ray_session, tmp_path):
@@ -276,3 +308,20 @@ def test_incremental_touched_only_relabel_parity(ray_session, tmp_path,
     assert linked, "increment never linked to the prior corpus"
     assert len(set(prior.cluster_id) - linked) > 0, \
         "every prior component was touched — untouched branch unexercised"
+
+
+def test_edge_endpoints_budget_counts_unique_across_batches(ray_session):
+    """The touched-relabel endpoint budget counts TRUE distinct endpoints:
+    an edge set spanning two 2^20-row batches that repeats the same 2,000
+    endpoints in both sums to 4,000 per-batch uniques, past a 3,000 budget,
+    yet stays within it."""
+    import ray.data as rd
+
+    from fuzzy_matcher_ray.pipelines.dedup import _edge_endpoints
+
+    i = np.arange((1 << 20) + (1 << 19), dtype=np.int64)
+    edges = rd.from_arrow(pa.table({"a": i % 1000, "b": 1000 + i % 1000}))
+    en = _edge_endpoints(edges, 3000)
+    assert en is not None
+    assert en.tolist() == list(range(2000))
+    assert _edge_endpoints(edges, 1999) is None

@@ -260,3 +260,40 @@ def test_sharded_touched_only_relabel_parity(ray_session, tmp_path,
     m = dict(zip(want["doc_id"], want["cluster_id"]))
     assert any(m[3_000_000 + i] == m[t0["doc_id"][i].as_py()]
                for i in range(25))
+
+
+def test_sharded_fold_error_does_not_wait_for_prebuilds(ray_session, tmp_path,
+                                                        monkeypatch):
+    """A raising fold propagates at once: dedup_sharded must not wait for
+    a queued prebuild (here shard 2's factory, blocked on an event)."""
+    import threading
+    import time
+
+    import pytest
+    import ray.data as rd
+    from fuzzy_matcher_ray.pipelines import dedup
+
+    def _boom(*args, **kwargs):
+        raise RuntimeError("fold failed")
+
+    monkeypatch.setattr(dedup, "find_duplicates", lambda *a, **k: None)
+    monkeypatch.setattr(dedup, "incremental_update", _boom)
+    release = threading.Event()
+    safety = threading.Timer(60, release.set)   # never hang the suite
+    safety.start()
+
+    def _blocked():
+        release.wait()
+        return rd.from_arrow(_docs_tbl(0, seed=93))
+
+    shards = [("s0", rd.from_arrow(_docs_tbl(5, seed=91))),
+              ("s1", rd.from_arrow(_docs_tbl(0, seed=92))),
+              ("s2", _blocked)]
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(RuntimeError, match="fold failed"):
+            dedup.dedup_sharded(shards, str(tmp_path / "state"))
+        assert time.perf_counter() - t0 < 30
+    finally:
+        release.set()
+        safety.cancel()
