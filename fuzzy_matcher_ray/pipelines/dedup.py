@@ -260,7 +260,7 @@ def _pack_pp(t: pa.Table) -> pa.Array:
     """Pack the shared-fingerprint seed positions (21 bits each) so ONE
     consistent (pos_a, pos_b) tuple survives the per-pair Min dedup;
     out-of-range positions (docs > 2M chars) become null → the verifier
-    falls back to the probe-gram intersection path."""
+    finds those pairs' alignments by its probe-gram lookup."""
     pa_ = t["pos_a"].to_numpy(zero_copy_only=False).astype(np.int64)
     pb_ = t["pos_b"].to_numpy(zero_copy_only=False).astype(np.int64)
     ok = (pa_ >= 0) & (pb_ >= 0) & (pa_ < (1 << 21)) & (pb_ < (1 << 21))
@@ -277,10 +277,12 @@ def substring_edges(norm, cfg: PipelineConfig, attacher=None, rows=None,
 
     Candidate pairs are docs sharing any winnowed window fingerprint
     (complete for repeats >= window + winnow - 1 chars). Verification
-    (stages/verify.py SubstringVerifier) intersects stride-1 probe-gram
-    hashes and extends at occurrence pairs — exact for the >= min_len
-    predicate, with a suffix-array fallback only past a tried-pairs budget
-    (pathologically repetitive docs).
+    (stages/verify.py SubstringVerifier) is one exact kernel per batch: the
+    pair's winnow seed plus, where the seed does not settle it, doc a's
+    probe grams sampled every min_len - probe + 1 chars looked up in a
+    sorted index of the b-docs' grams; every alignment is decided by one
+    vectorized byte compare. A suffix array decides only pairs past a
+    lookup-hit budget (highly repetitive docs).
 
     ``rows``: ``norm``'s winnow rows (``winnow_rows``), built when None.
     With ``prior`` only pairs touching the increment are candidates.

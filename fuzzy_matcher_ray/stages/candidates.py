@@ -414,7 +414,7 @@ def key_pairs(key_rows, key_cols: list[str], cfg: PipelineConfig,
     # hot path: star + chain per group (vectorized, O(n) per group); skips
     # pair_filter/derive by design — giant groups are exact-ish duplicate
     # families and the verify stage still scores every pair (null derive
-    # cols ⇒ verifier fallback path).
+    # cols ⇒ the verifier finds alignments by its probe-gram lookup).
     out = dup_pairs_ds
     hot_arr = _collect_combined_keys(hot_keys_ds, key_cols)
     if len(hot_arr) > 0:

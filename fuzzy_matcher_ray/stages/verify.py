@@ -3,9 +3,11 @@
 ≙ reference verify+score (``fuzzy_matcher_core.go:220-267``
 CalculateSimilarity per field + threshold reject + weighted sum), re-expressed
 as a batched numeric kernel over pair tables: exact 5-gram Jaccard for the
-near-dup pipeline, suffix-array longest-common-substring for the substring
-pass. Texts are attached by broadcast lookup or hash join
-(``stages/joins.py``) — the per-batch kernel itself is pure numpy.
+near-dup pipeline, and for the substring pass an exact ">= min_len common
+substring" kernel (seed and sampled-probe-gram alignments, all checked by
+one vectorized byte compare; a suffix array only for highly repetitive
+pairs). Texts are attached by broadcast lookup or hash join
+(``stages/joins.py``) — the per-batch kernels themselves are pure numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import pyarrow as pa
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.shingle import (
-    _scratch_buf, counts_to_offsets, segmented_intersection_counts,
-    shingle_batch, unique_per_doc)
+    _scratch_buf, counts_to_offsets, gather_ranges,
+    segmented_intersection_counts, shingle_batch, string_buffer,
+    unique_per_doc)
 from fuzzy_matcher_ray.functions.suffix import lcp_array, suffix_array
 from fuzzy_matcher_ray.stages.joins import attach_columns
 
@@ -73,7 +76,9 @@ def _batch_unique_docs(batch: pa.Table, fetched) -> tuple[np.ndarray, pa.Array]:
     unique-doc index; ``uniq_texts[j]`` is the text of unique doc j. Texts
     come from the shared broadcast (``fetched`` = (sorted_keys, texts) — the
     pair table then carries only 16 B/row through the shuffle) or, when
-    ``fetched`` is None, from attached text_a/text_b columns.
+    ``fetched`` is None, from attached text_a/text_b columns. Raises
+    ``KeyError`` for doc_ids the broadcast does not hold (verifying them
+    against a neighbour's text would be silently wrong).
     """
     a = batch["a"].to_numpy(zero_copy_only=False)
     b = batch["b"].to_numpy(zero_copy_only=False)
@@ -82,7 +87,11 @@ def _batch_unique_docs(batch: pa.Table, fetched) -> tuple[np.ndarray, pa.Array]:
     if fetched is not None:
         keys, texts = fetched
         idx = np.searchsorted(keys, u)
-        idx = np.clip(idx, 0, max(len(keys) - 1, 0))
+        np.clip(idx, 0, max(len(keys) - 1, 0), out=idx)
+        missing = u if len(keys) == 0 else u[keys[idx] != u]
+        if missing.size:
+            raise KeyError(f"{missing.size} doc_id(s) missing from the text "
+                           f"broadcast: {missing[:10].tolist()}")
         uniq_texts = texts.take(pa.array(idx, pa.int64()))
     else:
         ta, tb = batch["text_a"], batch["text_b"]
@@ -224,10 +233,10 @@ class JaccardVerifier(_TextFetcher):
     """pairs (a, b[, text_a, text_b]) → (a, b, jaccard) for pairs ≥ threshold.
 
     Exact Jaccard over unique k-gram shingle sets. Each DISTINCT doc in the
-    batch is shingled exactly once (a doc in 50 candidate pairs used to be
-    shingled 50× — round-1 verdict item 2); per-pair sets are then gathered
-    from the unique pool and intersected via one sort over the concatenated
-    (pair_id, hash) rows — no per-pair Python set work. With ``text_ref``
+    batch is shingled exactly once into a pool of per-doc sorted-unique
+    sets; each pair's intersection is then a binary search of the smaller
+    set into the larger (``segmented_intersection_counts``: one
+    ``searchsorted`` per pair, both sets cache-resident). With ``text_ref``
     (the shared broadcast) the input pairs carry no text at all.
     """
 
@@ -297,214 +306,229 @@ class JaccardVerifier(_TextFetcher):
         })
 
 
-def _extend_lr(ta: str, ia: int, tb: str, ib: int, width: int) -> tuple[int, int]:
-    """(left, right) extents of the maximal common run around the identical
-    seed window ta[ia:ia+width] == tb[ib:ib+width]; run length = left+right.
-    Chunked slice compares (C speed)."""
-    left = 0
-    step = 256
-    while True:
-        s = min(step, ia - left, ib - left)
-        if s <= 0:
-            break
-        if ta[ia - left - s: ia - left] == tb[ib - left - s: ib - left]:
-            left += s
-        else:
-            while ia - left - 1 >= 0 and ib - left - 1 >= 0 and \
-                    ta[ia - left - 1] == tb[ib - left - 1]:
-                left += 1
-            break
-    right = width
-    la, lb = len(ta), len(tb)
-    while True:
-        s = min(step, la - ia - right, lb - ib - right)
-        if s <= 0:
-            break
-        if ta[ia + right: ia + right + s] == tb[ib + right: ib + right + s]:
-            right += s
-        else:
-            while ia + right < la and ib + right < lb and \
-                    ta[ia + right] == tb[ib + right]:
-                right += 1
-            break
-    return left, right
+# text bytes shingled per step of the substring lookup: one uint64 per probe
+# gram, so each hash/key array of a step stays near 8 MB (the
+# _SHINGLE_CHUNK_DOCS rationale, counted in bytes because the lookup's cost
+# follows text length)
+_SUBSTR_CHUNK_BYTES = 1 << 20
+# candidate alignments byte-compared per step (int64 gather indices ≤ 4 MB)
+_CMP_CHUNK = 1 << 15
+_CMP_BLOCK = 16       # bytes compared per candidate per round
 
 
-def _extend_match(ta: str, ia: int, tb: str, ib: int, width: int) -> int:
-    """Run length of the maximal common run around the identical seed."""
-    left, right = _extend_lr(ta, ia, tb, ib, width)
-    return left + right
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, …, counts[i] - 1 for every i, concatenated."""
+    return (np.arange(int(counts.sum()), dtype=np.int64)
+            - np.repeat(counts_to_offsets(counts)[:-1], counts))
+
+
+def _byte_groups(docs: np.ndarray, lens: np.ndarray) -> list[np.ndarray]:
+    """``docs`` cut, in order, into runs of about _SUBSTR_CHUNK_BYTES of
+    text (a run ends with the doc that crosses the budget)."""
+    gid = (np.cumsum(lens) - lens) // _SUBSTR_CHUNK_BYTES
+    return np.split(docs, np.flatnonzero(np.diff(gid)) + 1)
+
+
+def _match_len(data: np.ndarray, xa: np.ndarray, xb: np.ndarray,
+               room: np.ndarray, step: int) -> np.ndarray:
+    """Per candidate: how many bytes data[xa + step·t] == data[xb + step·t]
+    hold for t = 0, 1, … before the first mismatch, at most ``room``.
+    Compares _CMP_BLOCK bytes a round, only for the candidates whose
+    previous block matched in full."""
+    out = np.zeros(len(xa), np.int64)
+    live = np.flatnonzero(room > 0)
+    t = np.arange(_CMP_BLOCK, dtype=np.int64)
+    done = 0
+    while live.size:
+        d = step * (done + t)
+        eq = (np.take(data, xa[live, None] + d, mode="clip")
+              == np.take(data, xb[live, None] + d, mode="clip"))
+        eq &= done + t < room[live, None]
+        full = eq.all(axis=1)
+        out[live] += np.where(full, _CMP_BLOCK, eq.argmin(axis=1))
+        live = live[full]
+        done += _CMP_BLOCK
+    return out
+
+
+def _common_runs(data: np.ndarray, offs: np.ndarray, da: np.ndarray,
+                 db: np.ndarray, xa: np.ndarray, xb: np.ndarray,
+                 cap: int) -> np.ndarray:
+    """Length of the common run through each candidate alignment: byte
+    ``xa`` of doc ``da`` against byte ``xb`` of doc ``db`` (offsets into
+    ``data``; doc d spans offs[d]:offs[d+1]). Each side is capped at
+    ``cap``, and the left side is compared only where the right one stops
+    short of it. Every length is that of a real common substring."""
+    out = np.empty(len(xa), np.int64)
+    for lo in range(0, len(xa), _CMP_CHUNK):
+        sl = slice(lo, lo + _CMP_CHUNK)
+        a, b, pa_, pb_ = xa[sl], xb[sl], da[sl], db[sl]
+        room = np.minimum(np.minimum(offs[pa_ + 1] - a, offs[pb_ + 1] - b), cap)
+        right = _match_len(data, a, b, room, 1)
+        room = np.minimum(np.minimum(a - offs[pa_], b - offs[pb_]), cap)
+        room[right >= cap] = 0
+        out[sl] = right + _match_len(data, a - 1, b - 1, room, -1)
+    return out
+
+
+def _sa_common_len(a: np.ndarray, b: np.ndarray) -> int:
+    """Longest common substring of two byte arrays: suffix array + Kasai LCP
+    over a·sep·b, the max LCP between adjacent suffixes from different
+    sides (functions/suffix.py)."""
+    s = np.concatenate([a.astype(np.int64), np.array([256], np.int64),
+                        b.astype(np.int64)])
+    sa = suffix_array(s)
+    lcp = lcp_array(s, sa)
+    side = sa > len(a)                  # suffix starts in b
+    cross = np.zeros(len(s), dtype=bool)
+    cross[1:] = side[1:] != side[:-1]
+    return int(lcp[cross].max()) if cross.any() else 0
 
 
 class SubstringVerifier(_TextFetcher):
-    """pairs (a, b[, text_a, text_b]) → (a, b, common_len) for pairs sharing
-    a substring >= min_len.
+    """pairs (a, b[, pp][, text_a, text_b]) → (a, b, common_len) for pairs
+    whose texts share a substring of at least ``substr_min_len`` bytes.
 
-    Fast path: unpack the shared-fingerprint seed positions (pp = pos_a<<21 |
-    pos_b, from the winnow stage), confirm the seed windows are identical and
-    extend the run with chunked slice compares — O(match) per pair.
-    Fallback (null/overflow pp, seed mismatch from a hash collision): full
-    suffix-array + Kasai LCP over the concatenated pair, max cross-document
-    LCP == longest common substring (functions/suffix.py).
+    One exact numpy kernel per batch. Each distinct doc of the batch sits
+    once in a byte buffer (normalized text is [a-z0-9], so byte and
+    character offsets agree). Candidate alignments come from:
+
+    - the winnow seed ``pp`` (pos_a<<21 | pos_b) of each pair, when present
+      and inside both docs;
+    - for pairs the seed does not settle, a lookup: doc a's probe-gram
+      hashes sampled every ``s = min_len - probe + 1`` bytes are found in
+      one sorted index of the b-docs' probe grams. This is complete: a
+      common run of min_len or more covers s consecutive gram starts, so it
+      holds a sample, whose gram occurs in b at the aligned offset.
+
+    The decision compares bytes left and right of every alignment at once,
+    capped at min_len per side, and accepts a pair when left + right >=
+    min_len. So ``common_len`` is a real common substring length with
+    min_len <= common_len <= the longest one, and a hash collision costs
+    only a compare. A pair with more than ``_MAX_TRIES`` lookup hits (highly
+    repetitive docs) is decided by a suffix array over the pair instead.
     """
+
+    _MAX_TRIES = 2048     # lookup hits per pair before the suffix-array path
 
     def __init__(self, cfg: PipelineConfig, text_ref=None):
         super().__init__(text_ref)
         self.cfg = cfg
 
-    def _sa_common_len(self, ta: str, tb: str) -> int:
-        s = np.concatenate([
-            np.frombuffer(ta.encode(), dtype=np.uint8).astype(np.int64),
-            np.array([256], dtype=np.int64),
-            np.frombuffer(tb.encode(), dtype=np.uint8).astype(np.int64)])
-        boundary = len(ta.encode())
-        sa = suffix_array(s)
-        lcp = lcp_array(s, sa)
-        side = sa > boundary                # suffix starts in text_b
-        cross = np.zeros(len(s), dtype=bool)
-        cross[1:] = side[1:] != side[:-1]
-        return int(lcp[cross].max()) if cross.any() else 0
-
-    _MAX_TRIES = 2048     # occurrence-pair budget before the SA fallback
-
-    def _pair_common_len(self, ta: str, tb: str, ha: np.ndarray,
-                         hb: np.ndarray, probe: int, min_len: int) -> int:
-        """Exact >=min_len decision via probe-gram intersection + extension.
-
-        Any common substring of length >= min_len contains a probe-length
-        (min_len//2) gram at every offset, so both docs share that gram's
-        hash; extending at the correct occurrence pair recovers the run.
-        Early exit on success keeps the predicate exact; if the
-        occurrence-pair budget runs out before success, the suffix array
-        decides (repetitive pathological docs only).
-        """
-        common = np.intersect1d(ha, hb)
-        if len(common) == 0:
-            return 0                        # exact reject: no shared gram
-        # all matched positions, grouped by gram value — one vectorized pass
-        ma = np.nonzero(np.isin(ha, common))[0]
-        mb = np.nonzero(np.isin(hb, common))[0]
-        oa = ma[np.argsort(ha[ma], kind="stable")]
-        ob = mb[np.argsort(hb[mb], kind="stable")]
-        va, vb = ha[oa], hb[ob]
-        best = 0
-        tries = 0
-        found: list[tuple[int, int, int]] = []   # (run_start_a, run_end_a, offset)
-        ja = jb = 0
-        na_, nb_ = len(oa), len(ob)
-        while ja < na_ and jb < nb_:
-            if va[ja] < vb[jb]:
-                ja += 1
-                continue
-            if va[ja] > vb[jb]:
-                jb += 1
-                continue
-            v = va[ja]
-            ja2 = ja
-            while ja2 < na_ and va[ja2] == v:
-                ja2 += 1
-            jb2 = jb
-            while jb2 < nb_ and vb[jb2] == v:
-                jb2 += 1
-            for ia in oa[ja:ja2].tolist():
-                for ib in ob[jb:jb2].tolist():
-                    d = ib - ia
-                    # aligned-run memo: (ia, ib) inside an already-explored
-                    # run with the same offset rediscovers it exactly — skip
-                    if any(s <= ia < e and d == off for s, e, off in found):
-                        continue
-                    tries += 1
-                    if tries > self._MAX_TRIES:
-                        return self._sa_common_len(ta, tb)
-                    if ta[ia: ia + probe] != tb[ib: ib + probe]:
-                        continue            # 64-bit hash collision
-                    left, right = _extend_lr(ta, ia, tb, ib, probe)
-                    ext = left + right
-                    found.append((ia - left, ia + right, d))
-                    if ext > best:
-                        best = ext
-                        if best >= min_len:
-                            return best     # exact for the >= min_len test
-            ja, jb = ja2, jb2
-        return best
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        min_len = cfg.substr_min_len
-        probe = max(8, min_len // 2)
+        min_len = self.cfg.substr_min_len
         n = len(batch)
         if n == 0:
             return pa.table({"a": pa.array([], pa.int64()),
                              "b": pa.array([], pa.int64()),
                              "common_len": pa.array([], pa.int64())})
-        # each DISTINCT doc is materialized + probe-gram-hashed once per
-        # batch; per-pair arrays are slices of the unique pool
         inv, uniq_texts = _batch_unique_docs(batch, self.fetched())
-        texts = uniq_texts.to_pylist()
-        # seed positions from the winnow stage (packed pos_a<<21|pos_b; null
-        # ⇒ no usable seed — star/chain pairs, overflow)
-        pp = None
+        data, offs = string_buffer(uniq_texts)
+        lens = np.diff(offs)
+        ia, ib = inv[:n], inv[n:]
+        best = np.zeros(n, np.int64)
+        live = np.minimum(lens[ia], lens[ib]) >= min_len
         if "pp" in batch.schema.names:
-            ppc = batch["pp"].to_numpy(zero_copy_only=False)
-            pp = [None if v is None or (isinstance(v, float) and np.isnan(v))
-                  else int(v) for v in ppc.tolist()]
-        # probe-gram hashes lazily: ONLY docs that reach the fallback path
-        # are hashed (the seed fast path resolves the vast majority of pairs
-        # with O(match) slice compares)
-        uh = uc = uoffs = None
-        window = cfg.substr_window
-        a_list = batch["a"].to_pylist()
-        b_list = batch["b"].to_pylist()
-        a_out, b_out, l_out = [], [], []
-        for i in range(n):
-            ua, ub = inv[i], inv[n + i]
-            ta = texts[ua] or ""
-            tb = texts[ub] or ""
-            if min(len(ta), len(tb)) < min_len:
+            # winnow seed (pos_a<<21 | pos_b); null ⇒ no usable seed
+            pp = batch["pp"].cast(pa.int64()).fill_null(-1) \
+                            .to_numpy(zero_copy_only=False)
+            pos_a, pos_b = pp >> 21, pp & ((1 << 21) - 1)
+            s = np.flatnonzero(live & (pp >= 0) & (pos_a < lens[ia])
+                               & (pos_b < lens[ib]))
+            best[s] = _common_runs(data, offs, ia[s], ib[s],
+                                   offs[ia[s]] + pos_a[s],
+                                   offs[ib[s]] + pos_b[s], min_len)
+        todo = np.flatnonzero(live & (best < min_len))
+        if todo.size:
+            best[todo] = np.maximum(best[todo], self._lookup(
+                uniq_texts, data, offs, ia[todo], ib[todo]))
+        keep = best >= min_len
+        return pa.table({
+            "a": pa.array(batch["a"].to_numpy(zero_copy_only=False)[keep]),
+            "b": pa.array(batch["b"].to_numpy(zero_copy_only=False)[keep]),
+            "common_len": pa.array(best[keep])})
+
+    def _lookup(self, uniq_texts: pa.Array, data: np.ndarray,
+                offs: np.ndarray, ia: np.ndarray, ib: np.ndarray
+                ) -> np.ndarray:
+        """Longest capped run over the sampled-gram alignments of each pair
+        (ia[p], ib[p]) — the suffix-array length past the hit budget."""
+        min_len = self.cfg.substr_min_len
+        probe = min(min_len, max(8, min_len // 2))
+        stride = min_len - probe + 1
+        seed = self.cfg.seed ^ 0xD1CE
+        lens = np.diff(offs)
+        out = np.zeros(len(ia), np.int64)
+
+        # probe-gram hash and byte offset of every sample of every a-doc
+        n_samp = np.zeros(len(lens), np.int64)
+        ua = np.unique(ia)
+        n_samp[ua] = (lens[ua] - probe) // stride + 1
+        s_off = counts_to_offsets(n_samp)
+        s_hash = np.empty(s_off[-1], np.uint64)
+        s_at = np.empty(s_off[-1], np.int64)
+        for docs in _byte_groups(ua, lens[ua]):
+            h, c = shingle_batch(uniq_texts.take(pa.array(docs)), probe, seed)
+            at = _ranks(n_samp[docs]) * stride
+            lo, hi = s_off[docs[0]], s_off[docs[-1] + 1]
+            s_hash[lo:hi] = h[np.repeat(counts_to_offsets(c)[:-1],
+                                        n_samp[docs]) + at]
+            s_at[lo:hi] = np.repeat(offs[docs], n_samp[docs]) + at
+
+        # per run of b-docs: one sorted index of lossy keys (hash high bits
+        # | local doc | gram position), probed with the samples of the pairs
+        # whose b-doc is in the run
+        order = np.argsort(ib, kind="stable")
+        ib_sorted = ib[order]
+        ub = np.unique(ib)
+        for docs in _byte_groups(ub, lens[ub]):
+            sel = order[np.searchsorted(ib_sorted, docs[0]):
+                        np.searchsorted(ib_sorted, docs[-1], "right")]
+            keys, c = shingle_batch(uniq_texts.take(pa.array(docs)), probe,
+                                    seed)
+            pos_bits = int(c.max()).bit_length()
+            low = np.uint64(pos_bits + (len(docs) - 1).bit_length())
+            pos_mask = np.uint64((1 << pos_bits) - 1)
+            keys >>= low
+            keys <<= low
+            keys |= np.repeat(np.arange(len(docs), dtype=np.uint64)
+                              << np.uint64(pos_bits), c)
+            keys |= _ranks(c).astype(np.uint64)
+            keys.sort()
+
+            cnt = n_samp[ia[sel]]
+            rep = np.repeat(np.arange(len(sel)), cnt)
+            si = np.repeat(s_off[ia[sel]], cnt) + _ranks(cnt)
+            q = (s_hash[si] >> low << low) | (
+                np.searchsorted(docs, ib[sel]).astype(np.uint64)[rep]
+                << np.uint64(pos_bits))
+            first = np.searchsorted(keys, q)
+            n_hit = np.searchsorted(keys, q | pos_mask, "right") - first
+            over = np.bincount(rep, weights=n_hit,
+                               minlength=len(sel)) > self._MAX_TRIES
+            for p in sel[over]:
+                out[p] = _sa_common_len(data[offs[ia[p]]: offs[ia[p] + 1]],
+                                        data[offs[ib[p]]: offs[ib[p] + 1]])
+            m = np.flatnonzero(~over[rep] & (n_hit > 0))
+            if not m.size:
                 continue
-            best = -1
-            if pp is not None and pp[i] is not None:
-                pos_a = pp[i] >> 21
-                pos_b = pp[i] & ((1 << 21) - 1)
-                # identical-seed check guards against 64-bit fp collisions;
-                # extension around the verified seed is exact and O(match)
-                if (pos_a + window <= len(ta) and pos_b + window <= len(tb)
-                        and ta[pos_a: pos_a + window] == tb[pos_b: pos_b + window]):
-                    left, right = _extend_lr(ta, pos_a, tb, pos_b, window)
-                    if left + right >= min_len:
-                        best = left + right
-            if best < min_len:
-                # exact fallback: probe-gram intersection + extension (and SA
-                # past the tried-pairs budget) decides pairs whose Min-picked
-                # seed sits outside the longest shared run
-                if uh is None:
-                    # chunked, pooled-destination shingling (same rationale
-                    # as _chunked_unique_sets; order preserved — positions
-                    # in the hash array are char offsets)
-                    n_u = len(uniq_texts)
-                    uc = np.empty(n_u, dtype=np.int64)
-                    dest = _scratch_buf("substr_ph",
-                                        max(int(uniq_texts.nbytes), 1))
-                    pos = 0
-                    for lo in range(0, n_u, _SHINGLE_CHUNK_DOCS):
-                        sl = uniq_texts.slice(
-                            lo, min(_SHINGLE_CHUNK_DOCS, n_u - lo))
-                        h, c = shingle_batch(sl, probe, cfg.seed ^ 0xD1CE)
-                        dest[pos: pos + len(h)] = h
-                        uc[lo: lo + len(c)] = c
-                        pos += len(h)
-                    uh = dest[:pos]
-                    uoffs = counts_to_offsets(uc)
-                best = self._pair_common_len(
-                    ta, tb, uh[uoffs[ua]: uoffs[ua + 1]],
-                    uh[uoffs[ub]: uoffs[ub + 1]], probe, min_len)
-            if best >= min_len:
-                a_out.append(a_list[i])
-                b_out.append(b_list[i])
-                l_out.append(int(best))
-        return pa.table({"a": pa.array(a_out, pa.int64()),
-                         "b": pa.array(b_out, pa.int64()),
-                         "common_len": pa.array(l_out, pa.int64())})
+            rep, si, first, n_hit = rep[m], si[m], first[m], n_hit[m]
+            # expand the hits in parts of about _CMP_CHUNK candidates (one
+            # part may exceed it by at most one sample's hits)
+            cum = np.cumsum(n_hit)
+            cuts = np.searchsorted(
+                cum, np.arange(_CMP_CHUNK, int(cum[-1]), _CMP_CHUNK), "right")
+            bounds = [0, *cuts.tolist(), len(m)]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                k = n_hit[lo:hi]
+                p = sel[np.repeat(rep[lo:hi], k)]
+                xb = offs[ib[p]] + (gather_ranges(keys, first[lo:hi], k)
+                                    & pos_mask).astype(np.int64)
+                runs = _common_runs(data, offs, ia[p], ib[p],
+                                    np.repeat(s_at[si[lo:hi]], k), xb,
+                                    min_len)
+                np.maximum.at(out, p, runs)
+        return out
 
 
 def simhash_pair_filter(max_hamming: int):

@@ -1,6 +1,7 @@
-"""Pure-kernel unit tests (no Ray): normalize, similarity, minhash, simhash,
-suffix arrays, fingerprints, union-find. These define parity with the
-reference (SURVEY.md §5, FIXTURES.md F3)."""
+"""Pure-kernel unit tests: normalize, similarity, minhash, simhash, suffix
+arrays, fingerprints, union-find, the verifiers. These define parity with
+the reference (SURVEY.md §5, FIXTURES.md F3). Only the verifier cases that
+read texts from a ``ray.put`` broadcast start Ray."""
 
 import numpy as np
 import pyarrow as pa
@@ -180,6 +181,154 @@ def test_long_repeat_pairs():
     t3 = b"totally different content here" * 5
     a, b = long_repeat_pairs([t1, t2, t3], np.array([10, 20, 30]), min_len=200)
     assert set(zip(a.tolist(), b.tolist())) == {(10, 20)}
+
+
+def _lcs(x: str, y: str) -> int:
+    """Brute-force longest common substring: the classic DP, one numpy row
+    per char of x."""
+    if not x or not y:
+        return 0
+    xb = np.frombuffer(x.encode(), np.uint8)
+    yb = np.frombuffer(y.encode(), np.uint8)
+    prev = np.zeros(len(yb) + 1, np.int64)
+    best = 0
+    for c in xb:
+        cur = np.zeros_like(prev)
+        cur[1:] = np.where(yb == c, prev[:-1] + 1, 0)
+        best = max(best, int(cur.max()))
+        prev = cur
+    return best
+
+
+def _substring_cases(rng, min_len: int):
+    """(text_a, text_b, pp) triples covering every route through the
+    substring verifier: valid seeds, seeds off the shared run, null and
+    out-of-range seeds, a seed on a short run while a long run exists,
+    repetitive pairs past the lookup budget, docs shorter than min_len, a
+    min_len run at every phase of the sample stride, and runs that touch a
+    doc boundary."""
+    def rand(n, alpha="abcdefghijklmnopqrstuvwxyz0123456789"):
+        return "".join(rng.choice(list(alpha), n))
+
+    def pack(pa_, pb_):
+        return (pa_ << 21) | pb_
+
+    cases = []
+    for _ in range(60):
+        run_len = int(rng.choice([min_len - 1, min_len, min_len + 1,
+                                  int(rng.integers(10, 3 * min_len))]))
+        alpha = "abc" if rng.random() < 0.3 else \
+            "abcdefghijklmnopqrstuvwxyz0123456789"
+        run = rand(run_len, alpha)
+        pre_a, pre_b = int(rng.integers(0, 150)), int(rng.integers(0, 150))
+        ta = rand(pre_a, alpha) + run + rand(int(rng.integers(0, 150)), alpha)
+        tb = rand(pre_b, alpha) + run + rand(int(rng.integers(0, 150)), alpha)
+        kind = rng.integers(0, 4)
+        if kind == 0:                   # seed inside the shared run
+            off = int(rng.integers(0, run_len))
+            pp = pack(pre_a + off, pre_b + off)
+        elif kind == 1:                 # seed whose window differs
+            pp = pack(int(rng.integers(0, len(ta))),
+                      int(rng.integers(0, len(tb))))
+        elif kind == 2:                 # null seed
+            pp = None
+        else:                           # out-of-range seed
+            pp = pack(len(ta) + int(rng.integers(0, 50)), 0)
+        cases.append((ta, tb, pp))
+    for _ in range(10):                 # seed on a short run, long run elsewhere
+        short, long_ = rand(min_len // 2), rand(min_len + 20)
+        ta = rand(30) + short + rand(40) + long_ + rand(30)
+        tb = rand(50) + long_ + rand(25) + short + rand(10)
+        cases.append((ta, tb, pack(30 + 3, 50 + min_len + 20 + 25 + 3)))
+    for _ in range(4):                  # repetitive: past the lookup budget
+        unit = rand(int(rng.integers(1, 4)), "ab")
+        ta = unit * (30 * min_len // len(unit))
+        tb = list(unit * (30 * min_len // len(unit)))
+        for i in rng.integers(0, len(tb), int(rng.integers(0, 40))):
+            tb[i] = "z"
+        cases.append((ta, "".join(tb), None))
+    for _ in range(6):                  # docs shorter than min_len
+        t = rand(int(rng.integers(0, min_len)))
+        cases.append((t, t, pack(0, 0)))
+    for off in range(min_len):          # a min_len run at every sample phase
+        run = rand(min_len)
+        cases.append((rand(off) + run + rand(7), rand(11) + run, None))
+    # runs of min_len - 1 ending (first pair) and starting (second pair) at
+    # a doc boundary, where the neighbouring docs in the batch's byte buffer
+    # continue them: a compare that steps past a doc's end reads as a match
+    r1, r2 = rand(min_len - 2) + "a", "b" + rand(min_len - 2)
+    cases.append(("a" + r1, "b" + r1, pack(1, 1)))
+    cases.append((r2 + "a", r2 + "b", pack(min_len - 2, min_len - 2)))
+    return cases
+
+
+@pytest.mark.parametrize("source", ["broadcast", "columns"])
+@pytest.mark.parametrize("chunks", ["default", "tiny"])
+def test_substring_verifier_matches_lcs_oracle(source, chunks, request,
+                                               monkeypatch):
+    """SubstringVerifier accepts exactly the pairs whose brute-force longest
+    common substring is >= substr_min_len, and reports a common_len that
+    is a real common substring of at least that length — through both
+    text sources, and with the lookup's byte and compare chunks shrunk to
+    a few docs/candidates so every chunk boundary is crossed."""
+    from fuzzy_matcher_ray.config import PipelineConfig
+    from fuzzy_matcher_ray.stages import verify
+    min_len = 40
+    cfg = PipelineConfig(substr_min_len=min_len)
+    cases = _substring_cases(np.random.default_rng(23), min_len)
+    if chunks == "tiny":
+        monkeypatch.setattr(verify, "_SUBSTR_CHUNK_BYTES", 700)
+        monkeypatch.setattr(verify, "_CMP_CHUNK", 5)
+    sa_calls = []
+    sa = verify._sa_common_len
+    monkeypatch.setattr(verify, "_sa_common_len",
+                        lambda a, b: sa_calls.append(1) or sa(a, b))
+    texts = {}
+    a_ids, b_ids = [], []
+    for ta, tb, _pp in cases:
+        for t, ids in ((ta, a_ids), (tb, b_ids)):
+            ids.append(texts.setdefault(t, 1000 + len(texts)))
+    batch = pa.table({"a": pa.array(a_ids, pa.int64()),
+                      "b": pa.array(b_ids, pa.int64()),
+                      "pp": pa.array([c[2] for c in cases], pa.int64())})
+    if source == "broadcast":
+        request.getfixturevalue("ray_session")
+        from fuzzy_matcher_ray.stages.joins import broadcast_table
+        ver = verify.SubstringVerifier(cfg, text_ref=broadcast_table(
+            pa.table({"doc_id": list(texts.values()),
+                      "norm_text": list(texts)}), "doc_id", ["norm_text"]))
+    else:
+        ver = verify.SubstringVerifier(cfg)
+        batch = batch.append_column("text_a", pa.array([c[0] for c in cases])) \
+                     .append_column("text_b", pa.array([c[1] for c in cases]))
+    out = ver(batch)
+    lcs = {(a, b): _lcs(ta, tb) for a, b, (ta, tb, _) in zip(a_ids, b_ids, cases)}
+    expect = {k for k, v in lcs.items() if v >= min_len}
+    got = dict(zip(zip(out["a"].to_pylist(), out["b"].to_pylist()),
+                   out["common_len"].to_pylist()))
+    assert set(got) == expect
+    assert all(min_len <= n <= lcs[k] for k, n in got.items())
+    assert 0 < len(expect) < len(lcs)
+    assert sa_calls                      # the repetitive pairs took the SA path
+
+
+@pytest.mark.parametrize("verifier", ["jaccard", "substring"])
+def test_verifier_rejects_doc_missing_from_broadcast(verifier, ray_session):
+    """A pair naming a doc_id the text broadcast lacks raises instead of
+    being verified against a neighbouring doc's text."""
+    from fuzzy_matcher_ray.config import PipelineConfig
+    from fuzzy_matcher_ray.stages.joins import broadcast_table
+    from fuzzy_matcher_ray.stages.verify import (JaccardVerifier,
+                                                 SubstringVerifier)
+    text = "sharedtext" * 40
+    ref = broadcast_table(pa.table({"doc_id": [1, 3], "norm_text": [text, text]}),
+                          "doc_id", ["norm_text"])
+    cfg = PipelineConfig()
+    ver = (JaccardVerifier(cfg, text_ref=ref) if verifier == "jaccard"
+           else SubstringVerifier(cfg, text_ref=ref))
+    assert len(ver(pa.table({"a": [1], "b": [3]}))) == 1
+    with pytest.raises(KeyError, match=r"\[2\]"):
+        ver(pa.table({"a": [1], "b": [2]}))
 
 
 # ---------------- fingerprints -----------------------------------------------
