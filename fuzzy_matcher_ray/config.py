@@ -75,8 +75,6 @@ class PipelineConfig:
     use_shingle_set_artifact: bool = False
     # (bigger batches raise the distinct-doc dedup ratio in the verifier —
     # each distinct doc is shingled once per batch)
-    minhash_actors: tuple = (1, 8)  # actor-pool autoscaling bounds
-    signature_actor_pool: bool = False  # pool only when per-actor state is heavy
     join_num_partitions: int = 32   # hash-join partitioning (∝ CPUs)
     # --- TTL (≙ ExpiryHeap, clean.go:29-51, as a read-time predicate) ---
     ttl_mode: bool = False

@@ -33,7 +33,8 @@ import pyarrow.compute as pc
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.stages.candidates import dedup_pairs, key_pairs
-from fuzzy_matcher_ray.stages.cluster import cluster_edges
+from fuzzy_matcher_ray.stages.cluster import (_coalesce_i64, cluster_edges,
+                                              component_labels)
 from fuzzy_matcher_ray.stages.joins import attach_columns
 from fuzzy_matcher_ray.stages.minhash_stage import (
     Signatures, Winnower, add_stage, band_key_rows, simhash_key_rows)
@@ -718,11 +719,12 @@ def incremental_update(prior_root: str | list[str], new_docs,
     rows against the increment's key set, so buckets the increment never
     touches never explode into pairs, and keeps only pairs with ≥1 new doc.
     The verified edges fan in at the same ``edges_all`` stage as the
-    flagship; the fold then re-labels with union-find over prior-cluster
-    star edges + the new edges. Signatures are deterministic per doc, so
-    the result is BYTE-IDENTICAL to a full re-run over prior ∪ new (same
-    edge components ⇒ same min-id labels) — asserted by
-    tests/test_incremental.py.
+    flagship; the fold then runs the clustering stage's labeller over the
+    new edges with every prior component contracted to its label, and
+    remaps only the components they touch (``_fold_labels``). Signatures
+    are deterministic per doc, so the result is BYTE-IDENTICAL to a full
+    re-run over prior ∪ new (same edge components ⇒ same min-id labels) —
+    asserted by tests/test_incremental.py.
 
     Returns (doc_id, cluster_id) for every doc in prior ∪ new. Requires
     disjoint doc_id spaces (checked) and the same ``cfg`` AND pass set as
@@ -860,155 +862,54 @@ def incremental_update(prior_root: str | list[str], new_docs,
         passes, norm_B, cfg, attacher, sigs_B, lambda: win_B, prior=prior),
         pass_stages=False)
 
-    # touched-only relabel pays ~3 extra fixed-cost Dataset executions per
-    # fold (endpoint collect, touched-cid scan, the split) to avoid the
-    # corpus-wide star-edge shuffle + union-find; below the gate the full
-    # relabel is cheaper on one node (probe at 40k/3 shards: 1.87× vs
-    # 2.17× chain ratio), above it the O(total)-per-fold relabel is the
-    # dominant chain term. FMR_INC_TOUCHED_MIN_PRIOR=0 forces the
-    # touched-only twin for parity tests.
-    import os as _os
-    min_prior = int(_os.environ.get("FMR_INC_TOUCHED_MIN_PRIOR",
-                                    INC_TOUCHED_MIN_PRIOR))
-    touched_mode = clusters_A.count() >= min_prior
     ids_B = norm_B.select_columns(["doc_id"])
-
-    def _label():
-        return _incremental_labels(clusters_A, new_edges, ids_B, cfg,
-                                   cluster_strategy, touched_mode)
-
-    return ck.stage("clusters", _label, materialize_if_disabled=False)
+    return ck.stage("clusters", lambda: _fold_labels(
+        clusters_A, new_edges, ids_B, cfg, cluster_strategy),
+        materialize_if_disabled=False)
 
 
-# New-edge endpoint budget for the touched-component relabel: past it the
-# increment has rewired a major fraction of the corpus and the full relabel
-# is the honest cost anyway. Read at call time (not import) so parity tests
-# can force the fallback with FMR_INC_TOUCHED_MAX=0 in-process.
-INC_TOUCHED_MAX = 4_000_000
-# Prior-corpus row gate below which the full relabel wins on fixed costs
-# (see the probe numbers at the call site); FMR_INC_TOUCHED_MIN_PRIOR=0
-# forces the touched-only twin in-process.
-INC_TOUCHED_MIN_PRIOR = 2_000_000
+def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig,
+                 strategy: str):
+    """(doc_id, cluster_id) over prior ∪ increment, relabelling only what
+    the new edges touch.
 
-
-def _edge_endpoints(edges, budget: int) -> np.ndarray | None:
-    """Sorted distinct endpoints of ``edges``; None once they exceed
-    ``budget``. A running union keeps the count exact when endpoints repeat
-    across batches, so the budget trips on true unique endpoints only."""
-    seen = np.empty(0, np.int64)
-    for t in edges.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-        seen = np.union1d(seen, np.concatenate(
-            [t["a"].to_numpy(zero_copy_only=False),
-             t["b"].to_numpy(zero_copy_only=False)]))
-        if len(seen) > budget:
-            return None
-    return seen
-
-
-def _incremental_labels(clusters_A, new_edges, ids_B, cfg,
-                        strategy: str, touched_mode: bool = True):
-    """Label prior ∪ increment WITHOUT relabeling untouched components.
-
-    The naive fold relabels the whole corpus-so-far every link (star edges
-    for every prior component + union-find + a corpus-wide label join) —
-    O(total) per fold, O(k²) across a k-shard chain, the dominant chain
-    term at 10^12 docs. But a component no new edge touches keeps its exact
-    membership, hence its exact min-doc_id label. So: collect the new
-    edges' endpoint set (O(increment dups), driver-budgeted), find the
-    prior cluster ids those endpoints belong to (one streaming
-    broadcast-membership scan — no shuffle), pass every other prior row's
-    label THROUGH untouched, and run star-edges + union-find + the label
-    join over only the touched components and the increment. Byte-identical
-    to the full relabel (asserted by test_incremental parity plus a
-    dedicated fallback-vs-fast test); past the endpoint budget — or below
-    the prior-corpus size gate, where the full relabel's single fused
-    execution beats the touched path's extra fixed costs — it runs the
-    full relabel.
+    Every prior component is already contracted to its label, its min
+    doc_id. The new edges' endpoints semi-join against the prior labels
+    (``_semi_join_rows``: the prior corpus streams, never shuffles), each
+    prior endpoint joins its label by a (cluster_id, doc_id) edge, and the
+    clustering stage's labeller runs over that small graph. Its labels are
+    min node ids, so remapping every row's cluster_id through them gives
+    a full re-run's labels (same components ⇒ same min ids) at O(touched)
+    cost per fold: rows of untouched components find no label and keep
+    their own.
     """
-    import os
-
-    import ray
-
     base = clusters_A.select_columns(["doc_id", "cluster_id"])
-
-    def _full_relabel():
-        # prior components enter as star edges (cluster_id IS the
-        # component's min doc_id, so (cluster_id, doc_id) reconnects them
-        # exactly)
-        prior_star = base.map_batches(
-            lambda t: pa.table(
-                {"a": t["cluster_id"], "b": t["doc_id"]}).filter(
-                    pc.not_equal(t["cluster_id"], t["doc_id"])),
-            batch_format="pyarrow")
-        all_edges = prior_star if new_edges is None \
-            else new_edges.union(prior_star)
-        all_ids = base.select_columns(["doc_id"]).union(ids_B)
-        return cluster_edges(all_edges, all_ids, cfg, strategy=strategy)
-
-    if not touched_mode:
-        return _full_relabel()
-
-    budget = int(os.environ.get("FMR_INC_TOUCHED_MAX", INC_TOUCHED_MAX))
-    en = np.empty(0, np.int64)
-    if new_edges is not None:
-        en = _edge_endpoints(new_edges, budget)
-        if en is None:
-            return _full_relabel()
-
-    if not len(en):
-        # no new edges at all: prior labels pass through verbatim and
-        # every increment doc is its own singleton — no join, no
-        # union-find, and no empty-edge dataset to trip the join schema
-        singles = ids_B.map_batches(
-            lambda t: pa.table({"doc_id": t["doc_id"],
-                                "cluster_id": t["doc_id"]}),
-            batch_format="pyarrow")
-        return base.union(singles)
-
-    en_ref = ray.put(en)
-
-    def _member(col, ks: np.ndarray) -> np.ndarray:
-        ids = col.to_numpy(zero_copy_only=False)
-        if not len(ks):
-            return np.zeros(len(ids), bool)
-        idx = np.clip(np.searchsorted(ks, ids), 0, len(ks) - 1)
-        return ks[idx] == ids
-
-    def _touched_cids(t: pa.Table) -> pa.Table:
-        hit = _member(t["doc_id"], ray.get(en_ref))
-        cids = t["cluster_id"].to_numpy(zero_copy_only=False)[hit]
-        return pa.table({"cluster_id": pa.array(np.unique(cids),
-                                                pa.int64())})
-
-    tc_parts = [b["cluster_id"].to_numpy(zero_copy_only=False)
-                for b in base.map_batches(_touched_cids,
-                                          batch_format="pyarrow")
-                .iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-                if len(b)]
-    tc = (np.unique(np.concatenate(tc_parts)) if tc_parts
-          else np.empty(0, np.int64))
-    tc_ref = ray.put(tc)
-
-    def _split(keep_touched: bool):
-        def _f(t: pa.Table) -> pa.Table:
-            hit = _member(t["cluster_id"], ray.get(tc_ref))
-            return t.filter(pa.array(hit if keep_touched else ~hit))
-        return _f
-
-    untouched = base.map_batches(_split(False), batch_format="pyarrow")
-    # touched rows feed both the star edges and the label-join id list —
-    # pin them (slim two-int64 rows, O(touched members)) so the membership
-    # scan over the prior clusters runs once, not per consumer
-    touched = base.map_batches(_split(True),
-                               batch_format="pyarrow").materialize()
-    star = touched.map_batches(
+    nodes = base.union(ids_B.map_batches(
+        lambda t: pa.table({"doc_id": t["doc_id"],
+                            "cluster_id": t["doc_id"]}),
+        batch_format="pyarrow"))
+    if new_edges is None:
+        return nodes
+    # pinned: the semi-join reads it twice (count gate + key collect)
+    ends = new_edges.map_batches(lambda t: pa.table({"doc_id": np.concatenate(
+        [t["a"].to_numpy(zero_copy_only=False),
+         t["b"].to_numpy(zero_copy_only=False)])}),
+        batch_format="pyarrow").materialize()
+    star = _semi_join_rows(base, ends, ["doc_id"], cfg).map_batches(
         lambda t: pa.table({"a": t["cluster_id"], "b": t["doc_id"]}).filter(
             pc.not_equal(t["cluster_id"], t["doc_id"])),
         batch_format="pyarrow")
-    sub_edges = new_edges.union(star)
-    sub_ids = touched.select_columns(["doc_id"]).union(ids_B)
-    sub = cluster_edges(sub_edges, sub_ids, cfg, strategy=strategy)
-    return untouched.union(sub)
+    # pinned: the labeller reads it twice (size gate + labelling), and
+    # the prior scan behind ``star`` should run once
+    labels = component_labels(new_edges.union(star).materialize(), cfg,
+                              strategy)
+    out = attach_columns(nodes, labels, "cluster_id", "node",
+                         {"label": "label"}, how="left",
+                         num_partitions=cfg.join_num_partitions)
+    return out.map_batches(lambda t: pa.table({
+        "doc_id": t["doc_id"],
+        "cluster_id": _coalesce_i64(t["label"], t["cluster_id"])}),
+        batch_format="pyarrow")
 
 
 def _fold_done(root: str, key: str) -> bool:

@@ -30,6 +30,7 @@ import ray
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.shingle import splitmix64
+from fuzzy_matcher_ray.stages.joins import collect_table
 
 import os as _os
 
@@ -226,58 +227,6 @@ def _numpy_dedup_pairs(t: pa.Table, min_cols: list[str]) -> pa.Table:
     return pa.table(cols)
 
 
-def _driver_explode(dup_rows, key_cols, carry_cols, pair_filter, derive, cfg):
-    """One vectorized pass: lexsort by key, explode all segments at once."""
-    import ray.data as rd
-    parts = list(dup_rows.iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-    if not parts:
-        return rd.from_arrow(_pairs_schema(derive))
-    tbl = pa.concat_tables(parts)
-    if len(tbl) == 0:
-        return rd.from_arrow(_pairs_schema(derive))
-    gk = _combined_key(tbl, key_cols)
-    ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-    carries = {c: tbl[c].to_numpy(zero_copy_only=False) for c in carry_cols}
-    order = np.lexsort((ids, gk))
-    gk, ids = gk[order], ids[order]
-    carries = {c: v[order] for c, v in carries.items()}
-    # segment boundaries
-    brk = np.empty(len(gk), dtype=bool)
-    brk[0] = True
-    brk[1:] = gk[1:] != gk[:-1]
-    seg_starts = np.nonzero(brk)[0]
-    seg_ends = np.append(seg_starts[1:], len(gk))
-    sizes = seg_ends - seg_starts
-    # template pair indices per group size (sizes bounded by max_group)
-    templates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    ia_chunks, ib_chunks = [], []
-    for st, n in zip(seg_starts.tolist(), sizes.tolist()):
-        if n < 2:
-            continue
-        t_ = templates.get(n)
-        if t_ is None:
-            t_ = np.triu_indices(n, k=1)
-            templates[n] = t_
-        ia_chunks.append(t_[0] + st)
-        ib_chunks.append(t_[1] + st)
-    if not ia_chunks:
-        return rd.from_arrow(_pairs_schema(derive))
-    ia = np.concatenate(ia_chunks)
-    ib = np.concatenate(ib_chunks)
-    keep = ids[ia] != ids[ib]
-    ia, ib = ia[keep], ib[keep]
-    cols = {"doc_id_a": pa.array(ids[ia]), "doc_id_b": pa.array(ids[ib])}
-    for c in carry_cols:
-        cols[f"{c}_a"] = pa.array(carries[c][ia])
-        cols[f"{c}_b"] = pa.array(carries[c][ib])
-    out = _finish_pairs(pa.table(cols), carry_cols, pair_filter, derive)
-    # return MANY blocks — a single from_arrow block would serialize every
-    # downstream stage (verify, lookups) onto one core
-    chunk = 4096   # small blocks: downstream verify parallelism & batch dedup
-    slices = [out.slice(lo, chunk) for lo in range(0, max(len(out), 1), chunk)]
-    return rd.from_arrow(slices)
-
-
 def _combined_key(batch: pa.Table, key_cols: list[str]) -> np.ndarray:
     """Mix multiple key columns into one uint64 for membership tests.
 
@@ -396,17 +345,17 @@ def key_pairs(key_rows, key_cols: list[str], cfg: PipelineConfig,
             on=tuple(key_cols), aggregator_ray_remote_args=JOIN_AGG_ARGS)
 
     # Explode pairs per duplicate-key group. Two paths:
-    # (a) dup rows fit on the driver → one numpy segment explode (low fixed
-    #     cost; right for tests/small shards)
+    # (a) dup rows fit on the driver → the fast path's own lexsort +
+    #     segment explode (``_driver_key_pairs``; low fixed cost)
     # (b) beyond the threshold → SORT-BASED DISTRIBUTED explode: range sort
     #     on the key, vectorized per-block segment explode, boundary keys
     #     re-exploded from a tiny collected side set. Zero per-group Python
     #     calls — scales with CPUs, unlike groupby().map_groups (~1 ms/group
     #     of driver-side dispatch at 10^5+ groups).
-    n_dup_rows = dup_rows.count() if hasattr(dup_rows, "count") else None
-    if n_dup_rows is not None and n_dup_rows <= DRIVER_EXPLODE_MAX_ROWS:
-        dup_pairs_ds = _driver_explode(dup_rows, key_cols, carry_cols,
-                                       pair_filter, derive, cfg)
+    if dup_rows.count() <= DRIVER_EXPLODE_MAX_ROWS:
+        dup_pairs_ds = _driver_key_pairs(collect_table(dup_rows), key_cols,
+                                         cfg, carry_cols, pair_filter,
+                                         derive, dedup=False)
     else:
         dup_pairs_ds = _sorted_explode(dup_rows, key_cols, cfg, carry_cols,
                                        pair_filter, derive)

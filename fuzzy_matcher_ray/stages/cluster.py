@@ -21,6 +21,9 @@ Two strategies:
   algorithms from PAPERS.md, can be layered on; unnecessary at these depths.)
 
 Both paths produce identical output (asserted in tests).
+``component_labels`` is the labeller alone, (a, b) edges → (node, label);
+a fold runs it over its new edges with every prior component contracted to
+its label (pipelines/dedup.py ``_fold_labels``).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from ray.data.aggregate import Min
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.unionfind import connected_components
+from fuzzy_matcher_ray.stages.candidates import _collect_driver_table
 from fuzzy_matcher_ray.stages.joins import attach_columns
 
 
@@ -60,18 +64,23 @@ def _coalesce_i64(primary, fallback) -> pa.Array:
     return pa.array(out, pa.int64())
 
 
+def component_labels(edges, cfg: PipelineConfig, strategy: str = "auto"):
+    """edges (a:int64, b:int64) → (node, label): every edge endpoint once,
+    labelled with the min node id of its component."""
+    if strategy == "auto":
+        n_edges = edges.count()
+        strategy = "driver" if n_edges <= cfg.driver_uf_max_edges else "distributed"
+    if strategy == "driver":
+        return _driver_labels(edges)
+    return _distributed_labels(edges, cfg)
+
+
 def cluster_edges(edges, docs, cfg: PipelineConfig, strategy: str = "auto"):
     """edges (a:int64, b:int64) + docs (doc_id) → (doc_id, cluster_id).
 
     Every doc appears exactly once; singletons get cluster_id = doc_id.
     """
-    if strategy == "auto":
-        n_edges = edges.count()
-        strategy = "driver" if n_edges <= cfg.driver_uf_max_edges else "distributed"
-    if strategy == "driver":
-        labels_ds = _driver_labels(edges)
-    else:
-        labels_ds = _distributed_labels(edges, cfg)
+    labels_ds = component_labels(edges, cfg, strategy)
     out = attach_columns(docs.select_columns(["doc_id"]), labels_ds,
                          "doc_id", "node", {"label": "cluster_id"}, how="left",
                          num_partitions=cfg.join_num_partitions)
@@ -83,20 +92,14 @@ def cluster_edges(edges, docs, cfg: PipelineConfig, strategy: str = "auto"):
     return out.map_batches(_fill, batch_format="pyarrow")
 
 
-def _collect_edges(edges) -> tuple[np.ndarray, np.ndarray]:
-    a_parts, b_parts = [], []
-    for batch in edges.select_columns(["a", "b"]).iter_batches(
-            batch_size=1 << 20, batch_format="pyarrow"):
-        a_parts.append(batch["a"].to_numpy(zero_copy_only=False))
-        b_parts.append(batch["b"].to_numpy(zero_copy_only=False))
-    if not a_parts:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    return np.concatenate(a_parts), np.concatenate(b_parts)
-
-
 def _driver_labels(edges):
-    ea, eb = _collect_edges(edges)
+    # a materialized edge set collects from its blocks with no execution
+    t = _collect_driver_table(edges, ["a", "b"])
+    if t is None:
+        ea = eb = np.empty(0, dtype=np.int64)
+    else:
+        ea = t["a"].to_numpy(zero_copy_only=False)
+        eb = t["b"].to_numpy(zero_copy_only=False)
     nodes, labels = connected_components(ea, eb)
     return rd.from_arrow(pa.table({"node": pa.array(nodes),
                                    "label": pa.array(labels)}))

@@ -143,23 +143,13 @@ class Winnower:
         })
 
 
-def add_stage(docs_norm, cls, cfg: PipelineConfig, **kwargs):
-    """Run a signature stage.
-
-    Two modes, chosen by ``cfg.signature_actor_pool``:
-    - stateless-instance tasks (default): the per-worker state here is a 2 KB
-      permutation matrix rebuilt in ~50 us — far below the actor-pool
-      amortization threshold, and elastic tasks avoid idle CPU reservation
-      (pool startup costs ~5 s per stage on a cold cluster).
-    - autoscaling actor pool: the right shape when the per-actor state is
-      heavy (models, codecs — see pipelines/multimodal.py which always pools);
-      enabled for deployments where signature stages load e.g. a tokenizer.
-    """
-    if cfg.signature_actor_pool:
-        return docs_norm.map_batches(
-            cls, fn_constructor_args=(cfg,), batch_format="pyarrow",
-            batch_size=cfg.batch_size, concurrency=cfg.minhash_actors,
-            zero_copy_batch=True, **kwargs)
+def add_stage(docs_norm, cls, cfg: PipelineConfig):
+    """Run a signature stage as stateless-instance tasks: the per-worker
+    state is a 2 KB permutation matrix rebuilt in ~50 us — far below the
+    actor-pool amortization threshold, and elastic tasks avoid idle CPU
+    reservation (pool startup costs ~5 s per stage on a cold cluster).
+    Stages with heavy per-actor state pool on their own (see
+    pipelines/multimodal.py)."""
     return docs_norm.map_batches(
         cls(cfg), batch_format="pyarrow", batch_size=cfg.batch_size,
-        zero_copy_batch=True, **kwargs)
+        zero_copy_batch=True)

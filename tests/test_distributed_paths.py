@@ -42,6 +42,22 @@ def test_sorted_explode_matches_driver_path(band_rows, monkeypatch):
     assert driver == dist and len(driver) > 0
 
 
+def test_driver_sized_dup_rows_explode_matches_driver_path(band_rows,
+                                                          monkeypatch):
+    """Key rows past the driver budget but dup rows within it: the
+    distributed counts/membership split hands the dup rows to the driver
+    path's lexsort + segment explode."""
+    cfg = PipelineConfig()
+    driver = _pairs_set(C.key_pairs(band_rows, ["band", "band_hash"], cfg))
+    df = band_rows.to_pandas()
+    sizes = df.groupby(["band", "band_hash"]).doc_id.transform("size")
+    n_dup = int(((sizes >= 2) & (sizes <= cfg.max_band_group)).sum())
+    assert 0 < n_dup < len(df) - 1
+    monkeypatch.setattr(C, "DRIVER_EXPLODE_MAX_ROWS", (n_dup + len(df)) // 2)
+    mixed = _pairs_set(C.key_pairs(band_rows, ["band", "band_hash"], cfg))
+    assert driver == mixed and len(driver) > 0
+
+
 def test_shuffle_semi_join_membership(band_rows, monkeypatch):
     """Force the left_semi join path for dup-key selection too."""
     cfg = PipelineConfig()

@@ -257,14 +257,11 @@ def test_incremental_resigns_pre_lsh_checkpoint(ray_session, tmp_path):
     assert n_clusters_w < n_clusters_e, (n_clusters_w, n_clusters_e)
 
 
-def test_incremental_touched_only_relabel_parity(ray_session, tmp_path,
-                                                 monkeypatch):
-    """The touched-component relabel (untouched prior components pass their
-    labels through; union-find runs over touched + increment only) must be
-    byte-identical to the full-relabel fallback (FMR_INC_TOUCHED_MAX=0
-    forces it) — and the fast path must actually produce untouched
-    pass-through rows (the prior corpus has components the increment never
-    touches)."""
+def test_incremental_touched_only_relabel_parity(ray_session, tmp_path):
+    """The fold relabels only the components its new edges touch (untouched
+    prior rows keep their labels) and still matches a full re-run over
+    prior ∪ increment byte for byte — with planted cross-corpus duplicates,
+    so some prior components are linked and some are not."""
     import ray.data as rd
 
     from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
@@ -291,37 +288,75 @@ def test_incremental_touched_only_relabel_parity(ray_session, tmp_path,
                     checkpointer=Checkpointer(root, cfg.config_hash())) \
         .materialize()
 
-    monkeypatch.setenv("FMR_INC_TOUCHED_MIN_PRIOR", "0")  # force touched
-    fast = incremental_update(root, rd.from_arrow(b), cfg).to_pandas() \
+    inc = incremental_update(root, rd.from_arrow(b), cfg).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    monkeypatch.setenv("FMR_INC_TOUCHED_MAX", "0")         # force fallback
-    full = incremental_update(root, rd.from_arrow(b), cfg).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert len(fast) == 550
-    assert fast.equals(full)
-    assert fast.doc_id.is_unique
-    # sanity: the corpus really exercises both branches — some prior
-    # components are touched by cross-corpus edges, some are not
-    prior = fast[fast.doc_id < 1_000_000]
-    linked = set(fast[fast.doc_id >= 1_000_000].cluster_id) & \
+    full = find_duplicates(
+        rd.from_arrow(pa.concat_tables([a, b])), cfg).to_pandas()[
+        ["doc_id", "cluster_id"]].sort_values("doc_id") \
+        .reset_index(drop=True)
+    assert len(inc) == 550
+    assert inc.equals(full)
+    assert inc.doc_id.is_unique
+    # sanity: some prior components are linked by cross-corpus edges,
+    # some are not
+    prior = inc[inc.doc_id < 1_000_000]
+    linked = set(inc[inc.doc_id >= 1_000_000].cluster_id) & \
         set(prior.cluster_id)
     assert linked, "increment never linked to the prior corpus"
     assert len(set(prior.cluster_id) - linked) > 0, \
-        "every prior component was touched — untouched branch unexercised"
+        "every prior component was touched — untouched rows unexercised"
 
 
-def test_edge_endpoints_budget_counts_unique_across_batches(ray_session):
-    """The touched-relabel endpoint budget counts TRUE distinct endpoints:
-    an edge set spanning two 2^20-row batches that repeats the same 2,000
-    endpoints in both sums to 4,000 per-batch uniques, past a 3,000 budget,
-    yet stays within it."""
+def _words(rng, n):
+    """``n`` random lowercase words: a text segment no other segment or
+    generated page shares."""
+    return " ".join("".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"),
+                                       size=int(rng.integers(5, 10))))
+                    for _ in range(n))
+
+
+def test_incremental_bridge_relabels_whole_component(ray_session, tmp_path):
+    """One increment doc bridges two prior chain components. Each chain
+    links through shared segments (x0–x1–x2, y0–y1–y2); the bridge shares
+    a segment with x0 and y0 only, so x1, x2, y1, y2 are no endpoint of a
+    new edge. Every member of the higher-label component must still move
+    to the min label, and the fold must equal a full re-run."""
     import ray.data as rd
 
-    from fuzzy_matcher_ray.pipelines.dedup import _edge_endpoints
+    from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
+                                                   incremental_update)
+    from fuzzy_matcher_ray.state.checkpoint import Checkpointer
 
-    i = np.arange((1 << 20) + (1 << 19), dtype=np.int64)
-    edges = rd.from_arrow(pa.table({"a": i % 1000, "b": 1000 + i % 1000}))
-    en = _edge_endpoints(edges, 3000)
-    assert en is not None
-    assert en.tolist() == list(range(2000))
-    assert _edge_endpoints(edges, 1999) is None
+    rng = np.random.default_rng(83)
+    seg = [_words(rng, 50) for _ in range(8)]
+    bg = _docs_tbl(100, seed=81)
+    xs, ys = [500, 501, 502], [600, 601, 602]
+    chains = pa.table({
+        "doc_id": pa.array(xs + ys, pa.int64()),
+        "url": pa.array([f"https://chain.example/{i}" for i in xs + ys]),
+        "text": pa.array([seg[0] + " " + seg[1], seg[1] + " " + seg[2],
+                          seg[2] + " " + seg[3], seg[4] + " " + seg[5],
+                          seg[5] + " " + seg[6], seg[6] + " " + seg[7]]),
+        "lang": pa.array(["en"] * 6)})
+    a = pa.concat_tables([bg, chains])
+    b = pa.table({"doc_id": pa.array([1_000_000], pa.int64()),
+                  "url": pa.array(["https://bridge.example/"]),
+                  "text": pa.array([seg[0] + " " + seg[4]]),
+                  "lang": pa.array(["en"])})
+    cfg = PipelineConfig()
+    root = str(tmp_path / "ck")
+    prior = find_duplicates(
+        rd.from_arrow(a), cfg,
+        checkpointer=Checkpointer(root, cfg.config_hash())).to_pandas()
+    was = dict(zip(prior.doc_id, prior.cluster_id))
+    assert [was[d] for d in xs + ys] == [500] * 3 + [600] * 3
+
+    inc = incremental_update(root, rd.from_arrow(b), cfg).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    full = find_duplicates(
+        rd.from_arrow(pa.concat_tables([a, b])), cfg).to_pandas()[
+        ["doc_id", "cluster_id"]].sort_values("doc_id") \
+        .reset_index(drop=True)
+    now = dict(zip(inc.doc_id, inc.cluster_id))
+    assert [now[d] for d in xs + ys + [1_000_000]] == [500] * 7
+    assert inc.equals(full)

@@ -220,13 +220,11 @@ def test_prebuild_artifacts_resumed_by_fold(ray_session, tmp_path):
     assert out_a.equals(out_b)
 
 
-def test_sharded_touched_only_relabel_parity(ray_session, tmp_path,
-                                             monkeypatch):
-    """The chain with the touched-component relabel forced on every fold
-    (FMR_INC_TOUCHED_MIN_PRIOR=0 — the path a 10^12-doc chain takes, where
-    the prior corpus is far past the gate) stays byte-identical to the
-    monolithic run, with planted cross-shard duplicates so folds really
-    rewire prior components."""
+def test_sharded_touched_only_relabel_parity(ray_session, tmp_path):
+    """Each fold relabels only the components its new edges touch; the
+    chain stays byte-identical to the monolithic run, with planted
+    cross-shard duplicates so folds really rewire prior components while
+    others stay untouched."""
     import ray.data as rd
     from fuzzy_matcher_ray.pipelines.dedup import (dedup_sharded,
                                                    find_duplicates)
@@ -248,10 +246,8 @@ def test_sharded_touched_only_relabel_parity(ray_session, tmp_path,
     tbls = [t0, t1, t2]
     cfg = PipelineConfig()
 
-    monkeypatch.setenv("FMR_INC_TOUCHED_MIN_PRIOR", "0")
     shards = [(f"s{i}", rd.from_arrow(t)) for i, t in enumerate(tbls)]
     got = _labels(dedup_sharded(shards, str(tmp_path / "state"), cfg))
-    monkeypatch.delenv("FMR_INC_TOUCHED_MIN_PRIOR")
     want = _labels(find_duplicates(rd.from_arrow(pa.concat_tables(tbls)),
                                    cfg))
     assert len(got) == 625
@@ -260,6 +256,9 @@ def test_sharded_touched_only_relabel_parity(ray_session, tmp_path,
     m = dict(zip(want["doc_id"], want["cluster_id"]))
     assert any(m[3_000_000 + i] == m[t0["doc_id"][i].as_py()]
                for i in range(25))
+    # ...and some shard-0 components stayed untouched by every later shard
+    later = {m[d] for d in want["doc_id"] if d >= 1_000_000}
+    assert {m[d] for d in t0["doc_id"].to_pylist()} - later
 
 
 def test_sharded_fold_error_does_not_wait_for_prebuilds(ray_session, tmp_path,
