@@ -8,7 +8,10 @@ n-grams or MinHash … coarse filtering followed by precise matching"):
                             ├ MinHash/LSH bands → pairs → verify ┼→ edges
                             ├ SimHash blocks   → pairs (Hamming) ┤
                             └ winnow fps → pairs → SA verify ────┘
-    edges → connected components → (doc_id, url, cluster_id)
+    edges → connected components → (doc_id, cluster_id, url)
+
+``url`` rides from the normalize stage to the clusters output, so the
+source is read once and never joined back.
 
 Every fan-in stage is an explicit hash shuffle with hot-key capping
 (stages/candidates.py); every pass streams; nothing materializes the corpus
@@ -330,10 +333,12 @@ def _edges_all(ck: Checkpointer, builders: dict, pass_stages: bool):
     internal barriers (counts, sorts, collects) overlap instead of
     serializing end-to-end. Unless checkpointed, the per-pass edge datasets
     stay LAZY, so the verify stages of all passes execute inside ONE
-    streaming execution at the fan-in (each separate Dataset execution
-    costs ~0.5-1 s of fixed scheduling overhead — the Amdahl term that caps
-    small-corpus scaling). ``pass_stages`` checkpoints each pass's edges
-    as ``edges_<pass>``.
+    streaming execution at the fan-in. Each separate Dataset execution has
+    a fixed cost — the Amdahl term that caps small-corpus scaling: on one
+    pinned vCPU (Ray 2.49) ~0.03-0.04 s to start and finish even a trivial
+    one, ~0.1-0.2 s for a collect over a few blocks, and 0.4-0.6 s for one
+    that re-runs the source read at bench scale (1,500 docs).
+    ``pass_stages`` checkpoints each pass's edges as ``edges_<pass>``.
     """
     if not builders:
         return None
@@ -358,9 +363,12 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
                     checkpointer: Checkpointer | None = None,
                     passes: tuple = PASSES,
                     cluster_strategy: str = "auto", now=None):
-    """docs (doc_id, url, text, ...) → (doc_id, cluster_id [, url]).
+    """docs (doc_id, text [, url], ...) → (doc_id, cluster_id [, url]).
 
-    The full flagship. Returns a Dataset of one row per input doc.
+    The full flagship. Returns a Dataset of one row per input doc; ``url``
+    is carried through the normalize stage when ``docs`` has it. A run
+    with no rows after the TTL filter returns an empty (doc_id,
+    cluster_id, url) table.
     With ``cfg.ttl_mode`` the expiry invariant is enforced (every row must
     carry a non-null valid_until — ≙ Build error on zero expiry,
     fuzzy_matcher_core.go:85-95) and, when ``now`` is given, expired rows
@@ -372,33 +380,31 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
         from fuzzy_matcher_ray.state.tombstones import filter_expired, validate_ttl
         docs = validate_ttl(docs) if now is None else \
             filter_expired(docs, now, ttl_mode=True)
-    # emptiness probe via limit(1): executes at most one task, unlike a
-    # count() which would run the full upstream pipeline before the real run
-    if docs.limit(1).count() == 0:
+    ck = checkpointer or Checkpointer("/tmp/fmr-ck-disabled", cfg.config_hash(),
+                                      enabled=False)
+    from fuzzy_matcher_ray.stages.joins import partitions_for, plan_bytes
+    # Size block count AND every downstream shuffle/join to the DATA, capped
+    # by CPUs: at 100 TB bytes/16 MB dwarfs any cluster so this is always the
+    # CPU cap; on small inputs it stops per-task fixed costs and concurrent
+    # allocation contention from dominating (measured: the 92 MB bench corpus
+    # runs 2x faster 8-wide than 32-wide on a 32-cpu box). ``plan_bytes``
+    # reads the source's size off its plan; ``docs.size_bytes()`` would run
+    # the whole source pipeline once just to size it.
+    cfg = dataclasses.replace(cfg, join_num_partitions=partitions_for(
+        cfg.join_num_partitions, plan_bytes(docs)))
+    n_blocks = cfg.join_num_partitions
+    if ck.enabled:
+        _drop_urlless_stages(ck, docs)
+    norm = ck.stage("normalize",
+                    lambda: normalized_docs(docs, cfg).repartition(n_blocks),
+                    empty_schema=_link_schemas(cfg)["normalize"])
+    # norm is materialized or a checkpoint read: its count is metadata
+    if norm.count() == 0:
         import ray.data as rd
         empty = {"doc_id": pa.array([], pa.int64()),
                  "cluster_id": pa.array([], pa.int64()),
                  "url": pa.array([], pa.string())}
         return rd.from_arrow(pa.table(empty))
-    ck = checkpointer or Checkpointer("/tmp/fmr-ck-disabled", cfg.config_hash(),
-                                      enabled=False)
-    from fuzzy_matcher_ray.stages.joins import partitions_for
-    # Size block count AND every downstream shuffle/join to the DATA, capped
-    # by CPUs: at 100 TB bytes/16 MB dwarfs any cluster so this is always the
-    # CPU cap; on small inputs it stops per-task fixed costs and concurrent
-    # allocation contention from dominating (measured: the 92 MB bench corpus
-    # runs 2x faster 8-wide than 32-wide on a 32-cpu box).
-    # docs.size_bytes() comes from parquet metadata / in-memory blocks — it
-    # never executes the pipeline.
-    try:
-        src_bytes = docs.size_bytes()
-    except Exception:
-        src_bytes = None
-    cfg = dataclasses.replace(cfg, join_num_partitions=partitions_for(
-        cfg.join_num_partitions, src_bytes))
-    n_blocks = cfg.join_num_partitions
-    norm = ck.stage("normalize",
-                    lambda: normalized_docs(docs, cfg).repartition(n_blocks))
     # one broadcast copy of (doc_id → norm_text) shared by every verify pass
     from fuzzy_matcher_ray.stages.joins import BROADCAST_MAX_ROWS, BroadcastAttacher
     attacher = None
@@ -429,15 +435,25 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
 
     edges = _edges_all(ck, _pass_builders(passes, norm, cfg, attacher, sigs,
                                           win, sets_ref), pass_stages=True)
-    clusters = ck.stage(
+    # url rides from the normalize stage: no join back to the source
+    ids = [c for c in ("doc_id", "url") if c in norm.schema().names]
+    return ck.stage(
         "clusters",
-        lambda: cluster_edges(edges, norm.select_columns(["doc_id"]), cfg,
+        lambda: cluster_edges(edges, norm.select_columns(ids), cfg,
                               strategy=cluster_strategy))
-    if "url" in docs.schema().names:
-        clusters = attach_columns(clusters, docs.select_columns(["doc_id", "url"]),
-                                  "doc_id", "doc_id", {"url": "url"}, how="left",
-                                  num_partitions=cfg.join_num_partitions)
-    return clusters
+
+
+def _drop_urlless_stages(ck: Checkpointer, docs) -> None:
+    """Normalize artifacts written before normalize carried ``url`` lack
+    it, and so do the clusters built from them. When ``docs`` has url,
+    forget such checkpoints so both stages rebuild rather than resume
+    without it."""
+    stale = [name for name in ("normalize", "clusters")
+             if (m := ck.manifest(name)) is not None
+             and "url" not in m.get("columns", ())]
+    if stale and "url" in docs.schema().names:
+        for name in stale:
+            ck.drop(name)
 
 
 def jaccard_allpairs_clusters(docs, cfg: PipelineConfig | None = None,
@@ -649,13 +665,14 @@ def _touches_new(t: pa.Table) -> pa.Table:
 def _link_schemas(cfg: PipelineConfig) -> dict:
     """Arrow schemas of a chain link's artifacts, pinned when a stage comes
     out empty (a zero-row shard must still write schema-ful stages so a
-    later fold can union it with the rest of the chain)."""
+    later fold can union it with the rest of the chain). ``normalize`` is
+    the schema a url-bearing source writes."""
     return {
         "normalize": pa.schema([
             ("doc_id", pa.int64()), ("norm_text", pa.string()),
             ("fold_text", pa.string()), ("n_norm", pa.int64()),
             ("text_hash", pa.int64()), ("text_hash2", pa.int64()),
-            ("tier", pa.int8())]),
+            ("tier", pa.int8()), ("url", pa.string())]),
         "signatures": pa.schema([
             ("doc_id", pa.int64()),
             ("bands", pa.list_(pa.int64(), cfg.bands)),
@@ -785,13 +802,12 @@ def incremental_update(prior_root: str | list[str], new_docs,
 
     from fuzzy_matcher_ray.stages.joins import (BROADCAST_MAX_ROWS,
                                                 BroadcastAttacher,
-                                                partitions_for)
-    try:
-        src_bytes = (new_docs.size_bytes() or 0) + (norm_A.size_bytes() or 0)
-    except Exception:
-        src_bytes = None
+                                                partitions_for, plan_bytes)
+    # sized off the plans: size_bytes() on the prior union would re-read
+    # every prior normalize artifact
     cfg = dataclasses.replace(cfg, join_num_partitions=partitions_for(
-        cfg.join_num_partitions, src_bytes))
+        cfg.join_num_partitions,
+        (plan_bytes(new_docs) or 0) + (plan_bytes(norm_A) or 0)))
 
     # --- disjoint-id guard: one streaming filter over the slim prior ids
     # against the broadcast increment ids (the increment is the small side
@@ -846,13 +862,9 @@ def incremental_update(prior_root: str | list[str], new_docs,
         # fixed cost that stacks on cold chains. Past the budget the lazy
         # re-read streams: at open-web scale a second pruned parquet read
         # beats pinning the corpus signatures in the object store.
-        if "minhash" in passes and "simhash" in passes:
-            try:
-                sig_bytes = sigs_A.size_bytes() or 0
-            except Exception:
-                sig_bytes = None
-            if sig_bytes is not None and sig_bytes <= SIGS_PIN_MAX_BYTES:
-                sigs_A = sigs_A.materialize()
+        if "minhash" in passes and "simhash" in passes \
+                and (plan_bytes(sigs_A) or 0) <= SIGS_PIN_MAX_BYTES:
+            sigs_A = sigs_A.materialize()
     if win_B is not None:
         win_A = _prior_stage(loaded, "winnow_rows",
                              lambda n: winnow_rows(n, cfg))
@@ -1093,4 +1105,6 @@ def dedup_sharded(shards, state_root: str,
             "were pruned — this state_root belongs to a LONGER completed "
             "chain than the shard list passed here. Re-run with the full "
             "shard list, or use a fresh state_root for the shorter chain.")
-    return rd.read_parquet(os.path.join(prev_root, "clusters", "data"))
+    # a one-shard chain's clusters are find_duplicates' own, url included
+    return rd.read_parquet(os.path.join(prev_root, "clusters", "data"),
+                           columns=["doc_id", "cluster_id"])

@@ -130,8 +130,8 @@ def tiered_dedup(sf_dir: str, cfg: PipelineConfig | None = None,
             "_k": pa.array(np.ones(len(t), np.int8)),
         }).filter(pc.equal(t["doc_id"], t["w"])),
         batch_format="pyarrow")
-    # materialized: the near tier consumes it more than once (normalize +
-    # output join inside find_duplicates) — survivors-with-text is slim
+    # materialized: the all-pairs near tier consumes it more than once
+    # (emptiness probe, shingle rows, doc ids) — survivors-with-text is slim
     winners = attach_columns(_docs(sf_dir), winner_ids, "doc_id", "doc_id",
                              {"_k": "_k"}, how="inner") \
         .select_columns(["doc_id", "text"]).materialize()

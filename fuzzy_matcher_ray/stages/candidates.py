@@ -30,7 +30,7 @@ import ray
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.shingle import splitmix64
-from fuzzy_matcher_ray.stages.joins import collect_table
+from fuzzy_matcher_ray.stages.joins import block_tables, collect_table
 
 import os as _os
 
@@ -427,8 +427,7 @@ def _collect_driver_table(mat, cols: list[str]) -> pa.Table | None:
     The shared collect idiom of the driver fast paths (dedup_pairs /
     count_pairs / budget_pairs) — keep guards/fixes here, in ONE place.
     """
-    tbls = [tb.select(cols) for tb in (ray.get(r) for r in mat.to_arrow_refs())
-            if len(tb) > 0]
+    tbls = [tb.select(cols) for tb in block_tables(mat)]
     if not tbls:
         return None
     return pa.concat_tables(tbls).combine_chunks()

@@ -76,18 +76,21 @@ def component_labels(edges, cfg: PipelineConfig, strategy: str = "auto"):
 
 
 def cluster_edges(edges, docs, cfg: PipelineConfig, strategy: str = "auto"):
-    """edges (a:int64, b:int64) + docs (doc_id) → (doc_id, cluster_id).
+    """edges (a:int64, b:int64) + docs (doc_id [, ...]) → (doc_id,
+    cluster_id [, ...]): docs' other columns ride along unchanged.
 
     Every doc appears exactly once; singletons get cluster_id = doc_id.
     """
     labels_ds = component_labels(edges, cfg, strategy)
-    out = attach_columns(docs.select_columns(["doc_id"]), labels_ds,
-                         "doc_id", "node", {"label": "cluster_id"}, how="left",
+    out = attach_columns(docs, labels_ds, "doc_id", "node",
+                         {"label": "cluster_id"}, how="left",
                          num_partitions=cfg.join_num_partitions)
 
     def _fill(t: pa.Table) -> pa.Table:
         cid = _coalesce_i64(t["cluster_id"], t["doc_id"])
-        return pa.table({"doc_id": t["doc_id"], "cluster_id": cid})
+        rest = {c: t[c] for c in t.column_names
+                if c not in ("doc_id", "cluster_id")}
+        return pa.table({"doc_id": t["doc_id"], "cluster_id": cid, **rest})
 
     return out.map_batches(_fill, batch_format="pyarrow")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import ray
+from ray.data.dataset import MaterializedDataset
 
 BROADCAST_MAX_ROWS = 2_000_000
 
@@ -50,17 +51,57 @@ def partitions_for(requested: int, nbytes: int | None) -> int:
     return max(2, min(cap, -(-nbytes // TARGET_PARTITION_BYTES)))
 
 
+def plan_bytes(ds) -> int | None:
+    """In-memory byte estimate that ``ds``'s logical plan already holds,
+    with no execution: each op's own size when its metadata knows it (a
+    read datasource's estimate, materialized block metadata), else the sum
+    over its inputs (one input for a map, several for a union); None when
+    a branch knows no size. ``Dataset.size_bytes()`` instead EXECUTES the
+    pipeline whenever the top op's metadata has no size — any map_batches
+    over a read, any union."""
+    def walk(op) -> int | None:
+        n = op.infer_metadata().size_bytes
+        if n is not None or not op.input_dependencies:
+            return n
+        sizes = [walk(i) for i in op.input_dependencies]
+        return None if None in sizes else sum(sizes)
+
+    return walk(ds._logical_plan.dag)
+
+
 # Join aggregator actors must never starve the upstream map stages: give them
 # fractional CPUs so a small cluster can co-schedule maps + aggregators.
 JOIN_AGG_ARGS = {"num_cpus": 0.25}
 
 
+def block_tables(mat) -> list[pa.Table]:
+    """A materialized Dataset's non-empty blocks, fetched by ref with no
+    execution (empty blocks may be schema-less and break a concat)."""
+    return [t for t in ray.get(mat.to_arrow_refs()) if len(t)]
+
+
 def collect_table(ds) -> pa.Table:
-    """Collect a (small) Dataset into one pyarrow Table on the driver."""
-    parts = list(ds.iter_batches(batch_size=1 << 18, batch_format="pyarrow"))
+    """Collect a (small) Dataset into one pyarrow Table on the driver. A
+    ``MaterializedDataset`` hands over its blocks by ref: no execution."""
+    if isinstance(ds, MaterializedDataset):
+        parts = block_tables(ds)
+    else:
+        parts = list(ds.iter_batches(batch_size=1 << 18,
+                                     batch_format="pyarrow"))
     if parts:
-        return pa.concat_tables(parts)
+        # blocks need not share one schema (e.g. an all-null column typed
+        # null in one block); unify as Ray's own batching does
+        return pa.concat_tables(parts, promote_options="permissive")
     return ds.schema().base_schema.empty_table()
+
+
+def _collect_columns(ds, cols: list[str]) -> pa.Table:
+    """``collect_table`` of ``cols``: selected on the driver when ``ds`` is
+    materialized (a ``select_columns`` would make it lazy again and cost an
+    execution), projected in the plan otherwise (pushed into a read)."""
+    if isinstance(ds, MaterializedDataset):
+        return collect_table(ds).select(cols)
+    return collect_table(ds.select_columns(cols))
 
 
 class _Lookup:
@@ -153,7 +194,7 @@ class BroadcastAttacher:
     """
 
     def __init__(self, other, right_key: str, value_cols: list[str]):
-        tbl = collect_table(other.select_columns([right_key, *value_cols]))
+        tbl = _collect_columns(other, [right_key, *value_cols])
         self.right_key = right_key
         self.value_cols = value_cols
         self.ref = broadcast_table(tbl, right_key, value_cols)
@@ -175,7 +216,7 @@ def attach_columns(ds, other, left_key: str, right_key: str,
     if strategy == "auto":
         strategy = "broadcast" if n <= broadcast_max_rows else "shuffle"
     if strategy == "broadcast":
-        tbl = collect_table(other.select_columns([right_key, *cols]))
+        tbl = _collect_columns(other, [right_key, *cols])
         ref = broadcast_table(tbl, right_key, list(cols))
         return ds.map_batches(_Lookup(ref, left_key, cols, how == "inner"),
                               batch_format="pyarrow")

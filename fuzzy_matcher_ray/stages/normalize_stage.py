@@ -25,7 +25,8 @@ TIER_FUZZY = 1        # full MinHash / SimHash / substring treatment
 
 
 class NormalizeGate:
-    """(doc_id, text, ...) → (doc_id, norm_text, fold_text, text_hash, tier).
+    """(doc_id, text [, url], ...) → (doc_id, norm_text, fold_text, n_norm,
+    text_hash, text_hash2, tier [, url]).
 
     A plain function would do (no real per-actor state) but we keep the
     callable-class shape so the config is deserialized once per worker.
@@ -60,11 +61,15 @@ class NormalizeGate:
             "text_hash2": thash2,
             "tier": tier,
         }
+        if "url" in batch.column_names:
+            # rides to the clusters output, so no join fetches it back
+            cols["url"] = batch["url"]
         return pa.table(cols)
 
 
 def normalized_docs(docs, cfg: PipelineConfig, batch_size: int | None = None):
-    """docs Dataset (doc_id:int64, text:string [, ...]) → normalized Dataset."""
+    """docs Dataset (doc_id:int64, text:string [, url:string, ...]) →
+    normalized Dataset (``url`` passes through when present)."""
     return docs.map_batches(
         NormalizeGate(cfg), batch_format="pyarrow",
         batch_size=batch_size or cfg.batch_size, zero_copy_batch=True)

@@ -37,16 +37,26 @@ class Checkpointer:
         d = os.path.join(self.root, stage)
         return os.path.join(d, "data"), os.path.join(d, "_MANIFEST.json")
 
-    def has(self, stage: str) -> bool:
+    def manifest(self, stage: str) -> dict | None:
+        """The manifest of a checkpoint of ``stage`` that ``stage()`` would
+        resume (data present, same config hash), else None."""
         data_dir, manifest = self._paths(stage)
         if not (os.path.isdir(data_dir) and os.path.isfile(manifest)):
-            return False
+            return None
         try:
             with open(manifest) as f:
                 m = json.load(f)
-            return m.get("config_hash") == self.config_hash
         except (json.JSONDecodeError, OSError):
-            return False
+            return None
+        return m if m.get("config_hash") == self.config_hash else None
+
+    def has(self, stage: str) -> bool:
+        return self.manifest(stage) is not None
+
+    def drop(self, stage: str) -> None:
+        """Forget ``stage``'s checkpoint: the next ``stage()`` rebuilds it
+        (and replaces its data)."""
+        os.remove(self._paths(stage)[1])
 
     def stage(self, name: str, build_fn, materialize_if_disabled: bool = True,
               empty_schema=None):

@@ -113,6 +113,48 @@ def test_sharded_empty_shards(ray_session, tmp_path):
     assert got.equals(want)
 
 
+def test_sharded_empty_link_normalize_schema_matches(ray_session, tmp_path):
+    """An empty shard's pinned normalize schema is the one url-bearing
+    shards write, so a later fold unions every link's normalize artifact
+    as one schema."""
+    import glob
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from fuzzy_matcher_ray.pipelines.dedup import (_link_schemas,
+                                                   dedup_sharded,
+                                                   find_duplicates)
+
+    cfg = PipelineConfig()
+    t0 = _docs_tbl(120, seed=84, id_offset=0)
+    t2 = _docs_tbl(80, seed=85, id_offset=1_000_000)
+    root = str(tmp_path / "state")
+    got = _labels(dedup_sharded(
+        [("a", rd.from_arrow(t0)), ("e", rd.from_arrow(_docs_tbl(0, seed=86))),
+         ("c", rd.from_arrow(t2))], root, cfg))
+    want = _labels(find_duplicates(
+        rd.from_arrow(pa.concat_tables([t0, t2])), cfg))
+    assert got.equals(want)
+    parts = sorted(glob.glob(os.path.join(root, "*", "normalize", "data",
+                                          "*.parquet")))
+    assert len({p.split(os.sep)[-4] for p in parts}) == 3
+    for p in parts:
+        assert pq.read_schema(p) == _link_schemas(cfg)["normalize"], p
+
+
+def test_sharded_one_shard_returns_labels_only(ray_session, tmp_path):
+    """A one-shard chain returns find_duplicates' own clusters stage, which
+    carries url: the chain still hands back (doc_id, cluster_id)."""
+    import ray.data as rd
+    from fuzzy_matcher_ray.pipelines.dedup import dedup_sharded, find_duplicates
+
+    cfg = PipelineConfig()
+    t = _docs_tbl(60, seed=87)
+    got = dedup_sharded([("only", rd.from_arrow(t))], str(tmp_path / "s"), cfg)
+    assert got.schema().names == ["doc_id", "cluster_id"]
+    assert _labels(got).equals(_labels(find_duplicates(rd.from_arrow(t), cfg)))
+
+
 def test_sharded_guards(ray_session, tmp_path):
     import pytest
     import ray.data as rd
