@@ -10,7 +10,8 @@
   substring of length >= window + winnow - 1 yields at least one identical
   fingerprint in both documents → the shuffle-friendly half of the
   substring-dedup stage (groupby fingerprint co-locates candidates across
-  partitions; the per-group suffix-array pass then verifies and extends).
+  partitions; ``stages/verify.py::SubstringVerifier`` then checks each pair
+  for a common substring of at least ``substr_min_len`` bytes).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pyarrow as pa
 
 from fuzzy_matcher_ray.functions.shingle import (
     counts_to_offsets,
+    gather_ranges,
     shingle_batch,
     splitmix64,
     string_buffer,
@@ -52,84 +54,86 @@ def content_hash(texts: pa.Array | pa.ChunkedArray, seed: int = 0) -> np.ndarray
     return splitmix64(sums ^ (lens * _K2))
 
 
-# windows-per-chunk for _sliding_argmin: bounds the two-block temporaries to
-# ~2 MB each so they stay heap-resident and cache-warm instead of thrashing
-# fresh multi-MB mmaps per batch (the concurrent first-touch fault storm
-# that collapsed aggregate winnow throughput at high task counts)
-_ARGMIN_CHUNK = 1 << 18
+# windows per chunk for _sliding_argmin: bounds its temporaries (a few
+# 512 KB value arrays plus 64 KB index arrays at this size) so every level
+# of the doubling runs out of L2 instead of streaming the batch through
+# L3/DRAM
+_ARGMIN_CHUNK = 1 << 16
 
 
 def _sliding_argmin(h: np.ndarray, w: int) -> np.ndarray:
     """Global index of the (leftmost) minimum of every length-``w`` sliding
-    window over ``h`` — O(n), chunked; see ``_sliding_argmin_block``."""
-    n = h.size
-    m = n - w + 1
-    if m <= _ARGMIN_CHUNK:
-        return _sliding_argmin_block(h, w)
-    out = np.empty(m, dtype=np.int64)
+    window over ``h`` — O(n log w), chunked; see ``_argmin_offsets``."""
+    m = h.size - w + 1
+    # a window's argmin lies within w - 1 of its start, so indices are kept
+    # modulo 2^bits in the smallest unsigned type that holds w - 1
+    ramp = np.arange(min(m, _ARGMIN_CHUNK) + w - 1).astype(
+        np.min_scalar_type(w - 1))
+    out = np.arange(m, dtype=np.int64)
     for c0 in range(0, m, _ARGMIN_CHUNK):
         c1 = min(c0 + _ARGMIN_CHUNK, m)
-        seg = h[c0: c1 + w - 1]            # covers window starts c0..c1-1
-        out[c0:c1] = _sliding_argmin_block(seg, w)
-        out[c0:c1] += c0
+        out[c0:c1] += _argmin_offsets(h[c0:c1 + w - 1], w, ramp)
     return out
 
 
-def _sliding_argmin_block(h: np.ndarray, w: int) -> np.ndarray:
-    """One chunk of the two-block prefix/suffix-min sliding argmin
-    (each window spans at most two w-aligned blocks; its min is
-    min(suffix-min of the left block from the window start, prefix-min of
-    the right block up to the window end)). ~w/4 times faster than the
-    per-window argmin scan the naive formulation needs.
-    """
+def _argmin_offsets(h: np.ndarray, w: int, ramp: np.ndarray) -> np.ndarray:
+    """Offset of the leftmost minimum from the start of each length-``w``
+    window of ``h``, by doubling over (value, index) pairs: the windows of
+    length 2s are the merge of two length-s windows s apart, and a ``w``
+    window merges the saved levels of ``w``'s set bits (72 = 64 + 8).
+    ``ramp[j]`` is ``j`` modulo the index type's range."""
     n = h.size
-    m = n - w + 1                          # number of windows
-    nb = (n + w - 1) // w                  # padded block count
-    pad = nb * w - n
-    hp = np.concatenate([h, np.full(pad, np.uint64(0xFFFFFFFFFFFFFFFF))]) \
-        if pad else h
-    blocks = hp.reshape(nb, w)
-    cols = np.arange(w, dtype=np.int64)
-    # prefix: min/argmin of block[:, :j+1]; leftmost on ties — only STRICT
-    # decreases of the running min mark a new argmin (a later tie must not
-    # displace the earlier occurrence)
-    pmin = np.minimum.accumulate(blocks, axis=1)
-    prev = np.empty_like(pmin)
-    prev[:, 0] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    prev[:, 1:] = pmin[:, :-1]
-    pidx = np.maximum.accumulate(
-        np.where(blocks < prev, cols[None, :], -1), axis=1)
-    # suffix: min/argmin of block[:, j:]; leftmost on ties
-    rb = blocks[:, ::-1]
-    smin = np.minimum.accumulate(rb, axis=1)[:, ::-1]
-    sidx_r = np.where(rb == np.minimum.accumulate(rb, axis=1),
-                      cols[None, :], -1)
-    sidx = (w - 1) - np.maximum.accumulate(sidx_r, axis=1)[:, ::-1]
-    # window starting at s: suffix part of block k = s // w from offset s%w,
-    # prefix part of block k+1 up to offset (s+w-1) % w
-    s = np.arange(m, dtype=np.int64)
-    k = s // w
-    o = s - k * w
-    left_min = smin[k, o]
-    left_idx = k * w + sidx[k, o]
-    out = left_idx
-    cross = o > 0                          # o == 0 → window == one block
-    if cross.any():
-        kc, oc = k[cross], o[cross]
-        right_min = pmin[kc + 1, oc - 1]
-        right_idx = (kc + 1) * w + pidx[kc + 1, oc - 1]
-        take_right = right_min < left_min[cross]   # leftmost min on ties
-        out = out.copy()
-        out[np.nonzero(cross)[0][take_right]] = right_idx[take_right]
-    return out
+    v, idx = h, ramp[:n]
+    saved = []
+    s = 1
+    for t in range(w.bit_length() - 1):
+        if w >> t & 1:
+            saved.append((s, v, idx))
+        ln = n - 2 * s + 1
+        v, idx = _merge_min(v[:ln], idx[:ln], v[s:s + ln], idx[s:s + ln])
+        s *= 2
+    for b, sv, si in reversed(saved):
+        ln = n - (s + b) + 1
+        v, idx = _merge_min(v[:ln], idx[:ln], sv[s:s + ln], si[s:s + ln])
+        s += b
+    return idx - ramp[:idx.size]
+
+
+def _merge_min(lv: np.ndarray, li: np.ndarray, rv: np.ndarray,
+               ri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(min, argmin) of a left and the adjacent right window. Only a
+    STRICTLY smaller right value wins, so ties keep the leftmost index. The
+    index select is arithmetic (li + take * (ri - li), wrapping in the
+    unsigned index type): ``np.where`` on a data-dependent mask is ~20x
+    slower here."""
+    take = rv < lv
+    idx = np.subtract(ri, li)
+    np.multiply(idx, take.view(np.uint8), out=idx)
+    np.add(idx, li, out=idx)
+    return np.minimum(lv, rv), idx
+
+
+def _first_argmin(h: np.ndarray, starts: np.ndarray,
+                  counts: np.ndarray) -> np.ndarray:
+    """Global index of the leftmost minimum of every segment
+    ``h[st:st + cnt]`` (all ``cnt > 0``): one ``minimum.reduceat`` over the
+    gathered segments, then the first position equal to its segment's min."""
+    g = gather_ranges(h, starts, counts)
+    g_starts = counts_to_offsets(counts)[:-1]
+    mins = np.minimum.reduceat(g, g_starts)
+    hits = np.flatnonzero(g == np.repeat(mins, counts))
+    return starts + hits[np.searchsorted(hits, g_starts)] - g_starts
 
 
 def winnow_batch(texts: pa.Array | pa.ChunkedArray, window: int, winnow: int,
-                 seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                 seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Winnowed fingerprints per document.
 
-    Returns (fingerprints concat uint64, counts per doc): unique minima of
-    every ``winnow``-hash stretch of the doc's ``window``-gram rolling hashes.
+    Returns (fingerprints concat uint64, counts per doc, positions int64):
+    the distinct minima of every ``winnow``-hash stretch of the doc's
+    ``window``-gram rolling hashes (a doc with fewer hashes keeps its one
+    minimum), sorted by value within each doc, each with the doc-relative
+    char offset of its lowest selected position.
     """
     hashes, counts = shingle_batch(texts, k=window, seed=seed ^ 0x51A3)
     n_docs = len(counts)
@@ -141,32 +145,28 @@ def winnow_batch(texts: pa.Array | pa.ChunkedArray, window: int, winnow: int,
     # sliding window of `winnow` hashes — alignment-independent, so any
     # shared substring of length >= window + winnow - 1 selects at least one
     # identical fingerprint in both documents (Schleimer et al. guarantee).
-    sel_chunks: list[np.ndarray] = []
+    sel = np.empty(0, np.int64)
     if hashes.size >= winnow:
-        pos_all = _sliding_argmin(hashes, winnow)
-        # keep windows fully inside one doc: start >= off[d], start+w <= off[d+1]
-        w_counts = np.maximum(counts - winnow + 1, 0)
-        starts = offs[:-1]
-        from fuzzy_matcher_ray.functions.shingle import gather_ranges
-        valid_sel = gather_ranges(pos_all, starts, w_counts)
-        sel_chunks.append(valid_sel)
-    # docs with 0 < cnt < winnow: single min over the whole segment
-    small = (counts > 0) & (counts < winnow)
-    if small.any():
-        # per true segment [st, st+cnt): a single reduceat over only the small
-        # docs' starts would extend each segment to the NEXT small doc's start,
-        # mixing in intervening docs' hashes — min/argmin the real slice.
-        for st, cnt in zip(offs[:-1][small].tolist(), counts[small].tolist()):
-            sel_chunks.append(np.array(
-                [st + int(hashes[st:st + cnt].argmin())], dtype=np.int64))
-    if not sel_chunks:
-        return (np.empty(0, np.uint64), np.zeros(n_docs, dtype=np.int64),
-                np.empty(0, np.int64))
-    sel = np.unique(np.concatenate(sel_chunks))     # global selected positions
+        pos = _sliding_argmin(hashes, winnow)
+        # leftmost window argmins never decrease, so the windows sharing one
+        # form a run of starts [r0, r1); keep a run's argmin iff the run
+        # meets the starts of the windows inside the argmin's doc d,
+        # [off[d], off[d] + max(cnt[d] - winnow + 1, 0))
+        r0 = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
+        r1 = np.append(r0[1:], pos.size)
+        sel = pos[r0]
+        d = np.searchsorted(offs, sel, side="right") - 1
+        d_end = offs[d] + np.maximum(counts[d] - winnow + 1, 0)
+        sel = sel[np.maximum(r0, offs[d]) < np.minimum(r1, d_end)]
+    small = np.flatnonzero((counts > 0) & (counts < winnow))
+    if small.size:                       # docs with 0 < cnt < winnow
+        sel = np.concatenate((sel, _first_argmin(hashes, offs[small],
+                                                 counts[small])))
     doc_of = np.searchsorted(offs, sel, side="right") - 1
     fp_vals = hashes[sel]
-    # per-doc dedup by fp value, keeping the first (lowest) position
-    order = np.lexsort((sel, fp_vals, doc_of))
+    # per-doc dedup by fp value, keeping the first (lowest) position: the
+    # sort is stable and a doc's positions are ascending in `sel`
+    order = np.lexsort((fp_vals, doc_of))
     d_s, f_s, p_s = doc_of[order], fp_vals[order], sel[order]
     keep = np.empty(len(d_s), dtype=bool)
     keep[0] = True

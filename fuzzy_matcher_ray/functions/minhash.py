@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from fuzzy_matcher_ray.functions.shingle import counts_to_offsets, splitmix64
+from fuzzy_matcher_ray.functions.shingle import counts_to_offsets, doc_blocks, splitmix64
 
 EMPTY_SIG = np.uint64(0xFFFFFFFFFFFFFFFF)
-_PERM_CHUNK = 32  # perms processed at once: bounds peak memory to m*32*8 bytes
 
 
 def perm_params(num_perms: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -40,21 +39,24 @@ def minhash_signatures(hashes: np.ndarray, counts: np.ndarray,
     if hashes.size == 0:
         return sig
     nonempty = counts > 0
-    ne_counts = counts[nonempty]
-    seg_starts = counts_to_offsets(ne_counts)[:-1]
-    mins = np.empty((len(ne_counts), num_perms), dtype=np.uint64)
+    offs = counts_to_offsets(counts[nonempty])
+    mins = np.empty((num_perms, len(offs) - 1), dtype=np.uint64)
     # per-perm 1D passes: contiguous uint64 multiply-add is SIMD-vectorized
     # (~35x faster than the broadcast (m, k) 2D product) and 1D reduceat is
-    # likewise much faster than its axis=0 2D form. ONE scratch buffer is
-    # reused across all perms — the naive `hashes * a[j] + b[j]` allocates
-    # num_perms fresh multi-MB temporaries per batch, which doubles memory
-    # traffic and collapses throughput when tasks share one bus.
-    scratch = np.empty_like(hashes)
-    for j in range(num_perms):
-        np.multiply(hashes, a[j], out=scratch)  # uint64 wraparound intended
-        np.add(scratch, b[j], out=scratch)
-        mins[:, j] = np.minimum.reduceat(scratch, seg_starts)
-    sig[nonempty, :] = mins
+    # likewise much faster than its axis=0 2D form. Cache-blocked: all perms
+    # run over one block of whole docs (hashes + one reused scratch stay in
+    # L2) before the next block, instead of streaming the whole batch
+    # through L3/DRAM three times per perm.
+    for d0, d1 in doc_blocks(offs):
+        lo, hi = offs[d0], offs[d1]
+        block = hashes[lo:hi]
+        starts = offs[d0:d1] - lo
+        scratch = np.empty_like(block)
+        for j in range(num_perms):
+            np.multiply(block, a[j], out=scratch)  # uint64 wraparound intended
+            np.add(scratch, b[j], out=scratch)
+            np.minimum.reduceat(scratch, starts, out=mins[j, d0:d1])
+    sig[nonempty, :] = mins.T
     return sig
 
 

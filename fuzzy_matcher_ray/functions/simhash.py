@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from fuzzy_matcher_ray.functions.shingle import counts_to_offsets
+from fuzzy_matcher_ray.functions.shingle import counts_to_offsets, doc_blocks
 
-_BITS = np.arange(64, dtype=np.uint64)
+# _BYTE_BITS[v, k] = bit k of byte value v
+_BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.float64)
 
 
 def simhash_batch(hashes: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -25,24 +26,27 @@ def simhash_batch(hashes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     Zero-shingle docs get simhash 0 (callers exclude them from banding).
     """
     n_docs = len(counts)
-    out = np.zeros(n_docs, dtype=np.uint64)
     if hashes.size == 0:
-        return out
-    nonempty = counts > 0
-    seg_starts = counts_to_offsets(counts[nonempty])[:-1]
-    ne_counts = counts[nonempty]
-    vals = np.zeros(len(ne_counts), dtype=np.uint64)
-    # per-bit 1D passes: contiguous shift/mask/reduceat are SIMD-fast, unlike
-    # the broadcast (m, 64) bit matrix (which also costs m*64 bytes). One
-    # scratch reused across all 64 bits — no per-bit multi-MB temporaries.
-    scratch = np.empty_like(hashes)
-    for j in range(64):
-        np.right_shift(hashes, np.uint64(j), out=scratch)
-        np.bitwise_and(scratch, np.uint64(1), out=scratch)
-        sums = np.add.reduceat(scratch.view(np.int64), seg_starts)  # 0/1 vals
-        vals |= (((2 * sums) > ne_counts).astype(np.uint64) << np.uint64(j))
-    out[nonempty] = vals
-    return out
+        return np.zeros(n_docs, dtype=np.uint64)
+    offs = counts_to_offsets(counts)
+    lanes = np.ascontiguousarray(hashes, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    # per-bit sums from per-doc byte histograms: bit 8*l + k of a doc's sum
+    # counts its shingles whose byte lane l has bit k set, i.e. its lane-l
+    # histogram (one bincount over doc*256 + byte) times the byte→bit table.
+    # The float matmul is exact: every sum is an integer below 2^53.
+    sums = np.empty((n_docs, 64))
+    for d0, d1 in doc_blocks(offs):
+        lo, hi = offs[d0], offs[d1]
+        nb = d1 - d0
+        doc_base = np.repeat(np.arange(0, nb * 256, 256), counts[d0:d1])
+        key = np.empty_like(doc_base)
+        hist = np.empty((nb, 8, 256))
+        for lane in range(8):
+            np.add(doc_base, lanes[lo:hi, lane], out=key)
+            hist[:, lane] = np.bincount(key, minlength=nb * 256).reshape(nb, 256)
+        sums[d0:d1] = (hist.reshape(nb * 8, 256) @ _BYTE_BITS).reshape(nb, 64)
+    bits = 2 * sums > counts[:, None]
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").ravel()
 
 
 # Manku et al. (WWW'07) style block-combination keys: 64 bits split into 6

@@ -5,9 +5,11 @@
 queryable in-RAM index dissolves into key-row datasets on the object store —
 docs sharing a key are LSH candidates.
 
-All three are **actor-pool** callables: permutation parameters / constants are
-derived once per actor in ``__init__`` (never per batch), per-batch work is a
-single vectorized numpy pass over the concatenated batch bytes.
+``add_stage`` runs ``Signatures`` and ``Winnower`` as Ray Data tasks over one
+instance built when the stage is planned (permutation parameters are derived
+once in ``__init__``, never per batch); ``band_key_rows`` /
+``simhash_key_rows`` are plain batch maps. Per-batch work is vectorized numpy over the concatenated
+batch bytes.
 """
 
 from __future__ import annotations

@@ -358,6 +358,145 @@ def test_winnow_shared_substring_guarantee():
     assert not (f1 & f3)
 
 
+# ---------------- sketch-kernel oracles --------------------------------------
+# Slow reference implementations of the sliding argmin, winnowing, MinHash
+# and SimHash kernels. "tiny" shrinks the kernels' chunk / block constants
+# so chunk and doc-block boundaries fall inside and between docs.
+
+def _argmin_oracle(h, w):
+    """Leftmost argmin of every length-w window, one window at a time."""
+    return np.array([i + int(np.argmin(h[i:i + w]))
+                     for i in range(h.size - w + 1)], dtype=np.int64)
+
+
+def _tie_heavy_hashes(rng, n):
+    """Periodic arrays over a few values, so most windows hold tied minima."""
+    period = int(rng.integers(1, 9))
+    base = rng.integers(0, int(rng.integers(1, 4)), period).astype(np.uint64)
+    return np.resize(base, n) + np.uint64(2**63)
+
+
+@pytest.fixture(params=["default", "tiny"])
+def sketch_blocks(request, monkeypatch):
+    from fuzzy_matcher_ray.functions import fingerprint, shingle
+    if request.param == "tiny":
+        monkeypatch.setattr(fingerprint, "_ARGMIN_CHUNK", 5)
+        monkeypatch.setattr(shingle, "DOC_BLOCK_SHINGLES", 7)
+    return request.param
+
+
+def test_sliding_argmin_matches_oracle(sketch_blocks):
+    """Leftmost window argmins on tie-heavy periodic and random arrays, for
+    windows of one power of two, several set bits (72 = 64 + 8), the whole
+    array, and past 256 (the 16-bit index type)."""
+    from fuzzy_matcher_ray.functions.fingerprint import _sliding_argmin
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n = int(rng.integers(1, 300))
+        h = (_tie_heavy_hashes(rng, n) if trial % 3 else
+             rng.integers(0, 2**64, n, dtype=np.uint64))
+        for w in {1, 2, 8, min(72, n), n, int(rng.integers(1, n + 1))}:
+            assert (_sliding_argmin(h, w) == _argmin_oracle(h, w)).all(), (n, w)
+    h = np.full(600, 7, dtype=np.uint64)             # one long all-tie run
+    assert (_sliding_argmin(h, 72) == np.arange(529)).all()
+
+
+def _winnow_oracle(texts, window, winnow):
+    """Per doc: the argmin of every winnow-window (or of the whole doc when
+    it has fewer hashes), distinct by value keeping the lowest position,
+    sorted by value."""
+    fps, counts, positions = [], [], []
+    for t in texts:
+        h, _ = shingle_batch(pa.array([t], pa.string()), k=window, seed=0x51A3)
+        sel = (_argmin_oracle(h, winnow) if h.size >= winnow else
+               np.array([int(np.argmin(h))]) if h.size else np.empty(0, int))
+        first = {}
+        for p in sel.tolist():
+            first.setdefault(int(h[p]), p)
+        counts.append(len(first))
+        for fp in sorted(first):
+            fps.append(fp)
+            positions.append(first[fp])
+    return (np.array(fps, dtype=np.uint64), np.array(counts, dtype=np.int64),
+            np.array(positions, dtype=np.int64))
+
+
+def test_winnow_batch_matches_oracle(sketch_blocks):
+    """winnow_batch == per-doc oracle over empty, null, one-hash, shorter-
+    than-winnow, periodic (tie-heavy) and random docs in one batch."""
+    rng = np.random.default_rng(37)
+    window, winnow = 4, 9
+    for _ in range(12):
+        texts = []
+        for _ in range(int(rng.integers(1, 25))):
+            kind = int(rng.integers(0, 5))
+            if kind == 0:
+                texts.append(rng.choice(["", None, "abc"]))  # no hashes
+            elif kind == 1:                                  # 1..winnow-1 hashes
+                texts.append("".join(rng.choice(list("ab"), int(
+                    rng.integers(window, window + winnow - 1)))))
+            elif kind == 2:                                  # periodic
+                texts.append("".join(rng.choice(list("xyz"), int(
+                    rng.integers(1, 4)))) * int(rng.integers(2, 40)))
+            else:
+                texts.append("".join(rng.choice(list("abcdefgh"), int(
+                    rng.integers(0, 200)))))
+        got = winnow_batch(pa.array(texts, pa.string()), window, winnow)
+        want = _winnow_oracle(texts, window, winnow)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and (g == w).all()
+
+
+def _sketch_cases(rng):
+    """(hashes, counts) batches: empty and one-shingle docs, tie-heavy and
+    random hashes, and one doc longer than a default doc block."""
+    cases = []
+    for trial in range(8):
+        counts = rng.integers(0, 40, int(rng.integers(1, 30)))
+        counts[rng.random(counts.size) < 0.2] = 0
+        counts[rng.random(counts.size) < 0.2] = 1
+        n = int(counts.sum())
+        h = (_tie_heavy_hashes(rng, n) if trial % 2 else
+             rng.integers(0, 2**64, n, dtype=np.uint64))
+        cases.append((h, counts.astype(np.int64)))
+    cases.append((rng.integers(0, 2**64, 70_000, dtype=np.uint64),
+                  np.array([0, 70_000, 0], dtype=np.int64)))
+    return cases
+
+
+def test_minhash_signatures_match_oracle(sketch_blocks):
+    """Every signature entry == min over the doc of a*h + b (mod 2^64),
+    one permutation and one doc at a time; zero-shingle docs stay
+    EMPTY_SIG."""
+    a, b = perm_params(16, seed=3)
+    for h, counts in _sketch_cases(np.random.default_rng(41)):
+        offs = counts_to_offsets(counts)
+        want = np.full((len(counts), len(a)), EMPTY_SIG, dtype=np.uint64)
+        for d in range(len(counts)):
+            seg = h[offs[d]:offs[d + 1]]
+            if seg.size:
+                for j in range(len(a)):
+                    want[d, j] = (seg * a[j] + b[j]).min()
+        assert (minhash_signatures(h, counts, a, b) == want).all()
+
+
+def test_simhash_batch_matches_oracle(sketch_blocks):
+    """Bit j of each simhash is set iff more than half the doc's shingle
+    hashes have bit j set (per-bit popcount sums); zero-shingle docs get 0."""
+    for h, counts in _sketch_cases(np.random.default_rng(43)):
+        offs = counts_to_offsets(counts)
+        want = np.zeros(len(counts), dtype=np.uint64)
+        for d in range(len(counts)):
+            seg = h[offs[d]:offs[d + 1]]
+            for j in range(64):
+                ones = int(((seg >> np.uint64(j)) & np.uint64(1)).sum())
+                if 2 * ones > seg.size:
+                    want[d] |= np.uint64(1) << np.uint64(j)
+        got = simhash_batch(h, counts)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
+
+
 # ---------------- union-find -------------------------------------------------
 
 def test_connected_components():
