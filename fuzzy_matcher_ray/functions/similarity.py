@@ -295,22 +295,3 @@ def levenshtein_norm_batch(a: list[str], b: list[str],
     out[nz] = 1.0 - d[nz] / mx[nz]
     return out
 
-
-def jaccard_pairs(uniq_a: list[np.ndarray], uniq_b: list[np.ndarray]) -> np.ndarray:
-    """Exact Jaccard per pair of sorted-unique uint64 shingle-hash sets."""
-    out = np.empty(len(uniq_a), dtype=np.float64)
-    for i, (ua, ub) in enumerate(zip(uniq_a, uniq_b)):
-        if len(ua) == 0 and len(ub) == 0:
-            out[i] = 1.0
-            continue
-        if len(ua) == 0 or len(ub) == 0:
-            out[i] = 0.0
-            continue
-        inter = len(np.intersect1d(ua, ub, assume_unique=True))
-        out[i] = inter / (len(ua) + len(ub) - inter)
-    return out
-
-
-def weighted_score(sims: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """score = Σ weight_f · sim_f over axis 1 (fuzzy_matcher_core.go:262-267)."""
-    return sims @ weights

@@ -82,75 +82,77 @@ def exact_dup_edges(norm, cfg: PipelineConfig,
                     prior: PriorIndex | None = None):
     """Exact dedup pre-pass: same 128-bit content key ⇒ duplicate edges.
 
-    ≙ terminal-node ID set (fuzzy_types/types.go:38). Runs through the same
-    skew-aware pair machinery as the LSH passes (key = the two independent
-    content hashes; collision ~2^-128 so no text comparison is needed);
-    exact groups larger than max_band_group emit star+chain edges.
+    ≙ terminal-node ID set (fuzzy_types/types.go:38). Key = the two
+    independent content hashes (collision ~2^-128, so no text comparison is
+    needed); each doc links to its key group's min doc_id (``min_reps``), so
+    an exact mega-group costs O(n) star edges, not O(n^2) pairs — the skew
+    story needs no cap here.
 
     With ``prior`` the prior rows sharing a key with the increment join its
     rows before the min-rep star. Exact equality is transitive, so the
     components — hence the min-id labels — match a full re-run's.
     """
-    from ray.data.aggregate import Min
-
-    from fuzzy_matcher_ray.stages.joins import JOIN_AGG_ARGS, effective_partitions
-
     rows = _hash_rows(norm).materialize()
     if prior is not None:
         rows = _semi_join_rows(_hash_rows(prior.norm), rows,
                                ["text_hash", "text_hash2"], cfg) \
             .union(rows).materialize()
-    from fuzzy_matcher_ray.stages.candidates import DRIVER_EXPLODE_MAX_ROWS
+
+    def _edges(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.not_equal(t["doc_id"], t["rep"]))
+        return pa.table({"a": t["rep"], "b": t["doc_id"]})
+
+    return min_reps(rows, ["text_hash", "text_hash2"],
+                    cfg.join_num_partitions).map_batches(
+        _edges, batch_format="pyarrow")
+
+
+def min_reps(rows, key_cols: list[str], num_partitions: int):
+    """Materialized (*key_cols, doc_id) rows → (doc_id, rep): ``rep`` is the
+    min doc_id among the rows sharing the row's key.
+
+    Up to ``DRIVER_EXPLODE_MAX_ROWS`` rows this is one driver lexsort with
+    a segment min (rows in key order); beyond, one groupby Min and one hash
+    join on the key, the twin ``FMR_DRIVER_EXPLODE_MAX_ROWS=0`` forces.
+    """
+    import ray.data as rd
+    from ray.data.aggregate import Min
+
+    from fuzzy_matcher_ray.stages.candidates import (DRIVER_EXPLODE_MAX_ROWS,
+                                                     _collect_driver_table)
+    from fuzzy_matcher_ray.stages.joins import JOIN_AGG_ARGS, effective_partitions
+
     if rows.count() <= DRIVER_EXPLODE_MAX_ROWS:
-        # driver fast path: one collect, numpy segment min-rep star edges
-        import ray.data as rd
-        parts = list(rows.iter_batches(batch_size=1 << 20,
-                                       batch_format="pyarrow"))
-        if not parts:
-            # an all-skip-tier corpus yields ZERO batches — concat_tables
-            # requires at least one
-            return rd.from_arrow(pa.table({"a": pa.array([], pa.int64()),
-                                           "b": pa.array([], pa.int64())}))
-        t = pa.concat_tables(parts)
-        h1 = t["text_hash"].to_numpy(zero_copy_only=False)
-        h2 = t["text_hash2"].to_numpy(zero_copy_only=False)
+        t = _collect_driver_table(rows, [*key_cols, "doc_id"])
+        if t is None:
+            # an all-skip-tier corpus yields zero rows
+            return rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
+                                           "rep": pa.array([], pa.int64())}))
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, h2, h1))
-        h1, h2, ids = h1[order], h2[order], ids[order]
-        brk = np.empty(len(ids), dtype=bool)
-        if len(ids) == 0:
-            return rd.from_arrow(pa.table({"a": pa.array([], pa.int64()),
-                                           "b": pa.array([], pa.int64())}))
+        keys = [t[c].to_numpy(zero_copy_only=False) for c in key_cols]
+        order = np.lexsort([ids, *keys[::-1]])
+        ids = ids[order]
+        brk = np.zeros(len(ids), dtype=bool)
         brk[0] = True
-        brk[1:] = (h1[1:] != h1[:-1]) | (h2[1:] != h2[:-1])
-        rep = ids[np.nonzero(brk)[0]][np.cumsum(brk) - 1]
-        keep = ids != rep
-        return rd.from_arrow(pa.table({"a": pa.array(rep[keep]),
-                                       "b": pa.array(ids[keep])}))
-    # star edges via min-rep: one aggregate + one hash join on the full
-    # 128-bit key, zero pair explosion (exact mega-groups cost O(n), not
-    # O(n^2) — the skew story needs no cap here)
-    reps = rows.groupby(["text_hash", "text_hash2"]).aggregate(
+        for k in keys:
+            k = k[order]
+            brk[1:] |= k[1:] != k[:-1]
+        rep = ids[np.flatnonzero(brk)][np.cumsum(brk) - 1]
+        return rd.from_arrow(pa.table({"doc_id": pa.array(ids),
+                                       "rep": pa.array(rep)}))
+    reps = rows.groupby(key_cols).aggregate(
         Min("doc_id", alias_name="rep")).materialize()
-    P = effective_partitions(cfg.join_num_partitions)
+    P = effective_partitions(num_partitions)
     if reps.count() < 100 * P:
         # Ray 2.49: hash-aggregate outputs carry SCHEMA-LESS empty blocks
         # for key-less partitions, which break join key resolution
-        # (ArrowInvalid "no match for FieldRef text_hash"). Same guard as
-        # stages/joins.attach_columns; reps is slim (24 B/key) and already
-        # needs one execution for the join, so the materialize+count is
-        # nearly free and the repartition only fires in the sparse regime.
+        # (ArrowInvalid "no match for FieldRef"). Same guard as
+        # stages/joins.attach_columns; reps is slim and already
+        # materialized, so the repartition only fires in the sparse regime.
         reps = reps.repartition(2)
-    with_rep = rows.join(reps, "inner", P,
-                         on=("text_hash", "text_hash2"),
-                         aggregator_ray_remote_args=JOIN_AGG_ARGS)
-
-    def _edges(t: pa.Table) -> pa.Table:
-        keep = pc.not_equal(t["doc_id"], t["rep"])
-        t = t.filter(keep)
-        return pa.table({"a": t["rep"], "b": t["doc_id"]})
-
-    return with_rep.map_batches(_edges, batch_format="pyarrow")
+    return rows.join(reps, "inner", P, on=tuple(key_cols),
+                     aggregator_ray_remote_args=JOIN_AGG_ARGS) \
+        .select_columns(["doc_id", "rep"])
 
 
 def signature_table(norm, cfg: PipelineConfig):
@@ -325,50 +327,50 @@ def _pass_builders(passes: tuple, norm, cfg: PipelineConfig, attacher, sigs,
     return {p: make[p] for p in PASSES if p in passes}
 
 
-def _edges_all(ck: Checkpointer, builders: dict, pass_stages: bool):
-    """Build the passes on parallel driver threads, union their edges and
-    dedup them as the ``edges_all`` stage (None without passes).
+def _edges_all(ck: Checkpointer, builders):
+    """The ``edges_all`` stage: build the passes on parallel driver
+    threads, union their edges and dedup them. ``builders()`` returns pass
+    name → thunk and is called only when the stage builds, so a resumed
+    ``edges_all`` builds no pass at all.
 
     The passes are independent until the union: on parallel threads their
     internal barriers (counts, sorts, collects) overlap instead of
-    serializing end-to-end. Unless checkpointed, the per-pass edge datasets
-    stay LAZY, so the verify stages of all passes execute inside ONE
-    streaming execution at the fan-in. Each separate Dataset execution has
-    a fixed cost — the Amdahl term that caps small-corpus scaling: on one
-    pinned vCPU (Ray 2.49) ~0.03-0.04 s to start and finish even a trivial
-    one, ~0.1-0.2 s for a collect over a few blocks, and 0.4-0.6 s for one
-    that re-runs the source read at bench scale (1,500 docs).
-    ``pass_stages`` checkpoints each pass's edges as ``edges_<pass>``.
+    serializing end-to-end. The per-pass edge datasets stay LAZY, so the
+    verify stages of all passes execute inside ONE streaming execution at
+    the fan-in. Each separate Dataset execution has a fixed cost — the
+    Amdahl term that caps small-corpus scaling: on one pinned vCPU (Ray
+    2.49) ~0.03-0.04 s to start and finish even a trivial one, ~0.1-0.2 s
+    for a collect over a few blocks, and 0.4-0.6 s for one that re-runs the
+    source read at bench scale (1,500 docs).
     """
-    if not builders:
-        return None
+    def build():
+        thunks = list(builders().values())
+        with ThreadPoolExecutor(max_workers=len(thunks)) as pool:
+            edge_sets = list(pool.map(lambda f: f(), thunks))
+        edges = edge_sets[0]
+        for e in edge_sets[1:]:
+            edges = edges.union(e)
+        return dedup_pairs(edges)
 
-    def _build(p):
-        if not pass_stages:
-            return builders[p]()
-        return ck.stage(f"edges_{p}", builders[p],
-                        materialize_if_disabled=False,
-                        empty_schema=EDGE_SCHEMA)
-
-    with ThreadPoolExecutor(max_workers=len(builders)) as pool:
-        edge_sets = list(pool.map(_build, builders))
-    edges = edge_sets[0]
-    for e in edge_sets[1:]:
-        edges = edges.union(e)
-    return ck.stage("edges_all", lambda: dedup_pairs(edges),
-                    empty_schema=EDGE_SCHEMA)
+    return ck.stage("edges_all", build, empty_schema=EDGE_SCHEMA)
 
 
 def find_duplicates(docs, cfg: PipelineConfig | None = None,
                     checkpointer: Checkpointer | None = None,
-                    passes: tuple = PASSES,
-                    cluster_strategy: str = "auto", now=None):
+                    passes: tuple = PASSES, now=None):
     """docs (doc_id, text [, url], ...) → (doc_id, cluster_id [, url]).
 
     The full flagship. Returns a Dataset of one row per input doc; ``url``
     is carried through the normalize stage when ``docs`` has it. A run
     with no rows after the TTL filter returns an empty (doc_id,
     cluster_id, url) table.
+
+    With a ``checkpointer`` the run writes the same chain link as a fold
+    (``incremental_update``): the ``normalize``, ``signatures``,
+    ``winnow_rows``, ``edges_all`` and ``clusters`` stages, so it is link 0
+    of a ``dedup_sharded`` chain. A zero-row input still writes every stage
+    but ``edges_all``, empty and schema-pinned.
+
     With ``cfg.ttl_mode`` the expiry invariant is enforced (every row must
     carry a non-null valid_until — ≙ Build error on zero expiry,
     fuzzy_matcher_core.go:85-95) and, when ``now`` is given, expired rows
@@ -401,46 +403,47 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
     # norm is materialized or a checkpoint read: its count is metadata
     if norm.count() == 0:
         import ray.data as rd
+        if ck.enabled:
+            _write_empty_link(ck, cfg)
         empty = {"doc_id": pa.array([], pa.int64()),
                  "cluster_id": pa.array([], pa.int64()),
                  "url": pa.array([], pa.string())}
         return rd.from_arrow(pa.table(empty))
-    # one broadcast copy of (doc_id → norm_text) shared by every verify pass
-    from fuzzy_matcher_ray.stages.joins import BROADCAST_MAX_ROWS, BroadcastAttacher
-    attacher = None
-    if norm.count() <= BROADCAST_MAX_ROWS:
-        attacher = BroadcastAttacher(norm, "doc_id", ["norm_text"])
     # ONE signature stage (single shingle pass) feeds both LSH passes
     sigs = None
-    sets_ref = None
     if "minhash" in passes or "simhash" in passes:
         sigs = ck.stage("signatures", lambda: signature_table(norm, cfg))
-        # corpus shingle-set artifact: the Jaccard verifies of both passes
-        # intersect zero-copy against ONE plasma object instead of
-        # re-shingling every batch's distinct docs (size-gated; None ⇒
-        # verifiers fall back to the text broadcast / join paths). Off by
-        # default — see config.use_shingle_set_artifact for the measured
-        # trade-off. Skipped when every consumer pass resumes from
-        # checkpoint.
-        needs_verify = any(p in passes and not ck.has(f"edges_{p}")
-                           for p in ("minhash", "simhash")) if ck.enabled \
-            else True
-        if needs_verify and cfg.use_shingle_set_artifact:
-            from fuzzy_matcher_ray.stages.verify import build_shingle_sets
-            sets_ref = build_shingle_sets(norm, cfg)
+
     def win():
         return ck.stage("winnow_rows", lambda: winnow_rows(norm, cfg),
                         materialize_if_disabled=False,
                         empty_schema=_link_schemas(cfg)["winnow_rows"])
 
-    edges = _edges_all(ck, _pass_builders(passes, norm, cfg, attacher, sigs,
-                                          win, sets_ref), pass_stages=True)
+    def builders():
+        # one broadcast copy of (doc_id → norm_text) shared by every verify
+        # pass, and the corpus shingle-set artifact: the Jaccard verifies of
+        # both LSH passes intersect zero-copy against ONE plasma object
+        # instead of re-shingling every batch's distinct docs (size-gated;
+        # None ⇒ verifiers fall back to the text broadcast / join paths).
+        # Off by default — see config.use_shingle_set_artifact.
+        from fuzzy_matcher_ray.stages.joins import (BROADCAST_MAX_ROWS,
+                                                    BroadcastAttacher)
+        attacher = None
+        if norm.count() <= BROADCAST_MAX_ROWS:
+            attacher = BroadcastAttacher(norm, "doc_id", ["norm_text"])
+        sets_ref = None
+        if sigs is not None and cfg.use_shingle_set_artifact:
+            from fuzzy_matcher_ray.stages.verify import build_shingle_sets
+            sets_ref = build_shingle_sets(norm, cfg)
+        return _pass_builders(passes, norm, cfg, attacher, sigs, win,
+                              sets_ref)
+
+    edges = _edges_all(ck, builders)
     # url rides from the normalize stage: no join back to the source
     ids = [c for c in ("doc_id", "url") if c in norm.schema().names]
     return ck.stage(
         "clusters",
-        lambda: cluster_edges(edges, norm.select_columns(ids), cfg,
-                              strategy=cluster_strategy))
+        lambda: cluster_edges(edges, norm.select_columns(ids), cfg))
 
 
 def _drop_urlless_stages(ck: Checkpointer, docs) -> None:
@@ -496,18 +499,19 @@ def jaccard_allpairs_clusters(docs, cfg: PipelineConfig | None = None,
                          "doc_id": pa.array(np.repeat(ids, uc))})
 
     import ray.data as rd
-    if docs.limit(1).count() == 0:
-        return rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
-                                       "cluster_id": pa.array([], pa.int64())}))
     # two consumers (pair explode + size groupby) — pin blocks so the
     # normalize+shingle pass runs once, not once per consumer
     rows = docs.select_columns(["doc_id", "text"]).map_batches(
         _rows, batch_format="pyarrow").materialize()
     if rows.count() == 0:
         # no doc long enough to shingle — every doc is its own cluster
-        no_edges = rd.from_arrow(pa.table({"a": pa.array([], pa.int64()),
-                                           "b": pa.array([], pa.int64())}))
-        return cluster_edges(no_edges, docs.select_columns(["doc_id"]), cfg)
+        ids = docs.select_columns(["doc_id"]).materialize()
+        if ids.count() == 0:
+            return rd.from_arrow(pa.table({
+                "doc_id": pa.array([], pa.int64()),
+                "cluster_id": pa.array([], pa.int64())}))
+        return cluster_edges(rd.from_arrow(EDGE_SCHEMA.empty_table()), ids,
+                             cfg)
     # exactness requires every within-group pair: lift the skew cap (the
     # star+chain shortcut would silently drop cross-pairs of hot shingles)
     nocap = replace(cfg, max_band_group=1 << 30)
@@ -684,18 +688,15 @@ def _link_schemas(cfg: PipelineConfig) -> dict:
     }
 
 
-def _write_empty_link(ck: Checkpointer, cfg: PipelineConfig, clusters=None):
-    """Write a zero-row shard's chain link: empty normalize / signatures /
-    winnow_rows artifacts plus ``clusters`` — the labels carried forward
-    from the prior link, or none for a first shard. Returns the clusters
-    stage."""
+def _write_empty_link(ck: Checkpointer, cfg: PipelineConfig) -> None:
+    """Write the rest of a zero-row first shard's chain link after its
+    normalize stage: empty signatures / winnow_rows / clusters stages, so a
+    later fold unions it with the rest of the chain."""
     import ray.data as rd
-    out = None
     for name, sch in _link_schemas(cfg).items():
-        data = clusters if name == "clusters" and clusters is not None \
-            else rd.from_arrow(sch.empty_table())
-        out = ck.stage(name, lambda d=data: d, empty_schema=sch)
-    return out
+        if name != "normalize":
+            ck.stage(name, lambda s=sch: rd.from_arrow(s.empty_table()),
+                     empty_schema=sch)
 
 
 def _shard_artifacts(ck: Checkpointer, docs, cfg: PipelineConfig,
@@ -721,7 +722,6 @@ def _shard_artifacts(ck: Checkpointer, docs, cfg: PipelineConfig,
 def incremental_update(prior_root: str | list[str], new_docs,
                        cfg: PipelineConfig | None = None,
                        passes: tuple = PASSES,
-                       cluster_strategy: str = "auto",
                        checkpointer: Checkpointer | None = None):
     """Cluster a NEW shard against a prior ``find_duplicates`` run without
     re-scanning the prior corpus — the web-scale InsertEntries
@@ -791,14 +791,17 @@ def incremental_update(prior_root: str | list[str], new_docs,
     ck = checkpointer or Checkpointer("/tmp/fmr-ck-disabled",
                                       cfg.config_hash(), enabled=False)
 
-    if new_docs.limit(1).count() == 0:
-        out = clusters_A.select_columns(["doc_id", "cluster_id"])
-        # keep the chain uniform: an empty shard still writes a valid link
-        return _write_empty_link(ck, cfg, out) if ck.enabled else out
-
     # the caller's cfg, as in dedup_sharded's prebuild: a prebuilt stage
     # resumes as exactly what the fold would have built
     norm_B, sigs_B, win_B = _shard_artifacts(ck, new_docs, cfg, passes)
+    # norm_B is materialized or a checkpoint read: its count is metadata
+    if norm_B.count() == 0:
+        # an empty shard's link carries the prior labels forward
+        return ck.stage(
+            "clusters",
+            lambda: clusters_A.select_columns(["doc_id", "cluster_id"]),
+            materialize_if_disabled=False,
+            empty_schema=_link_schemas(cfg)["clusters"])
 
     from fuzzy_matcher_ray.stages.joins import (BROADCAST_MAX_ROWS,
                                                 BroadcastAttacher,
@@ -870,18 +873,15 @@ def incremental_update(prior_root: str | list[str], new_docs,
                              lambda n: winnow_rows(n, cfg))
 
     prior = PriorIndex(norm_A, sigs_A, win_A, texts)
-    new_edges = _edges_all(ck, _pass_builders(
-        passes, norm_B, cfg, attacher, sigs_B, lambda: win_B, prior=prior),
-        pass_stages=False)
+    new_edges = _edges_all(ck, lambda: _pass_builders(
+        passes, norm_B, cfg, attacher, sigs_B, lambda: win_B, prior=prior))
 
     ids_B = norm_B.select_columns(["doc_id"])
     return ck.stage("clusters", lambda: _fold_labels(
-        clusters_A, new_edges, ids_B, cfg, cluster_strategy),
-        materialize_if_disabled=False)
+        clusters_A, new_edges, ids_B, cfg), materialize_if_disabled=False)
 
 
-def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig,
-                 strategy: str):
+def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig):
     """(doc_id, cluster_id) over prior ∪ increment, relabelling only what
     the new edges touch.
 
@@ -900,8 +900,6 @@ def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig,
         lambda t: pa.table({"doc_id": t["doc_id"],
                             "cluster_id": t["doc_id"]}),
         batch_format="pyarrow"))
-    if new_edges is None:
-        return nodes
     # pinned: the semi-join reads it twice (count gate + key collect)
     ends = new_edges.map_batches(lambda t: pa.table({"doc_id": np.concatenate(
         [t["a"].to_numpy(zero_copy_only=False),
@@ -913,8 +911,7 @@ def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig,
         batch_format="pyarrow")
     # pinned: the labeller reads it twice (size gate + labelling), and
     # the prior scan behind ``star`` should run once
-    labels = component_labels(new_edges.union(star).materialize(), cfg,
-                              strategy)
+    labels = component_labels(new_edges.union(star).materialize(), cfg)
     out = attach_columns(nodes, labels, "cluster_id", "node",
                          {"label": "label"}, how="left",
                          num_partitions=cfg.join_num_partitions)
@@ -977,8 +974,6 @@ def _prebuild_increment(sroot: str, key: str, ds, cfg: PipelineConfig,
     shard factories still run once on the success path."""
     data = ds() if callable(ds) else ds
     box["data"] = data
-    if data.limit(1).count() == 0:
-        return      # the fold's empty path writes its own artifacts
     _shard_artifacts(Checkpointer(sroot, key), data, cfg, passes)
 
 
@@ -1000,8 +995,9 @@ def dedup_sharded(shards, state_root: str,
     skipped shards are never called. Layout:
     ``state_root/shard-00000-<label>/<stage>/{data,_MANIFEST.json}``.
 
-    Each fold persists the increment's normalize/signatures/winnow_rows
-    plus the merged clusters. With ``prune`` the previous fold's clusters
+    Every link, the first shard's ``find_duplicates`` included, persists
+    the same stages: the shard's normalize / signatures / winnow_rows, its
+    edges_all and the merged clusters. With ``prune`` the previous fold's clusters
     DATA is dropped once the next fold lands, so checkpoint storage stays
     O(corpus + labels-of-corpus), not O(shards × corpus); the pruned
     manifest remains as lineage. Returns the final (doc_id, cluster_id)
@@ -1071,14 +1067,9 @@ def dedup_sharded(shards, state_root: str,
                             cfg, passes, box_n), box_n)
                 ck = Checkpointer(sroot, key)
                 if not chain:
-                    if data.limit(1).count() == 0:
-                        # an empty FIRST shard still writes a valid chain
-                        # link (find_duplicates' empty fast path writes no
-                        # stages)
-                        _write_empty_link(ck, cfg)
-                    else:
-                        find_duplicates(data, cfg, checkpointer=ck,
-                                        passes=passes)
+                    # an empty first shard writes an empty link too
+                    find_duplicates(data, cfg, checkpointer=ck,
+                                    passes=passes)
                 else:
                     incremental_update(chain, data, cfg, passes=passes,
                                        checkpointer=ck)

@@ -398,15 +398,6 @@ _EMPTY_PAIRS = pa.table({"a": pa.array([], pa.int64()),
                          "cosine": pa.array([], pa.float64())})
 
 
-def _list_matrix(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """(n, dim) float64 matrix from a list<float> column (offset-safe)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-    n = len(col)
-    return flat.reshape(n, len(flat) // max(1, n))
-
-
 class _SRPBucketer:
     """SRP bucketing as a stateful actor-pool stage: the seeded hyperplane
     tensor is built ONCE PER ACTOR (on the first batch, which fixes the

@@ -57,17 +57,12 @@ def _doc_winner(sf_dir: str):
     Keys are the shared 128-bit content hash (two independent 64-bit
     halves, collision ~2^-128 — the exact_dup_edges convention), so only
     24 B/row ever enters an exchange: the full normalized text never
-    leaves the batch that computed it. Small corpora take the same
-    driver fast path as exact_dup_edges (lexsort + segment-min, forced
-    onto the distributed twin by FMR_DRIVER_EXPLODE_MAX_ROWS=0); at
-    scale it is ONE slim groupby + ONE slim hash join on the same key.
+    leaves the batch that computed it. The min-rep core is exact_dup_edges'
+    own (``dedup.min_reps``): a driver lexsort + segment min on small
+    corpora, one slim groupby + one slim hash join on the key at scale.
     """
-    from ray.data.aggregate import Min
-
     from fuzzy_matcher_ray.functions.fingerprint import content_hash
-    from fuzzy_matcher_ray.stages.candidates import DRIVER_EXPLODE_MAX_ROWS
-    from fuzzy_matcher_ray.stages.joins import (JOIN_AGG_ARGS,
-                                                effective_partitions)
+    from fuzzy_matcher_ray.pipelines.dedup import min_reps
 
     def _key(t: pa.Table) -> pa.Table:
         norm = pc.fill_null(normalize_array(t["text"]), "")
@@ -81,33 +76,7 @@ def _doc_winner(sf_dir: str):
 
     keyed = _docs(sf_dir).map_batches(_key, batch_format="pyarrow") \
                          .materialize()
-    if keyed.count() <= DRIVER_EXPLODE_MAX_ROWS:
-        parts = list(keyed.iter_batches(batch_size=1 << 20,
-                                        batch_format="pyarrow"))
-        if not parts:
-            return rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
-                                           "w": pa.array([], pa.int64())}))
-        t = pa.concat_tables(parts)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        h1 = t["h1"].to_numpy(zero_copy_only=False)
-        h2 = t["h2"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, h2, h1))
-        ids_s, h1_s, h2_s = ids[order], h1[order], h2[order]
-        brk = np.empty(len(ids_s), dtype=bool)
-        brk[0] = True
-        brk[1:] = (h1_s[1:] != h1_s[:-1]) | (h2_s[1:] != h2_s[:-1])
-        w = ids_s[np.nonzero(brk)[0]][np.cumsum(brk) - 1]
-        return rd.from_arrow(pa.table({"doc_id": pa.array(ids_s),
-                                       "w": pa.array(w)}))
-    reps = keyed.groupby(["h1", "h2"]).aggregate(
-        Min("doc_id", alias_name="w")).materialize()
-    P = effective_partitions(32)
-    if reps.count() < 100 * P:
-        # Ray 2.49 schema-less empty-block join guard (see stages/joins)
-        reps = reps.repartition(2)
-    out = keyed.join(reps, "inner", P, on=("h1", "h2"),
-                     aggregator_ray_remote_args=JOIN_AGG_ARGS)
-    return out.select_columns(["doc_id", "w"])
+    return min_reps(keyed, ["h1", "h2"], 32).rename_columns({"rep": "w"})
 
 
 def tiered_dedup(sf_dir: str, cfg: PipelineConfig | None = None,

@@ -440,12 +440,9 @@ def _chunked_ds(out: pa.Table, chunk: int = 65536):
         [out.slice(lo, chunk) for lo in range(0, max(len(out), 1), chunk)])
 
 
-def dedup_pairs(pairs, min_cols: list[str] | None = None, aggs=None):
+def dedup_pairs(pairs, min_cols: list[str] | None = None):
     """Each (a,b) exactly once — verify-once semantics (min-edit merge ≙
     fuzzy_matcher_core.go:198-205 keeps one row per pair).
-
-    ``aggs``: optional list of ray.data.aggregate.* instances replacing the
-    default Min-per-column aggregation.
 
     Small pair sets (slim int64 rows below DRIVER_EXPLODE_MAX_ROWS) dedup
     in one driver lexsort — a Ray hash groupby costs ~15 s of fixed
@@ -454,8 +451,6 @@ def dedup_pairs(pairs, min_cols: list[str] | None = None, aggs=None):
     100 TB shards exceed the threshold and take the distributed groupby.
     """
     min_cols = min_cols or []
-    if aggs:
-        return pairs.groupby(["a", "b"]).aggregate(*aggs)
     mat = pairs.materialize()
     if mat.count() <= DRIVER_EXPLODE_MAX_ROWS:
         t = _collect_driver_table(mat, ["a", "b"] + min_cols)

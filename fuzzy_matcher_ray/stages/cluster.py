@@ -5,11 +5,11 @@ SURVEY.md §2.6); the north rule requires cluster assignments, so this stage
 closes the transitive hull. Representative = **min doc_id** of the component
 (deterministic — no wall-clock or randomness anywhere).
 
-Two strategies:
+Two labellers; ``component_labels`` picks the driver one while |edges| <=
+cfg.driver_uf_max_edges (set it to 0 to force the distributed one):
 
 - ``driver``: collect edges (they are O(duplicates), orders of magnitude
   smaller than the corpus) and run exact union-find with path compression.
-  Chosen automatically when |edges| <= cfg.driver_uf_max_edges.
 - ``distributed``: iterative min-label propagation entirely in Dataset ops —
   per round, attach current labels to both edge endpoints (hash join),
   emit (node, min(label_a, label_b)) messages both ways plus identity rows,
@@ -64,24 +64,21 @@ def _coalesce_i64(primary, fallback) -> pa.Array:
     return pa.array(out, pa.int64())
 
 
-def component_labels(edges, cfg: PipelineConfig, strategy: str = "auto"):
+def component_labels(edges, cfg: PipelineConfig):
     """edges (a:int64, b:int64) → (node, label): every edge endpoint once,
     labelled with the min node id of its component."""
-    if strategy == "auto":
-        n_edges = edges.count()
-        strategy = "driver" if n_edges <= cfg.driver_uf_max_edges else "distributed"
-    if strategy == "driver":
+    if edges.count() <= cfg.driver_uf_max_edges:
         return _driver_labels(edges)
     return _distributed_labels(edges, cfg)
 
 
-def cluster_edges(edges, docs, cfg: PipelineConfig, strategy: str = "auto"):
+def cluster_edges(edges, docs, cfg: PipelineConfig):
     """edges (a:int64, b:int64) + docs (doc_id [, ...]) → (doc_id,
     cluster_id [, ...]): docs' other columns ride along unchanged.
 
     Every doc appears exactly once; singletons get cluster_id = doc_id.
     """
-    labels_ds = component_labels(edges, cfg, strategy)
+    labels_ds = component_labels(edges, cfg)
     out = attach_columns(docs, labels_ds, "doc_id", "node",
                          {"label": "cluster_id"}, how="left",
                          num_partitions=cfg.join_num_partitions)

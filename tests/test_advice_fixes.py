@@ -8,6 +8,8 @@
    (pointer-jumping; loud failure instead of silently split clusters).
 """
 
+import dataclasses
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -91,8 +93,8 @@ def test_distributed_labels_long_chain_converges(ray_session):
         "a": pa.array(np.arange(n - 1, dtype=np.int64)),
         "b": pa.array(np.arange(1, n, dtype=np.int64))}))
     docs = rd.from_arrow(pa.table({"doc_id": pa.array(np.arange(n, dtype=np.int64))}))
-    out = cluster_edges(edges, docs, PipelineConfig(),
-                        strategy="distributed").to_pandas()
+    out = cluster_edges(edges, docs, dataclasses.replace(
+        PipelineConfig(), driver_uf_max_edges=0)).to_pandas()
     assert len(out) == n
     assert (out["cluster_id"] == 0).all()
 

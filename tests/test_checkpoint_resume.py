@@ -13,6 +13,9 @@ from fuzzy_matcher_ray.sources.webpages import make_webpages
 from fuzzy_matcher_ray.state.checkpoint import Checkpointer
 
 N_DOCS = 300
+# the stages of one checkpointed find_duplicates run, a fold's too
+LINK_STAGES = ("normalize", "signatures", "winnow_rows", "edges_all",
+               "clusters")
 
 
 @pytest.fixture()
@@ -36,9 +39,10 @@ def test_resume_identical_and_skips(docs, tmp_path):
     cfg = PipelineConfig()
     root = str(tmp_path / "ck")
     out1, ck1 = _run(docs, root, cfg)
+    assert sorted(ck1.metrics) == sorted(LINK_STAGES)
     assert all(not m.get("resumed") for m in ck1.metrics.values())
     # every stage has a manifest with lineage + metrics
-    for stage in ("normalize", "edges_minhash", "clusters"):
+    for stage in LINK_STAGES:
         with open(os.path.join(root, stage, "_MANIFEST.json")) as f:
             m = json.load(f)
         assert m["config_hash"] == cfg.config_hash()
@@ -55,12 +59,36 @@ def test_partial_resume_after_kill(docs, tmp_path):
     cfg = PipelineConfig()
     root = str(tmp_path / "ck")
     out1, _ = _run(docs, root, cfg)
-    for stage in ("edges_substring", "edges_all", "clusters"):
+    for stage in ("edges_all", "clusters"):
         shutil.rmtree(os.path.join(root, stage), ignore_errors=True)
     out2, ck2 = _run(docs, root, cfg)
-    assert ck2.metrics["normalize"].get("resumed")
-    assert ck2.metrics["edges_minhash"].get("resumed")
+    for stage in ("normalize", "signatures", "winnow_rows"):
+        assert ck2.metrics[stage].get("resumed"), stage
+    assert not ck2.metrics["edges_all"].get("resumed")
     assert not ck2.metrics["clusters"].get("resumed")
+    assert out1.equals(out2)
+
+
+def test_resumed_edges_all_builds_no_pass(docs, tmp_path, monkeypatch):
+    """With only clusters gone, the rerun resumes edges_all and builds no
+    pass and no winnow rows: every builder raises."""
+    from fuzzy_matcher_ray.pipelines import dedup
+
+    cfg = PipelineConfig()
+    root = str(tmp_path / "ck")
+    out1, _ = _run(docs, root, cfg)
+    shutil.rmtree(os.path.join(root, "clusters"))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a resumed edges_all must build no pass")
+
+    for name in ("exact_dup_edges", "minhash_edges", "simhash_edges",
+                 "substring_edges", "winnow_rows"):
+        monkeypatch.setattr(dedup, name, no_build)
+    out2, ck2 = _run(docs, root, cfg)
+    assert ck2.metrics["edges_all"]["resumed"]
+    assert not ck2.metrics["clusters"]["resumed"]
+    assert "winnow_rows" not in ck2.metrics
     assert out1.equals(out2)
 
 
@@ -83,12 +111,12 @@ def test_empty_stage_checkpoints_and_resumes(ray_session, tmp_path):
     empty = rd.from_arrow(pa.table(
         {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())}))
     ck = Checkpointer(str(tmp_path / "ck"), "h1")
-    out = ck.stage("edges_exact", lambda: empty)
+    out = ck.stage("edges_all", lambda: empty)
     assert out.count() == 0
     assert out.schema().names == ["id_a", "id_b"]
     # resume round-trips the empty stage with the schema intact
     ck2 = Checkpointer(str(tmp_path / "ck"), "h1")
-    out2 = ck2.stage("edges_exact", lambda: (_ for _ in ()).throw(
+    out2 = ck2.stage("edges_all", lambda: (_ for _ in ()).throw(
         AssertionError("must resume, not rebuild")))
     assert out2.count() == 0
     assert out2.schema().names == ["id_a", "id_b"]

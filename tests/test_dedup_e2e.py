@@ -2,6 +2,8 @@
 strategy (b)): planted-duplicate corpus, dup-pair recall >= 0.99, cluster
 sanity, driver vs distributed clustering equality."""
 
+import dataclasses
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -51,8 +53,7 @@ def brute_force_pairs(texts: list[str], threshold: float) -> set[tuple[int, int]
 def test_minhash_recall_vs_bruteforce(corpus):
     from fuzzy_matcher_ray.pipelines.dedup import find_duplicates
     docs, docs_tbl, _ = corpus
-    out = find_duplicates(docs, CFG, passes=("exact", "minhash"),
-                          cluster_strategy="driver").to_pandas()
+    out = find_duplicates(docs, CFG, passes=("exact", "minhash")).to_pandas()
     label = dict(zip(out.doc_id, out.cluster_id))
     texts = docs_tbl["text"].to_pylist()
     truth_pairs = brute_force_pairs(texts, CFG.jaccard_threshold)
@@ -95,8 +96,9 @@ def test_driver_vs_distributed_clustering(corpus):
         "a": pa.array([0, 1, 5, 6, 7], pa.int64()),
         "b": pa.array([1, 2, 6, 7, 8], pa.int64())}))
     ids = docs.select_columns(["doc_id"])
-    d1 = cluster_edges(edges, ids, CFG, strategy="driver").to_pandas()
-    d2 = cluster_edges(edges, ids, CFG, strategy="distributed").to_pandas()
+    d1 = cluster_edges(edges, ids, CFG).to_pandas()
+    d2 = cluster_edges(edges, ids, dataclasses.replace(
+        CFG, driver_uf_max_edges=0)).to_pandas()
     m1 = dict(zip(d1.doc_id, d1.cluster_id))
     m2 = dict(zip(d2.doc_id, d2.cluster_id))
     assert m1 == m2
@@ -167,8 +169,7 @@ def test_hot_band_star_chain_recall(ray_session):
     gmax = rows.groupby(["band", "band_hash"]).size().max()
     assert gmax > CFG.max_band_group, f"no hot group planted (max={gmax})"
 
-    out = find_duplicates(docs, CFG, passes=("exact", "minhash"),
-                          cluster_strategy="driver").to_pandas()
+    out = find_duplicates(docs, CFG, passes=("exact", "minhash")).to_pandas()
     label = dict(zip(out.doc_id, out.cluster_id))
     truth = brute_force_pairs(texts, CFG.jaccard_threshold)
     assert truth, "no true pairs planted"

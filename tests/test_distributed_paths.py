@@ -2,6 +2,8 @@
 joins, distributed label propagation) on small data and assert they produce
 byte-identical results to the driver fast paths."""
 
+import dataclasses
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -81,7 +83,8 @@ def test_full_pipeline_distributed_paths(ray_session, monkeypatch):
     fast = find_duplicates(rd.from_arrow(tbl), cfg) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     monkeypatch.setattr(C, "DRIVER_EXPLODE_MAX_ROWS", 10)
-    slow = find_duplicates(rd.from_arrow(tbl), cfg, cluster_strategy="distributed") \
+    slow = find_duplicates(rd.from_arrow(tbl),
+                           dataclasses.replace(cfg, driver_uf_max_edges=0)) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert fast[["doc_id", "cluster_id"]].equals(slow[["doc_id", "cluster_id"]])
 

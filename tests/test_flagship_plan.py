@@ -1,7 +1,8 @@
 """What ``find_duplicates`` executes and what rides through it: the Dataset
-executions of one run, sizing off the plan, url carried from the normalize
-stage to the output, zero-row and all-empty inputs, and normalize
-checkpoints written without url."""
+executions of one run (checkpointed or not, and of a fold and a chain),
+sizing off the plan, url carried from the normalize stage to the output,
+zero-row and all-empty inputs, and normalize checkpoints written without
+url."""
 
 import contextlib
 import threading
@@ -71,6 +72,66 @@ def test_flagship_runs_in_eight_executions(pages):
         out = collect_table(find_duplicates(webpages_source(pages), CFG))
     assert len(out) == 300
     assert counter.count == 8
+
+
+@pytest.fixture(scope="module")
+def shards(ray_session, tmp_path_factory):
+    """400 + 400 webpages docs as two pages files, in fold order."""
+    t, _ = make_webpages(800, seed=5)
+    d = tmp_path_factory.mktemp("shards")
+    paths = [str(d / f"shard{i}.parquet") for i in range(2)]
+    for i, p in enumerate(paths):
+        pq.write_table(t.slice(400 * i, 400), p)
+    return paths
+
+
+def test_checkpointed_flagship_runs_in_thirteen_executions(shards, tmp_path):
+    """A checkpointed run writes normalize, signatures, winnow_rows,
+    edges_all and clusters, each written and read back once. With each
+    pass's edges also checkpointed (``edges_<pass>``) and the verifies run
+    as four executions, the same run took 17."""
+    from fuzzy_matcher_ray.pipelines.dedup import find_duplicates
+    from fuzzy_matcher_ray.sources.protocol import webpages_source
+
+    ck = Checkpointer(str(tmp_path / "ck"), CFG.config_hash())
+    with ExecutionCounter().installed() as counter:
+        out = collect_table(find_duplicates(webpages_source(shards[0]), CFG,
+                                            checkpointer=ck))
+    assert len(out) == 400
+    assert counter.count == 13
+
+
+def test_fold_runs_in_nineteen_executions(shards, tmp_path):
+    """An uncheckpointed fold of 400 docs onto a 400-doc link, collected.
+    With a ``limit(1)`` emptiness probe ahead of its normalize stage it
+    took 20."""
+    from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
+                                                   incremental_update)
+    from fuzzy_matcher_ray.sources.protocol import webpages_source
+
+    root = str(tmp_path / "link0")
+    find_duplicates(webpages_source(shards[0]), CFG,
+                    checkpointer=Checkpointer(root, CFG.config_hash()))
+    with ExecutionCounter().installed() as counter:
+        out = collect_table(incremental_update(
+            [root], webpages_source(shards[1]), CFG))
+    assert len(out) == 800
+    assert counter.count == 19
+
+
+def test_two_shard_chain_runs_in_thirty_three_executions(shards, tmp_path):
+    """``dedup_sharded`` over both shards, collected: link 0, the prebuild
+    of link 1 and the fold. With per-pass edge checkpoints in link 0 and
+    emptiness probes ahead of the prebuild and the fold, it took 40."""
+    from fuzzy_matcher_ray.pipelines.dedup import dedup_sharded
+    from fuzzy_matcher_ray.sources.protocol import webpages_source
+
+    with ExecutionCounter().installed() as counter:
+        out = collect_table(dedup_sharded(
+            [(f"s{i}", webpages_source(p)) for i, p in enumerate(shards)],
+            str(tmp_path / "state"), CFG))
+    assert len(out) == 800
+    assert counter.count == 33
 
 
 def test_plan_bytes_executes_nothing(pages):
@@ -183,6 +244,9 @@ def test_zero_row_input_checkpoints_and_resumes(ray_session, tmp_path):
         assert out.count() == 0
         assert out.schema().base_schema == EMPTY_SCHEMA
         assert ck.metrics["normalize"]["resumed"] is resumed
+        # the rest of the link but edges_all, empty
+        assert sorted(ck.metrics) == ["clusters", "normalize", "signatures",
+                                      "winnow_rows"]
     assert pq.read_schema(str(tmp_path / "ck" / "normalize" / "data"
                               / "part-empty.parquet")) \
         == _link_schemas(CFG)["normalize"]

@@ -142,6 +142,27 @@ def test_sharded_empty_link_normalize_schema_matches(ray_session, tmp_path):
         assert pq.read_schema(p) == _link_schemas(cfg)["normalize"], p
 
 
+def test_chain_links_hold_the_same_stages(ray_session, tmp_path):
+    """Link 0 (find_duplicates) and link 1 (incremental_update) of a chain
+    write the same stage set."""
+    import ray.data as rd
+    from fuzzy_matcher_ray.pipelines.dedup import dedup_sharded
+    from fuzzy_matcher_ray.state.checkpoint import run_report
+
+    root = str(tmp_path / "state")
+    dedup_sharded([("a", rd.from_arrow(_docs_tbl(120, seed=88))),
+                   ("b", rd.from_arrow(_docs_tbl(80, seed=89,
+                                                 id_offset=1_000_000)))],
+                  root, PipelineConfig())
+    rep = run_report(root)
+    links: dict = {}
+    for path, stage in zip(rep["path"].to_pylist(), rep["stage"].to_pylist()):
+        links.setdefault(path.split(os.sep)[0], set()).add(stage)
+    assert sorted(links) == ["shard-00000-a", "shard-00001-b"]
+    assert list(links.values()) == [{"normalize", "signatures", "winnow_rows",
+                                     "edges_all", "clusters"}] * 2
+
+
 def test_sharded_one_shard_returns_labels_only(ray_session, tmp_path):
     """A one-shard chain returns find_duplicates' own clusters stage, which
     carries url: the chain still hands back (doc_id, cluster_id)."""

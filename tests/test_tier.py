@@ -60,6 +60,34 @@ def test_tiered_lsh_path_matches_exact(ray_session, corpus):
     assert exact.equals(lsh)
 
 
+def test_doc_winner_distributed_twin(ray_session, tmp_path, monkeypatch):
+    """The min-rep twin (groupby Min + hash join) gives the driver path's
+    (doc_id, w) rows: three copies of the fixture's docs, 24 rows past a
+    driver budget of 10."""
+    from fuzzy_matcher_ray.pipelines.tier import _doc_winner
+    from fuzzy_matcher_ray.stages import candidates
+
+    base = {1: BASE, 2: BASE + " x", 3: "abc", 4: "A b-c!", 5: "unique",
+            6: BASE.upper() + "!", 7: None, 8: ""}
+    ids = [k + off for off in (0, 10, 20) for k in base]
+    pq.write_table(pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+        "text": pa.array([base[i % 10] for i in ids], pa.string())}),
+        str(tmp_path / "documents.parquet"))
+    winner = {1: 1, 2: 2, 3: 3, 4: 3, 5: 5, 6: 1, 7: 7, 8: 7}
+    want = {i: winner[i % 10] for i in ids}
+
+    def rows():
+        t = _doc_winner(str(tmp_path)).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
+        assert dict(zip(t.doc_id, t.w)) == want
+        return t
+
+    driver = rows()
+    monkeypatch.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 10)
+    assert rows().equals(driver)
+
+
 def test_tier_counts_funnel(ray_session, corpus):
     got = tier_counts(corpus).to_pandas()
     assert dict(zip(got.tier, got.n_docs)) == {"exact": 3, "keep": 4,
