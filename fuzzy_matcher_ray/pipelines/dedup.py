@@ -4,14 +4,17 @@ The Ray-Data realization of the reference's two-phase roadmap
 (``/root/reference/TODO.md:69-74`` — "first-pass approximate index with
 n-grams or MinHash … coarse filtering followed by precise matching"):
 
-    read → normalize+gate → ┬ exact content-hash pass ───────────┐
-                            ├ MinHash/LSH bands → pairs → verify ┼→ edges
-                            ├ SimHash blocks   → pairs (Hamming) ┤
-                            └ winnow fps → pairs → SA verify ────┘
+    read → normalize+gate → ┬ exact content-hash pass ────────────┐
+                            ├ MinHash/LSH bands → pairs ┐          │
+                            │                           ├ verify ──┼→ edges
+                            ├ SimHash blocks → pairs ───┘          │
+                            └ winnow fps → pairs → SA verify ──────┘
     edges → connected components → (doc_id, cluster_id, url)
 
-``url`` rides from the normalize stage to the clusters output, so the
-source is read once and never joined back.
+The two LSH passes share one exact-Jaccard verify over the union of their
+candidate pairs, each row at its pass's threshold. ``url`` rides from the
+normalize stage to the clusters output, so the source is read once and
+never joined back.
 
 Every fan-in stage is an explicit hash shuffle with hot-key capping
 (stages/candidates.py); every pass streams; nothing materializes the corpus
@@ -19,7 +22,7 @@ on the driver. With a Checkpointer, each boxed stage is an immutable Parquet
 artifact with a manifest (resume = skip).
 
 A fold (``incremental_update``, chained by ``dedup_sharded``) is the same
-four pass builders run over a delta: handed a ``PriorIndex``, each builder
+pass builders run over a delta: handed a ``PriorIndex``, each builder
 semi-joins the prior run's key rows against the increment's, keeps only
 pairs touching a new doc, and fans in at the same ``edges_all`` stage.
 """
@@ -204,26 +207,36 @@ def _texts(norm, prior: PriorIndex | None):
 
 
 def _verified_jaccard(pairs, texts, cfg: PipelineConfig, attacher,
-                      threshold: float | None = None, sets_ref=None):
-    """Exact-Jaccard verification. Preference order: the precomputed
-    corpus shingle-set artifact (zero per-batch shingling), the shared text
-    broadcast (per-batch chunked recompute), a hash join attaching texts."""
+                      sets_ref=None):
+    """Exact-Jaccard verification of (a, b, threshold) pairs, each row at
+    its own threshold. Preference order: the precomputed corpus shingle-set
+    artifact (zero per-batch shingling), the shared text broadcast
+    (per-batch chunked recompute), a hash join attaching texts."""
     if sets_ref is not None:
-        ver = JaccardVerifier(cfg, threshold, sets_ref=sets_ref)
+        ver = JaccardVerifier(cfg, sets_ref=sets_ref)
         src = pairs
     elif attacher is not None:
-        ver = JaccardVerifier(cfg, threshold, text_ref=attacher.ref)
+        ver = JaccardVerifier(cfg, text_ref=attacher.ref)
         src = pairs
     else:
-        ver = JaccardVerifier(cfg, threshold)
+        ver = JaccardVerifier(cfg)
         src = attach_pair_texts(pairs, texts, cfg)
     return src.map_batches(ver, batch_format="pyarrow",
                            batch_size=cfg.verify_batch_size)
 
 
-def minhash_edges(norm, cfg: PipelineConfig, attacher=None, sigs=None,
-                  sets_ref=None, prior: PriorIndex | None = None):
-    """MinHash/LSH pass → exact-Jaccard-verified edges (a, b, jaccard).
+def _at_threshold(pairs, threshold: float):
+    """(a, b, ...) → (a, b, threshold): the pass's Jaccard accept
+    threshold on every row."""
+    return pairs.map_batches(lambda t: pa.table({
+        "a": t["a"], "b": t["b"],
+        "threshold": pa.array(np.full(len(t), threshold))}),
+        batch_format="pyarrow")
+
+
+def minhash_pairs(norm, cfg: PipelineConfig, sigs=None,
+                  prior: PriorIndex | None = None):
+    """MinHash/LSH candidates (a, b, threshold) at ``cfg.jaccard_threshold``.
 
     With ``cfg.verify_budget_per_doc`` set, pairs keep their band-agreement
     multiplicity (``dedup=False``) and each doc verifies only its
@@ -241,14 +254,14 @@ def minhash_edges(norm, cfg: PipelineConfig, attacher=None, sigs=None,
     if budget is not None:
         from fuzzy_matcher_ray.stages.candidates import budget_pairs, count_pairs
         pairs = budget_pairs(count_pairs(pairs), budget)
-    return _verified_jaccard(pairs, _texts(norm, prior), cfg, attacher,
-                             sets_ref=sets_ref)
+    return _at_threshold(pairs, cfg.jaccard_threshold)
 
 
-def simhash_edges(norm, cfg: PipelineConfig, attacher=None, sigs=None,
-                  sets_ref=None, prior: PriorIndex | None = None):
-    """SimHash block pass: Hamming ≤ d candidates, then exact-Jaccard verify
-    at a relaxed threshold (backstop for near-threshold MinHash misses)."""
+def simhash_pairs(norm, cfg: PipelineConfig, sigs=None,
+                  prior: PriorIndex | None = None):
+    """SimHash block candidates (a, b, threshold): Hamming ≤ d, at the
+    relaxed threshold ``max(0.5, t - 0.1)`` (backstop for near-threshold
+    MinHash misses)."""
     if sigs is None:
         sigs = signature_table(norm, cfg)
     pairs = _candidate_pairs(
@@ -256,10 +269,28 @@ def simhash_edges(norm, cfg: PipelineConfig, attacher=None, sigs=None,
         None if prior is None else simhash_key_rows(prior.sigs, cfg),
         ["block", "block_val"], cfg, carry_cols=["simhash"],
         pair_filter=simhash_pair_filter(cfg.simhash_hamming_max))
-    pairs = _edges_only(pairs)
-    relaxed = max(0.5, cfg.jaccard_threshold - 0.1)
+    return _at_threshold(pairs, max(0.5, cfg.jaccard_threshold - 0.1))
+
+
+def lsh_edges(norm, cfg: PipelineConfig, passes: tuple = ("minhash", "simhash"),
+              attacher=None, sigs=None, sets_ref=None,
+              prior: PriorIndex | None = None):
+    """The MinHash and SimHash passes of ``passes`` → exact-Jaccard-verified
+    edges (a, b, jaccard).
+
+    Each pass builds its candidates on its own driver thread; their union
+    feeds ONE verify, so a doc the two passes share is shingled once per
+    batch and, on the join path, its text is attached once. Each row keeps
+    its pass's threshold, so a pair both passes propose is accepted iff its
+    Jaccard reaches the smaller of the two: the union of the two passes'
+    accept sets."""
+    builds = [f for p, f in (("minhash", minhash_pairs),
+                             ("simhash", simhash_pairs)) if p in passes]
+    with ThreadPoolExecutor(max_workers=len(builds)) as pool:
+        cands = list(pool.map(lambda f: f(norm, cfg, sigs, prior), builds))
+    pairs = cands[0] if len(cands) == 1 else cands[0].union(cands[1])
     return _verified_jaccard(pairs, _texts(norm, prior), cfg, attacher,
-                             relaxed, sets_ref=sets_ref)
+                             sets_ref)
 
 
 def _pack_pp(t: pa.Table) -> pa.Array:
@@ -310,27 +341,28 @@ def substring_edges(norm, cfg: PipelineConfig, attacher=None, rows=None,
 
 def _pass_builders(passes: tuple, norm, cfg: PipelineConfig, attacher, sigs,
                    win, sets_ref=None, prior: PriorIndex | None = None
-                   ) -> dict:
-    """pass name → thunk building that pass's (a, b) edges, for the wanted
-    passes in their fixed order. ``win`` is a thunk for the winnow rows: it
-    runs on the substring pass's thread, so a winnow build overlaps the
-    other passes."""
-    make = {
-        "exact": lambda: exact_dup_edges(norm, cfg, prior),
-        "minhash": lambda: _edges_only(minhash_edges(
-            norm, cfg, attacher, sigs, sets_ref, prior)),
-        "simhash": lambda: _edges_only(simhash_edges(
-            norm, cfg, attacher, sigs, sets_ref, prior)),
-        "substring": lambda: _edges_only(substring_edges(
-            norm, cfg, attacher, win(), prior)),
-    }
-    return {p: make[p] for p in PASSES if p in passes}
+                   ) -> list:
+    """Thunks building the (a, b) edges of the wanted passes, in their
+    fixed order: exact, then MinHash and SimHash as ONE thunk (``lsh_edges``:
+    one verify over both passes' candidates), then substring. ``win`` is a
+    thunk for the winnow rows: it runs on the substring pass's thread, so a
+    winnow build overlaps the other passes."""
+    make = []
+    if "exact" in passes:
+        make.append(lambda: exact_dup_edges(norm, cfg, prior))
+    if "minhash" in passes or "simhash" in passes:
+        make.append(lambda: _edges_only(lsh_edges(
+            norm, cfg, passes, attacher, sigs, sets_ref, prior)))
+    if "substring" in passes:
+        make.append(lambda: _edges_only(substring_edges(
+            norm, cfg, attacher, win(), prior)))
+    return make
 
 
 def _edges_all(ck: Checkpointer, builders):
     """The ``edges_all`` stage: build the passes on parallel driver
-    threads, union their edges and dedup them. ``builders()`` returns pass
-    name → thunk and is called only when the stage builds, so a resumed
+    threads, union their edges and dedup them. ``builders()`` returns the
+    pass thunks and is called only when the stage builds, so a resumed
     ``edges_all`` builds no pass at all.
 
     The passes are independent until the union: on parallel threads their
@@ -344,7 +376,7 @@ def _edges_all(ck: Checkpointer, builders):
     source read at bench scale (1,500 docs).
     """
     def build():
-        thunks = list(builders().values())
+        thunks = builders()
         with ThreadPoolExecutor(max_workers=len(thunks)) as pool:
             edge_sets = list(pool.map(lambda f: f(), thunks))
         edges = edge_sets[0]
@@ -421,8 +453,8 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
 
     def builders():
         # one broadcast copy of (doc_id → norm_text) shared by every verify
-        # pass, and the corpus shingle-set artifact: the Jaccard verifies of
-        # both LSH passes intersect zero-copy against ONE plasma object
+        # pass, and the corpus shingle-set artifact: the LSH passes' one
+        # Jaccard verify intersects zero-copy against ONE plasma object
         # instead of re-shingling every batch's distinct docs (size-gated;
         # None ⇒ verifiers fall back to the text broadcast / join paths).
         # Off by default — see config.use_shingle_set_artifact.
@@ -621,7 +653,7 @@ def _semi_join_rows(rows_prior, rows_inc, key_cols, cfg: PipelineConfig):
     fixed cost parallelizes. Either way the prior side never explodes
     into pairs for buckets the increment doesn't touch.
 
-    CONCURRENCY CONTRACT: the fold's four pass builders run on parallel
+    CONCURRENCY CONTRACT: the fold's pass builders run on parallel
     driver threads. A hash join gang-schedules its aggregator actors per
     execution, and two-plus concurrent gangs on a small cluster starve
     each other (measured: permanent deadlock at ``num_cpus=4`` with the
@@ -731,7 +763,7 @@ def incremental_update(prior_root: str | list[str], new_docs,
     A fold is the flagship's own pass builders run over a delta. It reads
     the prior run's artifacts (normalize / signatures / winnow_rows /
     clusters), builds ONLY the increment's, and hands the prior ones to
-    ``exact_dup_edges`` / ``minhash_edges`` / ``simhash_edges`` /
+    ``exact_dup_edges`` / ``minhash_pairs`` / ``simhash_pairs`` /
     ``substring_edges`` as a ``PriorIndex``: each semi-joins the prior key
     rows against the increment's key set, so buckets the increment never
     touches never explode into pairs, and keeps only pairs with ≥1 new doc.

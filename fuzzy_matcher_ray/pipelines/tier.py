@@ -189,8 +189,6 @@ def dup_funnel(sf_dir: str, cfg: PipelineConfig | None = None,
     sigs = None
     if "minhash" in passes or "simhash" in passes:
         sigs = signature_table(norm, cfg).materialize()
-    builders = _pass_builders(passes, norm, cfg, None, sigs,
-                              lambda: winnow_rows(norm, cfg))
     ids = norm.select_columns(["doc_id"]).materialize()
     n_docs = ids.count()
 
@@ -203,7 +201,9 @@ def dup_funnel(sf_dir: str, cfg: PipelineConfig | None = None,
     prev = 0
     names, removed = [], []
     for p in passes:
-        e = builders[p]().materialize()
+        (build,) = _pass_builders((p,), norm, cfg, None, sigs,
+                                  lambda: winnow_rows(norm, cfg))
+        e = build().materialize()
         prefix = e if prefix is None else prefix.union(e).materialize()
         n_rm = _n_removed(cluster_edges(dedup_pairs(prefix), ids, cfg))
         names.append(p)

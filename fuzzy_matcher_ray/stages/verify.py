@@ -3,11 +3,14 @@
 ≙ reference verify+score (``fuzzy_matcher_core.go:220-267``
 CalculateSimilarity per field + threshold reject + weighted sum), re-expressed
 as a batched numeric kernel over pair tables: exact 5-gram Jaccard for the
-near-dup pipeline, and for the substring pass an exact ">= min_len common
-substring" kernel (seed and sampled-probe-gram alignments, all checked by
-one vectorized byte compare; a suffix array only for highly repetitive
-pairs). Texts are attached by broadcast lookup or hash join
-(``stages/joins.py``) — the per-batch kernels themselves are pure numpy.
+near-dup pipeline (one verify over the MinHash and SimHash candidates, each
+row at its own pass's threshold; each batch's pairs intersected by an
+anchor-grouped boolean-mask kernel), and for the substring pass an exact
+">= min_len common substring" kernel (seed and sampled-probe-gram
+alignments, all checked by one vectorized byte compare; a suffix array
+only for highly repetitive pairs). Texts are attached by broadcast lookup
+or hash join (``stages/joins.py``) — the per-batch kernels themselves are
+pure numpy.
 """
 
 from __future__ import annotations
@@ -207,8 +210,9 @@ def _intersect_block_sets(blocks, blk, starts, counts,
                           ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """|set ∩ set| per pair over per-doc sets living in a LIST of zero-copy
     plasma value arrays (doc d's set is blocks[blk[d]][starts[d]:
-    starts[d]+counts[d]]). Same small-into-big binary-search kernel as
-    :func:`segmented_intersection_counts` — the two sets stay in L1/L2."""
+    starts[d]+counts[d]]). The small-into-big binary search that
+    :func:`segmented_intersection_counts` keeps for single-partner pairs —
+    the two sets stay in L1/L2."""
     n = len(ia)
     out = np.zeros(n, dtype=np.int64)
     ss = np.searchsorted
@@ -230,14 +234,21 @@ def _intersect_block_sets(blocks, blk, starts, counts,
 
 
 class JaccardVerifier(_TextFetcher):
-    """pairs (a, b[, text_a, text_b]) → (a, b, jaccard) for pairs ≥ threshold.
+    """pairs (a, b[, threshold][, text_a, text_b]) → (a, b, jaccard) for
+    the pairs at or above their threshold.
 
     Exact Jaccard over unique k-gram shingle sets. Each DISTINCT doc in the
     batch is shingled exactly once into a pool of per-doc sorted-unique
-    sets; each pair's intersection is then a binary search of the smaller
-    set into the larger (``segmented_intersection_counts``: one
-    ``searchsorted`` per pair, both sets cache-resident). With ``text_ref``
-    (the shared broadcast) the input pairs carry no text at all.
+    sets, and ``segmented_intersection_counts`` intersects every pair
+    against that pool: one boolean mask per doc with several partners in
+    the batch, a binary search of the smaller set into the larger for the
+    rest. With ``text_ref`` (the shared broadcast) the input pairs carry no
+    text at all.
+
+    A ``threshold`` column, when the batch has one, is each row's own
+    accept threshold (the MinHash and SimHash candidates of one run share
+    a verify, each pass at its own threshold); without it every row uses
+    ``threshold``, which defaults to ``cfg.jaccard_threshold``.
     """
 
     def __init__(self, cfg: PipelineConfig, threshold: float | None = None,
@@ -298,7 +309,10 @@ class JaccardVerifier(_TextFetcher):
         both_empty = union == 0
         jac = np.where(both_empty, 1.0,
                        inter / np.maximum(union, 1))
-        keep = jac >= self.threshold
+        if "threshold" in batch.column_names:
+            keep = jac >= batch["threshold"].to_numpy(zero_copy_only=False)
+        else:
+            keep = jac >= self.threshold
         return pa.table({
             "a": pa.array(batch["a"].to_numpy(zero_copy_only=False)[keep]),
             "b": pa.array(batch["b"].to_numpy(zero_copy_only=False)[keep]),

@@ -82,8 +82,8 @@ def test_resumed_edges_all_builds_no_pass(docs, tmp_path, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a resumed edges_all must build no pass")
 
-    for name in ("exact_dup_edges", "minhash_edges", "simhash_edges",
-                 "substring_edges", "winnow_rows"):
+    for name in ("exact_dup_edges", "minhash_pairs", "simhash_pairs",
+                 "lsh_edges", "substring_edges", "winnow_rows"):
         monkeypatch.setattr(dedup, name, no_build)
     out2, ck2 = _run(docs, root, cfg)
     assert ck2.metrics["edges_all"]["resumed"]

@@ -250,9 +250,9 @@ def test_shingle_set_artifact_parity(corpus):
     sigs = D.signature_table(norm, CFG).materialize()
     sets_ref = build_shingle_sets(norm, CFG)
     assert sets_ref is not None
-    base = D.minhash_edges(norm, CFG, sigs=sigs).to_pandas() \
+    base = D.lsh_edges(norm, CFG, sigs=sigs).to_pandas() \
         .sort_values(["a", "b"]).reset_index(drop=True)
-    art = D.minhash_edges(norm, CFG, sigs=sigs, sets_ref=sets_ref).to_pandas() \
+    art = D.lsh_edges(norm, CFG, sigs=sigs, sets_ref=sets_ref).to_pandas() \
         .sort_values(["a", "b"]).reset_index(drop=True)
     assert base.equals(art), "artifact edges differ from recompute edges"
     # e2e with the knob on matches the default pipeline

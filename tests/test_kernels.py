@@ -13,7 +13,8 @@ from fuzzy_matcher_ray.functions.fingerprint import content_hash, winnow_batch
 from fuzzy_matcher_ray.functions.minhash import (
     EMPTY_SIG, band_hashes, minhash_signatures, perm_params)
 from fuzzy_matcher_ray.functions.shingle import (
-    counts_to_offsets, shingle_batch, unique_per_doc)
+    counts_to_offsets, segmented_intersection_counts, shingle_batch,
+    unique_per_doc)
 from fuzzy_matcher_ray.functions.simhash import (
     hamming64, simhash_batch, simhash_combo_keys)
 from fuzzy_matcher_ray.functions.suffix import lcp_array, long_repeat_pairs, suffix_array
@@ -495,6 +496,63 @@ def test_simhash_batch_matches_oracle(sketch_blocks):
         got = simhash_batch(h, counts)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert (got == want).all()
+
+
+# ---------------- Jaccard intersection kernel -------------------------------
+
+def _intersection_case(seed: int):
+    """Per-doc sorted-unique uint64 sets and pairs that reach every branch
+    of ``segmented_intersection_counts``, in shuffled order.
+
+    Docs 0-1 are empty, 2-7 tiny or large; 8 is a star anchor with 40
+    partners. Anchors 20, 21 and 22 have three partners each, two of them
+    copies of the other two anchors' sets, so a mask left set by any
+    earlier group overcounts a later one. Docs 32+ form a chain of
+    single-partner groups. Then self pairs, repeated and reversed pairs,
+    empty sets as anchor, partner and single, and very unequal sizes."""
+    rng = np.random.default_rng(seed)
+    sizes = [0, 0, 1, 2, 5, 450, 580, 3] + rng.integers(0, 300, 92).tolist()
+    # values spread over the whole uint64 range (int64-negative too),
+    # drawn from 600 so that sets overlap
+    mult = np.uint64(0x9E3779B97F4A7C15)
+    sets = [np.sort(rng.choice(600, size=s, replace=False).astype(np.uint64)
+                    * mult) for s in sizes]
+    n_docs = len(sets)
+    pairs = [(8, int(d)) for d in rng.choice(np.arange(32, n_docs), 40,
+                                              replace=False)]
+    for i, anchor in enumerate((20, 21, 22)):
+        copy_a, copy_b, fresh = 23 + 3 * i, 24 + 3 * i, 25 + 3 * i
+        sets[copy_a], sets[copy_b] = [sets[o].copy()
+                                      for o in (20, 21, 22) if o != anchor]
+        pairs += [(anchor, copy_a), (copy_b, anchor), (anchor, fresh)]
+    pairs += [(i, i + 1) for i in range(32, n_docs - 1)]
+    pairs += [(5, 5), (11, 11), (0, 0), (3, 40), (3, 40), (40, 3)]
+    pairs += [(0, d) for d in range(4, 8)] + [(6, 1), (1, 2)]
+    pairs += [(4, 6), (3, 6), (6, 3), (2, 5)]
+    pairs = np.array(pairs, dtype=np.int64)[rng.permutation(len(pairs))]
+    uh = np.concatenate(sets)
+    uc = np.array([len(x) for x in sets], dtype=np.int64)
+    want = [len(set(sets[a].tolist()) & set(sets[b].tolist())) for a, b in pairs]
+    return uh, uc, pairs[:, 0].copy(), pairs[:, 1].copy(), want
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_segmented_intersection_counts_matches_set_oracle(seed):
+    uh, uc, ia, ib, want = _intersection_case(seed)
+    assert segmented_intersection_counts(uh, uc, ia, ib).tolist() == want
+    # the same pairs reversed put the other endpoint first
+    assert segmented_intersection_counts(uh, uc, ib, ia).tolist() == want
+
+
+def test_segmented_intersection_counts_degenerate():
+    none = np.zeros(0, dtype=np.int64)
+    uc = np.array([0, 0, 0], dtype=np.int64)
+    ia, ib = np.array([0, 1, 2, 0]), np.array([1, 2, 2, 0])
+    assert segmented_intersection_counts(np.zeros(0, np.uint64), uc,
+                                         ia, ib).tolist() == [0] * 4
+    uh = np.array([3, 9], dtype=np.uint64)
+    assert segmented_intersection_counts(uh, np.array([2]), none,
+                                         none).tolist() == []
 
 
 # ---------------- union-find -------------------------------------------------
