@@ -12,6 +12,8 @@ identical block when blocks > d (pigeonhole), so grouping on
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
 from fuzzy_matcher_ray.functions.shingle import counts_to_offsets, doc_blocks
@@ -55,6 +57,8 @@ def simhash_batch(hashes: np.ndarray, counts: np.ndarray) -> np.ndarray:
 # combination's key matches exactly (pigeonhole) — while 32-bit keys make
 # random collisions ~2^16x rarer than 16-bit block keys.
 _PIECE_WIDTHS = (11, 11, 11, 11, 10, 10)
+# keys per doc from ``simhash_combo_keys`` at its default r = 3
+COMBO_KEYS = comb(len(_PIECE_WIDTHS), 3)
 _PIECE_OFFSETS = tuple(int(np.cumsum((0,) + _PIECE_WIDTHS[:-1])[i])
                        for i in range(6))
 

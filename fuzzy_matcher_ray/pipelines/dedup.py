@@ -4,22 +4,25 @@ The Ray-Data realization of the reference's two-phase roadmap
 (``/root/reference/TODO.md:69-74`` — "first-pass approximate index with
 n-grams or MinHash … coarse filtering followed by precise matching"):
 
-    read → normalize+gate → ┬ exact content-hash pass ────────────┐
-                            ├ MinHash/LSH bands → pairs ┐          │
-                            │                           ├ verify ──┼→ edges
-                            ├ SimHash blocks → pairs ───┘          │
-                            └ winnow fps → pairs → SA verify ──────┘
+    read → normalize+gate ─┬───────────── exact content-hash pass ──────────┐
+                           └ sketch ┬ MinHash bands → pairs ┐                 │
+                                    │                       ├ verify ─────────┼→ edges
+                                    ├ SimHash keys → pairs ─┘                 │
+                                    └ winnow fps → pairs → substring verify ──┘
     edges → connected components → (doc_id, cluster_id, url)
 
-The two LSH passes share one exact-Jaccard verify over the union of their
-candidate pairs, each row at its pass's threshold. ``url`` rides from the
-normalize stage to the clusters output, so the source is read once and
-never joined back.
-
-Every fan-in stage is an explicit hash shuffle with hot-key capping
-(stages/candidates.py); every pass streams; nothing materializes the corpus
-on the driver. With a Checkpointer, each boxed stage is an immutable Parquet
-artifact with a manifest (resume = skip).
+Three Dataset executions: normalize, the sketch (ONE per-doc map: MinHash
+bands, SimHash and winnowed fingerprints of each fuzzy doc), and the fan-in
+that runs every verify and dedups the edges. Between them the key rows,
+candidate pairs and, after it, the cluster fill are built on the driver
+from the materialized blocks (``joins.map_blocks``) while they fit; past
+that, or over a checkpoint read, each is a Ray map or shuffle with hot-key
+capping (stages/candidates.py). The two LSH passes share one exact-Jaccard
+verify with one row per candidate pair, at the smaller of the thresholds of
+the passes that propose it. ``url`` rides from the normalize stage to the
+clusters output, so the source is read once and never joined back. With a
+Checkpointer, normalize, the sketch (``signatures``), ``edges_all`` and
+``clusters`` are immutable Parquet artifacts with manifests (resume = skip).
 
 A fold (``incremental_update``, chained by ``dedup_sharded``) is the same
 pass builders run over a delta: handed a ``PriorIndex``, each builder
@@ -38,31 +41,37 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from fuzzy_matcher_ray.config import PipelineConfig
-from fuzzy_matcher_ray.stages.candidates import dedup_pairs, key_pairs
+from fuzzy_matcher_ray.stages.candidates import (_chunked_ds,
+                                                 _numpy_dedup_pairs,
+                                                 dedup_pairs, key_pairs)
 from fuzzy_matcher_ray.stages.cluster import (_coalesce_i64, cluster_edges,
                                               component_labels)
-from fuzzy_matcher_ray.stages.joins import attach_columns
+from fuzzy_matcher_ray.stages.joins import (attach_columns, block_tables,
+                                            map_blocks, project)
 from fuzzy_matcher_ray.stages.minhash_stage import (
-    Signatures, Winnower, add_stage, band_key_rows, simhash_key_rows)
+    Signatures, add_stage, band_key_rows, simhash_key_rows, winnow_key_rows)
 from fuzzy_matcher_ray.stages.normalize_stage import normalized_docs
 from fuzzy_matcher_ray.stages.verify import (
     JaccardVerifier, SubstringVerifier, attach_pair_texts, simhash_pair_filter)
 from fuzzy_matcher_ray.state.checkpoint import Checkpointer
 
 PASSES = ("exact", "minhash", "simhash", "substring")
+# the passes whose key rows come from the sketch (``signature_table``)
+_SKETCH_PASSES = {"minhash", "simhash", "substring"}
+# the normalize columns a fold reads from a prior link
+_PRIOR_NORM_COLUMNS = ["doc_id", "norm_text", "text_hash", "text_hash2", "tier"]
 EDGE_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 
 
 @dataclasses.dataclass(frozen=True)
 class PriorIndex:
-    """What a fold hands the pass builders: the prior corpus's normalize,
-    signatures and winnow-row artifacts (the key-row sources each pass
+    """What a fold hands the pass builders: the prior corpus's normalize
+    and signatures (sketch) artifacts (the key-row sources each pass
     semi-joins against the increment's keys), and ``texts`` — (doc_id,
     norm_text) over prior ∪ increment, the verify stages' text source when
     the broadcast does not fit."""
     norm: object
     sigs: object = None
-    winnow_rows: object = None
     texts: object = None
 
 
@@ -73,12 +82,10 @@ def _edges_only(ds):
 def _hash_rows(norm):
     """(text_hash, text_hash2, doc_id) of every doc above the skip tier."""
     from fuzzy_matcher_ray.stages.normalize_stage import TIER_SKIP
-    return norm.map_batches(
-        lambda t: pa.table({
-            "text_hash": t["text_hash"], "text_hash2": t["text_hash2"],
-            "doc_id": t["doc_id"],
-        }).filter(pc.greater(t["tier"], pa.scalar(TIER_SKIP, pa.int8()))),
-        batch_format="pyarrow")
+    return map_blocks(norm, lambda t: pa.table({
+        "text_hash": t["text_hash"], "text_hash2": t["text_hash2"],
+        "doc_id": t["doc_id"],
+    }).filter(pc.greater(t["tier"], pa.scalar(TIER_SKIP, pa.int8()))))
 
 
 def exact_dup_edges(norm, cfg: PipelineConfig,
@@ -129,8 +136,9 @@ def min_reps(rows, key_cols: list[str], num_partitions: int):
         t = _collect_driver_table(rows, [*key_cols, "doc_id"])
         if t is None:
             # an all-skip-tier corpus yields zero rows
-            return rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
-                                           "rep": pa.array([], pa.int64())}))
+            return rd.from_blocks([pa.table({
+                "doc_id": pa.array([], pa.int64()),
+                "rep": pa.array([], pa.int64())})])
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         keys = [t[c].to_numpy(zero_copy_only=False) for c in key_cols]
         order = np.lexsort([ids, *keys[::-1]])
@@ -141,8 +149,8 @@ def min_reps(rows, key_cols: list[str], num_partitions: int):
             k = k[order]
             brk[1:] |= k[1:] != k[:-1]
         rep = ids[np.flatnonzero(brk)][np.cumsum(brk) - 1]
-        return rd.from_arrow(pa.table({"doc_id": pa.array(ids),
-                                       "rep": pa.array(rep)}))
+        return rd.from_blocks([pa.table({"doc_id": pa.array(ids),
+                                         "rep": pa.array(rep)})])
     reps = rows.groupby(key_cols).aggregate(
         Min("doc_id", alias_name="rep")).materialize()
     P = effective_partitions(num_partitions)
@@ -159,23 +167,17 @@ def min_reps(rows, key_cols: list[str], num_partitions: int):
 
 
 def signature_table(norm, cfg: PipelineConfig):
-    """One shingle pass → compact per-doc signatures (bands + simhash).
+    """One pass over the text → the per-doc sketch (bands, simhash, and the
+    winnowed fingerprints fp with their positions pos).
 
-    The MinHash and SimHash passes both explode THIS ~140 B/doc table for
-    their candidate keys; the corpus text is never re-hashed per pass
+    The MinHash, SimHash and substring passes all explode THIS table for
+    their candidate keys; the corpus text is never re-read per pass
     (round-1 verdict item 1: redundant shingle passes were the top
-    memory-bandwidth cost).
+    memory-bandwidth cost). Checkpointed as the ``signatures`` artifact, so
+    a fold never re-sketches the prior corpus.
     """
-    return add_stage(norm.select_columns(["doc_id", "fold_text", "tier"]),
-                     Signatures, cfg)
-
-
-def winnow_rows(norm, cfg: PipelineConfig):
-    """Winnowed window fingerprints (fp, doc_id, pos) — the substring
-    pass's key rows, checkpointed as the ``winnow_rows`` artifact so a fold
-    never re-winnows the prior corpus."""
     return add_stage(norm.select_columns(["doc_id", "norm_text", "tier"]),
-                     Winnower, cfg)
+                     Signatures, cfg)
 
 
 def _candidate_pairs(rows, prior_rows, key_cols: list[str],
@@ -228,10 +230,32 @@ def _verified_jaccard(pairs, texts, cfg: PipelineConfig, attacher,
 def _at_threshold(pairs, threshold: float):
     """(a, b, ...) → (a, b, threshold): the pass's Jaccard accept
     threshold on every row."""
-    return pairs.map_batches(lambda t: pa.table({
+    return map_blocks(pairs, lambda t: pa.table({
         "a": t["a"], "b": t["b"],
-        "threshold": pa.array(np.full(len(t), threshold))}),
-        batch_format="pyarrow")
+        "threshold": pa.array(np.full(len(t), threshold))}))
+
+
+def _union_lsh_pairs(cands: list):
+    """The LSH passes' (a, b, threshold) candidates as one dataset. Driver
+    tables (the passes' candidates are materialized while they fit) union
+    on the driver into ONE row per pair at the smaller threshold: a pair is
+    accepted iff its Jaccard reaches the smaller of its passes' thresholds,
+    so the accept set is that of one row per pass, verified once."""
+    if len(cands) == 1:
+        return cands[0]
+    import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
+
+    if not all(isinstance(c, MaterializedDataset) for c in cands):
+        return cands[0].union(*cands[1:])
+    parts = [t.select(["a", "b", "threshold"])
+             for c in cands for t in block_tables(c)]
+    if not parts:
+        return rd.from_blocks([pa.table({
+            "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
+            "threshold": pa.array([], pa.float64())})])
+    return _chunked_ds(_numpy_dedup_pairs(pa.concat_tables(parts),
+                                          ["threshold"]), chunk=4096)
 
 
 def minhash_pairs(norm, cfg: PipelineConfig, sigs=None,
@@ -280,17 +304,16 @@ def lsh_edges(norm, cfg: PipelineConfig, passes: tuple = ("minhash", "simhash"),
 
     Each pass builds its candidates on its own driver thread; their union
     feeds ONE verify, so a doc the two passes share is shingled once per
-    batch and, on the join path, its text is attached once. Each row keeps
-    its pass's threshold, so a pair both passes propose is accepted iff its
-    Jaccard reaches the smaller of the two: the union of the two passes'
-    accept sets."""
+    batch and, on the join path, its text is attached once. A pair both
+    passes propose is accepted iff its Jaccard reaches the smaller of the
+    two thresholds: the union of the two passes' accept sets
+    (``_union_lsh_pairs``)."""
     builds = [f for p, f in (("minhash", minhash_pairs),
                              ("simhash", simhash_pairs)) if p in passes]
     with ThreadPoolExecutor(max_workers=len(builds)) as pool:
         cands = list(pool.map(lambda f: f(norm, cfg, sigs, prior), builds))
-    pairs = cands[0] if len(cands) == 1 else cands[0].union(cands[1])
-    return _verified_jaccard(pairs, _texts(norm, prior), cfg, attacher,
-                             sets_ref)
+    return _verified_jaccard(_union_lsh_pairs(cands), _texts(norm, prior),
+                             cfg, attacher, sets_ref)
 
 
 def _pack_pp(t: pa.Table) -> pa.Array:
@@ -308,7 +331,7 @@ def _pack_pp(t: pa.Table) -> pa.Array:
     return arr
 
 
-def substring_edges(norm, cfg: PipelineConfig, attacher=None, rows=None,
+def substring_edges(norm, cfg: PipelineConfig, attacher=None, sigs=None,
                     prior: PriorIndex | None = None):
     """Winnowed-fingerprint co-location → exact long-repeat verification.
 
@@ -321,15 +344,15 @@ def substring_edges(norm, cfg: PipelineConfig, attacher=None, rows=None,
     vectorized byte compare. A suffix array decides only pairs past a
     lookup-hit budget (highly repetitive docs).
 
-    ``rows``: ``norm``'s winnow rows (``winnow_rows``), built when None.
-    With ``prior`` only pairs touching the increment are candidates.
+    ``sigs``: ``norm``'s sketch (``signature_table``), built when None; its
+    fp and pos lists flatten into the key rows (``winnow_key_rows``). With
+    ``prior`` only pairs touching the increment are candidates.
     """
-    if rows is None:
-        rows = winnow_rows(norm, cfg)
-    cols = ["fp", "doc_id", "pos"]
+    if sigs is None:
+        sigs = signature_table(norm, cfg)
     pairs = _candidate_pairs(
-        rows.select_columns(cols),
-        None if prior is None else prior.winnow_rows.select_columns(cols),
+        winnow_key_rows(sigs),
+        None if prior is None else winnow_key_rows(prior.sigs),
         ["fp"], cfg, carry_cols=["pos"], derive={"pp": _pack_pp})
     if attacher is not None:
         ver = SubstringVerifier(cfg, text_ref=attacher.ref)
@@ -340,13 +363,11 @@ def substring_edges(norm, cfg: PipelineConfig, attacher=None, rows=None,
 
 
 def _pass_builders(passes: tuple, norm, cfg: PipelineConfig, attacher, sigs,
-                   win, sets_ref=None, prior: PriorIndex | None = None
-                   ) -> list:
+                   sets_ref=None, prior: PriorIndex | None = None) -> list:
     """Thunks building the (a, b) edges of the wanted passes, in their
     fixed order: exact, then MinHash and SimHash as ONE thunk (``lsh_edges``:
-    one verify over both passes' candidates), then substring. ``win`` is a
-    thunk for the winnow rows: it runs on the substring pass's thread, so a
-    winnow build overlaps the other passes."""
+    one verify over both passes' candidates), then substring. ``sigs`` is
+    ``norm``'s sketch, the key-row source of the last three."""
     make = []
     if "exact" in passes:
         make.append(lambda: exact_dup_edges(norm, cfg, prior))
@@ -355,7 +376,7 @@ def _pass_builders(passes: tuple, norm, cfg: PipelineConfig, attacher, sigs,
             norm, cfg, passes, attacher, sigs, sets_ref, prior)))
     if "substring" in passes:
         make.append(lambda: _edges_only(substring_edges(
-            norm, cfg, attacher, win(), prior)))
+            norm, cfg, attacher, sigs, prior)))
     return make
 
 
@@ -367,13 +388,16 @@ def _edges_all(ck: Checkpointer, builders):
 
     The passes are independent until the union: on parallel threads their
     internal barriers (counts, sorts, collects) overlap instead of
-    serializing end-to-end. The per-pass edge datasets stay LAZY, so the
-    verify stages of all passes execute inside ONE streaming execution at
-    the fan-in. Each separate Dataset execution has a fixed cost — the
-    Amdahl term that caps small-corpus scaling: on one pinned vCPU (Ray
-    2.49) ~0.03-0.04 s to start and finish even a trivial one, ~0.1-0.2 s
-    for a collect over a few blocks, and 0.4-0.6 s for one that re-runs the
-    source read at bench scale (1,500 docs).
+    serializing end-to-end. While the key rows fit on the driver, each
+    pass's key rows and candidate pairs are driver tables built from the
+    materialized sketch and normalize blocks, and the per-pass edge
+    datasets stay LAZY, so the verify stages of all passes execute inside
+    ONE streaming execution at the fan-in, the only execution here. Each
+    separate Dataset execution has a fixed cost — the Amdahl term that caps
+    small-corpus scaling: on one pinned vCPU (Ray 2.49) 0.10-0.12 s to
+    start and finish even a trivial map over a materialized 2-block
+    dataset, against ~0.003 s for the same numpy over the same blocks
+    collected by ref on the driver.
     """
     def build():
         thunks = builders()
@@ -397,11 +421,18 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
     with no rows after the TTL filter returns an empty (doc_id,
     cluster_id, url) table.
 
+    Uncheckpointed, the run is three Dataset executions: normalize, the
+    sketch, and the fan-in of every pass's verify (``_edges_all``); the
+    key rows, candidate pairs and the cluster fill are built on the driver
+    from the materialized blocks while they fit (``joins.map_blocks``).
+
     With a ``checkpointer`` the run writes the same chain link as a fold
-    (``incremental_update``): the ``normalize``, ``signatures``,
-    ``winnow_rows``, ``edges_all`` and ``clusters`` stages, so it is link 0
-    of a ``dedup_sharded`` chain. A zero-row input still writes every stage
-    but ``edges_all``, empty and schema-pinned.
+    (``incremental_update``): the ``normalize``, ``signatures`` (the
+    sketch), ``edges_all`` and ``clusters`` stages, so it is link 0 of a
+    ``dedup_sharded`` chain. A zero-row input still writes every stage but
+    ``edges_all``, empty and schema-pinned. A checkpointed stage whose
+    columns are not the ones this code writes (``_link_schemas``) rebuilds
+    instead of resuming (``_drop_stale_stages``).
 
     With ``cfg.ttl_mode`` the expiry invariant is enforced (every row must
     carry a non-null valid_until — ≙ Build error on zero expiry,
@@ -428,7 +459,8 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
         cfg.join_num_partitions, plan_bytes(docs)))
     n_blocks = cfg.join_num_partitions
     if ck.enabled:
-        _drop_urlless_stages(ck, docs)
+        _drop_stale_stages(ck, cfg, docs, ("normalize", "signatures",
+                                           "clusters"))
     norm = ck.stage("normalize",
                     lambda: normalized_docs(docs, cfg).repartition(n_blocks),
                     empty_schema=_link_schemas(cfg)["normalize"])
@@ -441,15 +473,12 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
                  "cluster_id": pa.array([], pa.int64()),
                  "url": pa.array([], pa.string())}
         return rd.from_arrow(pa.table(empty))
-    # ONE signature stage (single shingle pass) feeds both LSH passes
+    # ONE sketch stage (a single pass over the text) feeds the LSH and
+    # substring passes
     sigs = None
-    if "minhash" in passes or "simhash" in passes:
-        sigs = ck.stage("signatures", lambda: signature_table(norm, cfg))
-
-    def win():
-        return ck.stage("winnow_rows", lambda: winnow_rows(norm, cfg),
-                        materialize_if_disabled=False,
-                        empty_schema=_link_schemas(cfg)["winnow_rows"])
+    if _SKETCH_PASSES & set(passes):
+        sigs = ck.stage("signatures", lambda: signature_table(norm, cfg),
+                        empty_schema=_link_schemas(cfg)["signatures"])
 
     def builders():
         # one broadcast copy of (doc_id → norm_text) shared by every verify
@@ -464,30 +493,41 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
         if norm.count() <= BROADCAST_MAX_ROWS:
             attacher = BroadcastAttacher(norm, "doc_id", ["norm_text"])
         sets_ref = None
-        if sigs is not None and cfg.use_shingle_set_artifact:
+        if ("minhash" in passes or "simhash" in passes) \
+                and cfg.use_shingle_set_artifact:
             from fuzzy_matcher_ray.stages.verify import build_shingle_sets
             sets_ref = build_shingle_sets(norm, cfg)
-        return _pass_builders(passes, norm, cfg, attacher, sigs, win,
-                              sets_ref)
+        return _pass_builders(passes, norm, cfg, attacher, sigs, sets_ref)
 
     edges = _edges_all(ck, builders)
     # url rides from the normalize stage: no join back to the source
     ids = [c for c in ("doc_id", "url") if c in norm.schema().names]
     return ck.stage(
         "clusters",
-        lambda: cluster_edges(edges, norm.select_columns(ids), cfg))
+        lambda: cluster_edges(edges, project(norm, ids), cfg))
 
 
-def _drop_urlless_stages(ck: Checkpointer, docs) -> None:
-    """Normalize artifacts written before normalize carried ``url`` lack
-    it, and so do the clusters built from them. When ``docs`` has url,
-    forget such checkpoints so both stages rebuild rather than resume
-    without it."""
-    stale = [name for name in ("normalize", "clusters")
-             if (m := ck.manifest(name)) is not None
-             and "url" not in m.get("columns", ())]
-    if stale and "url" in docs.schema().names:
-        for name in stale:
+def _drop_stale_stages(ck: Checkpointer, cfg: PipelineConfig, docs,
+                       names: tuple) -> None:
+    """Forget the checkpoints among the link stages ``names`` whose columns
+    differ from the ones this code writes (``_link_schemas``), so they
+    rebuild instead of resuming: artifacts of an older layout, or a
+    normalize or clusters stage written without the url that ``docs``
+    has. url is the one column a stage may lack, when ``docs`` lacks it
+    too (read off ``docs``' schema only then)."""
+    schemas = _link_schemas(cfg)
+    has_url = None
+    for name in names:
+        m = ck.manifest(name)
+        if m is None:
+            continue
+        cols, want = m.get("columns"), schemas[name].names
+        if "url" in want and "url" not in (cols or ()):
+            if has_url is None:
+                has_url = "url" in docs.schema().names
+            if not has_url:
+                want = [c for c in want if c != "url"]
+        if cols != want:
             ck.drop(name)
 
 
@@ -589,7 +629,8 @@ def jaccard_allpairs_clusters(docs, cfg: PipelineConfig | None = None,
 # ---------------------------------------------------------------------------
 
 def _load_stage(prior_root: str, name: str, expect_hash: str | None = None):
-    """Read a prior run's checkpoint artifact; error clearly if absent."""
+    """Read a prior run's checkpoint artifact → (dataset, manifest); error
+    clearly if absent."""
     import json
     import os
 
@@ -608,19 +649,21 @@ def _load_stage(prior_root: str, name: str, expect_hash: str | None = None):
             f"incremental_update: stage '{name}' was built under config "
             f"hash {m.get('config_hash')!r}, but 'normalize' under "
             f"{expect_hash!r} — the prior checkpoint mixes runs")
-    return rd.read_parquet(data_dir), m.get("config_hash")
+    return rd.read_parquet(data_dir), m
 
 
-def _prior_stage(loaded, name: str, rebuild):
+def _prior_stage(loaded, name: str, rebuild, columns: list[str]):
     """One artifact unioned over a chain's ``loaded`` roots, oldest first.
-    A root built without it (e.g. a pre-LSH checkpoint) re-derives it from
-    its normalize artifact with ``rebuild`` — correct, just not
-    incremental."""
+    A root built without it (e.g. a pre-LSH checkpoint), or with other
+    ``columns`` (an older layout), re-derives it from its normalize
+    artifact with ``rebuild`` — correct, just not incremental."""
     out = None
     for r, n, h in loaded:
         try:
-            s, _ = _load_stage(r, name, h)
+            s, m = _load_stage(r, name, h)
         except FileNotFoundError:
+            s = m = None
+        if m is None or m.get("columns") != columns:
             s = rebuild(n)
         out = s if out is None else out.union(s)
     return out
@@ -701,29 +744,29 @@ def _touches_new(t: pa.Table) -> pa.Table:
 def _link_schemas(cfg: PipelineConfig) -> dict:
     """Arrow schemas of a chain link's artifacts, pinned when a stage comes
     out empty (a zero-row shard must still write schema-ful stages so a
-    later fold can union it with the rest of the chain). ``normalize`` is
-    the schema a url-bearing source writes."""
+    later fold can union it with the rest of the chain), and the columns a
+    checkpoint must hold to resume (``_drop_stale_stages``). ``normalize``
+    and ``clusters`` are the schemas a url-bearing source writes."""
     return {
         "normalize": pa.schema([
             ("doc_id", pa.int64()), ("norm_text", pa.string()),
-            ("fold_text", pa.string()), ("n_norm", pa.int64()),
             ("text_hash", pa.int64()), ("text_hash2", pa.int64()),
             ("tier", pa.int8()), ("url", pa.string())]),
         "signatures": pa.schema([
             ("doc_id", pa.int64()),
             ("bands", pa.list_(pa.int64(), cfg.bands)),
-            ("simhash", pa.int64())]),
-        "winnow_rows": pa.schema([("fp", pa.int64()), ("doc_id", pa.int64()),
-                                  ("pos", pa.int64())]),
+            ("simhash", pa.int64()),
+            ("fp", pa.list_(pa.int64())), ("pos", pa.list_(pa.int64()))]),
         "clusters": pa.schema([("doc_id", pa.int64()),
-                               ("cluster_id", pa.int64())]),
+                               ("cluster_id", pa.int64()),
+                               ("url", pa.string())]),
     }
 
 
 def _write_empty_link(ck: Checkpointer, cfg: PipelineConfig) -> None:
     """Write the rest of a zero-row first shard's chain link after its
-    normalize stage: empty signatures / winnow_rows / clusters stages, so a
-    later fold unions it with the rest of the chain."""
+    normalize stage: empty signatures and clusters stages, so a later fold
+    unions it with the rest of the chain."""
     import ray.data as rd
     for name, sch in _link_schemas(cfg).items():
         if name != "normalize":
@@ -733,22 +776,21 @@ def _write_empty_link(ck: Checkpointer, cfg: PipelineConfig) -> None:
 
 def _shard_artifacts(ck: Checkpointer, docs, cfg: PipelineConfig,
                      passes: tuple):
-    """A shard's fold-independent artifacts → (normalize, signatures,
-    winnow_rows); the last two are None when no pass needs them. They are
-    pure functions of the shard's own text, so ``dedup_sharded`` prebuilds
-    them ahead of the shard's fold with this same builder and cfg, and the
-    fold's ``ck.stage`` calls resume them from the manifest."""
+    """A shard's fold-independent artifacts → (normalize, signatures); the
+    sketch is None when no pass needs it. Both are pure functions of the
+    shard's own text, so ``dedup_sharded`` prebuilds them ahead of the
+    shard's fold with this same builder and cfg, and the fold's
+    ``ck.stage`` calls resume them from the manifest."""
     sch = _link_schemas(cfg)
+    if ck.enabled:
+        _drop_stale_stages(ck, cfg, docs, ("normalize", "signatures"))
     norm = ck.stage("normalize", lambda: normalized_docs(docs, cfg),
                     empty_schema=sch["normalize"])
-    sigs = rows = None
-    if "minhash" in passes or "simhash" in passes:
+    sigs = None
+    if _SKETCH_PASSES & set(passes):
         sigs = ck.stage("signatures", lambda: signature_table(norm, cfg),
                         empty_schema=sch["signatures"])
-    if "substring" in passes:
-        rows = ck.stage("winnow_rows", lambda: winnow_rows(norm, cfg),
-                        empty_schema=sch["winnow_rows"])
-    return norm, sigs, rows
+    return norm, sigs
 
 
 def incremental_update(prior_root: str | list[str], new_docs,
@@ -761,8 +803,8 @@ def incremental_update(prior_root: str | list[str], new_docs,
     prior run's immutable checkpoint artifacts are the index).
 
     A fold is the flagship's own pass builders run over a delta. It reads
-    the prior run's artifacts (normalize / signatures / winnow_rows /
-    clusters), builds ONLY the increment's, and hands the prior ones to
+    the prior run's artifacts (normalize / signatures / clusters), builds
+    ONLY the increment's, and hands the prior ones to
     ``exact_dup_edges`` / ``minhash_pairs`` / ``simhash_pairs`` /
     ``substring_edges`` as a ``PriorIndex``: each semi-joins the prior key
     rows against the increment's key set, so buckets the increment never
@@ -794,10 +836,10 @@ def incremental_update(prior_root: str | list[str], new_docs,
     boilerplate-heavy hot buckets.
 
     ``prior_root`` may be a LIST of shard roots (a fold chain, oldest
-    first): per-shard normalize/signatures/winnow_rows artifacts union into
+    first): per-shard normalize/signatures artifacts union into
     the prior index, while ``clusters`` — the current labels for every doc
     folded so far — come from the LAST root only. With ``checkpointer``
-    the increment's own artifacts (normalize/signatures/winnow_rows), the
+    the increment's own artifacts (normalize/signatures), the
     new edges and the merged ``clusters`` persist under its root, making
     the output a valid next link of the chain — ``dedup_sharded`` builds
     web-scale runs out of exactly this step.
@@ -813,8 +855,11 @@ def incremental_update(prior_root: str | list[str], new_docs,
         raise ValueError("incremental_update: no prior roots")
     loaded = []                       # [(root, normalize_ds, config_hash)]
     for r in roots:
-        n, h = _load_stage(r, "normalize")
-        loaded.append((r, n, h))
+        n, m = _load_stage(r, "normalize")
+        # the columns the fold reads: the artifacts of older layouts
+        # (with fold_text / n_norm) union with the current ones
+        loaded.append((r, n.select_columns(_PRIOR_NORM_COLUMNS),
+                       m.get("config_hash")))
     chash = loaded[-1][2]
     norm_A = loaded[0][1]
     for _, n, _ in loaded[1:]:
@@ -825,7 +870,7 @@ def incremental_update(prior_root: str | list[str], new_docs,
 
     # the caller's cfg, as in dedup_sharded's prebuild: a prebuilt stage
     # resumes as exactly what the fold would have built
-    norm_B, sigs_B, win_B = _shard_artifacts(ck, new_docs, cfg, passes)
+    norm_B, sigs_B = _shard_artifacts(ck, new_docs, cfg, passes)
     # norm_B is materialized or a checkpoint read: its count is metadata
     if norm_B.count() == 0:
         # an empty shard's link carries the prior labels forward
@@ -886,27 +931,25 @@ def incremental_update(prior_root: str | list[str], new_docs,
                     if texts.count() <= BROADCAST_MAX_ROWS else None)
         f_overlap.result()
 
-    sigs_A = win_A = None
+    sigs_A = None
     if sigs_B is not None:
         sigs_A = _prior_stage(loaded, "signatures",
-                              lambda n: signature_table(n, cfg))
-        # both LSH passes scan this prior-signature union (band keys AND
-        # simhash keys). While it fits a bounded object-store budget, pin
-        # it ONCE so the two semi-joins share a single execution instead
-        # of re-reading the whole chain's artifacts per pass — a per-fold
-        # fixed cost that stacks on cold chains. Past the budget the lazy
-        # re-read streams: at open-web scale a second pruned parquet read
-        # beats pinning the corpus signatures in the object store.
-        if "minhash" in passes and "simhash" in passes \
+                              lambda n: signature_table(n, cfg),
+                              _link_schemas(cfg)["signatures"].names)
+        # each sketch pass scans this prior-sketch union (band keys,
+        # simhash keys, winnow rows). While it fits a bounded object-store
+        # budget, pin it ONCE so the semi-joins share a single execution
+        # instead of re-reading the whole chain's artifacts per pass — a
+        # per-fold fixed cost that stacks on cold chains. Past the budget
+        # the lazy re-read streams: at open-web scale a second pruned
+        # parquet read beats pinning the corpus sketch in the object store.
+        if len(_SKETCH_PASSES & set(passes)) > 1 \
                 and (plan_bytes(sigs_A) or 0) <= SIGS_PIN_MAX_BYTES:
             sigs_A = sigs_A.materialize()
-    if win_B is not None:
-        win_A = _prior_stage(loaded, "winnow_rows",
-                             lambda n: winnow_rows(n, cfg))
 
-    prior = PriorIndex(norm_A, sigs_A, win_A, texts)
+    prior = PriorIndex(norm_A, sigs_A, texts)
     new_edges = _edges_all(ck, lambda: _pass_builders(
-        passes, norm_B, cfg, attacher, sigs_B, lambda: win_B, prior=prior))
+        passes, norm_B, cfg, attacher, sigs_B, prior=prior))
 
     ids_B = norm_B.select_columns(["doc_id"])
     return ck.stage("clusters", lambda: _fold_labels(
@@ -1028,8 +1071,8 @@ def dedup_sharded(shards, state_root: str,
     ``state_root/shard-00000-<label>/<stage>/{data,_MANIFEST.json}``.
 
     Every link, the first shard's ``find_duplicates`` included, persists
-    the same stages: the shard's normalize / signatures / winnow_rows, its
-    edges_all and the merged clusters. With ``prune`` the previous fold's clusters
+    the same stages: the shard's normalize / signatures, its edges_all and
+    the merged clusters. With ``prune`` the previous fold's clusters
     DATA is dropped once the next fold lands, so checkpoint storage stays
     O(corpus + labels-of-corpus), not O(shards × corpus); the pruned
     manifest remains as lineage. Returns the final (doc_id, cluster_id)
@@ -1078,7 +1121,7 @@ def dedup_sharded(shards, state_root: str,
                 if data is None:
                     data = ds() if callable(ds) else ds
                 # Pipelining: the next shards' fold-independent artifacts
-                # (normalize / signatures / winnow_rows are functions of
+                # (normalize / signatures are functions of
                 # each shard's own text, not of any prior fold) build on
                 # driver threads WHILE this fold runs; those folds'
                 # ck.stage calls then resume them from the manifest —

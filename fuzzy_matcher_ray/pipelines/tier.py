@@ -177,9 +177,9 @@ def dup_funnel(sf_dir: str, cfg: PipelineConfig | None = None,
     lists, never over documents. Driver-side iteration is over the ≤4
     pass names, not data. Not SQL-expressible (LSH/SimHash/winnowing) —
     rows-only contract + planted pytest oracles."""
-    from fuzzy_matcher_ray.pipelines.dedup import (_pass_builders,
-                                                   signature_table,
-                                                   winnow_rows)
+    from fuzzy_matcher_ray.pipelines.dedup import (_SKETCH_PASSES,
+                                                   _pass_builders,
+                                                   signature_table)
     from fuzzy_matcher_ray.stages.candidates import dedup_pairs
     from fuzzy_matcher_ray.stages.cluster import cluster_edges
     from fuzzy_matcher_ray.stages.normalize_stage import normalized_docs
@@ -187,7 +187,7 @@ def dup_funnel(sf_dir: str, cfg: PipelineConfig | None = None,
     cfg = cfg or PipelineConfig()
     norm = normalized_docs(_docs(sf_dir), cfg).materialize()
     sigs = None
-    if "minhash" in passes or "simhash" in passes:
+    if _SKETCH_PASSES & set(passes):
         sigs = signature_table(norm, cfg).materialize()
     ids = norm.select_columns(["doc_id"]).materialize()
     n_docs = ids.count()
@@ -201,8 +201,7 @@ def dup_funnel(sf_dir: str, cfg: PipelineConfig | None = None,
     prev = 0
     names, removed = [], []
     for p in passes:
-        (build,) = _pass_builders((p,), norm, cfg, None, sigs,
-                                  lambda: winnow_rows(norm, cfg))
+        (build,) = _pass_builders((p,), norm, cfg, None, sigs)
         e = build().materialize()
         prefix = e if prefix is None else prefix.union(e).materialize()
         n_rm = _n_removed(cluster_edges(dedup_pairs(prefix), ids, cfg))

@@ -27,6 +27,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+from ray.data.dataset import MaterializedDataset
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.shingle import splitmix64
@@ -193,12 +194,11 @@ def _driver_key_pairs(tbl: pa.Table, key_cols, cfg, carry_cols, pair_filter,
     out = _segment_explode(gk, ids, carries, cfg.max_band_group, carry_cols,
                            pair_filter, derive)
     if len(out) == 0:
-        return rd.from_arrow(_pairs_schema(derive))
+        return rd.from_blocks([_pairs_schema(derive)])
     if dedup:
         out = _numpy_dedup_pairs(out, list(derive))
-    chunk = 4096   # small blocks: downstream verify parallelism & batch dedup
-    slices = [out.slice(lo, chunk) for lo in range(0, max(len(out), 1), chunk)]
-    return rd.from_arrow(slices)
+    # small blocks: downstream verify parallelism & batch dedup
+    return _chunked_ds(out, 4096)
 
 
 def _numpy_dedup_pairs(t: pa.Table, min_cols: list[str]) -> pa.Table:
@@ -293,11 +293,12 @@ def key_pairs(key_rows, key_cols: list[str], cfg: PipelineConfig,
     derive = derive or {}
     # key_rows feeds multiple consumers — pin blocks so the signature stage
     # runs once. Key rows are ~100x smaller than corpus text; spill is fine.
-    key_rows = key_rows.materialize()
+    if not isinstance(key_rows, MaterializedDataset):
+        key_rows = key_rows.materialize()
     n_rows = key_rows.count()
     if n_rows == 0:
         import ray.data as rd
-        return rd.from_arrow(_pairs_schema(derive))
+        return rd.from_blocks([_pairs_schema(derive)])
 
     if n_rows <= DRIVER_EXPLODE_MAX_ROWS:
         # FAST PATH: the whole key-row set fits on the driver (slim rows:
@@ -306,10 +307,8 @@ def key_pairs(key_rows, key_cols: list[str], cfg: PipelineConfig,
         # single numpy pass — replaces 4 Ray executions whose fixed costs
         # dominate below ~10M rows. The distributed path below is the same
         # algorithm expressed in Dataset ops for beyond-driver scale.
-        tbl = pa.concat_tables(list(key_rows.iter_batches(
-            batch_size=1 << 20, batch_format="pyarrow")))
-        return _driver_key_pairs(tbl, key_cols, cfg, carry_cols, pair_filter,
-                                 derive, dedup)
+        return _driver_key_pairs(collect_table(key_rows), key_cols, cfg,
+                                 carry_cols, pair_filter, derive, dedup)
 
     counts = key_rows.groupby(key_cols).count().materialize()
     ccol = _count_col(counts)
@@ -436,7 +435,7 @@ def _collect_driver_table(mat, cols: list[str]) -> pa.Table | None:
 def _chunked_ds(out: pa.Table, chunk: int = 65536):
     """Driver table → Dataset in small blocks (downstream parallelism)."""
     import ray.data as rd
-    return rd.from_arrow(
+    return rd.from_blocks(
         [out.slice(lo, chunk) for lo in range(0, max(len(out), 1), chunk)])
 
 
@@ -481,9 +480,9 @@ def count_pairs(pairs):
     if mat.count() <= DRIVER_EXPLODE_MAX_ROWS:
         t = _collect_driver_table(mat, ["a", "b"])
         if t is None:
-            return rd.from_arrow(pa.table({
+            return rd.from_blocks([pa.table({
                 "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                "hits": pa.array([], pa.int64())}))
+                "hits": pa.array([], pa.int64())})])
         a = t["a"].to_numpy(zero_copy_only=False)
         b = t["b"].to_numpy(zero_copy_only=False)
         order = np.lexsort((b, a))

@@ -37,7 +37,8 @@ from ray.data.aggregate import Min
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.unionfind import connected_components
 from fuzzy_matcher_ray.stages.candidates import _collect_driver_table
-from fuzzy_matcher_ray.stages.joins import attach_columns
+from fuzzy_matcher_ray.stages.joins import (BROADCAST_MAX_ROWS, attach_columns,
+                                            broadcast_lookup, map_blocks)
 
 
 def _coalesce_i64(primary, fallback) -> pa.Array:
@@ -77,11 +78,11 @@ def cluster_edges(edges, docs, cfg: PipelineConfig):
     cluster_id [, ...]): docs' other columns ride along unchanged.
 
     Every doc appears exactly once; singletons get cluster_id = doc_id.
+    While the labels broadcast, the lookup and the fill are one per-batch
+    function (``joins.map_blocks``: on the driver over a small materialized
+    ``docs``); past that, a hash join attaches the labels.
     """
     labels_ds = component_labels(edges, cfg)
-    out = attach_columns(docs, labels_ds, "doc_id", "node",
-                         {"label": "cluster_id"}, how="left",
-                         num_partitions=cfg.join_num_partitions)
 
     def _fill(t: pa.Table) -> pa.Table:
         cid = _coalesce_i64(t["cluster_id"], t["doc_id"])
@@ -89,6 +90,14 @@ def cluster_edges(edges, docs, cfg: PipelineConfig):
                 if c not in ("doc_id", "cluster_id")}
         return pa.table({"doc_id": t["doc_id"], "cluster_id": cid, **rest})
 
+    if labels_ds.count() <= BROADCAST_MAX_ROWS:
+        lookup = broadcast_lookup(labels_ds, "doc_id", "node",
+                                  {"label": "cluster_id"}, how="left")
+        return map_blocks(docs, lambda t: _fill(lookup(t)))
+    out = attach_columns(docs, labels_ds, "doc_id", "node",
+                         {"label": "cluster_id"}, how="left",
+                         strategy="shuffle",
+                         num_partitions=cfg.join_num_partitions)
     return out.map_batches(_fill, batch_format="pyarrow")
 
 
@@ -101,8 +110,8 @@ def _driver_labels(edges):
         ea = t["a"].to_numpy(zero_copy_only=False)
         eb = t["b"].to_numpy(zero_copy_only=False)
     nodes, labels = connected_components(ea, eb)
-    return rd.from_arrow(pa.table({"node": pa.array(nodes),
-                                   "label": pa.array(labels)}))
+    return rd.from_blocks([pa.table({"node": pa.array(nodes),
+                                     "label": pa.array(labels)})])
 
 
 def _distributed_labels(edges, cfg: PipelineConfig):

@@ -76,8 +76,19 @@ JOIN_AGG_ARGS = {"num_cpus": 0.25}
 
 def block_tables(mat) -> list[pa.Table]:
     """A materialized Dataset's non-empty blocks, fetched by ref with no
-    execution (empty blocks may be schema-less and break a concat)."""
-    return [t for t in ray.get(mat.to_arrow_refs()) if len(t)]
+    execution (empty blocks may be schema-less and break a concat).
+
+    The refs are read off the plan's input data: ``to_arrow_refs`` on a
+    dataset built from driver tables starts a streaming run over its input
+    buffer each time it is called, ~20 ms on one vCPU for two blocks.
+    Blocks that are not Arrow tables go through ``to_arrow_refs``."""
+    data = getattr(mat._logical_plan.dag, "output_data", lambda: None)()
+    tables = None
+    if data is not None:
+        tables = ray.get([r for bundle in data for r in bundle.block_refs])
+    if tables is None or not all(isinstance(t, pa.Table) for t in tables):
+        tables = ray.get(mat.to_arrow_refs())
+    return [t for t in tables if len(t)]
 
 
 def collect_table(ds) -> pa.Table:
@@ -93,6 +104,48 @@ def collect_table(ds) -> pa.Table:
         # null in one block); unify as Ray's own batching does
         return pa.concat_tables(parts, promote_options="permissive")
     return ds.schema().base_schema.empty_table()
+
+
+def map_blocks(ds, fn, out_rows=None):
+    """``fn`` (pyarrow Table → Table) over every batch of ``ds``.
+
+    A Dataset execution has a fixed cost, 0.10-0.12 s on one pinned vCPU
+    (Ray 2.49) for a trivial map over two materialized blocks, which
+    dwarfs a reshape of a few thousand rows. So when ``ds`` is
+    materialized and small, ``fn`` runs on the driver over its blocks,
+    fetched by ref, and the result is a materialized dataset of one block
+    per input block: no execution. Small means ``out_rows(ds)``, a bound on
+    the output rows read from metadata ``ds`` holds (its row count when
+    None), is within ``candidates.DRIVER_EXPLODE_MAX_ROWS``. The output
+    blocks are wrapped with ``from_blocks``, whose block metadata is
+    computed on the driver (``from_arrow`` runs a Ray task per table for
+    it). A lazy source
+    (a checkpoint read, a prior run's artifact) or a large one gets the
+    lazy ``map_batches(fn)``; ``FMR_DRIVER_EXPLODE_MAX_ROWS=0`` forces it.
+    """
+    import ray.data as rd
+
+    from fuzzy_matcher_ray.stages import candidates
+
+    if isinstance(ds, MaterializedDataset):
+        bound = ds.count() if out_rows is None else out_rows(ds)
+        if bound <= candidates.DRIVER_EXPLODE_MAX_ROWS:
+            blocks = block_tables(ds)
+            if not blocks and (sch := ds.schema()) is not None:
+                blocks = [sch.base_schema.empty_table()]
+            if blocks:
+                return rd.from_blocks([fn(t) for t in blocks])
+    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def project(ds, cols: list[str]):
+    """``ds`` with only ``cols``: selected on the driver when ``ds`` is
+    materialized (``map_blocks``; a ``select_columns`` would make it lazy
+    again and cost an execution), projected in the plan otherwise (pushed
+    into a read)."""
+    if isinstance(ds, MaterializedDataset):
+        return map_blocks(ds, lambda t: t.select(cols))
+    return ds.select_columns(cols)
 
 
 def _collect_columns(ds, cols: list[str]) -> pa.Table:
@@ -204,6 +257,16 @@ class BroadcastAttacher:
                               batch_format="pyarrow")
 
 
+def broadcast_lookup(other, left_key: str, right_key: str,
+                     cols: dict[str, str], how: str = "inner") -> _Lookup:
+    """The per-batch function of a broadcast attach: ``other``'s
+    ``right_key`` and ``cols`` (value_col → out_col) collected, sorted and
+    put in the object store once, looked up by each batch's ``left_key``."""
+    tbl = _collect_columns(other, [right_key, *cols])
+    ref = broadcast_table(tbl, right_key, list(cols))
+    return _Lookup(ref, left_key, cols, how == "inner")
+
+
 def attach_columns(ds, other, left_key: str, right_key: str,
                    cols: dict[str, str], *, how: str = "inner",
                    strategy: str = "auto", num_partitions: int = 32,
@@ -216,10 +279,9 @@ def attach_columns(ds, other, left_key: str, right_key: str,
     if strategy == "auto":
         strategy = "broadcast" if n <= broadcast_max_rows else "shuffle"
     if strategy == "broadcast":
-        tbl = _collect_columns(other, [right_key, *cols])
-        ref = broadcast_table(tbl, right_key, list(cols))
-        return ds.map_batches(_Lookup(ref, left_key, cols, how == "inner"),
-                              batch_format="pyarrow")
+        return ds.map_batches(
+            broadcast_lookup(other, left_key, right_key, cols, how),
+            batch_format="pyarrow")
     # shuffle join
     right = other.select_columns([right_key, *cols])
     P = effective_partitions(num_partitions)

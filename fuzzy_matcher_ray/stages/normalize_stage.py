@@ -5,7 +5,9 @@ NormalizeField (normalize.go:9-15) + ValidateEntry tiering
 (example_source.go:84-101 — degenerate records take the exact-only path).
 Stateless, fully vectorized, Arrow in / Arrow out (zero-copy from the object
 store). The wide raw ``text``/``html`` columns are dropped here so they never
-flow through a shuffle (SURVEY.md §7 "hard parts").
+flow through a shuffle (SURVEY.md §7 "hard parts"). The OCR fold is not
+stored: the sketch map (stages/minhash_stage.py ``Signatures``) folds the
+fuzzy docs' text in-kernel, the only place that reads it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pyarrow.compute as pc
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.fingerprint import content_hash
-from fuzzy_matcher_ray.functions.normalize import fold_array, normalize_array
+from fuzzy_matcher_ray.functions.normalize import normalize_array
 
 TIER_SKIP = -1        # empty normalized text → unmatchable, always a singleton
 #                       (≙ reject on missing required field, fuzzy_matcher_core.go:230-234)
@@ -25,8 +27,8 @@ TIER_FUZZY = 1        # full MinHash / SimHash / substring treatment
 
 
 class NormalizeGate:
-    """(doc_id, text [, url], ...) → (doc_id, norm_text, fold_text, n_norm,
-    text_hash, text_hash2, tier [, url]).
+    """(doc_id, text [, url], ...) → (doc_id, norm_text, text_hash,
+    text_hash2, tier [, url]).
 
     A plain function would do (no real per-actor state) but we keep the
     callable-class shape so the config is deserialized once per worker.
@@ -40,7 +42,6 @@ class NormalizeGate:
         if isinstance(text, pa.ChunkedArray):
             text = text.combine_chunks()
         norm = normalize_array(text)
-        fold = fold_array(norm) if self.cfg.ocr_fold else norm
         n_norm = pc.utf8_length(norm)
         tier = pc.if_else(
             pc.greater_equal(n_norm, pa.scalar(self.cfg.min_text_len)),
@@ -55,8 +56,6 @@ class NormalizeGate:
         cols = {
             "doc_id": batch["doc_id"],
             "norm_text": norm,
-            "fold_text": fold,
-            "n_norm": pc.cast(n_norm, pa.int64()),
             "text_hash": thash,
             "text_hash2": thash2,
             "tier": tier,

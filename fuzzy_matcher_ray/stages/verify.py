@@ -210,27 +210,19 @@ def _intersect_block_sets(blocks, blk, starts, counts,
                           ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """|set ∩ set| per pair over per-doc sets living in a LIST of zero-copy
     plasma value arrays (doc d's set is blocks[blk[d]][starts[d]:
-    starts[d]+counts[d]]). The small-into-big binary search that
-    :func:`segmented_intersection_counts` keeps for single-partner pairs —
-    the two sets stay in L1/L2."""
-    n = len(ia)
-    out = np.zeros(n, dtype=np.int64)
-    ss = np.searchsorted
-    ia_l, ib_l = ia.tolist(), ib.tolist()
-    for p in range(n):
-        da, db = ia_l[p], ib_l[p]
-        ca, cb = counts[da], counts[db]
-        if ca == 0 or cb == 0:
-            continue
-        if ca > cb:
-            da, db, ca, cb = db, da, cb, ca
-        sa, sb = starts[da], starts[db]
-        small = blocks[blk[da]][sa: sa + ca]
-        big = blocks[blk[db]][sb: sb + cb]
-        pos = ss(big, small)
-        np.minimum(pos, cb - 1, out=pos)
-        out[p] = np.count_nonzero(big[pos] == small)
-    return out
+    starts[d]+counts[d]]). The batch's distinct sets are gathered, one
+    vectorized gather per block, into one pool, and
+    :func:`segmented_intersection_counts` intersects every pair against
+    it — the anchor-grouped mask kernel the broadcast path runs."""
+    docs = np.unique(np.concatenate([ia, ib]))
+    docs = docs[np.argsort(blk[docs], kind="stable")]  # block by block
+    rank = np.empty(int(docs.max()) + 1 if docs.size else 0, np.int64)
+    rank[docs] = np.arange(docs.size)
+    b = blk[docs]
+    pool = [gather_ranges(blocks[int(blk[g[0]])], starts[g], counts[g])
+            for g in np.split(docs, np.flatnonzero(np.diff(b)) + 1) if g.size]
+    uh = np.concatenate(pool) if pool else np.empty(0, np.uint64)
+    return segmented_intersection_counts(uh, counts[docs], rank[ia], rank[ib])
 
 
 class JaccardVerifier(_TextFetcher):

@@ -22,6 +22,7 @@ import time
 import uuid
 
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
 
 class Checkpointer:
@@ -68,7 +69,9 @@ class Checkpointer:
         if not self.enabled:
             ds = build_fn()
             # multiple downstream consumers → pin blocks instead of recompute
-            return ds.materialize() if materialize_if_disabled else ds
+            if materialize_if_disabled and not isinstance(ds, MaterializedDataset):
+                return ds.materialize()
+            return ds
         data_dir, manifest = self._paths(name)
         if self.has(name):
             self.metrics.setdefault(name, {})["resumed"] = True

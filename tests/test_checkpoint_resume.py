@@ -14,8 +14,7 @@ from fuzzy_matcher_ray.state.checkpoint import Checkpointer
 
 N_DOCS = 300
 # the stages of one checkpointed find_duplicates run, a fold's too
-LINK_STAGES = ("normalize", "signatures", "winnow_rows", "edges_all",
-               "clusters")
+LINK_STAGES = ("normalize", "signatures", "edges_all", "clusters")
 
 
 @pytest.fixture()
@@ -62,7 +61,7 @@ def test_partial_resume_after_kill(docs, tmp_path):
     for stage in ("edges_all", "clusters"):
         shutil.rmtree(os.path.join(root, stage), ignore_errors=True)
     out2, ck2 = _run(docs, root, cfg)
-    for stage in ("normalize", "signatures", "winnow_rows"):
+    for stage in ("normalize", "signatures"):
         assert ck2.metrics[stage].get("resumed"), stage
     assert not ck2.metrics["edges_all"].get("resumed")
     assert not ck2.metrics["clusters"].get("resumed")
@@ -70,8 +69,8 @@ def test_partial_resume_after_kill(docs, tmp_path):
 
 
 def test_resumed_edges_all_builds_no_pass(docs, tmp_path, monkeypatch):
-    """With only clusters gone, the rerun resumes edges_all and builds no
-    pass and no winnow rows: every builder raises."""
+    """With only clusters gone, the rerun resumes edges_all and the
+    sketch and builds no pass: every builder raises."""
     from fuzzy_matcher_ray.pipelines import dedup
 
     cfg = PipelineConfig()
@@ -83,12 +82,12 @@ def test_resumed_edges_all_builds_no_pass(docs, tmp_path, monkeypatch):
         raise AssertionError("a resumed edges_all must build no pass")
 
     for name in ("exact_dup_edges", "minhash_pairs", "simhash_pairs",
-                 "lsh_edges", "substring_edges", "winnow_rows"):
+                 "lsh_edges", "substring_edges", "signature_table"):
         monkeypatch.setattr(dedup, name, no_build)
     out2, ck2 = _run(docs, root, cfg)
     assert ck2.metrics["edges_all"]["resumed"]
     assert not ck2.metrics["clusters"]["resumed"]
-    assert "winnow_rows" not in ck2.metrics
+    assert ck2.metrics["signatures"]["resumed"]
     assert out1.equals(out2)
 
 

@@ -25,7 +25,7 @@ def band_rows(ray_session):
         "doc_id": pa.array(range(len(pages)), pa.int64()),
         "url": pages["url"], "text": pages["text"], "lang": pages["lang"]}))
     norm = normalized_docs(docs, cfg).repartition(4).materialize()
-    sigs = add_stage(norm.select_columns(["doc_id", "fold_text", "tier"]),
+    sigs = add_stage(norm.select_columns(["doc_id", "norm_text", "tier"]),
                      Signatures, cfg)
     return band_key_rows(sigs, cfg).materialize()
 

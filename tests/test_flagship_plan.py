@@ -60,18 +60,20 @@ def _by_doc(t: pa.Table) -> dict:
     return dict(zip(t["doc_id"].to_pylist(), t["url"].to_pylist()))
 
 
-def test_flagship_runs_in_eight_executions(pages):
-    """Normalize, signatures, the exact rows, the two LSH key-row pins, the
-    winnow rows, edges_all and clusters: nothing else executes — no
-    emptiness probe, no sizing run, no url join, no collect of an already
-    materialized dataset."""
+def test_flagship_runs_in_three_executions(pages):
+    """Normalize, the sketch and the edges_all fan-in: nothing else
+    executes — the key rows, candidate pairs and the cluster fill are built
+    on the driver from the materialized blocks, and there is no emptiness
+    probe, no sizing run, no url join and no collect of an already
+    materialized dataset. With the exact, band, SimHash and winnow key rows
+    and the cluster fill as Ray maps it took 8."""
     from fuzzy_matcher_ray.pipelines.dedup import find_duplicates
     from fuzzy_matcher_ray.sources.protocol import webpages_source
 
     with ExecutionCounter().installed() as counter:
         out = collect_table(find_duplicates(webpages_source(pages), CFG))
     assert len(out) == 300
-    assert counter.count == 8
+    assert counter.count == 3
 
 
 @pytest.fixture(scope="module")
@@ -85,11 +87,12 @@ def shards(ray_session, tmp_path_factory):
     return paths
 
 
-def test_checkpointed_flagship_runs_in_thirteen_executions(shards, tmp_path):
-    """A checkpointed run writes normalize, signatures, winnow_rows,
-    edges_all and clusters, each written and read back once. With each
-    pass's edges also checkpointed (``edges_<pass>``) and the verifies run
-    as four executions, the same run took 17."""
+def test_checkpointed_flagship_runs_in_twelve_executions(shards, tmp_path):
+    """A checkpointed run writes normalize, signatures (the sketch),
+    edges_all and clusters, each written and read back once; the key rows
+    of the checkpoint reads are Ray maps. With a winnow_rows stage beside
+    the signatures it took 13; with each pass's edges also checkpointed
+    (``edges_<pass>``) and the verifies run as four executions, 17."""
     from fuzzy_matcher_ray.pipelines.dedup import find_duplicates
     from fuzzy_matcher_ray.sources.protocol import webpages_source
 
@@ -98,13 +101,14 @@ def test_checkpointed_flagship_runs_in_thirteen_executions(shards, tmp_path):
         out = collect_table(find_duplicates(webpages_source(shards[0]), CFG,
                                             checkpointer=ck))
     assert len(out) == 400
-    assert counter.count == 13
+    assert counter.count == 12
 
 
-def test_fold_runs_in_nineteen_executions(shards, tmp_path):
+def test_fold_runs_in_fourteen_executions(shards, tmp_path):
     """An uncheckpointed fold of 400 docs onto a 400-doc link, collected.
-    With a ``limit(1)`` emptiness probe ahead of its normalize stage it
-    took 20."""
+    With the increment's key rows as Ray maps and a winnow_rows stage it
+    took 19; with a ``limit(1)`` emptiness probe ahead of its normalize
+    stage too, 20."""
     from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
                                                    incremental_update)
     from fuzzy_matcher_ray.sources.protocol import webpages_source
@@ -116,13 +120,14 @@ def test_fold_runs_in_nineteen_executions(shards, tmp_path):
         out = collect_table(incremental_update(
             [root], webpages_source(shards[1]), CFG))
     assert len(out) == 800
-    assert counter.count == 19
+    assert counter.count == 14
 
 
-def test_two_shard_chain_runs_in_thirty_three_executions(shards, tmp_path):
+def test_two_shard_chain_runs_in_thirty_one_executions(shards, tmp_path):
     """``dedup_sharded`` over both shards, collected: link 0, the prebuild
-    of link 1 and the fold. With per-pass edge checkpoints in link 0 and
-    emptiness probes ahead of the prebuild and the fold, it took 40."""
+    of link 1 and the fold. With a winnow_rows stage in every link it took
+    33; with per-pass edge checkpoints in link 0 and emptiness probes ahead
+    of the prebuild and the fold too, 40."""
     from fuzzy_matcher_ray.pipelines.dedup import dedup_sharded
     from fuzzy_matcher_ray.sources.protocol import webpages_source
 
@@ -131,7 +136,7 @@ def test_two_shard_chain_runs_in_thirty_three_executions(shards, tmp_path):
             [(f"s{i}", webpages_source(p)) for i, p in enumerate(shards)],
             str(tmp_path / "state"), CFG))
     assert len(out) == 800
-    assert counter.count == 33
+    assert counter.count == 31
 
 
 def test_plan_bytes_executes_nothing(pages):
@@ -245,8 +250,7 @@ def test_zero_row_input_checkpoints_and_resumes(ray_session, tmp_path):
         assert out.schema().base_schema == EMPTY_SCHEMA
         assert ck.metrics["normalize"]["resumed"] is resumed
         # the rest of the link but edges_all, empty
-        assert sorted(ck.metrics) == ["clusters", "normalize", "signatures",
-                                      "winnow_rows"]
+        assert sorted(ck.metrics) == ["clusters", "normalize", "signatures"]
     assert pq.read_schema(str(tmp_path / "ck" / "normalize" / "data"
                               / "part-empty.parquet")) \
         == _link_schemas(CFG)["normalize"]
@@ -291,3 +295,67 @@ def test_urlless_normalize_checkpoint_rebuilds(ray_session, tmp_path):
     assert not ck.metrics["clusters"]["resumed"]
     assert ck.metrics["signatures"]["resumed"]
     assert "url" in ck.manifest("normalize")["columns"]
+
+
+def test_older_layout_checkpoints_rebuild(ray_session, tmp_path):
+    """Link stages whose columns are not the ones this code writes rebuild
+    instead of resuming. Here a url-less link is rewritten in the older
+    layout (normalize with fold_text and n_norm, a sketch without the
+    winnow lists): a fold re-derives the prior sketch from the prior
+    normalize artifact, and a rerun rebuilds both stages while edges_all
+    and clusters resume. Unchanged, the url-less link resumes whole."""
+    import json
+    import os
+
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
+                                                   incremental_update)
+
+    t, _ = make_webpages(240, seed=24)
+    tbl = pa.table({"doc_id": pa.array(range(len(t)), pa.int64()),
+                    "text": t["text"]})
+    a, b = tbl.slice(0, 160), tbl.slice(160)
+    root = str(tmp_path / "ck")
+
+    def run():
+        ck = Checkpointer(root, CFG.config_hash())
+        out = collect_table(find_duplicates(rd.from_arrow(a), CFG,
+                                            checkpointer=ck))
+        return out.sort_by("doc_id"), ck
+
+    first, _ = run()
+    again, ck = run()
+    assert again.equals(first)
+    assert all(m["resumed"] for m in ck.metrics.values())
+
+    def rewrite(stage, fn):
+        data = os.path.join(root, stage, "data")
+        old = fn(pq.read_table(data))
+        for f in os.listdir(data):
+            os.remove(os.path.join(data, f))
+        pq.write_table(old, os.path.join(data, "part-0.parquet"))
+        with open(os.path.join(root, stage, "_MANIFEST.json")) as f:
+            m = json.load(f)
+        m["columns"] = old.column_names
+        with open(os.path.join(root, stage, "_MANIFEST.json"), "w") as f:
+            json.dump(m, f)
+
+    rewrite("normalize", lambda n: n.add_column(2, "fold_text", n["norm_text"])
+            .add_column(3, "n_norm", pc.cast(pc.utf8_length(n["norm_text"]),
+                                             pa.int64())))
+    rewrite("signatures", lambda s: s.select(["doc_id", "bands", "simhash"]))
+
+    fold = collect_table(incremental_update(root, rd.from_arrow(b), CFG))
+    full = collect_table(find_duplicates(rd.from_arrow(tbl), CFG))
+    assert fold.sort_by("doc_id").equals(
+        full.select(["doc_id", "cluster_id"]).sort_by("doc_id"))
+
+    rebuilt, ck = run()
+    assert rebuilt.equals(first)
+    assert {s: m["resumed"] for s, m in ck.metrics.items()} == {
+        "normalize": False, "signatures": False, "edges_all": True,
+        "clusters": True}
+    assert ck.manifest("signatures")["columns"] == [
+        "doc_id", "bands", "simhash", "fp", "pos"]

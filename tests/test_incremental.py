@@ -99,9 +99,9 @@ def test_incremental_update_matches_full_rerun(ray_session, tmp_path,
         .reset_index(drop=True)
     assert len(inc) == 600
     assert inc[["doc_id", "cluster_id"]].equals(full)
-    # the winnow_rows artifact persisted, so the substring pass really ran
-    # incrementally (no prior-corpus re-winnow)
-    assert os.path.isdir(os.path.join(root, "winnow_rows", "data"))
+    # the sketch artifact (winnow fingerprints included) persisted, so the
+    # substring pass really ran incrementally (no prior-corpus re-winnow)
+    assert os.path.isdir(os.path.join(root, "signatures", "data"))
     if inc_below:
         # prior docs now carry an increment doc's id as their label
         prior = full[full.doc_id >= 1_000_000]
@@ -204,8 +204,8 @@ def test_incremental_all_skip_tier_increment(ray_session, tmp_path):
 
 
 def test_incremental_resigns_pre_lsh_checkpoint(ray_session, tmp_path):
-    """A prior root checkpointed with ONLY the exact pass (no signatures /
-    winnow_rows artifacts) still folds: missing artifacts re-derive from
+    """A prior root checkpointed with ONLY the exact pass (no signatures
+    artifact) still folds: missing artifacts re-derive from
     the normalize artifact. Folding with the SAME pass set is
     byte-identical to the exact-only full rerun; folding with MORE passes
     is well-defined but weaker (A-A edges stay per the prior run's pass

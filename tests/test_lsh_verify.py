@@ -20,7 +20,7 @@ from fuzzy_matcher_ray.sources.webpages import make_webpages
 from fuzzy_matcher_ray.stages.joins import collect_table
 
 CFG = PipelineConfig()
-# letters that no OCR fold rewrites, so fold_text == norm_text
+# letters that no OCR fold rewrites, so the sketch's folded text is norm_text
 ALPHA = np.array(list("abdefghijkmopqstuwxyz"))
 
 
@@ -162,3 +162,45 @@ def test_join_path_labels_match_broadcast(ray_session, tmp_path, monkeypatch):
     assert flagship.equals(join_flagship)
     assert fold.equals(join_fold)
     assert flagship.equals(fold)
+
+
+def test_shingle_set_artifact_matches_broadcast_on_many_partners(ray_session):
+    """One batch: an anchor with 40 near-copy partners (1-12 substitutions
+    each, so on both sides of 0.8), pairs among the partners and unrelated
+    pairs, the docs spread over 3 artifact blocks. The artifact path
+    (the batch's sets gathered from the blocks into one pool for the mask
+    kernel) accepts exactly the broadcast path's pairs, at equal Jaccard."""
+    import ray.data as rd
+
+    from fuzzy_matcher_ray.stages.joins import BroadcastAttacher
+    from fuzzy_matcher_ray.stages.normalize_stage import normalized_docs
+    from fuzzy_matcher_ray.stages.verify import (JaccardVerifier,
+                                                 build_shingle_sets)
+    rng = np.random.default_rng(7)
+    base = "".join(rng.choice(ALPHA, 400))
+    texts = [base]
+    for i in range(40):
+        t = list(base)
+        for p in rng.choice(400, i % 12 + 1, replace=False):
+            t[p] = rng.choice(ALPHA)
+        texts.append("".join(t))
+    texts += ["".join(rng.choice(ALPHA, 300)) for _ in range(10)]
+    docs = rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(len(texts)), pa.int64()),
+        "text": pa.array(texts)}))
+    norm = normalized_docs(docs, CFG).repartition(3).materialize()
+    sets_ref = build_shingle_sets(norm, CFG)
+    assert sets_ref is not None and len(sets_ref[1]) == 3
+    a = [0] * 40 + list(range(1, 40)) + list(range(41, 50))
+    b = list(range(1, 41)) + list(range(2, 41)) + list(range(42, 51))
+    batch = pa.table({"a": pa.array(a, pa.int64()),
+                      "b": pa.array(b, pa.int64())})
+    art = JaccardVerifier(CFG, sets_ref=sets_ref)
+    brd = JaccardVerifier(
+        CFG, text_ref=BroadcastAttacher(norm, "doc_id", ["norm_text"]).ref)
+    assert 40 < len(art(batch)) < len(batch)
+    assert art(batch).equals(brd(batch))
+    # a batch over the later docs only: doc indices past its doc count
+    tail = batch.slice(40 + 30)
+    assert len(art(tail)) > 0
+    assert art(tail).equals(brd(tail))

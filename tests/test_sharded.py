@@ -159,8 +159,8 @@ def test_chain_links_hold_the_same_stages(ray_session, tmp_path):
     for path, stage in zip(rep["path"].to_pylist(), rep["stage"].to_pylist()):
         links.setdefault(path.split(os.sep)[0], set()).add(stage)
     assert sorted(links) == ["shard-00000-a", "shard-00001-b"]
-    assert list(links.values()) == [{"normalize", "signatures", "winnow_rows",
-                                     "edges_all", "clusters"}] * 2
+    assert list(links.values()) == [{"normalize", "signatures", "edges_all",
+                                     "clusters"}] * 2
 
 
 def test_sharded_one_shard_returns_labels_only(ray_session, tmp_path):
@@ -244,7 +244,7 @@ def test_sharded_truncated_shard_list_fails_with_intent(ray_session,
 
 
 def test_prebuild_artifacts_resumed_by_fold(ray_session, tmp_path):
-    """_prebuild_increment writes normalize/signatures/winnow_rows that the
+    """_prebuild_increment writes normalize/signatures that the
     fold's own ck.stage calls RESUME (manifest hit, no rebuild), and the
     fold output is byte-identical to a fold without any prebuild."""
     import ray.data as rd
@@ -273,12 +273,12 @@ def test_prebuild_artifacts_resumed_by_fold(ray_session, tmp_path):
     box = {}
     _prebuild_increment(root_b, key, rd.from_arrow(inc), cfg, passes, box)
     assert box["data"] is not None
-    for stage in ("normalize", "signatures", "winnow_rows"):
+    for stage in ("normalize", "signatures"):
         assert os.path.isfile(os.path.join(root_b, stage, "_MANIFEST.json"))
     ck_b = Checkpointer(root_b, key)
     out_b = _labels(incremental_update(
         [root0], box["data"], cfg, passes=passes, checkpointer=ck_b))
-    for stage in ("normalize", "signatures", "winnow_rows"):
+    for stage in ("normalize", "signatures"):
         assert ck_b.metrics.get(stage, {}).get("resumed") is True, stage
     assert out_a.equals(out_b)
 
