@@ -47,7 +47,7 @@ from fuzzy_matcher_ray.stages.candidates import (_chunked_ds,
 from fuzzy_matcher_ray.stages.cluster import (_coalesce_i64, cluster_edges,
                                               component_labels)
 from fuzzy_matcher_ray.stages.joins import (attach_columns, block_tables,
-                                            map_blocks, project)
+                                            map_blocks, map_segments, project)
 from fuzzy_matcher_ray.stages.minhash_stage import (
     Signatures, add_stage, band_key_rows, simhash_key_rows, winnow_key_rows)
 from fuzzy_matcher_ray.stages.normalize_stage import normalized_docs
@@ -112,58 +112,34 @@ def exact_dup_edges(norm, cfg: PipelineConfig,
         t = t.filter(pc.not_equal(t["doc_id"], t["rep"]))
         return pa.table({"a": t["rep"], "b": t["doc_id"]})
 
-    return min_reps(rows, ["text_hash", "text_hash2"],
-                    cfg.join_num_partitions).map_batches(
+    return min_reps(rows, ["text_hash", "text_hash2"]).map_batches(
         _edges, batch_format="pyarrow")
 
 
-def min_reps(rows, key_cols: list[str], num_partitions: int):
+def _min_rep_table(t: pa.Table, key_cols: list[str]) -> pa.Table:
+    """``min_reps``' kernel: a lexsort, then a segment min (rows in key
+    order)."""
+    ids = t["doc_id"].to_numpy(zero_copy_only=False)
+    keys = [t[c].to_numpy(zero_copy_only=False) for c in key_cols]
+    order = np.lexsort([ids, *keys[::-1]])
+    ids = ids[order]
+    brk = np.zeros(len(ids), dtype=bool)
+    brk[:1] = True
+    for k in keys:
+        k = k[order]
+        brk[1:] |= k[1:] != k[:-1]
+    rep = ids[np.flatnonzero(brk)][np.cumsum(brk) - 1]
+    return pa.table({"doc_id": pa.array(ids, pa.int64()),
+                     "rep": pa.array(rep, pa.int64())})
+
+
+def min_reps(rows, key_cols: list[str]):
     """Materialized (*key_cols, doc_id) rows → (doc_id, rep): ``rep`` is the
-    min doc_id among the rows sharing the row's key.
-
-    Up to ``DRIVER_EXPLODE_MAX_ROWS`` rows this is one driver lexsort with
-    a segment min (rows in key order); beyond, one groupby Min and one hash
-    join on the key, the twin ``FMR_DRIVER_EXPLODE_MAX_ROWS=0`` forces.
+    min doc_id among the rows sharing the row's key. ``_min_rep_table``
+    over key segments (``map_segments``), output as one block.
     """
-    import ray.data as rd
-    from ray.data.aggregate import Min
-
-    from fuzzy_matcher_ray.stages.candidates import (DRIVER_EXPLODE_MAX_ROWS,
-                                                     _collect_driver_table)
-    from fuzzy_matcher_ray.stages.joins import JOIN_AGG_ARGS, effective_partitions
-
-    if rows.count() <= DRIVER_EXPLODE_MAX_ROWS:
-        t = _collect_driver_table(rows, [*key_cols, "doc_id"])
-        if t is None:
-            # an all-skip-tier corpus yields zero rows
-            return rd.from_blocks([pa.table({
-                "doc_id": pa.array([], pa.int64()),
-                "rep": pa.array([], pa.int64())})])
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        keys = [t[c].to_numpy(zero_copy_only=False) for c in key_cols]
-        order = np.lexsort([ids, *keys[::-1]])
-        ids = ids[order]
-        brk = np.zeros(len(ids), dtype=bool)
-        brk[0] = True
-        for k in keys:
-            k = k[order]
-            brk[1:] |= k[1:] != k[:-1]
-        rep = ids[np.flatnonzero(brk)][np.cumsum(brk) - 1]
-        return rd.from_blocks([pa.table({"doc_id": pa.array(ids),
-                                         "rep": pa.array(rep)})])
-    reps = rows.groupby(key_cols).aggregate(
-        Min("doc_id", alias_name="rep")).materialize()
-    P = effective_partitions(num_partitions)
-    if reps.count() < 100 * P:
-        # Ray 2.49: hash-aggregate outputs carry SCHEMA-LESS empty blocks
-        # for key-less partitions, which break join key resolution
-        # (ArrowInvalid "no match for FieldRef"). Same guard as
-        # stages/joins.attach_columns; reps is slim and already
-        # materialized, so the repartition only fires in the sparse regime.
-        reps = reps.repartition(2)
-    return rows.join(reps, "inner", P, on=tuple(key_cols),
-                     aggregator_ray_remote_args=JOIN_AGG_ARGS) \
-        .select_columns(["doc_id", "rep"])
+    return map_segments(rows, key_cols,
+                        lambda t: _min_rep_table(t, key_cols))
 
 
 def signature_table(norm, cfg: PipelineConfig):
@@ -472,7 +448,7 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
         empty = {"doc_id": pa.array([], pa.int64()),
                  "cluster_id": pa.array([], pa.int64()),
                  "url": pa.array([], pa.string())}
-        return rd.from_arrow(pa.table(empty))
+        return rd.from_blocks([pa.table(empty)])
     # ONE sketch stage (a single pass over the text) feeds the LSH and
     # substring passes
     sigs = None
@@ -566,12 +542,12 @@ def jaccard_allpairs_clusters(docs, cfg: PipelineConfig | None = None,
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         # int64 view of the uint64 hashes: grouping only needs the bits,
         # and values past int64-max break Arrow conversion in the
-        # distributed groupby branches
+        # distributed sort branches
         return pa.table({"sh": pa.array(uh.view(np.int64)),
                          "doc_id": pa.array(np.repeat(ids, uc))})
 
     import ray.data as rd
-    # two consumers (pair explode + size groupby) — pin blocks so the
+    # two consumers (pair explode + set sizes) — pin blocks so the
     # normalize+shingle pass runs once, not once per consumer
     rows = docs.select_columns(["doc_id", "text"]).map_batches(
         _rows, batch_format="pyarrow").materialize()
@@ -579,36 +555,23 @@ def jaccard_allpairs_clusters(docs, cfg: PipelineConfig | None = None,
         # no doc long enough to shingle — every doc is its own cluster
         ids = docs.select_columns(["doc_id"]).materialize()
         if ids.count() == 0:
-            return rd.from_arrow(pa.table({
+            return rd.from_blocks([pa.table({
                 "doc_id": pa.array([], pa.int64()),
-                "cluster_id": pa.array([], pa.int64())}))
-        return cluster_edges(rd.from_arrow(EDGE_SCHEMA.empty_table()), ids,
-                             cfg)
+                "cluster_id": pa.array([], pa.int64())})])
+        return cluster_edges(rd.from_blocks([EDGE_SCHEMA.empty_table()]),
+                             ids, cfg)
     # exactness requires every within-group pair: lift the skew cap (the
     # star+chain shortcut would silently drop cross-pairs of hot shingles)
     nocap = replace(cfg, max_band_group=1 << 30)
     counted = count_pairs(key_pairs(rows, ["sh"], nocap, dedup=False))
-    from fuzzy_matcher_ray.stages.candidates import (DRIVER_EXPLODE_MAX_ROWS,
-                                                     _collect_driver_table)
-    if rows.count() <= DRIVER_EXPLODE_MAX_ROWS:
-        # per-doc set sizes via one driver bincount over the slim
-        # materialized doc_id column — skips a full Ray hash groupby
-        t = _collect_driver_table(rows, ["doc_id"])
-        ids = t["doc_id"].to_numpy(zero_copy_only=False) if t is not None \
-            else np.array([], dtype=np.int64)
-        uniq, cnt = np.unique(ids, return_counts=True)
-        sizes = rd.from_arrow(pa.table({
-            "doc_id": pa.array(uniq.astype("int64")),
-            "nsh": pa.array(cnt.astype("int64"))}))
-    else:
-        sizes = rows.groupby("doc_id").count()
 
-        def _csize(t: pa.Table) -> pa.Table:
-            ccol = next(c for c in t.schema.names if c != "doc_id")
-            return pa.table({"doc_id": t["doc_id"],
-                             "nsh": pc.cast(t[ccol], pa.int64())})
+    def _set_sizes(t: pa.Table) -> pa.Table:
+        uniq, cnt = np.unique(t["doc_id"].to_numpy(zero_copy_only=False),
+                              return_counts=True)
+        return pa.table({"doc_id": pa.array(uniq, pa.int64()),
+                         "nsh": pa.array(cnt, pa.int64())})
 
-        sizes = sizes.map_batches(_csize, batch_format="pyarrow")
+    sizes = map_segments(rows, ["doc_id"], _set_sizes)
     withs = attach_columns(counted, sizes, "a", "doc_id", {"nsh": "na"})
     withs = attach_columns(withs, sizes, "b", "doc_id", {"nsh": "nb"})
 
@@ -770,7 +733,7 @@ def _write_empty_link(ck: Checkpointer, cfg: PipelineConfig) -> None:
     import ray.data as rd
     for name, sch in _link_schemas(cfg).items():
         if name != "normalize":
-            ck.stage(name, lambda s=sch: rd.from_arrow(s.empty_table()),
+            ck.stage(name, lambda s=sch: rd.from_blocks([s.empty_table()]),
                      empty_schema=sch)
 
 

@@ -58,8 +58,9 @@ def _doc_winner(sf_dir: str):
     halves, collision ~2^-128 — the exact_dup_edges convention), so only
     24 B/row ever enters an exchange: the full normalized text never
     leaves the batch that computed it. The min-rep core is exact_dup_edges'
-    own (``dedup.min_reps``): a driver lexsort + segment min on small
-    corpora, one slim groupby + one slim hash join on the key at scale.
+    own (``dedup.min_reps``): a lexsort + segment min over key segments,
+    once on the driver on small corpora, per block of a range sort on the
+    key at scale.
     """
     from fuzzy_matcher_ray.functions.fingerprint import content_hash
     from fuzzy_matcher_ray.pipelines.dedup import min_reps
@@ -76,7 +77,7 @@ def _doc_winner(sf_dir: str):
 
     keyed = _docs(sf_dir).map_batches(_key, batch_format="pyarrow") \
                          .materialize()
-    return min_reps(keyed, ["h1", "h2"], 32).rename_columns({"rep": "w"})
+    return min_reps(keyed, ["h1", "h2"]).rename_columns({"rep": "w"})
 
 
 def tiered_dedup(sf_dir: str, cfg: PipelineConfig | None = None,

@@ -20,10 +20,11 @@ Ray-Data shape (all stages stream):
 3. keep — join the winner pack back onto the exploded rows
    (broadcast-or-shuffle via ``attach_columns``) and keep rows whose own
    pack equals the winner pack (the first global occurrence).
-4. rebuild — sort on ``pack`` + per-block segmented ``binary_join``
-   (zero per-doc Python dispatch; block-edge docs re-joined from a tiny
-   boundary set). Output-proportional; docs that lose every span (exact
-   full dups) drop out.
+4. rebuild — one segmented ``binary_join`` over doc_id segments
+   (``joins.map_segments``: a range sort on doc_id, the kernel per block,
+   block-edge docs re-joined on the driver; zero per-doc Python dispatch).
+   Output-proportional; docs that lose every span (exact full dups) drop
+   out.
 
 Scale assumptions (documented per the custom-operator rule): doc_id < 2^31
 and spans-per-doc < 2^32 for the pack key; span strings are bounded by
@@ -39,7 +40,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from fuzzy_matcher_ray.stages.joins import attach_columns
+from fuzzy_matcher_ray.stages.joins import attach_columns, map_segments
 
 
 def _as_array(col: pa.ChunkedArray | pa.Array) -> pa.Array:
@@ -102,31 +103,20 @@ def _keep_winners(t: pa.Table) -> pa.Table:
     return t.filter(mask).select(["doc_id", "line", "pack"])
 
 
-def _segmented_rebuild(t: pa.Table, joiner: str,
-                       skip_first_last: bool) -> pa.Table:
-    """Docs rebuilt from pack-sorted surviving span rows, fully vectorized:
-    doc segments come from one np.diff over doc_id, the joined text from one
-    ``ListArray.from_arrays`` (zero-copy values slice) + ``binary_join``.
-    With ``skip_first_last`` the block's first and last doc are left for the
-    boundary pass (their rows may straddle block edges)."""
-    empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                      "kept_text": pa.array([], pa.string())})
+def _segmented_rebuild(t: pa.Table, joiner: str) -> pa.Table:
+    """Docs rebuilt from their surviving span rows, fully vectorized: one
+    sort on pack (== (doc_id, ln)), doc segments from one np.diff over
+    doc_id, the joined text from one ``ListArray.from_arrays`` (zero-copy
+    values slice) + ``binary_join``."""
     if len(t) == 0:
-        return empty
+        return pa.table({"doc_id": pa.array([], pa.int64()),
+                         "kept_text": pa.array([], pa.string())})
+    t = t.take(pc.sort_indices(t["pack"]))
     ids = t["doc_id"].to_numpy(zero_copy_only=False)
-    brk = np.nonzero(ids[1:] != ids[:-1])[0] + 1
-    starts = np.concatenate(([0], brk))
-    ends = np.concatenate((brk, [len(ids)]))
-    if skip_first_last:
-        starts, ends = starts[1:-1], ends[1:-1]
-    if len(starts) == 0:
-        return empty
-    lines = _as_array(t["line"])
-    lo, hi = int(starts[0]), int(ends[-1])
-    # interior segments are contiguous in values order — one zero-copy slice
-    offsets = (np.concatenate((starts, [hi])) - lo).astype(np.int32)
+    starts = np.concatenate(([0], np.nonzero(ids[1:] != ids[:-1])[0] + 1))
+    offsets = np.append(starts, len(ids)).astype(np.int32)
     la = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()),
-                                  lines.slice(lo, hi - lo))
+                                  _as_array(t["line"]))
     return pa.table({"doc_id": pa.array(ids[starts]),
                      "kept_text": pc.binary_join(la, joiner)})
 
@@ -161,37 +151,13 @@ def dedup_spans(docs, *, span_tokens: int | None = 10, pattern: str = "\n"):
 def _rebuild_docs(kept, joiner: str):
     """Surviving (doc_id, line, pack) rows → (doc_id, kept_text) docs.
 
-    One range sort on pack (== (doc_id, ln) lexicographic) then a per-BLOCK
-    segmented binary_join: zero per-doc Python dispatch (the round-2
-    map_groups rebuild cost ~1 ms per doc — untenable at 10^9 docs). Docs
-    whose rows may straddle block edges (each block's first / last doc) are
-    skipped per block and re-joined from a tiny collected side-set, the
-    stages/candidates._sorted_explode boundary pattern. Shared by
-    ``dedup_spans`` (keep-first) and ``drop_boilerplate`` (drop-frequent).
+    ``_segmented_rebuild`` over doc_id segments (``map_segments``): zero
+    per-doc Python dispatch (the round-2 map_groups rebuild cost ~1 ms per
+    doc — untenable at 10^9 docs). Shared by ``dedup_spans`` (keep-first)
+    and ``drop_boilerplate`` (drop-frequent).
     """
-    sorted_kept = kept.sort("pack").materialize()
-
-    interior = sorted_kept.map_batches(
-        lambda t: _segmented_rebuild(t, joiner, skip_first_last=True),
-        batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-
-    def _boundary(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return t
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        return t.filter(pa.array((ids == ids[0]) | (ids == ids[-1])))
-
-    b_parts = list(sorted_kept.map_batches(_boundary, batch_format="pyarrow",
-                                           batch_size=None)
-                   .iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-    if b_parts:
-        bt = pa.concat_tables(b_parts).combine_chunks()
-        if len(bt):
-            bt = bt.take(pc.sort_indices(bt["pack"]))
-            bdocs = _segmented_rebuild(bt, joiner, skip_first_last=False)
-            if len(bdocs):
-                interior = interior.union(rd.from_arrow(bdocs))
-    return interior
+    return map_segments(kept, ["doc_id"],
+                        lambda t: _segmented_rebuild(t, joiner))
 
 
 def span_dedup(sf_dir: str, span_tokens: int = 10):

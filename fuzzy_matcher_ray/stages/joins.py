@@ -138,6 +138,88 @@ def map_blocks(ds, fn, out_rows=None):
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def map_segments(ds, keys: list[str], fn, block_rows: int | None = None):
+    """``fn`` (pyarrow Table → Table) over ``ds`` cut at ``keys`` changes:
+    the one shape of every key-local operator (pair explode, pair dedup
+    and count, per-doc top-k, min-rep, span rebuild).
+
+    ``fn`` must be correct for any table that holds every row of each
+    ``keys`` value it contains, and sorts its own rows. When ``ds`` is
+    materialized and at most ``candidates.DRIVER_EXPLODE_MAX_ROWS`` rows
+    (read at call time; ``FMR_DRIVER_EXPLODE_MAX_ROWS=0`` forces the
+    other branch), ``fn`` runs once on the driver over its blocks, fetched
+    by ref, and the result is wrapped with ``from_blocks`` in
+    ``block_rows``-row blocks (one block when None): no execution.
+    Otherwise ``ds`` is range-sorted on ``keys`` and ``fn`` runs block by
+    block (``_map_sorted``): zero per-group Python calls.
+    """
+    from fuzzy_matcher_ray.stages import candidates
+
+    if (isinstance(ds, MaterializedDataset)
+            and ds.count() <= candidates.DRIVER_EXPLODE_MAX_ROWS):
+        if ds.schema() is None:     # no rows and no schema: nothing to run
+            return ds
+        out = fn(collect_table(ds))
+        return candidates._chunked_ds(out, block_rows or max(len(out), 1))
+    return _map_sorted(ds.sort(keys).materialize(), keys, fn)
+
+
+def _key_edges(t: pa.Table, keys: list[str]) -> tuple[int, int]:
+    """(lo, hi) of a key-sorted table: rows [0, lo) hold its first key
+    value and rows [hi, n) its last (lo <= hi)."""
+    n = len(t)
+    if n == 0:
+        return 0, 0
+    first = np.ones(n, dtype=bool)
+    last = np.ones(n, dtype=bool)
+    for k in keys:
+        v = t[k].to_numpy(zero_copy_only=False)
+        first &= v == v[0]
+        last &= v == v[-1]
+    lo = n if first.all() else int(np.argmin(first))
+    hi = 0 if last.all() else n - int(np.argmin(last[::-1]))
+    return lo, max(lo, hi)
+
+
+def _map_sorted(srt, keys: list[str], fn):
+    """``fn`` over a materialized dataset whose blocks are contiguous
+    ranges of one sort on ``keys``.
+
+    Each block runs ``fn`` over the rows whose key differs from the
+    block's first and last key: all of a key's rows sit in that block, as
+    a key with rows in two blocks is the last key of one and the first of
+    the next. The rows of those boundary keys (a key may span any number
+    of blocks, whatever layout the sort picks) are collected and run
+    through ``fn`` once on the driver.
+    """
+    import ray.data as rd
+
+    sch = srt.schema()
+    if sch is None:           # no rows and no schema: nothing to run
+        return srt
+    empty = sch.base_schema.empty_table()
+
+    def _interior(t: pa.Table) -> pa.Table:
+        if len(t) == 0:       # empty blocks may carry no schema
+            return fn(empty)
+        lo, hi = _key_edges(t, keys)
+        return fn(t.slice(lo, hi - lo))
+
+    def _boundary(t: pa.Table) -> pa.Table:
+        if len(t) == 0:
+            return empty
+        lo, hi = _key_edges(t, keys)
+        return pa.concat_tables([t.slice(0, lo), t.slice(hi)])
+
+    interior = srt.map_batches(_interior, batch_format="pyarrow",
+                               batch_size=None, zero_copy_batch=True)
+    edges = block_tables(srt.map_batches(
+        _boundary, batch_format="pyarrow", batch_size=None,
+        zero_copy_batch=True).materialize())
+    bt = pa.concat_tables([empty, *edges], promote_options="permissive")
+    return interior.union(rd.from_blocks([fn(bt)]))
+
+
 def project(ds, cols: list[str]):
     """``ds`` with only ``cols``: selected on the driver when ``ds`` is
     materialized (``map_blocks``; a ``select_columns`` would make it lazy

@@ -1,8 +1,13 @@
-"""Force the at-scale code paths (sort-based distributed explode, shuffle
-joins, distributed label propagation) on small data and assert they produce
-byte-identical results to the driver fast paths."""
+"""Force the at-scale code paths (the range-sort branch of
+``joins.map_segments``, shuffle joins, distributed label propagation) on
+small data and assert they produce byte-identical results to the driver
+fast paths."""
 
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pyarrow as pa
@@ -44,32 +49,6 @@ def test_sorted_explode_matches_driver_path(band_rows, monkeypatch):
     assert driver == dist and len(driver) > 0
 
 
-def test_driver_sized_dup_rows_explode_matches_driver_path(band_rows,
-                                                          monkeypatch):
-    """Key rows past the driver budget but dup rows within it: the
-    distributed counts/membership split hands the dup rows to the driver
-    path's lexsort + segment explode."""
-    cfg = PipelineConfig()
-    driver = _pairs_set(C.key_pairs(band_rows, ["band", "band_hash"], cfg))
-    df = band_rows.to_pandas()
-    sizes = df.groupby(["band", "band_hash"]).doc_id.transform("size")
-    n_dup = int(((sizes >= 2) & (sizes <= cfg.max_band_group)).sum())
-    assert 0 < n_dup < len(df) - 1
-    monkeypatch.setattr(C, "DRIVER_EXPLODE_MAX_ROWS", (n_dup + len(df)) // 2)
-    mixed = _pairs_set(C.key_pairs(band_rows, ["band", "band_hash"], cfg))
-    assert driver == mixed and len(driver) > 0
-
-
-def test_shuffle_semi_join_membership(band_rows, monkeypatch):
-    """Force the left_semi join path for dup-key selection too."""
-    cfg = PipelineConfig()
-    driver = _pairs_set(C.key_pairs(band_rows, ["band", "band_hash"], cfg))
-    monkeypatch.setattr(C, "DRIVER_EXPLODE_MAX_ROWS", 10)
-    monkeypatch.setattr(C, "BROADCAST_KEYS_MAX", 0)
-    dist = _pairs_set(C.key_pairs(band_rows, ["band", "band_hash"], cfg))
-    assert driver == dist
-
-
 def test_full_pipeline_distributed_paths(ray_session, monkeypatch):
     """Whole flagship with every driver threshold forced to the distributed
     branch — output must equal the fast-path run exactly."""
@@ -106,3 +85,163 @@ def test_jaccard_allpairs_distributed_parity(ray_session, monkeypatch):
     slow = jaccard_allpairs_clusters(ds) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert fast.equals(slow)
+
+
+# Hand-cut sorted blocks, one key per letter: B (5 rows, hot past a cap of
+# 4) spans three non-empty blocks around an empty one; C spans three
+# blocks through a 1-row block; E spans two; b1 holds only B; D and F are
+# the only interior keys of their blocks.
+_BLOCKS = ["AAAB", "BB", "", "BBC", "C", "CDE", "EEFG"]
+
+
+def _cut(rows: pa.Table) -> list[pa.Table]:
+    """``rows`` (one row per letter of ``_BLOCKS``, in order) cut into the
+    hand-cut blocks."""
+    out, lo = [], 0
+    for blk in _BLOCKS:
+        out.append(rows.slice(lo, len(blk)))
+        lo += len(blk)
+    return out
+
+
+def _segment_kernels():
+    """(name, rows, keys, fn): each key-local kernel with a sorted input
+    table in the ``_BLOCKS`` key layout."""
+    from fuzzy_matcher_ray.pipelines.dedup import _min_rep_table
+    from fuzzy_matcher_ray.pipelines.webtext import _segmented_rebuild
+
+    letters = "".join(_BLOCKS)
+    k = np.array([ord(c) - ord("A") for c in letters], dtype=np.int64)
+    n = len(k)
+    ids = (np.arange(n, dtype=np.int64) * 7) % 11 + 1
+    ids[1] = ids[0]                      # one doc twice under key A
+    i64 = lambda v: pa.array(v, pa.int64())
+    cfg = dataclasses.replace(PipelineConfig(), max_band_group=4)
+
+    def pp(t):
+        return i64(t["doc_id_a"].to_numpy() * 100 + t["doc_id_b"].to_numpy())
+
+    def explode(t):
+        return C._explode_table(t, ["k"], cfg, [], None, {"pp": pp})
+
+    a, b = k // 3, 10 + k % 3          # (a, b) sorts as the letters do
+    pp_vals = pa.array([None if i % 3 == 0 else int(i) for i in range(n)],
+                       pa.int64())
+    return [
+        ("explode", pa.table({"k": i64(k), "doc_id": i64(ids)}), ["k"],
+         explode),
+        ("dedup", pa.table({"a": i64(a), "b": i64(b), "pp": pp_vals}),
+         ["a", "b"], lambda t: C._numpy_dedup_pairs(t, ["pp"])),
+        ("count", pa.table({"a": i64(a), "b": i64(b)}), ["a", "b"],
+         C._count_table),
+        ("min_rep", pa.table({"h1": i64(k // 2), "h2": i64(k % 2),
+                              "doc_id": i64(ids)}), ["h1", "h2"],
+         lambda t: _min_rep_table(t, ["h1", "h2"])),
+        ("rebuild", pa.table({
+            "doc_id": i64(k), "line": pa.array([f"l{i}" for i in range(n)]),
+            "pack": i64((k << 32) | np.arange(n, dtype=np.int64))}),
+         ["doc_id"], lambda t: _segmented_rebuild(t, "\n")),
+    ]
+
+
+@pytest.mark.parametrize("name", ["explode", "dedup", "count", "min_rep",
+                                  "rebuild"])
+def test_map_sorted_stitches_boundary_keys(ray_session, name):
+    """The post-sort step of ``map_segments`` over hand-cut sorted blocks
+    equals the kernel over the whole table: keys spanning 2 and 3 blocks,
+    a single-key block, a 1-row and an empty block, and a hot key spanning
+    3 non-empty blocks."""
+    import ray.data as rd
+    from fuzzy_matcher_ray.stages.joins import _map_sorted, collect_table
+
+    (_, rows, keys, fn), = [x for x in _segment_kernels() if x[0] == name]
+    want = fn(rows)
+    assert len(want) > 0
+    got = collect_table(_map_sorted(rd.from_blocks(_cut(rows)), keys, fn))
+    order = [(c, "ascending") for c in want.column_names]
+    assert got.sort_by(order).equals(want.sort_by(order))
+
+
+_ONE_CPU_RUN = """
+import sys
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+import ray.data as rd
+rd.DataContext.get_current().enable_progress_bars = False
+from dataclasses import replace
+from fuzzy_matcher_ray.config import PipelineConfig
+from fuzzy_matcher_ray.pipelines.dedup import find_duplicates, incremental_update
+from fuzzy_matcher_ray.stages import candidates
+from fuzzy_matcher_ray.stages.joins import collect_table
+from fuzzy_matcher_ray.state.checkpoint import Checkpointer
+from fuzzy_matcher_ray.sources.webpages import make_webpages
+
+assert candidates.DRIVER_EXPLODE_MAX_ROWS == 0
+out = sys.argv[1]
+pages, _ = make_webpages(750, seed=5)
+t = pa.table({"doc_id": pa.array(range(len(pages)), pa.int64()),
+              "url": pages["url"], "text": pages["text"],
+              "lang": pages["lang"]})
+cfg = replace(PipelineConfig(), driver_uf_max_edges=0)
+link0 = find_duplicates(rd.from_blocks([t.slice(0, 400)]), cfg,
+                        checkpointer=Checkpointer(out + "/link0",
+                                                  cfg.config_hash()))
+pq.write_table(collect_table(link0), out + "/link0.parquet")
+fold = incremental_update([out + "/link0"], rd.from_blocks([t.slice(400)]), cfg)
+pq.write_table(collect_table(fold), out + "/fold.parquet")
+ray.shutdown()
+"""
+
+
+def test_forced_twins_one_cpu_flagship_and_fold(ray_session, tmp_path):
+    """Every key-local operator on its distributed branch
+    (FMR_DRIVER_EXPLODE_MAX_ROWS=0) and distributed labelling, on a 1-CPU
+    Ray: a checkpointed flagship (chain link 0) and one fold finish and
+    label every doc as the default run does. The session fixture has 4
+    CPUs, so the run starts its own Ray in a subprocess."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
+                                                   incremental_update)
+    from fuzzy_matcher_ray.state.checkpoint import Checkpointer
+    from fuzzy_matcher_ray.stages.joins import collect_table
+
+    env = dict(os.environ, FMR_DRIVER_EXPLODE_MAX_ROWS="0",
+               PYTHONPATH=os.pathsep.join(
+                   [os.path.dirname(os.path.dirname(__file__)),
+                    os.environ.get("PYTHONPATH", "")]))
+    log = tmp_path / "run.log"
+    with open(log, "w") as out:
+        # own process group: a timeout ends the run and the Ray it started
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _ONE_CPU_RUN, str(tmp_path)], env=env,
+            stdout=out, stderr=subprocess.STDOUT, start_new_session=True)
+        try:
+            rc = proc.wait(timeout=240)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+    assert rc == 0, log.read_text()[-4000:]
+
+    cfg = PipelineConfig()
+    pages, _ = make_webpages(750, seed=5)
+    t = pa.table({"doc_id": pa.array(range(len(pages)), pa.int64()),
+                  "url": pages["url"], "text": pages["text"],
+                  "lang": pages["lang"]})
+    root = str(tmp_path / "default_link0")
+    link0 = collect_table(find_duplicates(
+        rd.from_blocks([t.slice(0, 400)]), cfg,
+        checkpointer=Checkpointer(root, cfg.config_hash())))
+    fold = collect_table(incremental_update(
+        [root], rd.from_blocks([t.slice(400)]), cfg))
+    for name, want in (("link0", link0), ("fold", fold)):
+        got = pq.read_table(tmp_path / f"{name}.parquet")
+        cols = [c for c in ("doc_id", "cluster_id", "url")
+                if c in want.column_names]
+        assert "cluster_id" in cols and len(want) > 0
+        assert got.select(cols).sort_by("doc_id").equals(
+            want.select(cols).sort_by("doc_id")), name

@@ -61,9 +61,10 @@ def test_tiered_lsh_path_matches_exact(ray_session, corpus):
 
 
 def test_doc_winner_distributed_twin(ray_session, tmp_path, monkeypatch):
-    """The min-rep twin (groupby Min + hash join) gives the driver path's
-    (doc_id, w) rows: three copies of the fixture's docs, 24 rows past a
-    driver budget of 10."""
+    """The min-rep kernel's distributed branch (range sort on the key,
+    per-block segment min, boundary keys stitched on the driver) gives the
+    driver path's (doc_id, w) rows: three copies of the fixture's docs, 24
+    rows past a driver budget of 10."""
     from fuzzy_matcher_ray.pipelines.tier import _doc_winner
     from fuzzy_matcher_ray.stages import candidates
 

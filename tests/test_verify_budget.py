@@ -41,6 +41,36 @@ def test_count_pairs_hits(ray_session, monkeypatch, distributed):
 
 
 @pytest.mark.parametrize("distributed", [False, True])
+def test_dedup_pairs_min_cols_keep_type(ray_session, monkeypatch,
+                                        distributed):
+    """Min per extra column ignores nulls and keeps the column's int64
+    type whether or not a block holds nulls (a hot key's star+chain pairs
+    carry null derive cols), so per-block outputs share one schema."""
+    import ray.data as rd
+
+    from fuzzy_matcher_ray.stages.joins import block_tables, collect_table
+    if distributed:
+        monkeypatch.setattr(cand, "DRIVER_EXPLODE_MAX_ROWS", 0)
+    i64 = lambda v: pa.array(v, pa.int64())
+    ds = rd.from_blocks([
+        pa.table({"a": i64([1, 1, 2]), "b": i64([2, 2, 3]),
+                  "pp": i64([None, 5, None])}),
+        pa.table({"a": i64([1, 4]), "b": i64([2, 5]), "pp": i64([7, 9])})])
+    got = cand.dedup_pairs(ds, ["pp"]).materialize()
+    assert {t.schema.field("pp").type for t in block_tables(got)} == \
+        {pa.int64()}
+    rows = collect_table(got).sort_by([("a", "ascending"), ("b", "ascending")])
+    assert rows.to_pylist() == [{"a": 1, "b": 2, "pp": 5},
+                                {"a": 2, "b": 3, "pp": None},
+                                {"a": 4, "b": 5, "pp": 9}]
+    t = cand._numpy_dedup_pairs(pa.table({
+        "a": i64([1, 1, 2]), "b": i64([2, 2, 3]),
+        "pp": i64([None, 5, None])}), ["pp"])
+    assert t.schema.field("pp").type == pa.int64()
+    assert t["pp"].to_pylist() == [5, None]
+
+
+@pytest.mark.parametrize("distributed", [False, True])
 def test_budget_pairs_rank_and_union(ray_session, monkeypatch, distributed):
     if distributed:
         monkeypatch.setattr(cand, "DRIVER_EXPLODE_MAX_ROWS", 0)
