@@ -4,16 +4,29 @@ The Ray-Data realization of the reference's two-phase roadmap
 (``/root/reference/TODO.md:69-74`` — "first-pass approximate index with
 n-grams or MinHash … coarse filtering followed by precise matching"):
 
-    read → normalize+gate ─┬───────────── exact content-hash pass ──────────┐
-                           └ sketch ┬ MinHash bands → pairs ┐                 │
-                                    │                       ├ verify ─────────┼→ edges
-                                    ├ SimHash keys → pairs ─┘                 │
-                                    └ winnow fps → pairs → substring verify ──┘
+    read → normalize+gate → exact content-hash star (doc → min-id rep) ─────┐
+                              │ its reps only                               │
+                              └ sketch ┬ MinHash bands → pairs ┐            │
+                                       │                       ├ verify ────┼→ edges
+                                       ├ SimHash keys → pairs ─┘            │
+                                       └ winnow fps → pairs → substring ────┘
+                                                              verify
     edges → connected components → (doc_id, cluster_id, url)
 
+The exact pass runs first and feeds the sketch: a fuzzy doc is sketched
+only when it is its exact group's min doc_id, so each distinct text is
+sketched, paired and verified once and its exact copies join its
+component through the exact star alone. Identical texts have identical
+keys and verify outcomes, so the components (hence the min-id labels) are
+those of sketching every copy, up to the hot-bucket caveat of
+``incremental_update`` (a copy-heavy bucket past ``max_band_group`` now
+may fit under it).
+
 Three Dataset executions: normalize, the sketch (ONE per-doc map: MinHash
-bands, SimHash and winnowed fingerprints of each fuzzy doc), and the fan-in
-that runs every verify and dedups the edges. Between them the key rows,
+bands, SimHash and winnowed fingerprints of each distinct fuzzy text), and
+the fan-in that runs every verify and dedups the edges. The exact key rows
+and their min-rep star are built on the driver from the normalize blocks
+ahead of the sketch. Between the executions the key rows,
 candidate pairs and, after it, the cluster fill are built on the driver
 from the materialized blocks (``joins.map_blocks``) while they fit; past
 that, or over a checkpoint read, each is a Ray map or shuffle with hot-key
@@ -39,6 +52,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+from ray.data.dataset import MaterializedDataset
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.stages.candidates import (_chunked_ds,
@@ -46,7 +60,8 @@ from fuzzy_matcher_ray.stages.candidates import (_chunked_ds,
                                                  dedup_pairs, key_pairs)
 from fuzzy_matcher_ray.stages.cluster import (_coalesce_i64, cluster_edges,
                                               component_labels)
-from fuzzy_matcher_ray.stages.joins import (attach_columns, block_tables,
+from fuzzy_matcher_ray.stages.joins import (anti_join, anti_lookup,
+                                            attach_columns, block_tables,
                                             map_blocks, map_segments, project)
 from fuzzy_matcher_ray.stages.minhash_stage import (
     Signatures, add_stage, band_key_rows, simhash_key_rows, winnow_key_rows)
@@ -56,6 +71,8 @@ from fuzzy_matcher_ray.stages.verify import (
 from fuzzy_matcher_ray.state.checkpoint import Checkpointer
 
 PASSES = ("exact", "minhash", "simhash", "substring")
+# the exact pass's 128-bit content key
+_HASH_KEY = ["text_hash", "text_hash2"]
 # the passes whose key rows come from the sketch (``signature_table``)
 _SKETCH_PASSES = {"minhash", "simhash", "substring"}
 # the normalize columns a fold reads from a prior link
@@ -88,8 +105,35 @@ def _hash_rows(norm):
     }).filter(pc.greater(t["tier"], pa.scalar(TIER_SKIP, pa.int8()))))
 
 
+class _ExactStar:
+    """One shard's exact key rows (``_hash_rows``, pinned) and their
+    min-rep star (``min_reps``), each built once on first use: the sketch
+    filter and the exact pass share them. ``rows`` may come prebuilt;
+    ``built_rows`` holds them once built."""
+
+    def __init__(self, norm, rows=None):
+        self.norm = norm
+        self.built_rows = rows
+        self._reps = None
+
+    def rows(self):
+        if self.built_rows is None:
+            self.built_rows = _pinned(_hash_rows(self.norm))
+        return self.built_rows
+
+    def reps(self):
+        if self._reps is None:
+            self._reps = _pinned(min_reps(self.rows(), _HASH_KEY))
+        return self._reps
+
+
+def _pinned(ds):
+    return ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+
+
 def exact_dup_edges(norm, cfg: PipelineConfig,
-                    prior: PriorIndex | None = None):
+                    prior: PriorIndex | None = None,
+                    star: _ExactStar | None = None):
     """Exact dedup pre-pass: same 128-bit content key ⇒ duplicate edges.
 
     ≙ terminal-node ID set (fuzzy_types/types.go:38). Key = the two
@@ -101,19 +145,24 @@ def exact_dup_edges(norm, cfg: PipelineConfig,
     With ``prior`` the prior rows sharing a key with the increment join its
     rows before the min-rep star. Exact equality is transitive, so the
     components — hence the min-id labels — match a full re-run's.
+
+    ``star``: ``norm``'s key rows and star when the sketch filter already
+    built them (built here otherwise); without ``prior`` the star is the
+    pass's own, reused as is.
     """
-    rows = _hash_rows(norm).materialize()
-    if prior is not None:
-        rows = _semi_join_rows(_hash_rows(prior.norm), rows,
-                               ["text_hash", "text_hash2"], cfg) \
-            .union(rows).materialize()
+    star = star or _ExactStar(norm)
+    if prior is None:
+        reps = star.reps()
+    else:
+        rows = _semi_join_rows(_hash_rows(prior.norm), star.rows(),
+                               _HASH_KEY, cfg).union(star.rows()).materialize()
+        reps = min_reps(rows, _HASH_KEY)
 
     def _edges(t: pa.Table) -> pa.Table:
         t = t.filter(pc.not_equal(t["doc_id"], t["rep"]))
         return pa.table({"a": t["rep"], "b": t["doc_id"]})
 
-    return min_reps(rows, ["text_hash", "text_hash2"]).map_batches(
-        _edges, batch_format="pyarrow")
+    return reps.map_batches(_edges, batch_format="pyarrow")
 
 
 def _min_rep_table(t: pa.Table, key_cols: list[str]) -> pa.Table:
@@ -142,7 +191,7 @@ def min_reps(rows, key_cols: list[str]):
                         lambda t: _min_rep_table(t, key_cols))
 
 
-def signature_table(norm, cfg: PipelineConfig):
+def signature_table(norm, cfg: PipelineConfig, reps=None):
     """One pass over the text → the per-doc sketch (bands, simhash, and the
     winnowed fingerprints fp with their positions pos).
 
@@ -151,9 +200,25 @@ def signature_table(norm, cfg: PipelineConfig):
     (round-1 verdict item 1: redundant shingle passes were the top
     memory-bandwidth cost). Checkpointed as the ``signatures`` artifact, so
     a fold never re-sketches the prior corpus.
+
+    ``reps``: the exact pass's (doc_id, rep) star over ``norm``. Given, the
+    docs that are not their group's rep are left out: one sketch row per
+    distinct fuzzy text. The filter runs inside the sketch map (a broadcast
+    ``joins.anti_lookup``) and is a ``joins.anti_join`` ahead of it past
+    the broadcast budget.
     """
-    return add_stage(norm.select_columns(["doc_id", "norm_text", "tier"]),
-                     Signatures, cfg)
+    src = norm.select_columns(["doc_id", "norm_text", "tier"])
+    drop = None
+    if reps is not None:
+        copies = _pinned(map_blocks(reps, lambda t: pa.table(
+            {"doc_id": t["doc_id"]}).filter(
+                pc.not_equal(t["doc_id"], t["rep"]))))
+        if copies.count():
+            drop = anti_lookup(copies, "doc_id", "doc_id")
+            if drop is None:
+                src = anti_join(src, copies, "doc_id", "doc_id",
+                                cfg.join_num_partitions)
+    return add_stage(src, Signatures, cfg, drop=drop)
 
 
 def _candidate_pairs(rows, prior_rows, key_cols: list[str],
@@ -339,14 +404,16 @@ def substring_edges(norm, cfg: PipelineConfig, attacher=None, sigs=None,
 
 
 def _pass_builders(passes: tuple, norm, cfg: PipelineConfig, attacher, sigs,
-                   sets_ref=None, prior: PriorIndex | None = None) -> list:
+                   sets_ref=None, prior: PriorIndex | None = None,
+                   star: _ExactStar | None = None) -> list:
     """Thunks building the (a, b) edges of the wanted passes, in their
     fixed order: exact, then MinHash and SimHash as ONE thunk (``lsh_edges``:
     one verify over both passes' candidates), then substring. ``sigs`` is
-    ``norm``'s sketch, the key-row source of the last three."""
+    ``norm``'s sketch, the key-row source of the last three; ``star`` its
+    exact key rows and star when already built."""
     make = []
     if "exact" in passes:
-        make.append(lambda: exact_dup_edges(norm, cfg, prior))
+        make.append(lambda: exact_dup_edges(norm, cfg, prior, star))
     if "minhash" in passes or "simhash" in passes:
         make.append(lambda: _edges_only(lsh_edges(
             norm, cfg, passes, attacher, sigs, sets_ref, prior)))
@@ -356,7 +423,7 @@ def _pass_builders(passes: tuple, norm, cfg: PipelineConfig, attacher, sigs,
     return make
 
 
-def _edges_all(ck: Checkpointer, builders):
+def _edges_all(ck: Checkpointer, builders, passes: tuple):
     """The ``edges_all`` stage: build the passes on parallel driver
     threads, union their edges and dedup them. ``builders()`` returns the
     pass thunks and is called only when the stage builds, so a resumed
@@ -384,7 +451,8 @@ def _edges_all(ck: Checkpointer, builders):
             edges = edges.union(e)
         return dedup_pairs(edges)
 
-    return ck.stage("edges_all", build, empty_schema=EDGE_SCHEMA)
+    return ck.stage("edges_all", build, empty_schema=EDGE_SCHEMA,
+                    meta=_passes_meta(passes))
 
 
 def find_duplicates(docs, cfg: PipelineConfig | None = None,
@@ -399,16 +467,20 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
 
     Uncheckpointed, the run is three Dataset executions: normalize, the
     sketch, and the fan-in of every pass's verify (``_edges_all``); the
-    key rows, candidate pairs and the cluster fill are built on the driver
-    from the materialized blocks while they fit (``joins.map_blocks``).
+    exact star, the key rows, candidate pairs and the cluster fill are
+    built on the driver from the materialized blocks while they fit
+    (``joins.map_blocks``). With the exact pass the sketch holds one row
+    per distinct fuzzy text, its exact group's min doc_id: the other
+    copies reach the LSH and substring passes only through it.
 
     With a ``checkpointer`` the run writes the same chain link as a fold
     (``incremental_update``): the ``normalize``, ``signatures`` (the
     sketch), ``edges_all`` and ``clusters`` stages, so it is link 0 of a
     ``dedup_sharded`` chain. A zero-row input still writes every stage but
     ``edges_all``, empty and schema-pinned. A checkpointed stage whose
-    columns are not the ones this code writes (``_link_schemas``) rebuilds
-    instead of resuming (``_drop_stale_stages``).
+    columns are not the ones this code writes (``_link_schemas``), or that
+    was built for another pass set, rebuilds instead of resuming
+    (``_drop_stale_stages``).
 
     With ``cfg.ttl_mode`` the expiry invariant is enforced (every row must
     carry a non-null valid_until — ≙ Build error on zero expiry,
@@ -436,7 +508,7 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
     n_blocks = cfg.join_num_partitions
     if ck.enabled:
         _drop_stale_stages(ck, cfg, docs, ("normalize", "signatures",
-                                           "clusters"))
+                                           "edges_all", "clusters"), passes)
     norm = ck.stage("normalize",
                     lambda: normalized_docs(docs, cfg).repartition(n_blocks),
                     empty_schema=_link_schemas(cfg)["normalize"])
@@ -449,12 +521,11 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
                  "cluster_id": pa.array([], pa.int64()),
                  "url": pa.array([], pa.string())}
         return rd.from_blocks([pa.table(empty)])
-    # ONE sketch stage (a single pass over the text) feeds the LSH and
-    # substring passes
-    sigs = None
-    if _SKETCH_PASSES & set(passes):
-        sigs = ck.stage("signatures", lambda: signature_table(norm, cfg),
-                        empty_schema=_link_schemas(cfg)["signatures"])
+    # the exact star (built on first use: a resumed sketch and edges_all
+    # need none), then ONE sketch stage (a single pass over the text of
+    # the star's reps) feeding the LSH and substring passes
+    star = _ExactStar(norm) if "exact" in passes else None
+    sigs = _sketch_stage(ck, norm, cfg, passes, star)
 
     def builders():
         # one broadcast copy of (doc_id → norm_text) shared by every verify
@@ -473,29 +544,75 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
                 and cfg.use_shingle_set_artifact:
             from fuzzy_matcher_ray.stages.verify import build_shingle_sets
             sets_ref = build_shingle_sets(norm, cfg)
-        return _pass_builders(passes, norm, cfg, attacher, sigs, sets_ref)
+        return _pass_builders(passes, norm, cfg, attacher, sigs, sets_ref,
+                              star=star)
 
-    edges = _edges_all(ck, builders)
+    edges = _edges_all(ck, builders, passes)
     # url rides from the normalize stage: no join back to the source
     ids = [c for c in ("doc_id", "url") if c in norm.schema().names]
     return ck.stage(
         "clusters",
-        lambda: cluster_edges(edges, project(norm, ids), cfg))
+        lambda: cluster_edges(edges, project(norm, ids), cfg),
+        meta=_passes_meta(passes))
+
+
+def _sketch_stage(ck: Checkpointer, norm, cfg: PipelineConfig, passes: tuple,
+                  star: _ExactStar | None):
+    """The ``signatures`` stage, None when no pass needs it. With ``star``
+    (the exact pass runs) it holds one row per distinct fuzzy text of
+    ``norm``; its manifest records the pass set (``_built_for``)."""
+    if not _SKETCH_PASSES & set(passes):
+        return None
+    return ck.stage(
+        "signatures",
+        lambda: signature_table(norm, cfg,
+                                None if star is None else star.reps()),
+        empty_schema=_link_schemas(cfg)["signatures"],
+        meta=_passes_meta(passes))
+
+
+def _passes_meta(passes: tuple) -> dict:
+    """The manifest field of the link stages that depend on the pass set."""
+    return {"passes": sorted(passes)}
+
+
+def _reps_only(m: dict) -> bool:
+    """Whether a ``signatures`` manifest is of a sketch of exact-group reps
+    only: one built with the exact pass (one with no recorded pass set
+    sketched every fuzzy doc)."""
+    return "exact" in m.get("passes", ())
+
+
+def _built_for(m: dict, name: str, passes: tuple) -> bool:
+    """Whether the checkpointed link stage ``name`` (manifest ``m``) holds
+    what a run with ``passes`` builds: a sketch of reps only iff the run
+    has the exact pass, edges_all and clusters of the same pass set (a
+    checkpoint that records none resumes)."""
+    if name == "signatures":
+        return _reps_only(m) == ("exact" in passes)
+    return m.get("passes") in (None, sorted(passes))
 
 
 def _drop_stale_stages(ck: Checkpointer, cfg: PipelineConfig, docs,
-                       names: tuple) -> None:
-    """Forget the checkpoints among the link stages ``names`` whose columns
-    differ from the ones this code writes (``_link_schemas``), so they
-    rebuild instead of resuming: artifacts of an older layout, or a
-    normalize or clusters stage written without the url that ``docs``
-    has. url is the one column a stage may lack, when ``docs`` lacks it
-    too (read off ``docs``' schema only then)."""
+                       names: tuple, passes: tuple) -> None:
+    """Forget the checkpoints among the link stages ``names`` that this run
+    would not build as they are, so they rebuild instead of resuming:
+    stages built for another pass set (``_built_for``: a rep-only sketch
+    never serves a run without the exact pass), and stages whose columns
+    differ from the ones this code writes (``_link_schemas``): artifacts
+    of an older layout, or a normalize or clusters stage written without
+    the url that ``docs`` has. url is the one column a stage may lack,
+    when ``docs`` lacks it too (read off ``docs``' schema only then)."""
     schemas = _link_schemas(cfg)
     has_url = None
     for name in names:
         m = ck.manifest(name)
         if m is None:
+            continue
+        if not _built_for(m, name, passes):
+            ck.drop(name)
+            continue
+        if name not in schemas:
             continue
         cols, want = m.get("columns"), schemas[name].names
         if "url" in want and "url" not in (cols or ()):
@@ -615,18 +732,19 @@ def _load_stage(prior_root: str, name: str, expect_hash: str | None = None):
     return rd.read_parquet(data_dir), m
 
 
-def _prior_stage(loaded, name: str, rebuild, columns: list[str]):
+def _prior_stage(loaded, name: str, rebuild, usable):
     """One artifact unioned over a chain's ``loaded`` roots, oldest first.
-    A root built without it (e.g. a pre-LSH checkpoint), or with other
-    ``columns`` (an older layout), re-derives it from its normalize
-    artifact with ``rebuild`` — correct, just not incremental."""
+    A root built without it (e.g. a pre-LSH checkpoint), or whose manifest
+    is not ``usable`` (an older layout, a rep-only sketch for a fold
+    without the exact pass), re-derives it from its normalize artifact with
+    ``rebuild`` — correct, just not incremental."""
     out = None
     for r, n, h in loaded:
         try:
             s, m = _load_stage(r, name, h)
         except FileNotFoundError:
             s = m = None
-        if m is None or m.get("columns") != columns:
+        if m is None or not usable(m):
             s = rebuild(n)
         out = s if out is None else out.union(s)
     return out
@@ -738,28 +856,32 @@ def _write_empty_link(ck: Checkpointer, cfg: PipelineConfig) -> None:
 
 
 def _shard_artifacts(ck: Checkpointer, docs, cfg: PipelineConfig,
-                     passes: tuple):
-    """A shard's fold-independent artifacts → (normalize, signatures); the
-    sketch is None when no pass needs it. Both are pure functions of the
-    shard's own text, so ``dedup_sharded`` prebuilds them ahead of the
-    shard's fold with this same builder and cfg, and the fold's
-    ``ck.stage`` calls resume them from the manifest."""
-    sch = _link_schemas(cfg)
+                     passes: tuple, rows=None):
+    """A shard's fold-independent artifacts → (normalize, signatures,
+    exact star); the sketch is None when no pass needs it, the star when
+    the exact pass does not run or the shard is empty. With the exact pass
+    the sketch holds one row per distinct fuzzy text of the shard (the
+    min doc_id of each of its exact groups; a copy of another shard's text
+    is still sketched). Both artifacts are pure functions of the shard's
+    own text, so ``dedup_sharded`` prebuilds them ahead of the shard's
+    fold with this same builder and cfg, and the fold's ``ck.stage``
+    calls resume them from the manifest. ``rows``: the shard's exact key
+    rows when a prebuild already built them."""
     if ck.enabled:
-        _drop_stale_stages(ck, cfg, docs, ("normalize", "signatures"))
+        _drop_stale_stages(ck, cfg, docs, ("normalize", "signatures"), passes)
     norm = ck.stage("normalize", lambda: normalized_docs(docs, cfg),
-                    empty_schema=sch["normalize"])
-    sigs = None
-    if _SKETCH_PASSES & set(passes):
-        sigs = ck.stage("signatures", lambda: signature_table(norm, cfg),
-                        empty_schema=sch["signatures"])
-    return norm, sigs
+                    empty_schema=_link_schemas(cfg)["normalize"])
+    # norm is materialized or a checkpoint read: its count is metadata
+    star = _ExactStar(norm, rows) \
+        if "exact" in passes and norm.count() else None
+    return norm, _sketch_stage(ck, norm, cfg, passes, star), star
 
 
 def incremental_update(prior_root: str | list[str], new_docs,
                        cfg: PipelineConfig | None = None,
                        passes: tuple = PASSES,
-                       checkpointer: Checkpointer | None = None):
+                       checkpointer: Checkpointer | None = None,
+                       hash_rows=None):
     """Cluster a NEW shard against a prior ``find_duplicates`` run without
     re-scanning the prior corpus — the web-scale InsertEntries
     (``fuzzy_matcher.go:21-27``: the reference mutates a live trie; here the
@@ -767,7 +889,9 @@ def incremental_update(prior_root: str | list[str], new_docs,
 
     A fold is the flagship's own pass builders run over a delta. It reads
     the prior run's artifacts (normalize / signatures / clusters), builds
-    ONLY the increment's, and hands the prior ones to
+    ONLY the increment's (its sketch holds one row per distinct fuzzy text
+    of the increment, as ``find_duplicates``' does), and hands the prior
+    ones to
     ``exact_dup_edges`` / ``minhash_pairs`` / ``simhash_pairs`` /
     ``substring_edges`` as a ``PriorIndex``: each semi-joins the prior key
     rows against the increment's key set, so buckets the increment never
@@ -805,7 +929,8 @@ def incremental_update(prior_root: str | list[str], new_docs,
     the increment's own artifacts (normalize/signatures), the
     new edges and the merged ``clusters`` persist under its root, making
     the output a valid next link of the chain — ``dedup_sharded`` builds
-    web-scale runs out of exactly this step.
+    web-scale runs out of exactly this step. ``hash_rows``: the
+    increment's materialized exact key rows when its prebuild built them.
     """
     import ray
 
@@ -833,7 +958,8 @@ def incremental_update(prior_root: str | list[str], new_docs,
 
     # the caller's cfg, as in dedup_sharded's prebuild: a prebuilt stage
     # resumes as exactly what the fold would have built
-    norm_B, sigs_B = _shard_artifacts(ck, new_docs, cfg, passes)
+    norm_B, sigs_B, star = _shard_artifacts(ck, new_docs, cfg, passes,
+                                            hash_rows)
     # norm_B is materialized or a checkpoint read: its count is metadata
     if norm_B.count() == 0:
         # an empty shard's link carries the prior labels forward
@@ -841,10 +967,12 @@ def incremental_update(prior_root: str | list[str], new_docs,
             "clusters",
             lambda: clusters_A.select_columns(["doc_id", "cluster_id"]),
             materialize_if_disabled=False,
-            empty_schema=_link_schemas(cfg)["clusters"])
+            empty_schema=_link_schemas(cfg)["clusters"],
+            meta=_passes_meta(passes))
 
     from fuzzy_matcher_ray.stages.joins import (BROADCAST_MAX_ROWS,
                                                 BroadcastAttacher,
+                                                _collect_columns,
                                                 partitions_for, plan_bytes)
     # sized off the plans: size_bytes() on the prior union would re-read
     # every prior normalize artifact
@@ -857,11 +985,8 @@ def incremental_update(prior_root: str | list[str], new_docs,
     # by definition; at shard sizes past driver memory, skip via the
     # caller's own id discipline and the check degrades to the join paths
     # simply producing garbage — hence the hard error here while it fits)
-    b_ids = np.unique(np.concatenate(
-        [t["doc_id"].to_numpy(zero_copy_only=False)
-         for t in norm_B.select_columns(["doc_id"])
-         .iter_batches(batch_size=1 << 20, batch_format="pyarrow")]
-        or [np.empty(0, np.int64)]))
+    b_ids = np.unique(_collect_columns(norm_B, ["doc_id"])["doc_id"]
+                      .to_numpy(zero_copy_only=False))
     ids_ref = ray.put(b_ids)
 
     def _overlap(t: pa.Table) -> pa.Table:
@@ -872,8 +997,9 @@ def incremental_update(prior_root: str | list[str], new_docs,
         return pa.table({"n": pa.array([n], pa.int64())})
 
     def _overlap_guard():
+        # iter_batches merges the per-block counts: sum every row
         n_overlap = sum(
-            t["n"].to_pylist()[0]
+            int(t["n"].to_numpy(zero_copy_only=False).sum())
             for t in clusters_A.select_columns(["doc_id"])
             .map_batches(_overlap, batch_format="pyarrow")
             .iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
@@ -896,9 +1022,11 @@ def incremental_update(prior_root: str | list[str], new_docs,
 
     sigs_A = None
     if sigs_B is not None:
-        sigs_A = _prior_stage(loaded, "signatures",
-                              lambda n: signature_table(n, cfg),
-                              _link_schemas(cfg)["signatures"].names)
+        cols = _link_schemas(cfg)["signatures"].names
+        sigs_A = _prior_stage(
+            loaded, "signatures", lambda n: signature_table(n, cfg),
+            lambda m: m.get("columns") == cols
+            and ("exact" in passes or not _reps_only(m)))
         # each sketch pass scans this prior-sketch union (band keys,
         # simhash keys, winnow rows). While it fits a bounded object-store
         # budget, pin it ONCE so the semi-joins share a single execution
@@ -912,11 +1040,13 @@ def incremental_update(prior_root: str | list[str], new_docs,
 
     prior = PriorIndex(norm_A, sigs_A, texts)
     new_edges = _edges_all(ck, lambda: _pass_builders(
-        passes, norm_B, cfg, attacher, sigs_B, prior=prior))
+        passes, norm_B, cfg, attacher, sigs_B, prior=prior, star=star),
+        passes)
 
     ids_B = norm_B.select_columns(["doc_id"])
     return ck.stage("clusters", lambda: _fold_labels(
-        clusters_A, new_edges, ids_B, cfg), materialize_if_disabled=False)
+        clusters_A, new_edges, ids_B, cfg), materialize_if_disabled=False,
+        meta=_passes_meta(passes))
 
 
 def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig):
@@ -1009,10 +1139,14 @@ def _prebuild_increment(sroot: str, key: str, ds, cfg: PipelineConfig,
     calls then resume them from the manifest, byte-identically.
     Best-effort: any failure here simply leaves the fold to (re)build the
     stage itself. ``box['data']`` hands the resolved dataset to the fold so
-    shard factories still run once on the success path."""
+    shard factories still run once on the success path, and
+    ``box['rows']`` the exact key rows the sketch filter built, so the
+    fold's exact pass does not read them again."""
     data = ds() if callable(ds) else ds
     box["data"] = data
-    _shard_artifacts(Checkpointer(sroot, key), data, cfg, passes)
+    _, _, star = _shard_artifacts(Checkpointer(sroot, key), data, cfg,
+                                  passes)
+    box["rows"] = None if star is None else star.built_rows
 
 
 def dedup_sharded(shards, state_root: str,
@@ -1073,14 +1207,14 @@ def dedup_sharded(shards, state_root: str,
         for i, (label, ds) in enumerate(shards):
             sroot, key = _shard_ck(i, label)
             if not _fold_done(sroot, key):
-                data = None
+                data = rows = None
                 if i in pre:
                     fut, box = pre.pop(i)
                     try:
                         fut.result()
                     except Exception:
                         pass    # best-effort: the fold rebuilds the stage
-                    data = box.get("data")
+                    data, rows = box.get("data"), box.get("rows")
                 if data is None:
                     data = ds() if callable(ds) else ds
                 # Pipelining: the next shards' fold-independent artifacts
@@ -1110,7 +1244,7 @@ def dedup_sharded(shards, state_root: str,
                                     passes=passes)
                 else:
                     incremental_update(chain, data, cfg, passes=passes,
-                                       checkpointer=ck)
+                                       checkpointer=ck, hash_rows=rows)
             if prune and prev_root is not None:
                 _prune_clusters(prev_root)
             chain.append(sroot)

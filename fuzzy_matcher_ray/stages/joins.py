@@ -394,28 +394,38 @@ def attach_columns(ds, other, left_key: str, right_key: str,
     return ds2
 
 
+def anti_lookup(other, left_key: str, right_key: str,
+                broadcast_max_rows: int = BROADCAST_MAX_ROWS):
+    """The per-batch function of a broadcast anti join: drops the rows
+    whose ``left_key`` is among ``other``'s ``right_key`` values, collected
+    and put in the object store once. None when ``other`` is past
+    ``broadcast_max_rows`` (the caller joins instead)."""
+    n = other.count()
+    if n > broadcast_max_rows:
+        return None
+    ids = np.unique(_collect_columns(other, [right_key])[right_key]
+                    .to_numpy(zero_copy_only=False)) if n else \
+        np.empty(0, np.int64)
+    ref = ray.put(ids)
+
+    def _filter(batch: pa.Table) -> pa.Table:
+        keep = ~np.isin(batch[left_key].to_numpy(zero_copy_only=False),
+                        ray.get(ref))
+        return batch.filter(pa.array(keep))
+
+    return _filter
+
+
 def anti_join(ds, other, left_key: str, right_key: str, num_partitions: int = 32,
               broadcast_max_rows: int = BROADCAST_MAX_ROWS):
     """Rows of ds whose key does NOT appear in other (tombstone removal).
 
-    Broadcast a numpy isin filter when the tombstone side is small (the common
-    case), else Ray's hash-partitioned left_anti join.
+    Broadcast a numpy isin filter (``anti_lookup``) when the tombstone side
+    is small (the common case), else Ray's hash-partitioned left_anti join.
     """
-    n = other.count()
-    if n <= broadcast_max_rows:
-        ids = np.unique(np.concatenate([
-            b[right_key].to_numpy(zero_copy_only=False)
-            for b in other.select_columns([right_key]).iter_batches(
-                batch_size=1 << 18, batch_format="pyarrow")] or
-            [np.empty(0, dtype=np.int64)]))
-        ref = ray.put(ids)
-
-        def _filter(batch: pa.Table) -> pa.Table:
-            tomb = ray.get(ref)
-            keep = ~np.isin(batch[left_key].to_numpy(zero_copy_only=False), tomb)
-            return batch.filter(pa.array(keep))
-
-        return ds.map_batches(_filter, batch_format="pyarrow")
+    drop = anti_lookup(other, left_key, right_key, broadcast_max_rows)
+    if drop is not None:
+        return ds.map_batches(drop, batch_format="pyarrow")
     return ds.join(other.select_columns([right_key]), "left_anti",
                    effective_partitions(num_partitions), on=(left_key,),
                    right_on=(right_key,), aggregator_ray_remote_args=JOIN_AGG_ARGS)

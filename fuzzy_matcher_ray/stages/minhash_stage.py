@@ -8,7 +8,8 @@ docs sharing a key are LSH candidates.
 
 ``Signatures`` is the one per-doc sketch map: each fuzzy-tier doc's text is
 read once and leaves one row holding its MinHash bands, its SimHash and its
-winnowed fingerprints with their positions. ``add_stage`` runs it as Ray
+winnowed fingerprints with their positions. The flagship runs it over each
+exact group's rep only (``drop``), one row per distinct fuzzy text. ``add_stage`` runs it as Ray
 Data tasks over one instance built when the stage is planned (permutation
 parameters are derived once in ``__init__``, never per batch). The three
 key-row derivations (``band_key_rows``, ``simhash_key_rows``,
@@ -62,15 +63,22 @@ class Signatures:
     compact table — never the text. Exact-only docs emit nothing — they are
     handled by the content-hash pre-pass (≙ short-name exact tier,
     example_source.go:28-39).
+
+    ``drop``: a per-batch row filter run ahead of the sketch in the same
+    task (``joins.anti_lookup``: the exact copies that reach the fuzzy
+    passes through their rep).
     """
 
-    def __init__(self, cfg: PipelineConfig):
+    def __init__(self, cfg: PipelineConfig, drop=None):
         self.cfg = cfg
+        self.drop = drop
         self.a, self.b = perm_params(cfg.num_perms, cfg.seed)   # once per actor
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
         batch = _fuzzy_subset(batch)
+        if self.drop is not None:
+            batch = self.drop(batch)
         if len(batch) == 0:
             return pa.table({
                 "doc_id": pa.array([], pa.int64()),
@@ -193,13 +201,13 @@ class Winnower:
         })
 
 
-def add_stage(docs_norm, cls, cfg: PipelineConfig):
+def add_stage(docs_norm, cls, cfg: PipelineConfig, **kw):
     """Run a signature stage as stateless-instance tasks: the per-worker
     state is a 2 KB permutation matrix rebuilt in ~50 us — far below the
     actor-pool amortization threshold, and elastic tasks avoid idle CPU
     reservation (pool startup costs ~5 s per stage on a cold cluster).
     Stages with heavy per-actor state pool on their own (see
-    pipelines/multimodal.py)."""
+    pipelines/multimodal.py). ``kw`` goes to ``cls`` beside ``cfg``."""
     return docs_norm.map_batches(
-        cls(cfg), batch_format="pyarrow", batch_size=cfg.batch_size,
+        cls(cfg, **kw), batch_format="pyarrow", batch_size=cfg.batch_size,
         zero_copy_batch=True)

@@ -60,12 +60,13 @@ class Checkpointer:
         os.remove(self._paths(stage)[1])
 
     def stage(self, name: str, build_fn, materialize_if_disabled: bool = True,
-              empty_schema=None):
+              empty_schema=None, meta: dict | None = None):
         """Return the stage dataset, from checkpoint if valid, else build+write.
 
         ``empty_schema``: pyarrow schema to pin when the stage output is a
         zero-block dataset whose schema Ray cannot derive (e.g. an empty
-        edge set on a duplicate-free corpus)."""
+        edge set on a duplicate-free corpus). ``meta``: extra manifest
+        fields, written when the stage builds."""
         if not self.enabled:
             ds = build_fn()
             # multiple downstream consumers → pin blocks instead of recompute
@@ -89,7 +90,7 @@ class Checkpointer:
         wall = time.perf_counter() - t0
         m = {"stage": name, "config_hash": self.config_hash, "rows": rows,
              "wall_sec": round(wall, 3), "resumed": False,
-             "columns": out.schema().names}
+             "columns": out.schema().names, **(meta or {})}
         with open(manifest, "w") as f:
             json.dump(m, f, indent=2)
         self.metrics[name] = m

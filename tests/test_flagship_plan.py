@@ -104,11 +104,12 @@ def test_checkpointed_flagship_runs_in_twelve_executions(shards, tmp_path):
     assert counter.count == 12
 
 
-def test_fold_runs_in_fourteen_executions(shards, tmp_path):
+def test_fold_runs_in_thirteen_executions(shards, tmp_path):
     """An uncheckpointed fold of 400 docs onto a 400-doc link, collected.
-    With the increment's key rows as Ray maps and a winnow_rows stage it
-    took 19; with a ``limit(1)`` emptiness probe ahead of its normalize
-    stage too, 20."""
+    With the increment's ids collected through a ``select_columns`` over
+    its materialized normalize stage it took 14; with the increment's key
+    rows as Ray maps and a winnow_rows stage, 19; with a ``limit(1)``
+    emptiness probe ahead of its normalize stage too, 20."""
     from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
                                                    incremental_update)
     from fuzzy_matcher_ray.sources.protocol import webpages_source
@@ -120,7 +121,7 @@ def test_fold_runs_in_fourteen_executions(shards, tmp_path):
         out = collect_table(incremental_update(
             [root], webpages_source(shards[1]), CFG))
     assert len(out) == 800
-    assert counter.count == 14
+    assert counter.count == 13
 
 
 def test_two_shard_chain_runs_in_thirty_one_executions(shards, tmp_path):

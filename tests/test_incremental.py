@@ -140,6 +140,26 @@ def test_incremental_update_guards(ray_session, tmp_path):
                            cfg).to_pandas()
 
 
+def test_overlap_guard_reads_every_prior_block(ray_session, tmp_path):
+    """The disjoint-id guard counts overlaps in every part file of the
+    prior clusters stage, not only in the first block of each merged
+    batch: ids 60-69 of a 120-doc prior sit in its second part file."""
+    import ray.data as rd
+    from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
+                                                   incremental_update)
+    from fuzzy_matcher_ray.state.checkpoint import Checkpointer
+
+    cfg = PipelineConfig()
+    root = str(tmp_path / "ck")
+    find_duplicates(rd.from_arrow(_docs_tbl(120, seed=51)), cfg,
+                    checkpointer=Checkpointer(root, cfg.config_hash())) \
+        .materialize()
+    assert len(os.listdir(os.path.join(root, "clusters", "data"))) >= 2
+    with pytest.raises(ValueError, match="already exist"):
+        incremental_update(root, rd.from_arrow(
+            _docs_tbl(10, seed=53, id_offset=60)), cfg).to_pandas()
+
+
 def test_incremental_distributed_twin(ray_session, tmp_path, monkeypatch):
     """Force the fold's shuffle semi-join / rep-join fallbacks (the
     multi-node shape) by zeroing the broadcast budget: labels must stay
