@@ -966,7 +966,6 @@ def incremental_update(prior_root: str | list[str], new_docs,
         return ck.stage(
             "clusters",
             lambda: clusters_A.select_columns(["doc_id", "cluster_id"]),
-            materialize_if_disabled=False,
             empty_schema=_link_schemas(cfg)["clusters"],
             meta=_passes_meta(passes))
 
@@ -1045,8 +1044,7 @@ def incremental_update(prior_root: str | list[str], new_docs,
 
     ids_B = norm_B.select_columns(["doc_id"])
     return ck.stage("clusters", lambda: _fold_labels(
-        clusters_A, new_edges, ids_B, cfg), materialize_if_disabled=False,
-        meta=_passes_meta(passes))
+        clusters_A, new_edges, ids_B, cfg), meta=_passes_meta(passes))
 
 
 def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig):

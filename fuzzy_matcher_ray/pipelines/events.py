@@ -15,6 +15,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from fuzzy_matcher_ray.stages.joins import map_segments
+
 TTL_CUTOFF = "2024-01-15 00:00:00"   # fixed, deterministic (no wall-clock)
 
 
@@ -72,13 +74,6 @@ def user_hourly_windows(sf_dir: str, max_users: int = 40):
         ["user_id", "window_start"])
 
 
-# driver-side stitch threshold for the sessionizer: partial sessions are
-# session-count-proportional (events collapse inside blocks first), so the
-# stitch input is tiny relative to the log; same 16M-slim-row convention as
-# the dedup driver fast paths (each partial row is 32 B)
-_STITCH_MAX_ROWS = 16_000_000
-
-
 def _merge_partial_sessions(uid: np.ndarray, first: np.ndarray,
                             last: np.ndarray, nev: np.ndarray,
                             gap_us: int):
@@ -104,9 +99,9 @@ def user_sessions(sf_dir: str, gap_minutes: int = 30,
     vectorized gap-cumsum emits PARTIAL sessions (user, first, last, n) —
     session-count-proportional, events never leave their block — and a final
     stitch merges partials across block edges with the same vectorized rule.
-    The stitch runs on the driver under ``_STITCH_MAX_ROWS`` (32 B/row);
-    beyond it the identical kernel runs per user-group over the partial rows
-    (groupby dispatch cost is then per SESSION-chain, not per event).
+    The stitch is ``joins.map_segments`` over the partials on user_id: on
+    the driver while they are small (32 B/row), else per block of a range
+    sort on user_id.
     """
     gap_us = gap_minutes * 60_000_000
     ds = _events(sf_dir, ["ts", "user_id"])
@@ -115,13 +110,12 @@ def user_sessions(sf_dir: str, gap_minutes: int = 30,
             lambda t: t.filter(pc.less(t["user_id"], pa.scalar(max_users))),
             batch_format="pyarrow")
     sorted_ds = ds.sort(["user_id", "ts"]).materialize()
+    no_partials = pa.schema([(c, pa.int64()) for c in (
+        "user_id", "first", "last", "n_events")]).empty_table()
 
     def _partials(t: pa.Table) -> pa.Table:
         if len(t) == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "first": pa.array([], pa.int64()),
-                             "last": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64())})
+            return no_partials
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         ts = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         brk = np.ones(len(uid), dtype=bool)
@@ -138,20 +132,7 @@ def user_sessions(sf_dir: str, gap_minutes: int = 30,
                                      batch_size=None, zero_copy_batch=True) \
         .materialize()
 
-    def _out_table(uid, first, nev) -> pa.Table:
-        return pa.table({
-            "user_id": pa.array(uid),
-            "session_start": pa.array(first).cast(pa.timestamp("us")),
-            "n_events": pa.array(nev.astype(np.int64))})
-
-    if partials.count() <= _STITCH_MAX_ROWS:
-        t = pa.concat_tables(partials.iter_batches(batch_size=1 << 20,
-                                                   batch_format="pyarrow")) \
-            if partials.count() else None
-        if t is None:
-            return rd.from_arrow(_out_table(
-                np.empty(0, np.int64), np.empty(0, np.int64),
-                np.empty(0, np.int64)))
+    def _stitch(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         first = t["first"].to_numpy(zero_copy_only=False)
         last = t["last"].to_numpy(zero_copy_only=False)
@@ -159,20 +140,16 @@ def user_sessions(sf_dir: str, gap_minutes: int = 30,
         order = np.lexsort((first, uid))
         u, f, n = _merge_partial_sessions(uid[order], first[order],
                                           last[order], nev[order], gap_us)
-        out = rd.from_arrow(_out_table(u, f, n))
-    else:   # distributed twin: same kernel per user over partial rows
-        def _stitch(g: pa.Table) -> pa.Table:
-            uid = g["user_id"].to_numpy(zero_copy_only=False)
-            first = g["first"].to_numpy(zero_copy_only=False)
-            last = g["last"].to_numpy(zero_copy_only=False)
-            nev = g["n_events"].to_numpy(zero_copy_only=False)
-            order = np.argsort(first, kind="stable")
-            u, f, n = _merge_partial_sessions(uid[order], first[order],
-                                              last[order], nev[order], gap_us)
-            return _out_table(u, f, n)
-        out = partials.groupby("user_id").map_groups(_stitch,
-                                                     batch_format="pyarrow")
-    return out.sort(["user_id", "session_start"])
+        return pa.table({
+            "user_id": pa.array(u, pa.int64()),
+            "session_start": pa.array(f, pa.int64()).cast(
+                pa.timestamp("us")),
+            "n_events": pa.array(n.astype(np.int64))})
+
+    if partials.count() == 0:     # a sort of no rows would drop the schema
+        return rd.from_blocks([_stitch(no_partials)])
+    return map_segments(partials, ["user_id"], _stitch) \
+        .sort(["user_id", "session_start"])
 
 
 def user_sliding_windows(sf_dir: str, size_minutes: int = 60,

@@ -1266,13 +1266,13 @@ def host_quantiles_sketch(sf_dir: str, qs: tuple = (0.5, 0.9),
     Shape: the per-batch combiner sorts (host, n_chars) once (lexsort) and
     keeps every ⌊2·eps·n_seg⌋-th order statistic PER host segment with its
     covered weight — summaries are (host, value, weight) rows, mergeable by
-    concatenation, ≤ 1/(2·eps)+2 rows per (batch, host). One
-    ``sort(["host","value"])`` co-locates and orders each host's summary;
-    every block extracts quantiles for hosts fully interior to it with a
-    segmented cumulative-weight searchsorted (no per-host dispatch), and
-    ships only its first/last hosts' raw summary rows to the driver for
-    the cross-block stitch (≤ 2 hosts × summary size per block — the same
-    boundary pattern as the span-dedup rebuild). Rank error ≤ 2·eps·n_host
+    concatenation, ≤ 1/(2·eps)+2 rows per (batch, host). The summaries
+    run through ``joins.map_segments`` on host: one kernel sorts a
+    segment's rows by (host, value) and extracts every host's quantiles
+    with a segmented cumulative-weight searchsorted (no per-host
+    dispatch), on the driver while the summaries are small, else per
+    block of a range sort on host with the hosts at block edges stitched
+    on the driver (the span-dedup rebuild's shape). Rank error ≤ 2·eps·n_host
     (per-batch segment sizes sum to the host's total), tested against the
     exact per-host quantiles.
     """
@@ -1305,16 +1305,22 @@ def host_quantiles_sketch(sf_dir: str, qs: tuple = (0.5, 0.9),
                          "weight": pa.array(w, pa.int64())})
 
     summ = docs.map_batches(_summary, batch_format="pyarrow",
-                            batch_size=batch_size)
-    ordered = summ.sort(["host", "value"]).materialize()
+                            batch_size=batch_size).materialize()
     qs_arr = np.asarray(qs, dtype=np.float64)
 
-    def _extract(h, v, w):
-        """Quantiles for every host in ALREADY (host, value)-sorted rows —
-        one segmented cumulative-weight searchsorted per q."""
+    def _extract(t: pa.Table) -> pa.Table:
+        """Quantiles for every host of ``t``, which holds all of each of
+        its hosts' summary rows: one (host, value) sort, then one
+        segmented cumulative-weight searchsorted per q."""
+        t = t.sort_by([("host", "ascending"), ("value", "ascending")])
+        h = _as_array(t["host"]).to_numpy(zero_copy_only=False)
+        v = _as_array(t["value"]).to_numpy(zero_copy_only=False)
+        w = _as_array(t["weight"]).to_numpy(zero_copy_only=False)
         n = len(h)
         if n == 0:
-            return (np.empty(0, object), np.empty(0), np.empty(0, np.int64))
+            return pa.table({"host": pa.array([], pa.string()),
+                             "q": pa.array([], pa.float64()),
+                             "value": pa.array([], pa.int64())})
         brk = np.empty(n, dtype=bool)
         brk[0] = True
         brk[1:] = h[1:] != h[:-1]
@@ -1331,51 +1337,9 @@ def host_quantiles_sketch(sf_dir: str, qs: tuple = (0.5, 0.9),
             hosts_out.append(h[seg_start])
             q_out.append(np.full(len(seg_start), q))
             v_out.append(v[idx])
-        return (np.concatenate(hosts_out), np.concatenate(q_out),
-                np.concatenate(v_out).astype(np.int64))
+        return pa.table({
+            "host": pa.array(np.concatenate(hosts_out), pa.string()),
+            "q": pa.array(np.concatenate(q_out), pa.float64()),
+            "value": pa.array(np.concatenate(v_out).astype(np.int64))})
 
-    def _interior(t: pa.Table) -> pa.Table:
-        h = _as_array(t["host"]).to_numpy(zero_copy_only=False)
-        v = _as_array(t["value"]).to_numpy(zero_copy_only=False)
-        w = _as_array(t["weight"]).to_numpy(zero_copy_only=False)
-        if len(h) == 0:
-            return pa.table({"host": pa.array([], pa.string()),
-                             "q": pa.array([], pa.float64()),
-                             "value": pa.array([], pa.int64())})
-        interior = (h != h[0]) & (h != h[-1])
-        ho, qo, vo = _extract(h[interior], v[interior], w[interior])
-        return pa.table({"host": pa.array(ho, pa.string()),
-                         "q": pa.array(qo, pa.float64()),
-                         "value": pa.array(vo, pa.int64())})
-
-    def _boundary(t: pa.Table) -> pa.Table:
-        h = _as_array(t["host"]).to_numpy(zero_copy_only=False)
-        if len(h) == 0:
-            return t
-        keep = (h == h[0]) | (h == h[-1])
-        return t.filter(pa.array(keep))
-
-    interior = ordered.map_batches(_interior, batch_format="pyarrow")
-    # boundary hosts: ≤ 2 per block, raw summary rows — driver-small by
-    # construction; their extraction is the SAME kernel
-    bparts = list(ordered.map_batches(_boundary, batch_format="pyarrow")
-                  .iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-    if bparts:
-        bt = pa.concat_tables(bparts)
-        idx = pc.sort_indices(bt, sort_keys=[("host", "ascending"),
-                                             ("value", "ascending")])
-        bt = bt.take(idx)
-        ho, qo, vo = _extract(
-            bt["host"].to_numpy(zero_copy_only=False),
-            bt["value"].to_numpy(zero_copy_only=False),
-            bt["weight"].to_numpy(zero_copy_only=False))
-        btab = pa.table({"host": pa.array(ho, pa.string()),
-                         "q": pa.array(qo, pa.float64()),
-                         "value": pa.array(vo, pa.int64())})
-        boundary_hosts = set(btab["host"].to_pylist())
-        interior = interior.map_batches(
-            lambda t: t.filter(pc.invert(pc.is_in(
-                t["host"], pa.array(sorted(boundary_hosts), pa.string())))),
-            batch_format="pyarrow")
-        interior = interior.union(rd.from_arrow(btab))
-    return interior.sort(["host", "q"])
+    return map_segments(summ, ["host"], _extract).sort(["host", "q"])

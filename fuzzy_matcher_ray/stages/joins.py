@@ -74,18 +74,25 @@ def plan_bytes(ds) -> int | None:
 JOIN_AGG_ARGS = {"num_cpus": 0.25}
 
 
+def block_refs(mat) -> list | None:
+    """A materialized Dataset's block refs, read off the plan's input data
+    with no execution; None when the plan holds none.
+    ``to_arrow_refs`` on a dataset built from driver tables starts a
+    streaming run over its input buffer each time it is called, ~20 ms on
+    one vCPU for two blocks."""
+    data = getattr(mat._logical_plan.dag, "output_data", lambda: None)()
+    if data is None:
+        return None
+    return [r for bundle in data for r in bundle.block_refs]
+
+
 def block_tables(mat) -> list[pa.Table]:
     """A materialized Dataset's non-empty blocks, fetched by ref with no
-    execution (empty blocks may be schema-less and break a concat).
-
-    The refs are read off the plan's input data: ``to_arrow_refs`` on a
-    dataset built from driver tables starts a streaming run over its input
-    buffer each time it is called, ~20 ms on one vCPU for two blocks.
-    Blocks that are not Arrow tables go through ``to_arrow_refs``."""
-    data = getattr(mat._logical_plan.dag, "output_data", lambda: None)()
-    tables = None
-    if data is not None:
-        tables = ray.get([r for bundle in data for r in bundle.block_refs])
+    execution (``block_refs``; empty blocks may be schema-less and break a
+    concat). Blocks that are not Arrow tables go through
+    ``to_arrow_refs``."""
+    refs = block_refs(mat)
+    tables = None if refs is None else ray.get(refs)
     if tables is None or not all(isinstance(t, pa.Table) for t in tables):
         tables = ray.get(mat.to_arrow_refs())
     return [t for t in tables if len(t)]

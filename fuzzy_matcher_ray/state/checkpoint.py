@@ -3,14 +3,19 @@
 The reference has no checkpoint/resume (everything lives in one process
 heap); at 10^12-doc scale every stage must be resumable. Layout:
 
-    <root>/<stage>/data/part-*.parquet   — the stage output
-    <root>/<stage>/_MANIFEST.json        — config hash, rows, wall secs, schema
+    <root>/<stage>/data/part-NNNNN.parquet — one file per non-empty block
+    <root>/<stage>/_MANIFEST.json          — config hash, rows, wall secs,
+                                             columns
 
-``stage()`` returns the cached dataset when a manifest with the same config
-hash exists (the lineage key), else builds, writes atomically
-(tmp dir → os.replace) and records metrics. A killed run resumes by skipping
-every completed stage; sub-stage granularity comes from running the pipeline
-per input shard (each shard gets its own checkpoint root).
+``stage()`` has one path. A stage with a manifest of the same config hash
+(the lineage key) resumes as a lazy Parquet read of its data. Any other
+stage builds and is pinned (``materialize()``); when the checkpointer is
+enabled, the pinned blocks are then written (tmp dir → os.replace) and
+the pinned dataset is returned, not a read-back. A checkpointed run
+executes the same program as an uncheckpointed one, plus the writes. A
+killed run resumes by skipping every completed stage; sub-stage
+granularity comes from running the pipeline per input shard (each shard
+gets its own checkpoint root).
 """
 
 from __future__ import annotations
@@ -21,8 +26,14 @@ import shutil
 import time
 import uuid
 
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
 from ray.data.dataset import MaterializedDataset
+
+from fuzzy_matcher_ray.stages.joins import block_refs
 
 
 class Checkpointer:
@@ -59,68 +70,90 @@ class Checkpointer:
         (and replaces its data)."""
         os.remove(self._paths(stage)[1])
 
-    def stage(self, name: str, build_fn, materialize_if_disabled: bool = True,
-              empty_schema=None, meta: dict | None = None):
-        """Return the stage dataset, from checkpoint if valid, else build+write.
+    def stage(self, name: str, build_fn, empty_schema=None,
+              meta: dict | None = None):
+        """The stage dataset: a lazy read of its checkpoint when one is
+        valid, else ``build_fn()`` pinned (every stage has several
+        consumers), its blocks written when the checkpointer is enabled.
 
-        ``empty_schema``: pyarrow schema to pin when the stage output is a
-        zero-block dataset whose schema Ray cannot derive (e.g. an empty
+        ``empty_schema``: pyarrow schema of the empty part written when the
+        stage has no rows, whose schema Ray may not derive (e.g. an empty
         edge set on a duplicate-free corpus). ``meta``: extra manifest
-        fields, written when the stage builds."""
-        if not self.enabled:
-            ds = build_fn()
-            # multiple downstream consumers → pin blocks instead of recompute
-            if materialize_if_disabled and not isinstance(ds, MaterializedDataset):
-                return ds.materialize()
-            return ds
+        fields, written when the stage builds. The manifest's ``rows`` and
+        ``columns`` are read off the pinned blocks' metadata."""
         data_dir, manifest = self._paths(name)
-        if self.has(name):
+        if self.enabled and self.has(name):
             self.metrics.setdefault(name, {})["resumed"] = True
             return rd.read_parquet(data_dir)
         t0 = time.perf_counter()
         ds = build_fn()
+        if not isinstance(ds, MaterializedDataset):
+            ds = ds.materialize()
+        if not self.enabled:
+            return ds
         tmp = os.path.join(self.root, name, f".tmp-{uuid.uuid4().hex[:8]}")
-        os.makedirs(os.path.dirname(tmp), exist_ok=True)
-        _write_parquet_nonempty(ds, tmp, empty_schema)
+        _write_blocks(ds, tmp, empty_schema)
         if os.path.isdir(data_dir):
             shutil.rmtree(data_dir)
         os.replace(tmp, data_dir)
-        out = rd.read_parquet(data_dir)
-        rows = out.count()
-        wall = time.perf_counter() - t0
+        rows = ds.count()
+        sch = ds.schema() if rows else _empty_part_schema(ds, empty_schema)
         m = {"stage": name, "config_hash": self.config_hash, "rows": rows,
-             "wall_sec": round(wall, 3), "resumed": False,
-             "columns": out.schema().names, **(meta or {})}
+             "wall_sec": round(time.perf_counter() - t0, 3),
+             "resumed": False, "columns": sch.names, **(meta or {})}
         with open(manifest, "w") as f:
             json.dump(m, f, indent=2)
         self.metrics[name] = m
-        return out
+        return ds
 
 
-def _write_parquet_nonempty(ds, path: str, empty_schema=None) -> None:
-    """``write_parquet`` that survives zero-block datasets.
+def _write_blocks(ds, path: str, empty_schema=None) -> None:
+    """Write ``ds`` into the directory ``path`` as Parquet: one Ray task per
+    block, each writing a non-empty block as ``part-NNNNN.parquet``, NNNNN
+    the block's index, so a retried task overwrites its own file.
 
-    A zero-row Dataset writes no files (sometimes not even the directory),
-    which breaks the atomic tmp→rename and a later ``read_parquet``. Pin the
-    schema with one explicit empty part file instead — an empty edge set
-    (duplicate-free corpus) must checkpoint and resume like any other stage.
+    A materialized dataset's block refs are read off its plan, with no
+    execution; a lazy one's stream from one execution. A zero-row dataset
+    would leave no file, which breaks the atomic tmp→rename and a later
+    ``read_parquet``, so one empty part then pins the schema
+    (``_empty_part_schema``). A failed write removes ``path``: the callers
+    write into a fresh tmp dir, renamed into place only once it is whole.
     """
-    ds.write_parquet(path)
-    if not os.path.isdir(path) or not os.listdir(path):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-        if empty_schema is not None:
-            arrow_sch = empty_schema
-        else:
-            # no caller-pinned schema: derive from the dataset. May
-            # re-execute a lazy plan — callers on hot paths pass
-            # empty_schema precisely to avoid that.
-            sch = ds.schema()
-            arrow_sch = (sch.base_schema if sch is not None else None) \
-                or pa.schema([])
-        os.makedirs(path, exist_ok=True)
-        pq.write_table(arrow_sch.empty_table(),
-                       os.path.join(path, "part-empty.parquet"))
+    refs = block_refs(ds) if isinstance(ds, MaterializedDataset) else None
+    if refs is None:
+        refs = (r for bundle in ds.iter_internal_ref_bundles()
+                for r in bundle.block_refs)
+    os.makedirs(path, exist_ok=True)
+    try:
+        if not any(ray.get([_write_block.remote(ref, path, i)
+                            for i, ref in enumerate(refs)])):
+            pq.write_table(_empty_part_schema(ds, empty_schema).empty_table(),
+                           os.path.join(path, "part-empty.parquet"))
+    except BaseException:
+        shutil.rmtree(path, ignore_errors=True)
+        raise
+
+
+def _write_part(block, path: str, i: int) -> bool:
+    """Write one block as ``path/part-{i:05d}.parquet``; False, writing
+    nothing, when it has no rows."""
+    t = BlockAccessor.for_block(block).to_arrow()
+    if t.num_rows == 0:
+        return False
+    pq.write_table(t, os.path.join(path, f"part-{i:05d}.parquet"))
+    return True
+
+
+_write_block = ray.remote(_write_part)
+
+
+def _empty_part_schema(ds, empty_schema=None) -> pa.Schema:
+    """The schema of a zero-row stage's empty part: the caller's
+    ``empty_schema``, else ``ds``'s (which may execute a lazy plan)."""
+    if empty_schema is not None:
+        return empty_schema
+    sch = ds.schema()
+    return (sch.base_schema if sch is not None else None) or pa.schema([])
 
 
 def write_atomic(ds, out_dir: str, partition_label: str | None = None) -> str:
@@ -137,7 +170,7 @@ def write_atomic(ds, out_dir: str, partition_label: str | None = None) -> str:
     parent = os.path.dirname(target.rstrip("/")) or "."
     os.makedirs(parent, exist_ok=True)
     tmp = os.path.join(parent, f".tmp-{uuid.uuid4().hex[:8]}")
-    _write_parquet_nonempty(ds, tmp)
+    _write_blocks(ds, tmp)
     if os.path.isdir(target):
         shutil.rmtree(target)
     os.replace(tmp, target)
@@ -155,8 +188,6 @@ def run_report(root: str):
     Columns: (path, stage, config_hash, rows, wall_sec, resumed, pruned,
     n_files, data_bytes) — rows/wall are -1 when a manifest predates them
     (prune tombstones keep lineage but drop data)."""
-    import pyarrow as pa
-
     rows = {"path": [], "stage": [], "config_hash": [], "rows": [],
             "wall_sec": [], "resumed": [], "pruned": [], "n_files": [],
             "data_bytes": []}

@@ -162,3 +162,53 @@ def test_run_report_lineage(ray_session, tmp_path):
     ck2 = Checkpointer(root, cfg.config_hash())
     find_duplicates(docs, cfg, checkpointer=ck2).materialize()
     assert ck2.metrics and all(m.get("resumed") for m in ck2.metrics.values())
+
+
+def test_fault_inside_the_writer_leaves_no_stage(docs, tmp_path, monkeypatch):
+    """A block write that raises mid-stage fails the stage without a
+    ``data`` dir or a manifest that a resume would accept; a rerun into
+    the same root rebuilds it and labels as an uncheckpointed run. The
+    part names are the block indices, so writing the same pinned blocks
+    twice leaves one file per block, and each link stage's manifest
+    ``rows``/``columns`` are those of its Parquet data."""
+    import ray
+    import ray.data as rd
+    import pyarrow.parquet as pq
+
+    from fuzzy_matcher_ray.pipelines.dedup import find_duplicates
+    from fuzzy_matcher_ray.state import checkpoint
+
+    def fail_second_block(block, path, i):
+        if i == 1:
+            raise OSError("injected write failure")
+        return checkpoint._write_part(block, path, i)
+
+    cfg = PipelineConfig()
+    root = str(tmp_path / "ck")
+    with monkeypatch.context() as m:
+        m.setattr(checkpoint, "_write_block", ray.remote(fail_second_block))
+        with pytest.raises(OSError, match="injected write failure"):
+            _run(docs, root, cfg)
+    # normalize, the first stage, holds several blocks: it failed
+    assert os.listdir(os.path.join(root, "normalize")) == []
+    assert not os.path.exists(os.path.join(root, "signatures"))
+
+    out, ck = _run(docs, root, cfg)
+    assert not any(m.get("resumed") for m in ck.metrics.values())
+    want = find_duplicates(docs, cfg).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    assert out.equals(want)
+
+    for stage in LINK_STAGES:
+        t = pq.read_table(os.path.join(root, stage, "data"))
+        m = ck.manifest(stage)
+        assert (m["rows"], m["columns"]) == (t.num_rows, t.column_names), \
+            stage
+
+    pinned = rd.from_arrow([t.slice(0, 100), t.slice(100)]).materialize()
+    path = str(tmp_path / "twice")
+    checkpoint._write_blocks(pinned, path)
+    checkpoint._write_blocks(pinned, path)
+    assert sorted(os.listdir(path)) == ["part-00000.parquet",
+                                        "part-00001.parquet"]
+    assert pq.read_table(path).equals(t)

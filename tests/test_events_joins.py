@@ -80,14 +80,15 @@ def test_sliding_windows_null_value(ray_session, tmp_path):
 
 def test_user_sessions_block_boundaries_and_twin(ray_session, monkeypatch):
     """The vectorized sessionizer must be exact when one user's events
-    straddle sorted-block edges, and the distributed stitch twin must equal
-    the driver stitch byte-for-byte."""
+    straddle sorted-block edges, and the stitch's range-sort branch must
+    equal its driver branch byte-for-byte."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
     import ray.data as rd
 
     from fuzzy_matcher_ray.pipelines import events as ev
+    from fuzzy_matcher_ray.stages import candidates
 
     rng = np.random.default_rng(9)
     rows = []
@@ -125,8 +126,8 @@ def test_user_sessions_block_boundaries_and_twin(ray_session, monkeypatch):
                       "session_start": "datetime64[us]"})  # pandas defaults ns
     assert got2.astype({"n_events": "int64"}).equals(exp)
 
-    # distributed twin: force the stitch off the driver
-    monkeypatch.setattr(ev, "_STITCH_MAX_ROWS", 0)
+    # range-sort branch: force the stitch off the driver
+    monkeypatch.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 0)
     twin = ev.user_sessions("ignored").to_pandas() \
         .sort_values(["user_id", "session_start"]).reset_index(drop=True)
     assert twin.equals(got2)

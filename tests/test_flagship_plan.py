@@ -87,12 +87,16 @@ def shards(ray_session, tmp_path_factory):
     return paths
 
 
-def test_checkpointed_flagship_runs_in_twelve_executions(shards, tmp_path):
+def test_checkpointed_flagship_runs_as_the_uncheckpointed_one(shards,
+                                                               tmp_path):
     """A checkpointed run writes normalize, signatures (the sketch),
-    edges_all and clusters, each written and read back once; the key rows
-    of the checkpoint reads are Ray maps. With a winnow_rows stage beside
-    the signatures it took 13; with each pass's edges also checkpointed
-    (``edges_<pass>``) and the verifies run as four executions, 17."""
+    edges_all and clusters from the blocks each stage already pinned, so
+    it starts the uncheckpointed run's 3 executions: the writes are Ray
+    tasks over block refs, not executions. With each stage written, read
+    back and counted, and the key rows of those reads run as Ray maps, it
+    took 12; with a winnow_rows stage beside the signatures, 13; with each
+    pass's edges also checkpointed (``edges_<pass>``) and the verifies run
+    as four executions, 17."""
     from fuzzy_matcher_ray.pipelines.dedup import find_duplicates
     from fuzzy_matcher_ray.sources.protocol import webpages_source
 
@@ -101,7 +105,7 @@ def test_checkpointed_flagship_runs_in_twelve_executions(shards, tmp_path):
         out = collect_table(find_duplicates(webpages_source(shards[0]), CFG,
                                             checkpointer=ck))
     assert len(out) == 400
-    assert counter.count == 12
+    assert counter.count == 3
 
 
 def test_fold_runs_in_thirteen_executions(shards, tmp_path):
@@ -124,11 +128,13 @@ def test_fold_runs_in_thirteen_executions(shards, tmp_path):
     assert counter.count == 13
 
 
-def test_two_shard_chain_runs_in_thirty_one_executions(shards, tmp_path):
+def test_two_shard_chain_runs_in_twenty_one_executions(shards, tmp_path):
     """``dedup_sharded`` over both shards, collected: link 0, the prebuild
-    of link 1 and the fold. With a winnow_rows stage in every link it took
-    33; with per-pass edge checkpoints in link 0 and emptiness probes ahead
-    of the prebuild and the fold too, 40."""
+    of link 1 and the fold, every stage written from its pinned blocks.
+    With each stage read back after its write it took 31; with a
+    winnow_rows stage in every link, 33; with per-pass edge checkpoints in
+    link 0 and emptiness probes ahead of the prebuild and the fold too,
+    40."""
     from fuzzy_matcher_ray.pipelines.dedup import dedup_sharded
     from fuzzy_matcher_ray.sources.protocol import webpages_source
 
@@ -137,7 +143,7 @@ def test_two_shard_chain_runs_in_thirty_one_executions(shards, tmp_path):
             [(f"s{i}", webpages_source(p)) for i, p in enumerate(shards)],
             str(tmp_path / "state"), CFG))
     assert len(out) == 800
-    assert counter.count == 31
+    assert counter.count == 21
 
 
 def test_plan_bytes_executes_nothing(pages):

@@ -646,6 +646,24 @@ def test_mg_sketch_nul_tokens_excluded_not_folded(ray_session, tmp_path):
     assert row.err_bound.iloc[0] == 0
 
 
+def test_host_quantiles_sketch_range_sort_branch(ray_session, monkeypatch):
+    """With the driver branch off, the summaries are range-sorted on host
+    and the quantiles extracted per block, hosts at block edges stitched
+    on the driver: the same table as the driver branch's."""
+    from fuzzy_matcher_ray.pipelines.webtext import host_quantiles_sketch
+    from fuzzy_matcher_ray.stages import candidates
+
+    for eps, batch_size in ((1e-9, 8192), (0.05, 64)):
+        want = host_quantiles_sketch(SF_SMOKE, eps=eps,
+                                     batch_size=batch_size).to_pandas()
+        with monkeypatch.context() as m:
+            m.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 0)
+            got = host_quantiles_sketch(SF_SMOKE, eps=eps,
+                                        batch_size=batch_size).to_pandas()
+        assert len(got) == len(want) > 0
+        assert got.equals(want)
+
+
 def test_host_quantiles_sketch_exact_and_bounded(ray_session):
     """eps small ⇒ every order statistic kept ⇒ per-host quantiles EXACT
     (vs a numpy per-host oracle over the same synthesized hosts); coarse
