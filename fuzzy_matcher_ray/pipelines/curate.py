@@ -41,6 +41,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
 from fuzzy_matcher_ray.state.checkpoint import Checkpointer
 
@@ -56,22 +57,24 @@ def _keep(docs, ids):
 
     Rides the shared attach machinery (broadcast under its gate, hash
     join beyond) with a marker column — survivor id lists are the slim
-    side by construction."""
-    from fuzzy_matcher_ray.stages.joins import attach_columns
+    side by construction. ``ids`` is pinned once, so its emptiness test
+    and the attach read it once, and the marker drops per batch: a
+    ``limit(1)`` probe or a ``schema()`` over the lazy semi-join would
+    each start an early-stopped execution of it."""
+    from fuzzy_matcher_ray.stages.joins import attach_columns, map_blocks
 
-    if ids.limit(1).count() == 0:
+    ids = ids if isinstance(ids, MaterializedDataset) else ids.materialize()
+    if ids.count() == 0:
         # upstream stage filtered everything: an empty survivor set has no
         # derivable schema for the join machinery — the semi-join result
         # is definitionally empty, with the docs schema (parquet metadata;
         # a plain limit(0) would erase it and break downstream collects)
         return rd.from_arrow(docs.schema().base_schema.empty_table())
-    marked = ids.map_batches(
-        lambda t: pa.table({"doc_id": t["doc_id"],
-                            "_k": pa.array(np.ones(len(t), np.int8))}),
-        batch_format="pyarrow")
-    out = attach_columns(docs, marked, "doc_id", "doc_id", {"_k": "_k"},
-                         how="inner")
-    return out.select_columns([c for c in out.schema().names if c != "_k"])
+    marked = map_blocks(ids, lambda t: pa.table({
+        "doc_id": t["doc_id"], "_k": pa.array(np.ones(len(t), np.int8))}))
+    return attach_columns(docs, marked, "doc_id", "doc_id", {"_k": "_k"},
+                          how="inner").map_batches(
+        lambda t: t.drop_columns(["_k"]), batch_format="pyarrow")
 
 
 def _exact_winners(docs, representative: str = "min"):
@@ -279,8 +282,7 @@ def curate_corpus(sf_dir: str, checkpoint_root: str | None = None,
     mixed = ck.stage(
         "s6_mix",
         lambda: mix_epochs_ds(
-            _keep(_read(sf_dir, ["doc_id", "source"]),
-                  ccnet.select_columns(["doc_id"]))))
+            _keep(_read(sf_dir, ["doc_id", "source"]), ccnet)))
 
     empty_packed = pa.schema([
         ("seq_id", pa.int64()), ("doc_id", pa.int64()),
@@ -291,7 +293,7 @@ def curate_corpus(sf_dir: str, checkpoint_root: str | None = None,
         from fuzzy_matcher_ray.functions.textstats import token_count
         from fuzzy_matcher_ray.stages.joins import attach_columns
 
-        if ccnet.limit(1).count() == 0:
+        if ccnet.count() == 0:       # a pinned stage: metadata
             # every doc filtered upstream — zero-row executions lose their
             # schema through the join machinery; the packed output is
             # definitionally empty
@@ -302,8 +304,7 @@ def curate_corpus(sf_dir: str, checkpoint_root: str | None = None,
                            pa.int64())
             return pa.table({"doc_id": t["doc_id"], "tc": toks})
 
-        tcs = _keep(_read(sf_dir, ["doc_id", "text"]),
-                    ccnet.select_columns(["doc_id"])) \
+        tcs = _keep(_read(sf_dir, ["doc_id", "text"]), ccnet) \
             .map_batches(_tc, batch_format="pyarrow")
         mixed_tc = attach_columns(
             mixed.select_columns(["doc_id", "copy_idx"]), tcs,

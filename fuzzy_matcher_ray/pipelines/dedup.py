@@ -108,18 +108,17 @@ def _hash_rows(norm):
 class _ExactStar:
     """One shard's exact key rows (``_hash_rows``, pinned) and their
     min-rep star (``min_reps``), each built once on first use: the sketch
-    filter and the exact pass share them. ``rows`` may come prebuilt;
-    ``built_rows`` holds them once built."""
+    filter and the exact pass share them."""
 
-    def __init__(self, norm, rows=None):
+    def __init__(self, norm):
         self.norm = norm
-        self.built_rows = rows
+        self._rows = None
         self._reps = None
 
     def rows(self):
-        if self.built_rows is None:
-            self.built_rows = _pinned(_hash_rows(self.norm))
-        return self.built_rows
+        if self._rows is None:
+            self._rows = _pinned(_hash_rows(self.norm))
+        return self._rows
 
     def reps(self):
         if self._reps is None:
@@ -856,7 +855,7 @@ def _write_empty_link(ck: Checkpointer, cfg: PipelineConfig) -> None:
 
 
 def _shard_artifacts(ck: Checkpointer, docs, cfg: PipelineConfig,
-                     passes: tuple, rows=None):
+                     passes: tuple):
     """A shard's fold-independent artifacts → (normalize, signatures,
     exact star); the sketch is None when no pass needs it, the star when
     the exact pass does not run or the shard is empty. With the exact pass
@@ -865,14 +864,14 @@ def _shard_artifacts(ck: Checkpointer, docs, cfg: PipelineConfig,
     is still sketched). Both artifacts are pure functions of the shard's
     own text, so ``dedup_sharded`` prebuilds them ahead of the shard's
     fold with this same builder and cfg, and the fold's ``ck.stage``
-    calls resume them from the manifest. ``rows``: the shard's exact key
-    rows when a prebuild already built them."""
+    calls resume them from the manifest, or the prebuild hands its
+    pinned artifacts to the fold itself."""
     if ck.enabled:
         _drop_stale_stages(ck, cfg, docs, ("normalize", "signatures"), passes)
     norm = ck.stage("normalize", lambda: normalized_docs(docs, cfg),
                     empty_schema=_link_schemas(cfg)["normalize"])
     # norm is materialized or a checkpoint read: its count is metadata
-    star = _ExactStar(norm, rows) \
+    star = _ExactStar(norm) \
         if "exact" in passes and norm.count() else None
     return norm, _sketch_stage(ck, norm, cfg, passes, star), star
 
@@ -881,7 +880,7 @@ def incremental_update(prior_root: str | list[str], new_docs,
                        cfg: PipelineConfig | None = None,
                        passes: tuple = PASSES,
                        checkpointer: Checkpointer | None = None,
-                       hash_rows=None):
+                       prebuilt: tuple | None = None):
     """Cluster a NEW shard against a prior ``find_duplicates`` run without
     re-scanning the prior corpus — the web-scale InsertEntries
     (``fuzzy_matcher.go:21-27``: the reference mutates a live trie; here the
@@ -929,8 +928,10 @@ def incremental_update(prior_root: str | list[str], new_docs,
     the increment's own artifacts (normalize/signatures), the
     new edges and the merged ``clusters`` persist under its root, making
     the output a valid next link of the chain — ``dedup_sharded`` builds
-    web-scale runs out of exactly this step. ``hash_rows``: the
-    increment's materialized exact key rows when its prebuild built them.
+    web-scale runs out of exactly this step. ``prebuilt``: the
+    increment's pinned (normalize, signatures, exact star) when its
+    prebuild (``_prebuild_increment``) built them under ``checkpointer``'s
+    root, so the fold reads neither stage back.
     """
     import ray
 
@@ -957,9 +958,9 @@ def incremental_update(prior_root: str | list[str], new_docs,
                                       cfg.config_hash(), enabled=False)
 
     # the caller's cfg, as in dedup_sharded's prebuild: a prebuilt stage
-    # resumes as exactly what the fold would have built
-    norm_B, sigs_B, star = _shard_artifacts(ck, new_docs, cfg, passes,
-                                            hash_rows)
+    # is exactly what the fold would have built
+    norm_B, sigs_B, star = prebuilt or _shard_artifacts(ck, new_docs, cfg,
+                                                        passes)
     # norm_B is materialized or a checkpoint read: its count is metadata
     if norm_B.count() == 0:
         # an empty shard's link carries the prior labels forward
@@ -1133,18 +1134,17 @@ def _prebuild_increment(sroot: str, key: str, ds, cfg: PipelineConfig,
     """Build a shard's fold-INDEPENDENT artifacts ahead of its turn in a
     ``dedup_sharded`` chain: ``_shard_artifacts`` — the builder
     ``incremental_update`` itself runs, with the same cfg — computes them
-    while the PREVIOUS fold is still linking; the fold's own ``ck.stage``
-    calls then resume them from the manifest, byte-identically.
-    Best-effort: any failure here simply leaves the fold to (re)build the
-    stage itself. ``box['data']`` hands the resolved dataset to the fold so
-    shard factories still run once on the success path, and
-    ``box['rows']`` the exact key rows the sketch filter built, so the
-    fold's exact pass does not read them again."""
+    while the PREVIOUS fold is still linking, and writes them under the
+    fold's own root. Best-effort: any failure here simply leaves the fold
+    to resume or (re)build the stage itself. ``box['data']`` hands the
+    resolved dataset to the fold so shard factories still run once on the
+    success path, and ``box['built']`` the pinned (normalize, signatures,
+    exact star), so the fold reads no stage back and its exact pass
+    reuses the key rows the sketch filter built."""
     data = ds() if callable(ds) else ds
     box["data"] = data
-    _, _, star = _shard_artifacts(Checkpointer(sroot, key), data, cfg,
-                                  passes)
-    box["rows"] = None if star is None else star.built_rows
+    box["built"] = _shard_artifacts(Checkpointer(sroot, key), data, cfg,
+                                    passes)
 
 
 def dedup_sharded(shards, state_root: str,
@@ -1205,21 +1205,20 @@ def dedup_sharded(shards, state_root: str,
         for i, (label, ds) in enumerate(shards):
             sroot, key = _shard_ck(i, label)
             if not _fold_done(sroot, key):
-                data = rows = None
+                data = built = None
                 if i in pre:
                     fut, box = pre.pop(i)
                     try:
                         fut.result()
                     except Exception:
                         pass    # best-effort: the fold rebuilds the stage
-                    data, rows = box.get("data"), box.get("rows")
+                    data, built = box.get("data"), box.get("built")
                 if data is None:
                     data = ds() if callable(ds) else ds
                 # Pipelining: the next shards' fold-independent artifacts
-                # (normalize / signatures are functions of
-                # each shard's own text, not of any prior fold) build on
-                # driver threads WHILE this fold runs; those folds'
-                # ck.stage calls then resume them from the manifest —
+                # (normalize / signatures are functions of each shard's
+                # own text, not of any prior fold) build on driver threads
+                # WHILE this fold runs and reach those folds pinned —
                 # byte-identical output, and the shard-local ~40% of each
                 # fold's wall overlaps the chain-dependent part. The
                 # window stays small so prebuild work never starves the
@@ -1242,7 +1241,7 @@ def dedup_sharded(shards, state_root: str,
                                     passes=passes)
                 else:
                     incremental_update(chain, data, cfg, passes=passes,
-                                       checkpointer=ck, hash_rows=rows)
+                                       checkpointer=ck, prebuilt=built)
             if prune and prev_root is not None:
                 _prune_clusters(prev_root)
             chain.append(sroot)

@@ -35,7 +35,8 @@ Scale shape: both sides are Datasets; blocking is a hash join on slim
 (field int32, gram int64-hash) key rows; verification is a fully batched
 numpy kernel over candidate pairs (similarity.py batched JW/Levenshtein —
 no per-row Python in any hot stage); field values attach by broadcast
-lookup (small index) or hash join (both sides large).
+lookup (small index) or hash join (both sides large); the per-query top-k
+is ``stages/ranks.grouped_topk`` by (score desc, rec_id asc).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from fuzzy_matcher_ray.functions.similarity import (
     _jw_padded, _lev_padded, pad_utf32)
 from fuzzy_matcher_ray.stages.joins import (
     JOIN_AGG_ARGS, attach_columns, effective_partitions)
+from fuzzy_matcher_ray.stages.ranks import grouped_topk
 
 _HASH_P = np.uint64(1099511628211)     # FNV-1a prime, Horner base
 _HASH_PAD = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -373,16 +375,8 @@ def match_entities(index_ds, query_ds, cfg: EntityMatchConfig | None = None,
     scored = cands.map_batches(_Verifier(cfg), batch_format="pyarrow",
                                batch_size=4096)
 
-    # Arrow partial-top-k merge (same pattern as knn._merge_topk): one numpy
-    # lexsort + take per group, no pandas conversion
-    def _topk(g: pa.Table) -> pa.Table:
-        s = g["score"].to_numpy(zero_copy_only=False)
-        rid = g["rec_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((rid, -s))[:cfg.top_k]
-        out = g.take(pa.array(order))
-        return out.append_column(
-            "rnk", pa.array(np.arange(1, len(out) + 1, dtype=np.int64)))
-    out = scored.groupby("query_id").map_groups(_topk, batch_format="pyarrow")
+    out = grouped_topk(scored, "query_id", "score", "rec_id", cfg.top_k,
+                       rank_col="rnk", empty_schema=_Verifier._empty().schema)
     return out.sort(["query_id", "rnk"])
 
 

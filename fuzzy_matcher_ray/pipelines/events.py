@@ -1,16 +1,16 @@
 """Streaming-shaped operators over the ``events`` table.
 
 Ray Data is a batch engine (no watermarks); the stream semantics here follow
-the guide pattern: the table is an ordered log, windows are per-key
-``groupby(...).map_groups`` over ts-sorted groups, and TTL expiry is a
-read-time predicate (≙ the reference expiry heap ``Clean``, clean.go:29-51,
-applied on every Search).
+the guide pattern: the table is an ordered log, per-user operators are one
+vectorized kernel over whole users (``joins.map_segments`` on user_id, no
+per-group Python), windows are grouped aggregates over assigned window
+keys, and TTL expiry is a read-time predicate (≙ the reference expiry
+heap ``Clean``, clean.go:29-51, applied on every Search).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
@@ -212,24 +212,59 @@ def _sides_projector(left_type: str, right_type: str):
     return _sides
 
 
-def _split_group(g: pa.Table):
-    """Per-group split for the join kernels: (left ts, left event ids,
-    left user ids, SORTED right ts). Sorting happens only when there are
-    left rows to serve (right-only groups return before paying it)."""
-    ts = pc.cast(g["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-    left = g["is_left"].to_numpy(zero_copy_only=False).astype(bool)
-    lt = ts[left]
-    rid = g["event_id"].to_numpy(zero_copy_only=False)[left]
-    uid = g["user_id"].to_numpy(zero_copy_only=False)[left]
-    rt = np.sort(ts[~left]) if len(lt) else ts[:0]
-    return lt, rid, uid, rt
+def _by_user_ts(t: pa.Table):
+    """The join kernels' ordering: the projected sides sorted by
+    (user_id, ts, is_left), so a right row precedes a left row at equal
+    ts → (sorted table, user ids, ts as int64 us, is_left, the index of
+    each row's user's first row)."""
+    st = t.sort_by([("user_id", "ascending"), ("ts", "ascending"),
+                    ("is_left", "ascending")])
+    uid = st["user_id"].to_numpy(zero_copy_only=False)
+    ts = pc.cast(st["ts"], pa.int64()).to_numpy(zero_copy_only=False)
+    left = st["is_left"].to_numpy(zero_copy_only=False).astype(bool)
+    pos = np.arange(len(st))
+    brk = np.ones(len(st), dtype=bool)
+    brk[1:] = uid[1:] != uid[:-1]
+    return st, uid, ts, left, np.maximum.accumulate(np.where(brk, pos, 0))
 
 
-def _empty_join_result(extra_col: str, extra_type) -> pa.Table:
-    return pa.table({"event_id": pa.array([], pa.int64()),
-                     "user_id": pa.array([], pa.int64()),
-                     "ts": pa.array([], pa.timestamp("us")),
-                     extra_col: pa.array([], extra_type)})
+def _asof_rows(t: pa.Table) -> pa.Table:
+    """The as-of kernel over whole users: in (user, ts, right-first)
+    order a running max of the right rows' positions gives each row the
+    last right row at or before it, and a left row has a prior iff that
+    row is its user's."""
+    st, _, ts, left, ustart = _by_user_ts(t)
+    last_right = np.maximum.accumulate(np.where(left, -1, np.arange(len(st))))
+    prior = ts[np.maximum(last_right, 0)][left]
+    missing = (last_right < ustart)[left]
+    return st.filter(pa.array(left)).select(["event_id", "user_id", "ts"]) \
+        .append_column("prior_ts", pa.array(
+            prior, pa.int64(), mask=missing).cast(pa.timestamp("us")))
+
+
+def _band_counts(t: pa.Table, win_us: int) -> pa.Table:
+    """The range-count kernel over whole users: two searchsorteds of each
+    left row's (user_id, ts) and (user_id, ts - window) over the right
+    rows' (user_id, ts) keys, whose difference is the band count."""
+    st, uid, ts, left, _ = _by_user_ts(t)
+    key = np.empty(len(st), dtype=[("u", np.int64), ("t", np.int64)])
+    key["u"], key["t"] = uid, ts
+    right, probe = key[~left], key[left]
+    n = np.searchsorted(right, probe, side="right")
+    probe["t"] -= win_us
+    n -= np.searchsorted(right, probe, side="left")
+    return st.filter(pa.array(left)).select(["event_id", "user_id", "ts"]) \
+        .append_column("n_in_range", pa.array(n, pa.int64()))
+
+
+def _join_sides(sf_dir: str, left_type: str, right_type: str, kernel):
+    """``kernel`` over the two projected event streams cut at user_id
+    changes (``joins.map_segments``: on the driver while they are small,
+    else per block of a range sort on user_id), sorted by event_id."""
+    sides = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"]) \
+        .map_batches(_sides_projector(left_type, right_type),
+                     batch_format="pyarrow").materialize()
+    return map_segments(sides, ["user_id"], kernel).sort("event_id")
 
 
 def asof_latest_prior(sf_dir: str, left_type: str = "purchase",
@@ -238,37 +273,12 @@ def asof_latest_prior(sf_dir: str, left_type: str = "purchase",
     ``right_type`` event at-or-before it (attribution join) —
     (event_id, user_id, ts, prior_ts nullable).
 
-    Ray Data has no asof join; per the custom-operator rule this is the
-    ``map_batches`` + ``groupby(user).map_groups`` + sort composition: both
-    event streams co-locate by user in ONE hash shuffle, and the per-group
-    kernel is a single vectorized searchsorted (right side sorted by ts,
-    greatest right.ts <= left.ts, exactly DuckDB ASOF semantics).
-    Partitioning assumption: one user's events fit in a group block. The
+    Ray Data has no asof join; ``_asof_rows`` runs over whole users
+    (``_join_sides``), one vectorized pass with no per-user Python
+    (greatest right.ts <= left.ts, exactly DuckDB ASOF semantics). The
     DuckDB oracle is a native ASOF LEFT JOIN.
     """
-    ds = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
-
-    def _asof(g: pa.Table) -> pa.Table:
-        lt, rid, uid, rt = _split_group(g)
-        if len(lt) == 0:
-            return _empty_join_result("prior_ts", pa.timestamp("us"))
-        idx = np.searchsorted(rt, lt, side="right") - 1
-        if len(rt) == 0:      # left events, no right events: all-null priors
-            prior = pa.nulls(len(lt), pa.timestamp("us"))
-        else:
-            prior = pa.array(np.where(idx >= 0, rt[np.maximum(idx, 0)], 0)) \
-                .cast(pa.timestamp("us"))
-            prior = pc.if_else(pa.array(idx >= 0), prior,
-                               pa.scalar(None, pa.timestamp("us")))
-        return pa.table({
-            "event_id": pa.array(rid), "user_id": pa.array(uid),
-            "ts": pa.array(lt).cast(pa.timestamp("us")),
-            "prior_ts": prior})
-
-    out = (ds.map_batches(_sides_projector(left_type, right_type),
-                          batch_format="pyarrow")
-           .groupby("user_id").map_groups(_asof, batch_format="pyarrow"))
-    return out.sort("event_id")
+    return _join_sides(sf_dir, left_type, right_type, _asof_rows)
 
 
 def range_join_count(sf_dir: str, left_type: str = "error",
@@ -277,30 +287,14 @@ def range_join_count(sf_dir: str, left_type: str = "error",
     user's ``right_type`` events fall in [ts - window, ts] —
     (event_id, user_id, ts, n_in_range).
 
-    Same custom-operator composition as the as-of join (one user-keyed
-    hash shuffle, per-group kernel), but the kernel is TWO vectorized
-    searchsorteds (lo/hi) whose difference is the band count — no pair
+    Same composition as the as-of join (``_join_sides``); the kernel
+    (``_band_counts``) is TWO vectorized searchsorteds — no pair
     materialization at all, so a hot user costs O(n log n), not O(n²).
     DuckDB oracle: LEFT JOIN with a BETWEEN band + count aggregate.
     """
     win_us = window_minutes * 60_000_000
-    ds = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
-
-    def _count(g: pa.Table) -> pa.Table:
-        lt, rid, uid, rt = _split_group(g)
-        if len(lt) == 0:
-            return _empty_join_result("n_in_range", pa.int64())
-        n = (np.searchsorted(rt, lt, side="right")
-             - np.searchsorted(rt, lt - win_us, side="left"))
-        return pa.table({
-            "event_id": pa.array(rid), "user_id": pa.array(uid),
-            "ts": pa.array(lt).cast(pa.timestamp("us")),
-            "n_in_range": pa.array(n.astype("int64"))})
-
-    out = (ds.map_batches(_sides_projector(left_type, right_type),
-                          batch_format="pyarrow")
-           .groupby("user_id").map_groups(_count, batch_format="pyarrow"))
-    return out.sort("event_id")
+    return _join_sides(sf_dir, left_type, right_type,
+                       lambda t: _band_counts(t, win_us))
 
 
 def value_quantiles_sketch(sf_dir: str, qs: tuple = (0.25, 0.5, 0.75, 0.9),

@@ -18,6 +18,7 @@ import ray
 import ray.data as rd
 
 from fuzzy_matcher_ray.functions.similarity import _lev_padded, pad_utf32
+from fuzzy_matcher_ray.stages.ranks import grouped_topk
 
 # (probe_id, corruption) — applied to the p_name of partkey == probe_id.
 PROBE_SPECS: tuple[tuple[int, str], ...] = ((0, "drop_last"), (1, "swap"),
@@ -53,8 +54,8 @@ def fuzzy_topk_levenshtein(sf_dir: str, k: int = 3):
     """(probe_id, p_partkey, dist, rnk) — top-k parts per probe by edit
     distance. Broadcast probes (ray.put once), one batched DP per probe per
     batch (similarity.py ``_lev_padded`` — no per-row Python), per-batch
-    partial top-k under the final (dist, p_partkey) order, tiny global
-    merge."""
+    partial top-k under the final (dist, p_partkey) order, then one
+    ``stages/ranks.grouped_topk`` by (dist asc, p_partkey asc)."""
     probes = make_probes(sf_dir)
     ref = ray.put(probes)
     parts = rd.read_parquet(f"{sf_dir}/part.parquet",
@@ -89,14 +90,9 @@ def fuzzy_topk_levenshtein(sf_dir: str, k: int = 3):
 
     scored = parts.map_batches(_score, batch_format="pyarrow", batch_size=4096)
 
-    # Arrow partial-top-k merge (same pattern as knn._merge_topk): the
-    # per-group kernel is one numpy lexsort + take — no pandas conversion
-    def _topk(g: pa.Table) -> pa.Table:
-        d = g["dist"].to_numpy(zero_copy_only=False)
-        key = g["p_partkey"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((key, d))[:k]
-        out = g.take(pa.array(order))
-        return out.append_column(
-            "rnk", pa.array(np.arange(1, len(out) + 1, dtype=np.int64)))
-    out = scored.groupby("probe_id").map_groups(_topk, batch_format="pyarrow")
+    out = grouped_topk(scored, "probe_id", "dist", "p_partkey", k,
+                       rank_col="rnk", descending=False,
+                       empty_schema=pa.schema([
+                           ("probe_id", pa.int64()), ("p_partkey", pa.int64()),
+                           ("dist", pa.int64())]))
     return out.sort(["probe_id", "rnk"])

@@ -15,6 +15,9 @@
   scale each vector is scored against the queries sharing its bucket — not
   every query per batch — and non-probed vectors never enter the shuffle.
   Recall < 1 by design (see tests/test_knn.py recall gate).
+
+Every per-query (and per-vector) merge of the partials is one
+``stages/ranks.grouped_topk`` by (cosine desc, id asc).
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 import ray.data as rd
+
+from fuzzy_matcher_ray.stages.ranks import grouped_topk
 
 _EMPTY_SCORED = pa.table({"query_id": pa.array([], pa.int64()),
                           "neighbor_id": pa.array([], pa.int64()),
@@ -80,13 +85,10 @@ def _partial_topk(qi: np.ndarray, ids: np.ndarray, sims: np.ndarray,
 
 
 def _merge_topk(scored, k: int):
-    """Global merge of the (tiny) per-batch partial top-k tables."""
-    def _topk(g: pa.Table) -> pa.Table:
-        c = g["cosine"].to_numpy(zero_copy_only=False)
-        nid = g["neighbor_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((nid, -c))[:k]
-        return g.take(pa.array(order))
-    out = scored.groupby("query_id").map_groups(_topk, batch_format="pyarrow")
+    """Global merge of the (tiny) per-batch partial top-k tables: one
+    ``grouped_topk`` on query_id by (cosine desc, neighbor_id asc)."""
+    out = grouped_topk(scored, "query_id", "cosine", "neighbor_id", k,
+                       empty_schema=_EMPTY_SCORED.schema)
     return out.sort(["query_id", "cosine", "neighbor_id"],
                     descending=[False, True, False])
 
@@ -144,15 +146,12 @@ def nearest_neighbor(sf_dir: str, limit_ids: int = 200):
         })
 
     partials = ds.map_batches(_score, batch_format="pyarrow")
-
-    def _best(g: pa.Table) -> pa.Table:
-        c = g["cosine"].to_numpy(zero_copy_only=False)
-        cid = g["cand_id"].to_numpy(zero_copy_only=False)
-        j = np.lexsort((cid, -c))[0]
-        return pa.table({"vec_id": g["vec_id"].slice(j, 1),
-                         "nn_id": g["cand_id"].slice(j, 1)})
-    out = partials.groupby("vec_id").map_groups(_best, batch_format="pyarrow")
-    return out.sort("vec_id")
+    best = grouped_topk(partials, "vec_id", "cosine", "cand_id", 1,
+                        empty_schema=pa.schema([
+                            ("vec_id", pa.int64()), ("cand_id", pa.int64()),
+                            ("cosine", pa.float64())]))
+    return best.rename_columns({"cand_id": "nn_id"}) \
+        .select_columns(["vec_id", "nn_id"]).sort("vec_id")
 
 
 def embedding_dup_pairs(sf_dir: str, threshold: float = 0.4):
@@ -308,6 +307,9 @@ def knn_topk_ivf(sf_dir: str, n_queries: int = 5, k: int = 5,
         sims = m @ qm[q_idx].T                                 # (group, nq_b)
         return _partial_topk(qi[q_idx], ids, sims, k)
 
+    # map_groups, not joins.map_segments: one bucket is a large share of
+    # the corpus and carries its embeddings, and map_segments gathers every
+    # key that spans a block edge onto the driver
     scored = keyed.groupby("bucket").map_groups(_score_bucket,
                                                 batch_format="pyarrow")
     return _merge_topk(scored, k)
@@ -378,6 +380,8 @@ def knn_topk_ivf_kmeans(sf_dir: str, n_queries: int = 5, k: int = 5,
         sims = m @ qm[q_idx].T                                 # (group, nq_c)
         return _partial_topk(qi[q_idx], ids, sims, k)
 
+    # map_groups, not joins.map_segments: one k-means cell is a large
+    # share of the corpus and carries its embeddings (see knn_topk_ivf)
     scored = keyed.groupby("cell").map_groups(_score_cell,
                                               batch_format="pyarrow")
     return _merge_topk(scored, k)

@@ -125,9 +125,9 @@ def _tfidf_join(docs, n_docs: int, df_agg, k: int):
     hash-JOIN the df table on term (``attach_columns`` shuffle path — the
     vocabulary never reaches the driver), scores are row-local, and the
     per-doc top-k comes from ``grouped_topk`` (per-batch partial top-k +
-    vectorized residue merge). Byte-identical to the broadcast path: the
-    idf/score doubles are the same IEEE expression on the same integers,
-    and the (score desc, term asc) order is total per doc."""
+    the same kernel over the residue). Byte-identical to the broadcast
+    path: the idf/score doubles are the same IEEE expression on the same
+    integers, and the (score desc, term asc) order is total per doc."""
     from fuzzy_matcher_ray.stages.joins import attach_columns
     from fuzzy_matcher_ray.stages.ranks import grouped_topk
 
@@ -511,9 +511,11 @@ def ccnet_buckets(sf_dir: str, k: int = 3, vocab_strategy: str = "auto"):
     the slim score table, one range sort of 4 slim columns, a
     block-metadata position stamp (``stamp_global_positions`` — block data
     never reaches the driver), and a languages-sized Min/Count aggregate
-    joined back (the ``grouped_topk`` merge shape with ntile arithmetic
-    in place of the top-k filter). Document text is read once, by the LM
-    fit; nothing wider than (doc_id, lang, 2×int64) ever shuffles here.
+    joined back. Document text is read once, by the LM fit; nothing wider
+    than (doc_id, lang, 2×int64) ever shuffles here. The stamp stays where
+    ``grouped_topk`` moved onto ``joins.map_segments``: a group here is a
+    whole language, a large share of the corpus, and ``map_segments``
+    gathers every key that spans a block edge onto the driver.
     """
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text", "lang"])

@@ -327,6 +327,9 @@ def semdedup_prune(sf_dir: str, k: int = 10, iters: int = 4, eps: float = 0.4,
         return pa.table({"vec_id": sub["vec_id"],
                          "cluster_id": sub["cluster_id"]})
 
+    # map_groups, not joins.map_segments: one SemDeDup cluster is ~n/k of
+    # the corpus and carries its embeddings, and map_segments gathers
+    # every key that spans a block edge onto the driver
     return (assigned.groupby("cluster_id")
             .map_groups(_prune_group, batch_format="pyarrow")
             .sort("vec_id"))
@@ -434,6 +437,7 @@ def semdedup_prune_boundary(sf_dir: str, k: int = 10, iters: int = 4,
             "kept": pa.array(kept_mask.astype(np.int64)),
         })
 
+    # map_groups for the reason given in semdedup_prune
     voted = (rows.groupby("cluster_id")
              .map_groups(_prune_group, batch_format="pyarrow"))
 

@@ -342,10 +342,9 @@ def mix_epochs_ds(docs, buckets: int = 10, frac_keep: int = 5):
 def topk_per_source(sf_dir: str, k: int = 3):
     """(source, doc_id, n_chars) — the k longest docs per source
     (window-function shape). Per-batch PARTIAL top-k first (each batch
-    forwards at most k rows per source), then a fully vectorized merge
-    over that k·sources residue (sort + metadata-prefix-sum position
-    stamp + min-position-per-group, ``stages/ranks.grouped_topk``) — the
-    full table never shuffles and no per-group Python runs anywhere.
+    forwards at most k rows per source), then the same kernel over that
+    k·sources residue (``stages/ranks.grouped_topk``) — the full table
+    never shuffles and no per-group Python runs anywhere.
     """
     from fuzzy_matcher_ray.stages.ranks import grouped_topk
 

@@ -233,7 +233,8 @@ def keep_best_representatives(sf_dir: str, cfg: PipelineConfig | None = None,
     At 100 TB: quality is a per-batch map over the pruned (doc_id, text)
     read; selection is ``grouped_topk`` (k=1) over slim
     (cluster_id, quality_len, doc_id) rows — a bounded-residue partial
-    pass then one slim sort + stamp, never a per-group dispatch.
+    pass then the same kernel over the residue, never a per-group
+    dispatch.
     ``use_lsh=True`` swaps the near tier onto the banded MinHash passes,
     exactly as ``tiered_dedup``.
     """

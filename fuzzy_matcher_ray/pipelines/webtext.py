@@ -1106,10 +1106,9 @@ def cap_per_host(pages, k: int = 2, char_col: str = "n_chars"):
 
     Input: Dataset with (doc_id, url, ``char_col``). Output slim
     (host, doc_id, n_chars) winners. Per-batch PARTIAL top-k first (each
-    batch forwards at most k rows per host it contains), then a fully
-    vectorized merge over that k·hosts-sized residue (sort +
-    metadata-prefix-sum position stamp + min-position-per-host,
-    ``stages/ranks.grouped_topk``) — the page text never shuffles, the
+    batch forwards at most k rows per host it contains), then the same
+    kernel over that k·hosts-sized residue
+    (``stages/ranks.grouped_topk``) — the page text never shuffles, the
     full table never moves, and no per-group Python dispatch remains
     (same shape as textops.topk_per_source).
     """

@@ -11,14 +11,14 @@ materialization or per-group Python dispatch:
   the driver — and each block stamps itself in one tiny Ray task with its
   broadcast offset. O(blocks) driver work at any corpus size.
 
-- ``grouped_topk``: exact top-k rows per group by (value desc, id asc),
-  the per-host-cap / per-source-top-k shape. Per-batch PARTIAL top-k
-  (one Arrow sort + segmented rank per batch — each batch forwards at
-  most k rows per group it contains) shrinks the exchange to a k·groups
-  residue; the merge is a range sort over that residue + a global
-  position stamp + one tiny min-position-per-group aggregate: a row wins
-  iff its global position is within k of its group's first position. No
-  pandas conversion, no per-group callbacks anywhere.
+- ``grouped_topk``: exact top-k rows per group by (value, id asc), the
+  per-host-cap / per-source-top-k / per-query-neighbors shape and the one
+  top-k kernel of the package. Per-batch PARTIAL top-k (one Arrow sort +
+  segmented rank per batch — each batch forwards at most k rows per group
+  it contains) shrinks the exchange to a k·groups residue; the merge runs
+  the same kernel over that residue through ``joins.map_segments``, whose
+  tables hold every row of each group they contain. No pandas
+  conversion, no per-group callbacks anywhere.
 """
 
 from __future__ import annotations
@@ -90,73 +90,66 @@ def stamp_global_positions(sorted_ds, col: str = "pos",
 
 
 def _partial_topk(t: pa.Table, group_col: str, value_col: str,
-                  id_col: str, k: int) -> pa.Table:
-    """At most k rows per group present in this batch, by (value desc,
-    id asc) — one Arrow sort + one vectorized segmented rank."""
-    if len(t) == 0:
-        return t
-    st = t.sort_by([(group_col, "ascending"), (value_col, "descending"),
-                    (id_col, "ascending")])
-    g = st[group_col]
-    if isinstance(g, pa.ChunkedArray):
-        g = g.combine_chunks()
-    n = len(st)
-    brk = np.ones(n, dtype=bool)
-    if n > 1:
-        neq = pc.fill_null(pc.not_equal(g.slice(1), g.slice(0, n - 1)), True)
-        brk[1:] = neq.to_numpy(zero_copy_only=False)
-    starts = np.nonzero(brk)[0]
-    sizes = np.diff(np.append(starts, n))
-    rank = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
-    return st.filter(pa.array(rank < k))
+                  id_col: str, k: int, descending: bool = True,
+                  rank_col: str | None = None) -> pa.Table:
+    """At most k rows per group present in ``t``, by (value, id asc) with
+    value descending or ascending — one Arrow sort + one vectorized
+    segmented rank. Exact for every group whose rows ``t`` holds in full.
+    With ``rank_col`` the 1-based rank within the group is appended (to an
+    empty table too)."""
+    n = len(t)
+    rank = np.zeros(0, dtype=np.int64)
+    if n:
+        t = t.sort_by([(group_col, "ascending"),
+                       (value_col, "descending" if descending
+                        else "ascending"),
+                       (id_col, "ascending")])
+        g = t[group_col]
+        if isinstance(g, pa.ChunkedArray):
+            g = g.combine_chunks()
+        brk = np.ones(n, dtype=bool)
+        if n > 1:
+            neq = pc.fill_null(pc.not_equal(g.slice(1), g.slice(0, n - 1)),
+                               True)
+            brk[1:] = neq.to_numpy(zero_copy_only=False)
+        starts = np.nonzero(brk)[0]
+        sizes = np.diff(np.append(starts, n))
+        rank = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
+    keep = rank < k
+    t = t.filter(pa.array(keep))
+    if rank_col is not None:
+        t = t.append_column(rank_col, pa.array(rank[keep] + 1))
+    return t
 
 
 def grouped_topk(ds, group_col: str, value_col: str, id_col: str, k: int,
-                 rank_col: str | None = None, empty_schema=None):
-    """Exact top-``k`` rows per ``group_col`` by (``value_col`` desc,
-    ``id_col`` asc), fully vectorized and shuffle-light.
+                 rank_col: str | None = None, empty_schema=None,
+                 descending: bool = True):
+    """Exact top-``k`` rows per ``group_col`` by (``value_col`` desc —
+    ascending when not ``descending`` — then ``id_col`` asc), fully
+    vectorized.
 
-    The partial pass bounds the residue at k rows per (batch, group); the
-    merge never dispatches per group: residue sort → global position stamp
-    (block-metadata prefix sum) → ``Min(pos)`` per group → a row survives
-    iff ``pos - group_min_pos < k``. With ``rank_col`` the 1-based rank
-    within the group is emitted. Output columns = input columns
-    (+ rank_col), in input order.
+    The partial pass (``_partial_topk`` per batch, pinned) bounds the
+    residue at k rows per (batch, group); the merge runs the same kernel
+    over the residue cut at group changes (``joins.map_segments``: on the
+    driver while the residue is small, else per block of a range sort on
+    ``group_col``), which holds every residue row of each group it sees.
+    With ``rank_col`` the 1-based rank within the group is emitted.
+    Output columns = input columns (+ rank_col), in input order.
     """
-    from ray.data.aggregate import Min
-
-    from fuzzy_matcher_ray.stages.joins import attach_columns
+    from fuzzy_matcher_ray.stages.joins import map_segments
 
     residue = ds.map_batches(
-        lambda t: _partial_topk(t, group_col, value_col, id_col, k),
+        lambda t: _partial_topk(t, group_col, value_col, id_col, k,
+                                descending),
         batch_format="pyarrow").materialize()
-    cols = ([f.name for f in residue.schema().base_schema]
-            if residue.count() else None)
-    if cols is None:
-        sch = empty_schema or pa.schema([])
-        t = sch.empty_table()
+    if residue.count() == 0:
+        t = (empty_schema or pa.schema([])).empty_table()
         if rank_col is not None:
             t = t.append_column(rank_col, pa.array([], pa.int64()))
         return rd.from_arrow(t)
-    ordered = residue.sort([group_col, value_col, id_col],
-                           descending=[False, True, False])
-    stamped = stamp_global_positions(ordered, col="__pos")
-    firsts = stamped.groupby(group_col).aggregate(
-        Min("__pos", alias_name="__gpos"))
-    joined = attach_columns(stamped, firsts, group_col, group_col,
-                            {"__gpos": "__gpos"}, how="inner")
-
-    def _keep(t: pa.Table) -> pa.Table:
-        rank = pc.subtract(t["__pos"], t["__gpos"])
-        t = t.filter(pc.less(rank, pa.scalar(k, pa.int64())))
-        out = t.select(cols)
-        if rank_col is not None:
-            out = out.append_column(rank_col, pc.add(
-                pc.subtract(t["__pos"], t["__gpos"]),
-                pa.scalar(1, pa.int64())))
-        return out
-
-    return joined.map_batches(_keep, batch_format="pyarrow")
+    return map_segments(residue, [group_col], lambda t: _partial_topk(
+        t, group_col, value_col, id_col, k, descending, rank_col))
 
 
 @ray.remote

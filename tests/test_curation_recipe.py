@@ -41,6 +41,25 @@ def test_curation_packed_matches_composed_oracle(ray_session):
     assert got.reset_index(drop=True).equals(oracle.reset_index(drop=True))
 
 
+def test_curation_starts_no_early_stopped_semi_join(ray_session):
+    """No execution of an uncheckpointed run stops a semi-join over the
+    source read after one row: ``_keep`` pins its id list and tests it
+    with a metadata count, and drops its marker per batch instead of
+    reading the lazy join's schema. Each ``limit(1)`` probe or
+    ``schema()`` of that join started a ``ReadParquet -> _Lookup ->
+    limit=1`` execution (six per run), and Ray 2.49 once aborted the
+    driver cancelling one."""
+    from test_flagship_plan import ExecutionCounter
+
+    from fuzzy_matcher_ray.pipelines.curate import curation_packed
+    from fuzzy_matcher_ray.stages.joins import collect_table
+    with ExecutionCounter().installed() as counter:
+        assert len(collect_table(curation_packed(SF_SMALL))) > 0
+    early = [d for d in counter.dags if "limit=1" in d
+             and any("ReadParquet" in name for name in d)]
+    assert early == []
+
+
 @pytest.mark.parametrize("kill_after", [3, 6])
 def test_curation_kill_anywhere_resume(ray_session, tmp_path, kill_after):
     """Kill the chain after N completed stages; the rerun resumes from the

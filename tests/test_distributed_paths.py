@@ -108,7 +108,9 @@ def _segment_kernels():
     """(name, rows, keys, fn): each key-local kernel with a sorted input
     table in the ``_BLOCKS`` key layout."""
     from fuzzy_matcher_ray.pipelines.dedup import _min_rep_table
+    from fuzzy_matcher_ray.pipelines.events import _asof_rows, _band_counts
     from fuzzy_matcher_ray.pipelines.webtext import _segmented_rebuild
+    from fuzzy_matcher_ray.stages.ranks import _partial_topk
 
     letters = "".join(_BLOCKS)
     k = np.array([ord(c) - ord("A") for c in letters], dtype=np.int64)
@@ -125,6 +127,11 @@ def _segment_kernels():
         return C._explode_table(t, ["k"], cfg, [], None, {"pp": pp})
 
     a, b = k // 3, 10 + k % 3          # (a, b) sorts as the letters do
+    # both event sides per user, ts ties across sides included
+    sides = pa.table({
+        "event_id": i64(np.arange(n)), "user_id": i64(k),
+        "ts": i64((ids * 3) % 7 * 60_000_000).cast(pa.timestamp("us")),
+        "is_left": pa.array(ids % 2 == 0)})
     pp_vals = pa.array([None if i % 3 == 0 else int(i) for i in range(n)],
                        pa.int64())
     return [
@@ -141,11 +148,16 @@ def _segment_kernels():
             "doc_id": i64(k), "line": pa.array([f"l{i}" for i in range(n)]),
             "pack": i64((k << 32) | np.arange(n, dtype=np.int64))}),
          ["doc_id"], lambda t: _segmented_rebuild(t, "\n")),
+        ("asof", sides, ["user_id"], _asof_rows),
+        ("band", sides, ["user_id"], lambda t: _band_counts(t, 120_000_000)),
+        ("topk", pa.table({"g": i64(k), "val": i64(ids % 4),
+                           "doc_id": i64(np.arange(n))}), ["g"],
+         lambda t: _partial_topk(t, "g", "val", "doc_id", 2, rank_col="r")),
     ]
 
 
 @pytest.mark.parametrize("name", ["explode", "dedup", "count", "min_rep",
-                                  "rebuild"])
+                                  "rebuild", "asof", "band", "topk"])
 def test_map_sorted_stitches_boundary_keys(ray_session, name):
     """The post-sort step of ``map_segments`` over hand-cut sorted blocks
     equals the kernel over the whole table: keys spanning 2 and 3 blocks,
@@ -196,6 +208,29 @@ ray.shutdown()
 """
 
 
+def _run_forced_one_cpu(script: str, tmp_path, *args: str) -> None:
+    """Run ``script`` with argv ``tmp_path, *args`` in a subprocess with
+    FMR_DRIVER_EXPLODE_MAX_ROWS=0 under a hard timeout; it starts its own
+    1-CPU Ray."""
+    env = dict(os.environ, FMR_DRIVER_EXPLODE_MAX_ROWS="0",
+               PYTHONPATH=os.pathsep.join(
+                   [os.path.dirname(os.path.dirname(__file__)),
+                    os.environ.get("PYTHONPATH", "")]))
+    log = tmp_path / "run.log"
+    with open(log, "w") as out:
+        # own process group: a timeout ends the run and the Ray it started
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path), *args], env=env,
+            stdout=out, stderr=subprocess.STDOUT, start_new_session=True)
+        try:
+            rc = proc.wait(timeout=240)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+    assert rc == 0, log.read_text()[-4000:]
+
+
 def test_forced_twins_one_cpu_flagship_and_fold(ray_session, tmp_path):
     """Every key-local operator on its distributed branch
     (FMR_DRIVER_EXPLODE_MAX_ROWS=0) and distributed labelling, on a 1-CPU
@@ -209,23 +244,7 @@ def test_forced_twins_one_cpu_flagship_and_fold(ray_session, tmp_path):
     from fuzzy_matcher_ray.state.checkpoint import Checkpointer
     from fuzzy_matcher_ray.stages.joins import collect_table
 
-    env = dict(os.environ, FMR_DRIVER_EXPLODE_MAX_ROWS="0",
-               PYTHONPATH=os.pathsep.join(
-                   [os.path.dirname(os.path.dirname(__file__)),
-                    os.environ.get("PYTHONPATH", "")]))
-    log = tmp_path / "run.log"
-    with open(log, "w") as out:
-        # own process group: a timeout ends the run and the Ray it started
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _ONE_CPU_RUN, str(tmp_path)], env=env,
-            stdout=out, stderr=subprocess.STDOUT, start_new_session=True)
-        try:
-            rc = proc.wait(timeout=240)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-            raise
-    assert rc == 0, log.read_text()[-4000:]
+    _run_forced_one_cpu(_ONE_CPU_RUN, tmp_path)
 
     cfg = PipelineConfig()
     pages, _ = make_webpages(750, seed=5)
@@ -245,3 +264,53 @@ def test_forced_twins_one_cpu_flagship_and_fold(ray_session, tmp_path):
         assert "cluster_id" in cols and len(want) > 0
         assert got.select(cols).sort_by("doc_id").equals(
             want.select(cols).sort_by("doc_id")), name
+
+
+# The queries whose per-key operator moved onto joins.map_segments (the
+# grouped top-k and the per-user event joins). entity_match_customers is
+# left out: its blocking Dataset.join did not finish on a 1-CPU Ray.
+_MOVED_QUERIES = ("knn_topk", "nearest_neighbor", "topk_per_source",
+                  "keep_best_representatives", "asof_latest_prior",
+                  "range_join_count")
+
+_ONE_CPU_QUERIES = """
+import sys
+import pyarrow.parquet as pq
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+import ray.data as rd
+rd.DataContext.get_current().enable_progress_bars = False
+import __ray_entry__ as entry
+from fuzzy_matcher_ray.stages import candidates
+from fuzzy_matcher_ray.stages.joins import collect_table
+
+assert candidates.DRIVER_EXPLODE_MAX_ROWS == 0
+out, sf = sys.argv[1], sys.argv[2]
+queries = entry.queries()
+for name in sys.argv[3].split(","):
+    pq.write_table(collect_table(queries[name](sf)), f"{out}/{name}.parquet")
+ray.shutdown()
+"""
+
+
+def test_forced_twins_one_cpu_moved_queries(ray_session, tmp_path):
+    """The grouped top-k and event-join queries with their merge on the
+    range-sort branch of ``map_segments`` (FMR_DRIVER_EXPLODE_MAX_ROWS=0),
+    on a 1-CPU Ray, give the default run's rows."""
+    import pyarrow.parquet as pq
+
+    from test_entry_contract import SF_DIR
+
+    import __ray_entry__ as entry
+    from fuzzy_matcher_ray.stages.joins import collect_table
+
+    _run_forced_one_cpu(_ONE_CPU_QUERIES, tmp_path, SF_DIR,
+                        ",".join(_MOVED_QUERIES))
+    queries = entry.queries()
+    for name in _MOVED_QUERIES:
+        want = collect_table(queries[name](SF_DIR))
+        got = pq.read_table(tmp_path / f"{name}.parquet")
+        order = [(c, "ascending") for c in want.column_names]
+        assert len(want) > 0
+        assert got.sort_by(order).equals(want.sort_by(order)), name

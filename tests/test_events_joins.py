@@ -2,6 +2,7 @@
 driver fixtures don't exercise (the contract suite covers the happy path)."""
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -52,6 +53,63 @@ def test_range_join_counts_band(ray_session, tmp_path):
     out = range_join_count(sf).to_pandas().set_index("event_id")
     assert out.loc[1].n_in_range == 2
     assert out.loc[5].n_in_range == 0
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_joins_user_across_block_edges(ray_session, monkeypatch, forced):
+    """Both join kernels run over whole users: on the driver, and with
+    ``DRIVER_EXPLODE_MAX_ROWS = 0`` per block of a range sort on user_id,
+    with user 3's 600 events spread over every input block (a user cut
+    across sorted blocks is in
+    ``test_distributed_paths::test_map_sorted_stitches_boundary_keys``).
+    The rows of the two tests above keep their expectations, and every
+    row equals a brute-force scan of its user's events."""
+    import ray.data as rd
+
+    from fuzzy_matcher_ray.pipelines import events as ev
+    from fuzzy_matcher_ray.stages import candidates
+
+    rng = np.random.default_rng(5)
+    rows = [(1, 10 * MIN, 7, "purchase"), (2, 5 * MIN, 8, "signup"),
+            (3, 9 * MIN, 8, "purchase"), (4, 2 * MIN, 9, "purchase"),
+            (5, 6 * MIN, 9, "signup"), (6, 10 * MIN, 1, "error"),
+            (7, 6 * MIN, 1, "click"), (8, 4 * MIN, 1, "click"),
+            (9, 10 * MIN, 1, "click"), (10, 3 * MIN, 2, "error")]
+    kinds = ["purchase", "signup", "error", "click"]
+    for i in range(600):       # a hot user, ties at equal ts included
+        rows.append((100 + i, int(rng.integers(0, 240)) * MIN, 3,
+                     kinds[int(rng.integers(0, 4))]))
+    tbl = pa.table({
+        "event_id": pa.array([r[0] for r in rows], pa.int64()),
+        "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
+        "user_id": pa.array([r[2] for r in rows], pa.int64()),
+        "event_type": pa.array([r[3] for r in rows], pa.string())})
+    monkeypatch.setattr(ev, "_events",
+                        lambda sf_dir, columns=None:
+                        rd.from_arrow(tbl).repartition(8))
+    if forced:
+        monkeypatch.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 0)
+
+    def _ts(kind):
+        return {r[0]: (r[2], r[1]) for r in rows if r[3] == kind}
+
+    asof = ev.asof_latest_prior("ignored").to_pandas().set_index("event_id")
+    signups = list(_ts("signup").values())
+    for eid, (u, t) in _ts("purchase").items():
+        prior = max((s for v, s in signups if v == u and s <= t),
+                    default=None)
+        got = asof.loc[eid].prior_ts
+        assert (pd.isna(got) if prior is None
+                else got == np.datetime64(prior, "us")), eid
+    assert asof.loc[3].prior_ts == np.datetime64(5 * MIN, "us")
+    assert asof.loc[1].isna().prior_ts and asof.loc[4].isna().prior_ts
+
+    band = ev.range_join_count("ignored").to_pandas().set_index("event_id")
+    clicks = list(_ts("click").values())
+    for eid, (u, t) in _ts("error").items():
+        want = sum(v == u and t - 5 * MIN <= s <= t for v, s in clicks)
+        assert band.loc[eid].n_in_range == want, eid
+    assert band.loc[6].n_in_range == 2 and band.loc[10].n_in_range == 0
 
 
 def test_sliding_windows_null_value(ray_session, tmp_path):

@@ -1,4 +1,5 @@
-"""stages/ranks: distributed global-position stamp + grouped top-k.
+"""stages/ranks: distributed global-position stamp + grouped top-k (its
+driver and range-sort merges, and the executions it starts).
 
 The stamp's driver mode exists only as the parity oracle; the distributed
 mode (block-metadata prefix sum + per-block stamp tasks) is the production
@@ -93,6 +94,44 @@ def test_grouped_topk_rank_col(ray_session, rng):
     assert out[out.g == "a"].rnk.tolist() == [1, 2, 3]
     assert out[out.g == "b"].doc_id.tolist() == [6, 7]
     assert out[out.g == "b"].rnk.tolist() == [1, 2]
+
+
+def test_grouped_topk_distributed_merge(ray_session, rng, monkeypatch):
+    """The merge's range-sort branch (``DRIVER_EXPLODE_MAX_ROWS = 0``)
+    over a residue from 7 blocks, every group in each, and the rank
+    column, against the pandas oracle (a group cut across sorted blocks
+    is in test_distributed_paths' ``topk`` stitch case)."""
+    import ray.data as rd
+
+    from fuzzy_matcher_ray.stages import candidates
+    from fuzzy_matcher_ray.stages.ranks import grouped_topk
+    monkeypatch.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 0)
+    n = 4000
+    tbl = pa.table({
+        "g": pa.array([f"grp{int(x)}" for x in rng.integers(0, 5, n)]),
+        "doc_id": pa.array(np.arange(n, dtype=np.int64)),
+        "val": pa.array(rng.integers(0, 9, n).astype(np.int64))})
+    got = grouped_topk(rd.from_arrow(tbl).repartition(7), "g", "val",
+                       "doc_id", 3, rank_col="rnk") \
+        .to_pandas().sort_values(["g", "rnk"]).reset_index(drop=True)
+    want = _topk_oracle(tbl.to_pandas(), "g", "val", "doc_id", 3)
+    want["rnk"] = want.groupby("g").cumcount() + 1
+    assert got.equals(want[got.columns.tolist()])
+
+
+def test_topk_per_source_runs_in_two_executions(ray_session):
+    """The partial pass's materialize and the final sort: the merge runs
+    on the driver over the pinned residue. With the residue sort, stamp,
+    ``Min`` groupby and attach it took 5."""
+    from test_entry_contract import SF_DIR
+    from test_flagship_plan import ExecutionCounter
+
+    from fuzzy_matcher_ray.pipelines.textops import topk_per_source
+    from fuzzy_matcher_ray.stages.joins import collect_table
+    with ExecutionCounter().installed() as counter:
+        out = collect_table(topk_per_source(SF_DIR))
+    assert len(out) > 0
+    assert counter.count == 2
 
 
 def test_grouped_topk_empty(ray_session):
