@@ -13,8 +13,8 @@ Scale shape, stage by stage:
   at 4 decimals, so round(x·10⁴) is an integer — float SUM order can
   never shift the hash check);
 - lineitem→orders and →customer attach via ``attach_columns`` (broadcast
-  under the row threshold, hash-partitioned shuffle join beyond — the
-  10^12-row path);
+  under the row threshold, key-local join beyond — the 10^12-row
+  path);
 - per-batch PARTIAL sums by nationkey (25 hot keys would all collide in a
   naive groupby; the combiner reduces each batch to ≤25 rows before the
   tiny global groupby);

@@ -55,13 +55,12 @@ def _read(sf_dir: str, cols):
 def _keep(docs, ids):
     """Semi-join: rows of ``docs`` whose doc_id appears in ``ids``.
 
-    Rides the shared attach machinery (broadcast under its gate, hash
-    join beyond) with a marker column — survivor id lists are the slim
-    side by construction. ``ids`` is pinned once, so its emptiness test
-    and the attach read it once, and the marker drops per batch: a
-    ``limit(1)`` probe or a ``schema()`` over the lazy semi-join would
-    each start an early-stopped execution of it."""
-    from fuzzy_matcher_ray.stages.joins import attach_columns, map_blocks
+    Rides the shared attach machinery (broadcast under its gate,
+    key-local beyond) — survivor id lists are the slim side by
+    construction. ``ids`` is pinned once, so its emptiness test and the
+    attach read it once: a ``limit(1)`` probe or a ``schema()`` over the
+    lazy semi-join would each start an early-stopped execution of it."""
+    from fuzzy_matcher_ray.stages.joins import attach_columns
 
     ids = ids if isinstance(ids, MaterializedDataset) else ids.materialize()
     if ids.count() == 0:
@@ -70,11 +69,7 @@ def _keep(docs, ids):
         # is definitionally empty, with the docs schema (parquet metadata;
         # a plain limit(0) would erase it and break downstream collects)
         return rd.from_arrow(docs.schema().base_schema.empty_table())
-    marked = map_blocks(ids, lambda t: pa.table({
-        "doc_id": t["doc_id"], "_k": pa.array(np.ones(len(t), np.int8))}))
-    return attach_columns(docs, marked, "doc_id", "doc_id", {"_k": "_k"},
-                          how="inner").map_batches(
-        lambda t: t.drop_columns(["_k"]), batch_format="pyarrow")
+    return attach_columns(docs, ids, "doc_id", "doc_id", {}, how="semi")
 
 
 def _exact_winners(docs, representative: str = "min"):

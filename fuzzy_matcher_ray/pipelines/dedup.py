@@ -46,7 +46,6 @@ pairs touching a new doc, and fans in at the same ``edges_all`` stage.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -62,7 +61,8 @@ from fuzzy_matcher_ray.stages.cluster import (_coalesce_i64, cluster_edges,
                                               component_labels)
 from fuzzy_matcher_ray.stages.joins import (anti_join, anti_lookup,
                                             attach_columns, block_tables,
-                                            map_blocks, map_segments, project)
+                                            keyed_join, map_blocks,
+                                            map_segments, project)
 from fuzzy_matcher_ray.stages.minhash_stage import (
     Signatures, add_stage, band_key_rows, simhash_key_rows, winnow_key_rows)
 from fuzzy_matcher_ray.stages.normalize_stage import normalized_docs
@@ -154,7 +154,7 @@ def exact_dup_edges(norm, cfg: PipelineConfig,
         reps = star.reps()
     else:
         rows = _semi_join_rows(_hash_rows(prior.norm), star.rows(),
-                               _HASH_KEY, cfg).union(star.rows()).materialize()
+                               _HASH_KEY).union(star.rows()).materialize()
         reps = min_reps(rows, _HASH_KEY)
 
     def _edges(t: pa.Table) -> pa.Table:
@@ -215,8 +215,7 @@ def signature_table(norm, cfg: PipelineConfig, reps=None):
         if copies.count():
             drop = anti_lookup(copies, "doc_id", "doc_id")
             if drop is None:
-                src = anti_join(src, copies, "doc_id", "doc_id",
-                                cfg.join_num_partitions)
+                src = anti_join(src, copies, "doc_id", "doc_id")
     return add_stage(src, Signatures, cfg, drop=drop)
 
 
@@ -233,7 +232,7 @@ def _candidate_pairs(rows, prior_rows, key_cols: list[str],
     if prior_rows is not None:
         # pinned: the semi-join reads it twice (count gate + key collect)
         rows = rows.materialize()
-        rows = _tag_new(_semi_join_rows(prior_rows, rows, key_cols, cfg),
+        rows = _tag_new(_semi_join_rows(prior_rows, rows, key_cols),
                         0).union(_tag_new(rows, 1))
         carry_cols.append("is_new")
         pair_filter = _touches_new if pair_filter is None else \
@@ -253,7 +252,7 @@ def _verified_jaccard(pairs, texts, cfg: PipelineConfig, attacher,
     """Exact-Jaccard verification of (a, b, threshold) pairs, each row at
     its own threshold. Preference order: the precomputed corpus shingle-set
     artifact (zero per-batch shingling), the shared text broadcast
-    (per-batch chunked recompute), a hash join attaching texts."""
+    (per-batch chunked recompute), a key-local join attaching texts."""
     if sets_ref is not None:
         ver = JaccardVerifier(cfg, sets_ref=sets_ref)
         src = pairs
@@ -262,7 +261,7 @@ def _verified_jaccard(pairs, texts, cfg: PipelineConfig, attacher,
         src = pairs
     else:
         ver = JaccardVerifier(cfg)
-        src = attach_pair_texts(pairs, texts, cfg)
+        src = attach_pair_texts(pairs, texts)
     return src.map_batches(ver, batch_format="pyarrow",
                            batch_size=cfg.verify_batch_size)
 
@@ -398,7 +397,7 @@ def substring_edges(norm, cfg: PipelineConfig, attacher=None, sigs=None,
         ver = SubstringVerifier(cfg, text_ref=attacher.ref)
     else:
         ver = SubstringVerifier(cfg)
-        pairs = attach_pair_texts(pairs, _texts(norm, prior), cfg)
+        pairs = attach_pair_texts(pairs, _texts(norm, prior))
     return pairs.map_batches(ver, batch_format="pyarrow", batch_size=4096)
 
 
@@ -495,16 +494,14 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
     ck = checkpointer or Checkpointer("/tmp/fmr-ck-disabled", cfg.config_hash(),
                                       enabled=False)
     from fuzzy_matcher_ray.stages.joins import partitions_for, plan_bytes
-    # Size block count AND every downstream shuffle/join to the DATA, capped
-    # by CPUs: at 100 TB bytes/16 MB dwarfs any cluster so this is always the
-    # CPU cap; on small inputs it stops per-task fixed costs and concurrent
-    # allocation contention from dominating (measured: the 92 MB bench corpus
-    # runs 2x faster 8-wide than 32-wide on a 32-cpu box). ``plan_bytes``
-    # reads the source's size off its plan; ``docs.size_bytes()`` would run
-    # the whole source pipeline once just to size it.
-    cfg = dataclasses.replace(cfg, join_num_partitions=partitions_for(
-        cfg.join_num_partitions, plan_bytes(docs)))
-    n_blocks = cfg.join_num_partitions
+    # Size the block count to the DATA, capped by CPUs: at 100 TB bytes/16
+    # MB dwarfs any cluster so this is always the CPU cap; on small inputs
+    # it stops per-task fixed costs and concurrent allocation contention
+    # from dominating (measured: the 92 MB bench corpus runs 2x faster
+    # 8-wide than 32-wide on a 32-cpu box). ``plan_bytes`` reads the
+    # source's size off its plan; ``docs.size_bytes()`` would run the
+    # whole source pipeline once just to size it.
+    n_blocks = partitions_for(cfg.join_num_partitions, plan_bytes(docs))
     if ck.enabled:
         _drop_stale_stages(ck, cfg, docs, ("normalize", "signatures",
                                            "edges_all", "clusters"), passes)
@@ -749,10 +746,6 @@ def _prior_stage(loaded, name: str, rebuild, usable):
     return out
 
 
-# one hash-join aggregator gang at a time across the fold's parallel
-# builder threads — see the CONCURRENCY CONTRACT in _semi_join_rows
-_FALLBACK_JOIN_LOCK = threading.Lock()
-
 # pin the fold's prior-signature union in the object store (shared by the
 # minhash AND simhash semi-joins) only while it stays under this budget;
 # larger chains re-read the checkpoint parquet per pass instead — see
@@ -760,7 +753,7 @@ _FALLBACK_JOIN_LOCK = threading.Lock()
 SIGS_PIN_MAX_BYTES = 2 << 30
 
 
-def _semi_join_rows(rows_prior, rows_inc, key_cols, cfg: PipelineConfig):
+def _semi_join_rows(rows_prior, rows_inc, key_cols):
     """Prior rows whose ``key_cols`` combo appears among the INCREMENT's
     key rows.
 
@@ -768,45 +761,19 @@ def _semi_join_rows(rows_prior, rows_inc, key_cols, cfg: PipelineConfig):
     within the broadcast budget (``BROADCAST_KEYS_MAX``), its distinct
     combined keys come from ONE driver pass (``np.unique`` over streamed
     batches) and the prior side streams through a broadcast membership
-    filter — zero Ray shuffles. The distinct-keys hash groupby that a
-    shuffle semi-join needs costs ~5-8 s of fixed overhead per execution
-    on one node regardless of size, which at bench scale made the fold
-    slower than a full re-run. Beyond the budget the groupby + hash
-    left_semi join takes over — that is the multi-node shape, where the
-    fixed cost parallelizes. Either way the prior side never explodes
-    into pairs for buckets the increment doesn't touch.
-
-    CONCURRENCY CONTRACT: the fold's pass builders run on parallel
-    driver threads. A hash join gang-schedules its aggregator actors per
-    execution, and two-plus concurrent gangs on a small cluster starve
-    each other (measured: permanent deadlock at ``num_cpus=4`` with the
-    broadcast budget forced to 0). So the join fallback executes EAGERLY
-    here, under a module lock — one aggregator gang alive at a time; the
-    result is the pruned residue (small by construction), and everything
-    downstream of it is join-free and stays lazy + fully concurrent.
+    filter — zero Ray shuffles, and the prior rows are never sorted.
+    Beyond the budget the semi-join is key-local (``joins.keyed_join``):
+    the prior and increment key rows, tagged by side, are range-sorted on
+    ``key_cols`` and each key segment keeps its prior rows whose key has
+    an increment row. Either way the prior side never explodes into pairs
+    for buckets the increment doesn't touch.
     """
     from fuzzy_matcher_ray.stages.candidates import (
         BROADCAST_KEYS_MAX, _collect_combined_keys, _membership_filter)
     if rows_inc.count() <= BROADCAST_KEYS_MAX:
         arr = _collect_combined_keys(rows_inc, key_cols)
         return _membership_filter(rows_prior, key_cols, arr)
-    from fuzzy_matcher_ray.stages.joins import (JOIN_AGG_ARGS,
-                                                effective_partitions)
-    P = effective_partitions(cfg.join_num_partitions)
-    row_schema = {f.name: f.type for f in rows_prior.schema().base_schema}
-
-    def _keys(t: pa.Table) -> pa.Table:
-        # the groupby promotes narrow key dtypes (int8 band → int64)
-        return pa.table({c: t[c].cast(row_schema[c]) for c in key_cols})
-
-    # repartition: hash-aggregate outputs carry schema-less empty blocks
-    # that break the join's key resolution
-    keys_inc = rows_inc.groupby(key_cols).count().map_batches(
-        _keys, batch_format="pyarrow").repartition(P)
-    with _FALLBACK_JOIN_LOCK:
-        return rows_prior.join(keys_inc, "left_semi", P, on=tuple(key_cols),
-                               aggregator_ray_remote_args=JOIN_AGG_ARGS) \
-            .materialize()
+    return keyed_join(rows_prior, rows_inc, key_cols, key_cols, {}, "semi")
 
 
 def _tag_new(ds, flag: int):
@@ -972,13 +939,7 @@ def incremental_update(prior_root: str | list[str], new_docs,
 
     from fuzzy_matcher_ray.stages.joins import (BROADCAST_MAX_ROWS,
                                                 BroadcastAttacher,
-                                                _collect_columns,
-                                                partitions_for, plan_bytes)
-    # sized off the plans: size_bytes() on the prior union would re-read
-    # every prior normalize artifact
-    cfg = dataclasses.replace(cfg, join_num_partitions=partitions_for(
-        cfg.join_num_partitions,
-        (plan_bytes(new_docs) or 0) + (plan_bytes(norm_A) or 0)))
+                                                _collect_columns, plan_bytes)
 
     # --- disjoint-id guard: one streaming filter over the slim prior ids
     # against the broadcast increment ids (the increment is the small side
@@ -1072,7 +1033,7 @@ def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig):
         [t["a"].to_numpy(zero_copy_only=False),
          t["b"].to_numpy(zero_copy_only=False)])}),
         batch_format="pyarrow").materialize()
-    star = _semi_join_rows(base, ends, ["doc_id"], cfg).map_batches(
+    star = _semi_join_rows(base, ends, ["doc_id"]).map_batches(
         lambda t: pa.table({"a": t["cluster_id"], "b": t["doc_id"]}).filter(
             pc.not_equal(t["cluster_id"], t["doc_id"])),
         batch_format="pyarrow")
@@ -1080,8 +1041,7 @@ def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig):
     # the prior scan behind ``star`` should run once
     labels = component_labels(new_edges.union(star).materialize(), cfg)
     out = attach_columns(nodes, labels, "cluster_id", "node",
-                         {"label": "label"}, how="left",
-                         num_partitions=cfg.join_num_partitions)
+                         {"label": "label"}, how="left")
     return out.map_batches(lambda t: pa.table({
         "doc_id": t["doc_id"],
         "cluster_id": _coalesce_i64(t["label"], t["cluster_id"])}),

@@ -31,12 +31,13 @@ Parity map (vs ``/root/reference``):
 - TTL filter / tombstones        ← clean.go:29-51 / clean.go:93-134 as
   read-time predicates (state/tombstones.py)
 
-Scale shape: both sides are Datasets; blocking is a hash join on slim
-(field int32, gram int64-hash) key rows; verification is a fully batched
-numpy kernel over candidate pairs (similarity.py batched JW/Levenshtein —
-no per-row Python in any hot stage); field values attach by broadcast
-lookup (small index) or hash join (both sides large); the per-query top-k
-is ``stages/ranks.grouped_topk`` by (score desc, rec_id asc).
+Scale shape: both sides are Datasets; blocking is one key-local kernel
+(``_block_pairs`` over ``joins.map_segments``) on slim (field int32, gram
+int64-hash) key rows; verification is a fully batched numpy kernel over
+candidate pairs (similarity.py batched JW/Levenshtein — no per-row Python
+in any hot stage); field values attach by broadcast lookup (small index)
+or key-local lookup (both sides large); the per-query top-k is
+``stages/ranks.grouped_topk`` by (score desc, rec_id asc).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from fuzzy_matcher_ray.functions.normalize import (
 from fuzzy_matcher_ray.functions.similarity import (
     _jw_padded, _lev_padded, pad_utf32)
 from fuzzy_matcher_ray.stages.joins import (
-    JOIN_AGG_ARGS, attach_columns, effective_partitions)
+    SIDE, attach_columns, key_codes, map_segments, tagged_union)
 from fuzzy_matcher_ray.stages.ranks import grouped_topk
 
 _HASH_P = np.uint64(1099511628211)     # FNV-1a prime, Horner base
@@ -313,6 +314,25 @@ def _chunked(col):
     return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
 
 
+def _block_pairs(t: pa.Table) -> pa.Table:
+    """(a, b): every query × index ``rec_id`` pair sharing a (field, gram)
+    key in ``t``: key rows of both tables tagged by ``joins.SIDE`` (query
+    0, index 1, its rec_id in ``SIDE_0``), holding every row of each key
+    they contain. Each query row finds its key's run of index rows by
+    ``searchsorted``."""
+    code = key_codes(t, ["field", "gram"])
+    is_q = t[SIDE].to_numpy(zero_copy_only=False) == 0
+    order = np.argsort(code[~is_q], kind="stable")
+    icode = code[~is_q][order]
+    irid = t[f"{SIDE}_0"].filter(pa.array(~is_q)).to_numpy()[order]
+    lo = np.searchsorted(icode, code[is_q], "left")
+    cnt = np.searchsorted(icode, code[is_q], "right") - lo
+    at = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
+    qrid = t["rec_id"].filter(pa.array(is_q)).to_numpy()
+    return pa.table({"a": pa.array(np.repeat(qrid, cnt), pa.int64()),
+                     "b": pa.array(irid[at], pa.int64())})
+
+
 def match_entities(index_ds, query_ds, cfg: EntityMatchConfig | None = None,
                    id_col: str = "id", query_id_col: str = "query_id"):
     """Find top-k fuzzy matches in ``index_ds`` for every row of ``query_ds``.
@@ -325,7 +345,6 @@ def match_entities(index_ds, query_ds, cfg: EntityMatchConfig | None = None,
     """
     cfg = cfg or EntityMatchConfig()
     fields = list(cfg.fields)
-    P = effective_partitions(16)
 
     empty = rd.from_arrow(pa.table({
         "query_id": pa.array([], pa.int64()),
@@ -338,14 +357,13 @@ def match_entities(index_ds, query_ds, cfg: EntityMatchConfig | None = None,
     q_keys = query_ds.map_batches(_KeyEmitter(cfg, query_id_col),
                                   batch_format="pyarrow").materialize()
     if idx_keys.count() == 0 or q_keys.count() == 0:
-        return empty      # joining an empty side breaks the shuffle schema
-    # blocking join: hash-partitioned on (field, gram-hash)
-    joined = q_keys.join(idx_keys, "inner", P, on=("field", "gram"),
-                         left_suffix="_q", right_suffix="_i",
-                         aggregator_ray_remote_args=JOIN_AGG_ARGS)
-    pairs = joined.map_batches(
-        lambda t: pa.table({"a": t["rec_id_q"], "b": t["rec_id_i"]}),
-        batch_format="pyarrow")
+        return empty
+    # blocking join: one key-local kernel over both key tables, cut at
+    # (field, gram-hash)
+    keys = ["field", "gram"]
+    pairs = map_segments(
+        tagged_union(q_keys, idx_keys, keys, keys, ["rec_id"]), keys,
+        _block_pairs)
     # verify-once dedup via the shared pair helper: driver lexsort under
     # the row threshold (a Ray hash groupby costs ~15 s fixed on one box),
     # distributed groupby beyond — (a, b) are ORDERED (query, record)
@@ -359,10 +377,10 @@ def match_entities(index_ds, query_ds, cfg: EntityMatchConfig | None = None,
     for f in fields:
         cands = attach_columns(cands, query_ds.select_columns([query_id_col, f]),
                                "query_id", query_id_col, {f: f"q_{f}"},
-                               how="inner", num_partitions=P)
+                               how="inner")
         cands = attach_columns(cands, index_ds.select_columns([id_col, f]),
                                "rec_id", id_col, {f: f"i_{f}"},
-                               how="inner", num_partitions=P)
+                               how="inner")
     try:
         has_me = "max_edits" in (query_ds.schema().names or [])
     except Exception:
@@ -371,7 +389,7 @@ def match_entities(index_ds, query_ds, cfg: EntityMatchConfig | None = None,
         cands = attach_columns(
             cands, query_ds.select_columns([query_id_col, "max_edits"]),
             "query_id", query_id_col, {"max_edits": "q_max_edits"},
-            how="inner", num_partitions=P)
+            how="inner")
     scored = cands.map_batches(_Verifier(cfg), batch_format="pyarrow",
                                batch_size=4096)
 

@@ -389,8 +389,9 @@ def knn_topk_ivf_kmeans(sf_dir: str, n_queries: int = 5, k: int = 5,
 
 # Verify-side broadcast gate for the SRP-LSH pass: below this many vectors
 # the whole normalized matrix ships once via ray.put and pairs stay 16 B/row
-# through the shuffle; above it vectors are hash-JOINED onto the pairs by id
-# (the attach_pair_texts pattern) so nothing ever materializes driver-side.
+# through the shuffle; above it vectors are attached onto the pairs by id
+# key-local (the attach_pair_texts pattern) so nothing ever materializes
+# driver-side.
 _VERIFY_BROADCAST_MAX_ROWS = 1_000_000
 # below this row count the SRP bucketing runs on plain tasks: the actor
 # pool's spin-up (~seconds) dwarfs the per-batch hyperplane rebuild it
@@ -459,8 +460,8 @@ def embedding_dup_pairs_lsh(sf_dir: str, threshold: float = 0.9,
     (seed, dim) — never broadcast; bucket rows are slim (table:int8,
     bucket:int64, vec_id). ``verify_strategy`` picks how the verify stage
     gets its vectors: ``"broadcast"`` ships the normalized matrix once via
-    ``ray.put`` (small side); ``"join"`` hash-joins both vectors onto the
-    pairs by id (``stages/joins.attach_columns`` shuffle path — nothing
+    ``ray.put`` (small side); ``"join"`` attaches both vectors onto the
+    pairs by id (``stages/joins.attach_columns`` key-local path — nothing
     whole-dataset ever reaches the driver); ``"auto"`` gates on row count.
     Both paths are byte-identical (tests/test_knn.py parity test).
     """
@@ -532,12 +533,9 @@ def _verify_pairs_broadcast(pairs, ds, threshold: float):
 
 
 class _VecsAsBytes:
-    """(vec_id, <col>: binary) — the embedding row as raw float64 bytes.
-    Arrow hash joins reject list-typed payload columns, so vectors travel
-    the join as fixed-width binary (one vectorized buffer build, no
-    per-row Python). The output column is PRE-NAMED for its join side:
-    post-join ``rename_columns`` emits inconsistent schemas on empty join
-    partitions (observed Ray 2.49), so no rename may happen downstream."""
+    """(vec_id, <col>: binary) — the embedding row as raw float64 bytes,
+    so vectors travel the join as one fixed-width binary column (one
+    vectorized buffer build, no per-row Python)."""
 
     def __init__(self, col: str):
         self.col = col
@@ -571,37 +569,22 @@ def _bytes_matrix(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
 
 
 def _verify_pairs_join(pairs, ds, threshold: float):
-    """Exact-cosine verify, scale shape: both vectors hash-JOINED onto the
-    pairs by id (two ``attach_columns`` shuffle joins — the attach_pair_texts
-    pattern, stages/verify.py:52), then a per-batch normalized einsum. The
+    """Exact-cosine verify, scale shape: both vectors attached onto the
+    pairs by id (two key-local ``attach_columns`` — the attach_pair_texts
+    pattern, stages/verify.py), then a per-batch normalized einsum. The
     embeddings Dataset streams into the join; the driver never holds the
     matrix. Byte-identical to the broadcast path (row normalization and the
     pair dot product are row-local float64 ops on the same values)."""
-    from fuzzy_matcher_ray.stages.joins import (JOIN_AGG_ARGS,
-                                                effective_partitions)
-    pairs = pairs.materialize()        # join barrier anyway; guards empty-side
-    n_pairs = pairs.count()
-    if n_pairs == 0:
+    from fuzzy_matcher_ray.stages.joins import attach_columns
+    pairs = pairs.materialize()
+    if pairs.count() == 0:
         return rd.from_arrow(_EMPTY_PAIRS)
-    P = effective_partitions(32)
-    # value columns are PRE-NAMED per side (see _VecsAsBytes): no post-join
-    # rename/select is needed (Ray drops the right key column itself)
     for side in ("a", "b"):
         vecs = ds.map_batches(_VecsAsBytes(f"vec_{side}"),
                               batch_format="pyarrow")
-        pairs = pairs.join(vecs, "inner", P, on=(side,),
-                           right_on=("vec_id",), left_suffix="",
-                           right_suffix="_r",
-                           aggregator_ray_remote_args=JOIN_AGG_ARGS)
-        if side == "a" and n_pairs < 100 * P:
-            # Ray 2.49: feeding one join's output straight into another
-            # crashes when a partition receives no left shard (the
-            # aggregator builds a schema-less empty table; ArrowInvalid
-            # "no match for FieldRef"). Only possible when pairs are few
-            # relative to the PARTITION COUNT (a skewed hash split of
-            # ~100·P rows can still leave a shard empty) — rebuild blocks
-            # cheaply in that regime; at scale every partition is nonempty.
-            pairs = pairs.repartition(2)
+        pairs = attach_columns(pairs, vecs, side, "vec_id",
+                               {f"vec_{side}": f"vec_{side}"},
+                               strategy="shuffle")
 
     def _verify(t: pa.Table) -> pa.Table:
         if len(t) == 0:

@@ -16,7 +16,7 @@ Shape (both ops, two streaming passes + one vocab-sized shuffle):
    magnitude smaller than the corpus; it broadcasts via ``ray.put``. At
    open-web vocab sizes, prune with ``min_df`` (hapax legomena dominate raw
    vocab counts but can never rank: tf·idf of a df=1 term appears in one
-   doc only) or swap the broadcast for a hash join on term — the
+   doc only) or swap the broadcast for a key-local join on term — the
    ``stages/joins.attach_columns`` switch.
 3. **score pass** — per-batch Arrow ``index_in`` maps tokens to vocab ids;
    scores and per-doc top-k come from one numpy lexsort per batch. No
@@ -75,7 +75,7 @@ def _df_table(docs, min_df: int):
 
 
 # Vocabulary tables at or below this row count broadcast whole via ray.put
-# (one searchsorted per batch, zero shuffle); above it the hash-join path
+# (one searchsorted per batch, zero shuffle); above it the key-local join
 # takes over — the corpus (doc, term) rows join the counts on term and the
 # driver never holds the vocabulary (same size-gate shape as
 # knn._VERIFY_BROADCAST_MAX_ROWS).
@@ -121,8 +121,8 @@ def _tf_rows(t: pa.Table) -> pa.Table:
 
 
 def _tfidf_join(docs, n_docs: int, df_agg, k: int):
-    """TF-IDF at open-web vocabulary sizes: the (doc, term, tf) rows
-    hash-JOIN the df table on term (``attach_columns`` shuffle path — the
+    """TF-IDF at open-web vocabulary sizes: the df table attaches to the
+    (doc, term, tf) rows on term (``attach_columns`` key-local path — the
     vocabulary never reaches the driver), scores are row-local, and the
     per-doc top-k comes from ``grouped_topk`` (per-batch partial top-k +
     the same kernel over the residue). Byte-identical to the broadcast
@@ -132,9 +132,7 @@ def _tfidf_join(docs, n_docs: int, df_agg, k: int):
     from fuzzy_matcher_ray.stages.ranks import grouped_topk
 
     if df_agg.count() == 0:
-        # termless corpus: a zero-row side crashes Ray 2.49's hash-join
-        # aggregator (schema-less empty partitions) — and the result is
-        # empty by definition anyway
+        # termless corpus: the result is empty by definition
         return rd.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
             "term": pa.array([], pa.string()),
@@ -170,8 +168,8 @@ def tfidf_top_terms(sf_dir: str, k: int = 3, min_df: int = 1,
 
     ``vocab_strategy``: ``"broadcast"`` ships the (term, df) table once via
     ``ray.put`` (right while the vocabulary is orders of magnitude smaller
-    than the corpus); ``"join"`` hash-joins df onto the exploded (doc,
-    term, tf) rows so nothing vocabulary-sized ever reaches the driver
+    than the corpus); ``"join"`` attaches df key-locally onto the exploded
+    (doc, term, tf) rows so nothing vocabulary-sized ever reaches the driver
     (the 10^9-term open-web shape); ``"auto"`` gates on the vocab row
     count (``VOCAB_BROADCAST_MAX_ROWS``). Both paths are byte-identical
     (tests/test_relevance.py parity test)."""
@@ -360,14 +358,13 @@ def _tf_table(docs):
 
 
 def _unigram_join(docs, tf_agg, total: float):
-    """Unigram-LM scoring, hash-join shape (see unigram_doc_logprob)."""
+    """Unigram-LM scoring, key-local join shape (see unigram_doc_logprob)."""
     from ray.data.aggregate import Sum
 
     from fuzzy_matcher_ray.stages.joins import attach_columns
 
     if tf_agg.count() == 0:
-        # termless corpus: skip the join (zero-row sides crash the Ray
-        # 2.49 hash-join aggregator); every doc scores (0, 0)
+        # termless corpus: skip the join; every doc scores (0, 0)
         return docs.map_batches(
             lambda t: pa.table({
                 "doc_id": t["doc_id"],
@@ -430,7 +427,7 @@ def unigram_doc_logprob(sf_dir: str, vocab_strategy: str = "auto"):
     via ``ray.put`` and one streaming score pass runs
     (``vocab_strategy="broadcast"`` — right while the vocabulary is small
     vs the corpus), or — at open-web vocab sizes — the per-term logprobs
-    hash-JOIN onto the exploded (doc, term, tf) rows and per-doc sums come
+    attach key-locally onto the exploded (doc, term, tf) rows and per-doc sums come
     from one ``groupby(doc_id)`` over fixed-point ints
     (``vocab_strategy="join"``: the driver never holds the vocabulary).
     ``"auto"`` gates on vocab rows (``VOCAB_BROADCAST_MAX_ROWS``); the two
@@ -507,7 +504,7 @@ def ccnet_buckets(sf_dir: str, k: int = 3, vocab_strategy: str = "auto"):
 
     Scale shape: LM fit + scoring is ``unigram_doc_logprob``'s (one
     vocab-sized ``groupby(term)``; vocabulary broadcast under the vocab
-    gate, term hash-join past it). Bucketing adds: one lang attach onto
+    gate, key-local term join past it). Bucketing adds: one lang attach onto
     the slim score table, one range sort of 4 slim columns, a
     block-metadata position stamp (``stamp_global_positions`` — block data
     never reaches the driver), and a languages-sized Min/Count aggregate

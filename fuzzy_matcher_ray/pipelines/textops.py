@@ -253,7 +253,7 @@ def ngram_jaccard_adjacent(sf_dir: str, k: int = 5):
         return pa.table({"a": t["doc_id"],
                          "b": pc.add(t["doc_id"], pa.scalar(1, pa.int64()))})
     pairs = ds.map_batches(_pairs, batch_format="pyarrow")
-    wt = attach_pair_texts(pairs, ds, cfg)     # inner join drops the last id
+    wt = attach_pair_texts(pairs, ds)     # inner join drops the last id
     ver = wt.map_batches(JaccardVerifier(cfg, threshold=0.0), batch_format="pyarrow")
 
     def _round(t: pa.Table) -> pa.Table:

@@ -95,15 +95,12 @@ def tiered_dedup(sf_dir: str, cfg: PipelineConfig | None = None,
     # exact-tier survivors, with text for the shingle pass: semi-join the
     # pruned source read on the winner ids (slim side by construction)
     winner_ids = doc_w.map_batches(
-        lambda t: pa.table({
-            "doc_id": t["doc_id"],
-            "_k": pa.array(np.ones(len(t), np.int8)),
-        }).filter(pc.equal(t["doc_id"], t["w"])),
+        lambda t: t.select(["doc_id"]).filter(pc.equal(t["doc_id"], t["w"])),
         batch_format="pyarrow")
     # materialized: the all-pairs near tier consumes it more than once
     # (emptiness probe, shingle rows, doc ids) — survivors-with-text is slim
     winners = attach_columns(_docs(sf_dir), winner_ids, "doc_id", "doc_id",
-                             {"_k": "_k"}, how="inner") \
+                             {}, how="semi") \
         .select_columns(["doc_id", "text"]).materialize()
 
     if use_lsh:
@@ -123,15 +120,10 @@ def tiered_dedup(sf_dir: str, cfg: PipelineConfig | None = None,
         from fuzzy_matcher_ray.pipelines.dedup import jaccard_allpairs_clusters
         near = jaccard_allpairs_clusters(winners, cfg)
 
-    # near is keyed by winner id — align the key name so the attach joins
-    # w == w (a right side whose key shadows a left data column would
-    # collide in the shuffle-join path)
-    # materialized: attach_columns counts its right side before joining —
-    # without the pin the whole near-tier pipeline would execute twice
-    near_w = near.map_batches(
-        lambda t: pa.table({"w": t["doc_id"], "cluster_id": t["cluster_id"]}),
-        batch_format="pyarrow").materialize()
-    labeled = attach_columns(doc_w, near_w, "w", "w",
+    # near is keyed by winner id. Materialized: attach_columns counts its
+    # right side before joining — without the pin the whole near-tier
+    # pipeline would execute twice
+    labeled = attach_columns(doc_w, near.materialize(), "w", "doc_id",
                              {"cluster_id": "cluster_id"}, how="inner")
 
     def _tier(t: pa.Table) -> pa.Table:

@@ -38,8 +38,8 @@ from fuzzy_matcher_ray.stages.joins import block_tables, map_segments
 
 import os as _os
 
-# membership sets larger than this are not broadcast — the semi-join path
-# (hash-partitioned) takes over. ~8 bytes/key ⇒ 160 MB ceiling.
+# membership sets larger than this are not broadcast — the key-local
+# semi-join (``joins.keyed_join``) takes over. ~8 bytes/key ⇒ 160 MB ceiling.
 BROADCAST_KEYS_MAX = 20_000_000
 
 # key-local inputs up to this many rows run their kernel once on the

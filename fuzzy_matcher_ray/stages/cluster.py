@@ -11,9 +11,9 @@ cfg.driver_uf_max_edges (set it to 0 to force the distributed one):
 - ``driver``: collect edges (they are O(duplicates), orders of magnitude
   smaller than the corpus) and run exact union-find with path compression.
 - ``distributed``: iterative min-label propagation entirely in Dataset ops —
-  per round, attach current labels to both edge endpoints (hash join),
-  emit (node, min(label_a, label_b)) messages both ways plus identity rows,
-  and ``groupby(node).min()``. Labels decrease monotonically, so the sum of
+  per round, attach current labels to both edge endpoints (broadcast or
+  key-local lookup), emit (node, min(label_a, label_b)) messages both ways
+  plus identity rows, and ``groupby(node).min()``. Labels decrease monotonically, so the sum of
   labels is a strictly decreasing fixpoint witness; rounds are bounded by
   cfg.max_label_rounds. Convergence takes O(max cluster diameter) rounds —
   small here because hot-group star edges (stages/candidates.py) keep
@@ -30,15 +30,15 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 import ray.data as rd
 from ray.data.aggregate import Min
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.unionfind import connected_components
 from fuzzy_matcher_ray.stages.candidates import _collect_driver_table
-from fuzzy_matcher_ray.stages.joins import (BROADCAST_MAX_ROWS, attach_columns,
-                                            broadcast_lookup, map_blocks)
+from fuzzy_matcher_ray.stages import joins
+from fuzzy_matcher_ray.stages.joins import (attach_columns, broadcast_lookup,
+                                            map_blocks)
 
 
 def _coalesce_i64(primary, fallback) -> pa.Array:
@@ -80,7 +80,7 @@ def cluster_edges(edges, docs, cfg: PipelineConfig):
     Every doc appears exactly once; singletons get cluster_id = doc_id.
     While the labels broadcast, the lookup and the fill are one per-batch
     function (``joins.map_blocks``: on the driver over a small materialized
-    ``docs``); past that, a hash join attaches the labels.
+    ``docs``); past that, a key-local join attaches the labels.
     """
     labels_ds = component_labels(edges, cfg)
 
@@ -90,14 +90,13 @@ def cluster_edges(edges, docs, cfg: PipelineConfig):
                 if c not in ("doc_id", "cluster_id")}
         return pa.table({"doc_id": t["doc_id"], "cluster_id": cid, **rest})
 
-    if labels_ds.count() <= BROADCAST_MAX_ROWS:
+    if labels_ds.count() <= joins.BROADCAST_MAX_ROWS:
         lookup = broadcast_lookup(labels_ds, "doc_id", "node",
                                   {"label": "cluster_id"}, how="left")
         return map_blocks(docs, lambda t: _fill(lookup(t)))
     out = attach_columns(docs, labels_ds, "doc_id", "node",
                          {"label": "cluster_id"}, how="left",
-                         strategy="shuffle",
-                         num_partitions=cfg.join_num_partitions)
+                         strategy="shuffle")
     return out.map_batches(_fill, batch_format="pyarrow")
 
 
@@ -115,7 +114,6 @@ def _driver_labels(edges):
 
 
 def _distributed_labels(edges, cfg: PipelineConfig):
-    P = cfg.join_num_partitions
     # node universe = distinct endpoints; initial label = node id
     ends = edges.select_columns(["a"]).rename_columns({"a": "node"}).union(
         edges.select_columns(["b"]).rename_columns({"b": "node"}))
@@ -124,12 +122,10 @@ def _distributed_labels(edges, cfg: PipelineConfig):
     prev_sum = None
     for _ in range(cfg.max_label_rounds):
         # strategy="auto": broadcast-attach while the label table fits
-        # (≤2M edge-touched nodes), hash join beyond — the per-round
+        # (≤2M edge-touched nodes), key-local beyond — the per-round
         # groupby(node).min() below is the distributed shuffle either way.
-        e = attach_columns(edges, labels, "a", "node", {"label": "la"},
-                           how="inner", num_partitions=P)
-        e = attach_columns(e, labels, "b", "node", {"label": "lb"},
-                           how="inner", num_partitions=P)
+        e = attach_columns(edges, labels, "a", "node", {"label": "la"})
+        e = attach_columns(e, labels, "b", "node", {"label": "lb"})
 
         def _msgs(t: pa.Table) -> pa.Table:
             m = np.minimum(t["la"].to_numpy(zero_copy_only=False),
@@ -150,8 +146,7 @@ def _distributed_labels(edges, cfg: PipelineConfig):
         # makes the reach per round grow geometrically — rounds needed are
         # O(log diameter), so max_label_rounds=12 covers diameters ~2^12.
         jumped = attach_columns(labels, labels, "label", "node",
-                                {"label": "label2"}, how="left",
-                                num_partitions=P)
+                                {"label": "label2"}, how="left")
 
         def _jump(t: pa.Table) -> pa.Table:
             lab = _coalesce_i64(t["label2"], t["label"])

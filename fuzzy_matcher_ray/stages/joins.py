@@ -1,35 +1,28 @@
-"""Join helpers: broadcast lookup vs hash-partitioned shuffle join.
+"""Join helpers: a broadcast lookup or a key-local one, and the segment
+executor both run on.
 
 ≙ reference entry materialization ``fmc.Entries[id]``
-(fuzzy_matcher_core.go:272) — an O(1) RAM map lookup becomes either
-(a) a broadcast sorted-array lookup (``ray.put`` once, ``searchsorted`` per
-batch — no shuffle) when the lookup side is small, or (b) a hash-partitioned
-``Dataset.join`` when both sides are large. ``strategy="auto"`` picks by row
-count; at 10^12-doc scale the doc-side attach is always the shuffle join.
+(fuzzy_matcher_core.go:272) — an O(1) RAM map lookup becomes one sorted-array
+lookup (``lookup``: ``searchsorted`` per batch) against either (a) the whole
+lookup side, sorted and put in the object store once (no shuffle), while it
+holds at most ``BROADCAST_MAX_ROWS`` rows, or (b) each key segment's own
+lookup rows (``keyed_join``: both sides tagged, unioned into one schema and
+range-sorted on the key by ``map_segments``). ``strategy="auto"`` picks by
+the lookup side's row count, read against ``BROADCAST_MAX_ROWS`` at call
+time; at 10^12-doc scale the doc-side attach is always key-local. The range
+sort inside ``map_segments`` is the package's one shuffle: no hash join and
+no aggregator actors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 from ray.data.dataset import MaterializedDataset
 
 BROADCAST_MAX_ROWS = 2_000_000
-
-
-def effective_partitions(requested: int) -> int:
-    """Cap shuffle/join partition count at the cluster's CPU count.
-
-    Partition count ∝ CPUs is one of the keys to N→4N scaling efficiency
-    (SURVEY.md §4): too many partitions on a small cluster starves the
-    aggregator actors; too few on a big one leaves CPUs idle.
-    """
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", requested))
-    except Exception:
-        cpus = requested
-    return max(2, min(requested, cpus))
 
 
 # Target bytes per shuffle partition. Partitions far smaller than this drown
@@ -40,12 +33,17 @@ TARGET_PARTITION_BYTES = 16 << 20
 
 
 def partitions_for(requested: int, nbytes: int | None) -> int:
-    """Shuffle partition count from BOTH data size and cluster size: enough
-    partitions to use the CPUs at scale, never more than the data justifies.
-    At 100 TB nbytes/16 MB is astronomically larger than any cluster, so
-    this reduces to `effective_partitions` there; it only bites on small
+    """Partition count from BOTH data size and cluster size: ``requested``
+    capped at the cluster's CPU count (partitions ∝ CPUs is one of the keys
+    to N→4N scaling efficiency, SURVEY.md §4), never more than the data
+    justifies. At 100 TB nbytes/16 MB is astronomically larger than any
+    cluster, so only the CPU cap bites there; the size cap bites on small
     inputs, where per-task fixed costs would otherwise dominate."""
-    cap = effective_partitions(requested)
+    try:
+        cpus = int(ray.cluster_resources().get("CPU", requested))
+    except Exception:
+        cpus = requested
+    cap = max(2, min(requested, cpus))
     if not nbytes or nbytes <= 0:
         return cap
     return max(2, min(cap, -(-nbytes // TARGET_PARTITION_BYTES)))
@@ -67,11 +65,6 @@ def plan_bytes(ds) -> int | None:
         return None if None in sizes else sum(sizes)
 
     return walk(ds._logical_plan.dag)
-
-
-# Join aggregator actors must never starve the upstream map stages: give them
-# fractional CPUs so a small cluster can co-schedule maps + aggregators.
-JOIN_AGG_ARGS = {"num_cpus": 0.25}
 
 
 def block_refs(mat) -> list | None:
@@ -145,10 +138,11 @@ def map_blocks(ds, fn, out_rows=None):
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def map_segments(ds, keys: list[str], fn, block_rows: int | None = None):
+def map_segments(ds, keys: list[str], fn, block_rows: int | None = None,
+                 partitions: int | None = None):
     """``fn`` (pyarrow Table → Table) over ``ds`` cut at ``keys`` changes:
     the one shape of every key-local operator (pair explode, pair dedup
-    and count, per-doc top-k, min-rep, span rebuild).
+    and count, per-doc top-k, min-rep, span rebuild, join).
 
     ``fn`` must be correct for any table that holds every row of each
     ``keys`` value it contains, and sorts its own rows. When ``ds`` is
@@ -158,7 +152,8 @@ def map_segments(ds, keys: list[str], fn, block_rows: int | None = None):
     by ref, and the result is wrapped with ``from_blocks`` in
     ``block_rows``-row blocks (one block when None): no execution.
     Otherwise ``ds`` is range-sorted on ``keys`` and ``fn`` runs block by
-    block (``_map_sorted``): zero per-group Python calls.
+    block (``_map_sorted``): zero per-group Python calls. The sort cuts as
+    many ranges as ``ds`` has blocks, or ``partitions`` when given.
     """
     from fuzzy_matcher_ray.stages import candidates
 
@@ -168,6 +163,8 @@ def map_segments(ds, keys: list[str], fn, block_rows: int | None = None):
             return ds
         out = fn(collect_table(ds))
         return candidates._chunked_ds(out, block_rows or max(len(out), 1))
+    if partitions is not None:
+        ds = ds.repartition(partitions)
     return _map_sorted(ds.sort(keys).materialize(), keys, fn)
 
 
@@ -246,8 +243,58 @@ def _collect_columns(ds, cols: list[str]) -> pa.Table:
     return collect_table(ds.select_columns(cols))
 
 
+def lookup(batch: pa.Table, probe: np.ndarray, keys: np.ndarray,
+           values: dict, cols: dict[str, str], how: str) -> pa.Table:
+    """``batch`` joined to a sorted lookup side by ``probe`` (the batch's
+    key per row): ``keys`` sorted, ``values`` {value_col: array} in key
+    order (``sorted_side``). "inner" keeps the rows whose key is found,
+    "left" keeps every row, "semi" the found and "anti" the unfound ones
+    (with no ``cols``); ``cols`` (value_col → out_col) are appended, null
+    where the key is not found."""
+    if len(keys):
+        idx = np.clip(np.searchsorted(keys, probe), 0, len(keys) - 1)
+        found = keys[idx] == probe
+    else:
+        idx = np.zeros(len(probe), np.int64)
+        found = np.zeros(len(probe), bool)
+    if how != "left":
+        keep = ~found if how == "anti" else found
+        if not keep.all():
+            batch = batch.filter(pa.array(keep))
+            idx, found = idx[keep], found[keep]
+    take = pa.array(idx, mask=None if found.all() else ~found)
+    for value_col, out_col in cols.items():
+        batch = batch.append_column(out_col, values[value_col].take(take))
+    return batch
+
+
+def sorted_side(key: pa.Array | pa.ChunkedArray, tbl: pa.Table,
+                value_cols: list[str]):
+    """A lookup side for ``lookup``: (keys, {col: values}) sorted by ``key``
+    (one value per row of ``tbl``)."""
+    order = pc.sort_indices(key)
+    values = {}
+    for c in value_cols:
+        col = tbl[c].take(order)
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        # 64-bit offsets: a take() that fans a string column out past
+        # 2^31 bytes corrupts int32 offsets — large_string is immune
+        if pa.types.is_string(col.type):
+            col = col.cast(pa.large_string())
+        elif pa.types.is_binary(col.type):
+            col = col.cast(pa.large_binary())
+        values[c] = col
+    return key.take(order).to_numpy(zero_copy_only=False), values
+
+
+def broadcast_table(other_tbl: pa.Table, right_key: str, value_cols: list[str]):
+    """Sort by key, ship (keys, {col: values}) to the object store once."""
+    return ray.put(sorted_side(other_tbl[right_key], other_tbl, value_cols))
+
+
 class _Lookup:
-    """Broadcast sorted-key lookup: vectorized searchsorted per batch.
+    """Broadcast sorted-key lookup: ``lookup`` per batch.
 
     Shipped to ``map_batches`` as a stateless *instance* (elastic tasks, no
     idle CPU reservation — an actor pool here starves small clusters). Only
@@ -255,75 +302,18 @@ class _Lookup:
     ``ray.get`` on first use in each worker (zero-copy from the local store).
     """
 
-    def __init__(self, ref, left_key: str, out_cols: dict[str, str], drop_missing: bool):
+    def __init__(self, ref, left_key: str, cols: dict[str, str], how: str):
         self.ref = ref
         self.left_key = left_key
-        self.out_cols = out_cols             # value_col -> out_col
-        self.drop_missing = drop_missing
-        self.keys = None
-        self.values = None
+        self.cols = cols                     # value_col -> out_col
+        self.how = how
+        self.side = None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.keys is None:
-            self.keys, self.values = ray.get(self.ref)
-        if len(self.keys) == 0:
-            # empty lookup side: inner → no rows survive; left → all-null cols
-            if self.drop_missing:
-                batch = batch.slice(0, 0)
-            for value_col, out_col in self.out_cols.items():
-                vals = self.values[value_col]
-                typ = (pa.array(vals[:0]).type if isinstance(vals, np.ndarray)
-                       else vals.type)
-                batch = batch.append_column(out_col, pa.nulls(len(batch), typ))
-            return batch
+        if self.side is None:
+            self.side = ray.get(self.ref)
         probe = batch[self.left_key].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(self.keys, probe)
-        idx_c = np.clip(idx, 0, len(self.keys) - 1)
-        found = (len(self.keys) > 0) & (self.keys[idx_c] == probe)
-        if self.drop_missing and not found.all():
-            batch = batch.filter(pa.array(found))
-            probe = probe[found]
-            idx_c = idx_c[found]
-            found = np.ones(len(probe), dtype=bool)
-        for value_col, out_col in self.out_cols.items():
-            vals = self.values[value_col]
-            if isinstance(vals, np.ndarray):
-                col = pa.array(vals[idx_c])
-                if not self.drop_missing and not found.all():
-                    col = pa.array(
-                        np.where(found, vals[idx_c], None), from_pandas=True)
-            else:   # arrow array (e.g. strings) — take by index
-                col = vals.take(pa.array(idx_c))
-                if not self.drop_missing and not found.all():
-                    mask = pa.array(~found)
-                    import pyarrow.compute as pc
-                    col = pc.if_else(mask, pa.scalar(None, col.type), col)
-        # append all requested columns (loop again to keep order stable)
-            batch = batch.append_column(out_col, col)
-        return batch
-
-
-def broadcast_table(other_tbl: pa.Table, right_key: str, value_cols: list[str]):
-    """Sort by key, ship (keys, {col: values}) to the object store once."""
-    order = pa.compute.sort_indices(other_tbl[right_key])
-    sorted_tbl = other_tbl.take(order)
-    keys = sorted_tbl[right_key].to_numpy(zero_copy_only=False)
-    values = {}
-    for c in value_cols:
-        col = sorted_tbl[c]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if pa.types.is_integer(col.type) or pa.types.is_floating(col.type):
-            values[c] = col.to_numpy(zero_copy_only=False)
-        else:
-            # 64-bit offsets: a take() that fans a string column out past
-            # 2^31 bytes corrupts int32 offsets — large_string is immune
-            if pa.types.is_string(col.type):
-                col = col.cast(pa.large_string())
-            elif pa.types.is_binary(col.type):
-                col = col.cast(pa.large_binary())
-            values[c] = col
-    return ray.put((keys, values))
+        return lookup(batch, probe, *self.side, self.cols, self.how)
 
 
 class BroadcastAttacher:
@@ -337,12 +327,10 @@ class BroadcastAttacher:
 
     def __init__(self, other, right_key: str, value_cols: list[str]):
         tbl = _collect_columns(other, [right_key, *value_cols])
-        self.right_key = right_key
-        self.value_cols = value_cols
         self.ref = broadcast_table(tbl, right_key, value_cols)
 
     def attach(self, ds, left_key: str, cols: dict[str, str], how: str = "inner"):
-        return ds.map_batches(_Lookup(self.ref, left_key, cols, how == "inner"),
+        return ds.map_batches(_Lookup(self.ref, left_key, cols, how),
                               batch_format="pyarrow")
 
 
@@ -351,88 +339,146 @@ def broadcast_lookup(other, left_key: str, right_key: str,
     """The per-batch function of a broadcast attach: ``other``'s
     ``right_key`` and ``cols`` (value_col → out_col) collected, sorted and
     put in the object store once, looked up by each batch's ``left_key``."""
-    tbl = _collect_columns(other, [right_key, *cols])
-    ref = broadcast_table(tbl, right_key, list(cols))
-    return _Lookup(ref, left_key, cols, how == "inner")
+    ref = BroadcastAttacher(other, right_key, list(cols)).ref
+    return _Lookup(ref, left_key, cols, how)
+
+
+def key_codes(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """One int64 per row of ``t``, equal for two rows iff all their
+    ``keys`` values are: each column's dense rank, folded in column by
+    column and re-ranked (so codes stay below ``len(t)``)."""
+    code = np.zeros(len(t), np.int64)
+    for k in keys:
+        _, rank = np.unique(t[k].to_numpy(zero_copy_only=False),
+                            return_inverse=True)
+        code = np.unique(code * (rank.max(initial=-1) + 1) + rank,
+                         return_inverse=True)[1].astype(np.int64)
+    return code
+
+
+# side tag of a tagged union: 0 for the left (probe) side, 1 for the right
+# (lookup) side
+SIDE = "__fmr_side"
+
+
+def tagged_union(left, right, on: list[str], right_on: list[str],
+                 cols: list[str]):
+    """``left`` and ``right`` unioned in one schema, tagged by ``SIDE``:
+    left's columns, ``SIDE``, then right's ``cols`` as ``SIDE_0, SIDE_1,
+    …``. Right's ``right_on`` is written into left's ``on``, cast to its
+    type, and each side's missing columns are typed nulls, so every block
+    of the union has one schema (Ray 2.49 does sort a union of two shapes,
+    but warns that an operator "produced a RefBundle with a different
+    schema"). ``right`` is materialized, so its schema is metadata. Each
+    side is tagged by ``map_blocks``."""
+    lsch = left.schema().base_schema
+    rsch = right.schema().base_schema
+    vals = {f"{SIDE}_{i}": c for i, c in enumerate(cols)}
+    schema = pa.schema([*lsch, pa.field(SIDE, pa.int8()),
+                        *(pa.field(v, rsch.field(c).type)
+                          for v, c in vals.items())])
+
+    def _build(t: pa.Table, side: int, src: dict) -> pa.Table:
+        src[SIDE] = pa.array(np.full(len(t), side, np.int8))
+        return pa.Table.from_arrays(
+            [src[f.name].cast(f.type) if f.name in src
+             else pa.nulls(len(t), f.type) for f in schema], schema=schema)
+
+    def _left(t: pa.Table) -> pa.Table:
+        return _build(t, 0, {f.name: t[f.name] for f in lsch})
+
+    def _right(t: pa.Table) -> pa.Table:
+        src = {k: t[rk] for k, rk in zip(on, right_on)}
+        return _build(t, 1, {**src, **{v: t[c] for v, c in vals.items()}})
+
+    left, right = map_blocks(left, _left), map_blocks(right, _right)
+    if isinstance(left, MaterializedDataset) and \
+            isinstance(right, MaterializedDataset):
+        # both sides tagged on the driver: one materialized union, so
+        # ``map_segments`` runs on the driver too (no execution)
+        import ray.data as rd
+        return rd.from_blocks(
+            [*block_tables(left), *block_tables(right)] or
+            [schema.empty_table()])
+    return left.union(right)
+
+
+def _segment_lookup(t: pa.Table, on: list[str], cols: dict[str, str],
+                    how: str) -> pa.Table:
+    """``lookup`` over one key segment of a ``tagged_union``: its left rows
+    against its own right rows, sorted as ``broadcast_table`` sorts the
+    whole lookup side. A multi-column key is looked up by ``key_codes``."""
+    names = t.column_names
+    cut = names.index(SIDE)
+    is_left = t[SIDE].to_numpy(zero_copy_only=False) == 0
+    lmask, rmask = pa.array(is_left), pa.array(~is_left)
+    key = t[on[0]] if len(on) == 1 else pa.array(key_codes(t, on))
+    keys, values = sorted_side(key.filter(rmask), t.filter(rmask),
+                               names[cut + 1:])
+    return lookup(t.filter(lmask).select(names[:cut]),
+                  key.filter(lmask).to_numpy(zero_copy_only=False), keys,
+                  values, dict(zip(names[cut + 1:], cols.values())), how)
+
+
+def keyed_join(ds, other, on: list[str], right_on: list[str],
+               cols: dict[str, str], how: str, num_partitions: int = 32):
+    """``lookup`` of ``other`` onto ``ds`` (``on`` = ``right_on``), key-local:
+    the ``tagged_union`` of ``ds`` and ``other`` (projected and pinned) is
+    cut at ``on`` by ``map_segments``, and each segment's rows of ``ds`` are
+    looked up against its own rows of ``other`` — the broadcast branch's
+    lookup, segment by segment, so the two branches agree by construction.
+    ``how`` as in ``lookup``; the output holds ds's columns, then ``cols``'
+    out columns. The sort cuts ``partitions_for(num_partitions, …)``
+    ranges: a union's block count is the sum of its sides', so a join fed
+    its own output (label propagation's rounds) would otherwise grow its
+    sort round by round."""
+    if ds.schema() is None:       # no rows and no schema: nothing to join
+        return ds
+    right = project(other, [*right_on, *cols]).materialize()
+    tagged = tagged_union(ds, right, on, right_on, list(cols))
+    return map_segments(
+        tagged, on, lambda t: _segment_lookup(t, on, cols, how),
+        partitions=partitions_for(num_partitions, plan_bytes(tagged)))
 
 
 def attach_columns(ds, other, left_key: str, right_key: str,
                    cols: dict[str, str], *, how: str = "inner",
-                   strategy: str = "auto", num_partitions: int = 32,
-                   broadcast_max_rows: int = BROADCAST_MAX_ROWS):
+                   strategy: str = "auto", num_partitions: int = 32):
     """Attach ``cols`` (value_col → out_col) from ``other`` onto ``ds``.
 
-    how="inner" drops rows of ds with no match; how="left" keeps them (nulls).
+    how="inner" drops rows of ds with no match; how="left" keeps them
+    (nulls); "semi" and "anti" keep the matched / unmatched rows and
+    attach nothing (``cols`` empty). ``strategy="auto"`` broadcasts ``other`` while it holds at
+    most ``BROADCAST_MAX_ROWS`` rows (read at call time) and joins
+    key-local (``keyed_join``, "shuffle") past that, in at most
+    ``num_partitions`` sort ranges.
     """
-    n = other.count()
     if strategy == "auto":
-        strategy = "broadcast" if n <= broadcast_max_rows else "shuffle"
+        strategy = ("broadcast" if other.count() <= BROADCAST_MAX_ROWS
+                    else "shuffle")
     if strategy == "broadcast":
         return ds.map_batches(
             broadcast_lookup(other, left_key, right_key, cols, how),
             batch_format="pyarrow")
-    # shuffle join
-    right = other.select_columns([right_key, *cols])
-    P = effective_partitions(num_partitions)
-    if n < 100 * P:
-        # Ray 2.49: a hash-aggregate right side carries SCHEMA-LESS empty
-        # blocks for key-less partitions, which break the join's key
-        # resolution (ArrowInvalid "no match for FieldRef"). Only possible
-        # when rows are few relative to the partition count — rebuild
-        # blocks cheaply in that regime; at scale every block is nonempty.
-        right = right.repartition(2)
-    join_type = "inner" if how == "inner" else "left_outer"
-    joined = ds.join(right, join_type, effective_partitions(num_partitions),
-                     on=(left_key,), right_on=(right_key,),
-                     left_suffix="", right_suffix="_r",
-                     aggregator_ray_remote_args=JOIN_AGG_ARGS)
-    renames = {}
-    for value_col, out_col in cols.items():
-        src = value_col if value_col in joined.schema().names else f"{value_col}_r"
-        renames[src] = out_col
-    # right key column may appear when names differ — drop it
-    drop = [c for c in (f"{right_key}_r", right_key)
-            if c in joined.schema().names and c not in renames
-            and c != left_key and right_key != left_key]
-    ds2 = joined.rename_columns(renames) if renames else joined
-    if drop:
-        keep = [c for c in ds2.schema().names if c not in drop]
-        ds2 = ds2.select_columns(keep)
-    return ds2
+    return keyed_join(ds, other, [left_key], [right_key], cols, how,
+                      num_partitions)
 
 
-def anti_lookup(other, left_key: str, right_key: str,
-                broadcast_max_rows: int = BROADCAST_MAX_ROWS):
+def anti_lookup(other, left_key: str, right_key: str):
     """The per-batch function of a broadcast anti join: drops the rows
     whose ``left_key`` is among ``other``'s ``right_key`` values, collected
     and put in the object store once. None when ``other`` is past
-    ``broadcast_max_rows`` (the caller joins instead)."""
-    n = other.count()
-    if n > broadcast_max_rows:
+    ``BROADCAST_MAX_ROWS`` (the caller joins key-local instead)."""
+    if other.count() > BROADCAST_MAX_ROWS:
         return None
-    ids = np.unique(_collect_columns(other, [right_key])[right_key]
-                    .to_numpy(zero_copy_only=False)) if n else \
-        np.empty(0, np.int64)
-    ref = ray.put(ids)
-
-    def _filter(batch: pa.Table) -> pa.Table:
-        keep = ~np.isin(batch[left_key].to_numpy(zero_copy_only=False),
-                        ray.get(ref))
-        return batch.filter(pa.array(keep))
-
-    return _filter
+    return broadcast_lookup(other, left_key, right_key, {}, "anti")
 
 
-def anti_join(ds, other, left_key: str, right_key: str, num_partitions: int = 32,
-              broadcast_max_rows: int = BROADCAST_MAX_ROWS):
-    """Rows of ds whose key does NOT appear in other (tombstone removal).
-
-    Broadcast a numpy isin filter (``anti_lookup``) when the tombstone side
-    is small (the common case), else Ray's hash-partitioned left_anti join.
-    """
-    drop = anti_lookup(other, left_key, right_key, broadcast_max_rows)
+def anti_join(ds, other, left_key: str, right_key: str):
+    """Rows of ds whose key does NOT appear in other (tombstone removal):
+    the broadcast ``anti_lookup`` while the tombstone side is small (the
+    common case), else the key-local ``keyed_join``."""
+    drop = anti_lookup(other, left_key, right_key)
     if drop is not None:
         return ds.map_batches(drop, batch_format="pyarrow")
-    return ds.join(other.select_columns([right_key]), "left_anti",
-                   effective_partitions(num_partitions), on=(left_key,),
-                   right_on=(right_key,), aggregator_ray_remote_args=JOIN_AGG_ARGS)
+    return keyed_join(ds, other, [left_key], [right_key], {}, "anti")

@@ -8,8 +8,8 @@ row at its own pass's threshold; each batch's pairs intersected by an
 anchor-grouped boolean-mask kernel), and for the substring pass an exact
 ">= min_len common substring" kernel (seed and sampled-probe-gram
 alignments, all checked by one vectorized byte compare; a suffix array
-only for highly repetitive pairs). Texts are attached by broadcast lookup
-or hash join (``stages/joins.py``) — the per-batch kernels themselves are
+only for highly repetitive pairs). Texts are attached by broadcast or
+key-local lookup (``stages/joins.py``) — the per-batch kernels themselves are
 pure numpy.
 """
 
@@ -55,8 +55,8 @@ def _chunked_unique_sets(uniq_texts: pa.Array, k: int, seed: int
     return dest[:pos], uc
 
 
-def attach_pair_texts(pairs, docs_norm, cfg: PipelineConfig,
-                      col: str = "norm_text", attacher=None):
+def attach_pair_texts(pairs, docs_norm, col: str = "norm_text",
+                      attacher=None):
     """pairs (a,b) → (a, b, text_a, text_b).
 
     Pass a shared ``BroadcastAttacher`` to reuse one collected/broadcast copy
@@ -65,11 +65,8 @@ def attach_pair_texts(pairs, docs_norm, cfg: PipelineConfig,
     if attacher is not None:
         out = attacher.attach(pairs, "a", {col: "text_a"})
         return attacher.attach(out, "b", {col: "text_b"})
-    out = attach_columns(pairs, docs_norm, "a", "doc_id", {col: "text_a"},
-                         how="inner", num_partitions=cfg.join_num_partitions)
-    out = attach_columns(out, docs_norm, "b", "doc_id", {col: "text_b"},
-                         how="inner", num_partitions=cfg.join_num_partitions)
-    return out
+    out = attach_columns(pairs, docs_norm, "a", "doc_id", {col: "text_a"})
+    return attach_columns(out, docs_norm, "b", "doc_id", {col: "text_b"})
 
 
 def _batch_unique_docs(batch: pa.Table, fetched) -> tuple[np.ndarray, pa.Array]:

@@ -1,5 +1,5 @@
 """Force the at-scale code paths (the range-sort branch of
-``joins.map_segments``, shuffle joins, distributed label propagation) on
+``joins.map_segments``, key-local joins, distributed label propagation) on
 small data and assert they produce byte-identical results to the driver
 fast paths."""
 
@@ -186,12 +186,15 @@ rd.DataContext.get_current().enable_progress_bars = False
 from dataclasses import replace
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.pipelines.dedup import find_duplicates, incremental_update
-from fuzzy_matcher_ray.stages import candidates
+from fuzzy_matcher_ray.stages import candidates, joins
 from fuzzy_matcher_ray.stages.joins import collect_table
 from fuzzy_matcher_ray.state.checkpoint import Checkpointer
 from fuzzy_matcher_ray.sources.webpages import make_webpages
 
 assert candidates.DRIVER_EXPLODE_MAX_ROWS == 0
+# every attach, anti-join, semi-join and text attach takes the key-local join
+joins.BROADCAST_MAX_ROWS = 0
+candidates.BROADCAST_KEYS_MAX = 0
 out = sys.argv[1]
 pages, _ = make_webpages(750, seed=5)
 t = pa.table({"doc_id": pa.array(range(len(pages)), pa.int64()),
@@ -233,9 +236,10 @@ def _run_forced_one_cpu(script: str, tmp_path, *args: str) -> None:
 
 def test_forced_twins_one_cpu_flagship_and_fold(ray_session, tmp_path):
     """Every key-local operator on its distributed branch
-    (FMR_DRIVER_EXPLODE_MAX_ROWS=0) and distributed labelling, on a 1-CPU
-    Ray: a checkpointed flagship (chain link 0) and one fold finish and
-    label every doc as the default run does. The session fixture has 4
+    (FMR_DRIVER_EXPLODE_MAX_ROWS=0), every join key-local (both broadcast
+    budgets 0) and distributed labelling, on a 1-CPU Ray: a checkpointed
+    flagship (chain link 0) and one fold finish and label every doc as the
+    default run does. The session fixture has 4
     CPUs, so the run starts its own Ray in a subprocess."""
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -267,11 +271,11 @@ def test_forced_twins_one_cpu_flagship_and_fold(ray_session, tmp_path):
 
 
 # The queries whose per-key operator moved onto joins.map_segments (the
-# grouped top-k and the per-user event joins). entity_match_customers is
-# left out: its blocking Dataset.join did not finish on a 1-CPU Ray.
+# grouped top-k, the per-user event joins and the entity-match blocking
+# join).
 _MOVED_QUERIES = ("knn_topk", "nearest_neighbor", "topk_per_source",
                   "keep_best_representatives", "asof_latest_prior",
-                  "range_join_count")
+                  "range_join_count", "entity_match_customers")
 
 _ONE_CPU_QUERIES = """
 import sys
@@ -295,9 +299,10 @@ ray.shutdown()
 
 
 def test_forced_twins_one_cpu_moved_queries(ray_session, tmp_path):
-    """The grouped top-k and event-join queries with their merge on the
-    range-sort branch of ``map_segments`` (FMR_DRIVER_EXPLODE_MAX_ROWS=0),
-    on a 1-CPU Ray, give the default run's rows."""
+    """The grouped top-k, event-join and entity-match queries with their
+    key-local kernels on the range-sort branch of ``map_segments``
+    (FMR_DRIVER_EXPLODE_MAX_ROWS=0), on a 1-CPU Ray, give the default
+    run's rows."""
     import pyarrow.parquet as pq
 
     from test_entry_contract import SF_DIR
@@ -314,3 +319,88 @@ def test_forced_twins_one_cpu_moved_queries(ray_session, tmp_path):
         order = [(c, "ascending") for c in want.column_names]
         assert len(want) > 0
         assert got.sort_by(order).equals(want.sort_by(order)), name
+
+
+def _join_sides(key: str):
+    """(left, right, on, right_on) for a key-local join test: 600 left
+    rows over keys the right side partly lacks, and right keys the left
+    side lacks. ``key`` is "int" (right key int32 under another name),
+    "string" (a ``norm_text``-like key) or "pair" (band, band_hash)."""
+    rng = np.random.default_rng(11)
+    n = 600
+    i64 = lambda v: pa.array(v, pa.int64())
+    kv = rng.integers(0, 300, n)
+    left = pa.table({
+        "k": i64(kv), "text": pa.array([f"doc {v} text" for v in kv]),
+        "band": pa.array(kv % 4, pa.int8()), "band_hash": i64(kv // 4),
+        "x": i64(np.arange(n))})
+    rv = np.arange(150, 450)
+    right = pa.table({
+        "rk": pa.array(rv, pa.int32()),
+        "text": pa.array([f"doc {v} text" for v in rv]),
+        "band": pa.array(rv % 4, pa.int8()), "band_hash": i64(rv // 4),
+        "v": i64(rv * 10), "w": pa.array([f"w{v}" for v in rv])})
+    on = {"int": (["k"], ["rk"]), "string": (["text"], ["text"]),
+          "pair": (["band", "band_hash"], ["band", "band_hash"])}[key]
+    return left, right, *on
+
+
+@pytest.mark.parametrize("key", ["int", "string", "pair", "empty"])
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+def test_keyed_join_matches_broadcast_lookup(ray_session, how, key):
+    """``joins.keyed_join`` over keys spanning 7 blocks (the range-sort
+    branch of ``map_segments``) keeps and attaches exactly what the
+    broadcast lookup does, with the same schema: keys absent from either
+    side, an empty right side, a string key, and a two-column key (its
+    broadcast twin looks up one column holding both)."""
+    import ray.data as rd
+    from fuzzy_matcher_ray.stages.joins import (_Lookup, broadcast_table,
+                                                collect_table, keyed_join)
+
+    left, right, on, right_on = _join_sides("int" if key == "empty" else key)
+    if key == "empty":
+        right = right.slice(0, 0)
+    cols = {} if how in ("semi", "anti") else {"v": "vv", "w": "ww"}
+    got = collect_table(keyed_join(
+        rd.from_arrow(left).repartition(7), rd.from_arrow(right),
+        on, right_on, cols, how))
+
+    def packed(t, names):      # one lookup column for a two-column key
+        return t.append_column("_key", pa.array(
+            [str(r) for r in zip(*(t[c].to_pylist() for c in names))]))
+
+    lt, rt = packed(left, on), packed(right, right_on)
+    lookup = _Lookup(broadcast_table(rt, "_key", list(cols)), "_key", cols,
+                     how)
+    want = lookup(lt).drop_columns(["_key"])
+    assert got.schema == want.schema
+    assert (len(want) == 0) == (key == "empty" and how in ("inner", "semi"))
+    assert got.sort_by("x").equals(want.sort_by("x"))
+
+
+def test_block_pairs_match_pandas_merge(ray_session):
+    """The entity-match blocking kernel over the side-tagged key tables,
+    range-sorted across 7 blocks, emits exactly the query × index
+    ``rec_id`` pairs of a pandas merge on (field, gram), repeats
+    included."""
+    import ray.data as rd
+    from fuzzy_matcher_ray.pipelines.entity_match import _block_pairs
+    from fuzzy_matcher_ray.stages.joins import (collect_table, map_segments,
+                                                tagged_union)
+
+    rng = np.random.default_rng(5)
+
+    def keys(n, lo):
+        return pa.table({"rec_id": pa.array(np.arange(lo, lo + n), pa.int64()),
+                         "field": pa.array(rng.integers(0, 2, n), pa.int32()),
+                         "gram": pa.array(rng.integers(0, 60, n), pa.int64())})
+
+    q, i = keys(300, 0), keys(500, 10_000)
+    k = ["field", "gram"]
+    got = collect_table(map_segments(tagged_union(
+        rd.from_arrow(q).repartition(7), rd.from_arrow(i), k, k, ["rec_id"]),
+        k, _block_pairs)).to_pandas()
+    want = q.to_pandas().merge(i.to_pandas(), on=k)
+    assert len(want) > len(q)
+    assert sorted(zip(got.a, got.b)) == \
+        sorted(zip(want.rec_id_x, want.rec_id_y))

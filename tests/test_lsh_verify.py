@@ -126,7 +126,8 @@ def test_join_path_labels_match_broadcast(ray_session, tmp_path, monkeypatch):
     """With the text broadcast off the verifies attach texts by join: the
     flagship and a fold must label exactly as with the broadcast. Each
     run attaches texts twice: once for the shared LSH verify, once for
-    the substring verify."""
+    the substring verify; each attach is two key-local joins (``a`` and
+    ``b``), and the budget, read at call time, sends them there."""
     import ray.data as rd
 
     from fuzzy_matcher_ray.pipelines import dedup
@@ -156,9 +157,14 @@ def test_join_path_labels_match_broadcast(ray_session, tmp_path, monkeypatch):
     attach = dedup.attach_pair_texts
     monkeypatch.setattr(dedup, "attach_pair_texts",
                         lambda *a, **k: attached.append(1) or attach(*a, **k))
+    keyed = []
+    keyed_join = joins.keyed_join
+    monkeypatch.setattr(joins, "keyed_join",
+                        lambda *a, **k: keyed.append(1) or keyed_join(*a, **k))
     monkeypatch.setattr(joins, "BROADCAST_MAX_ROWS", 0)
     join_flagship, join_fold = runs("join")
     assert len(attached) == 2 * 3
+    assert len(keyed) >= 2 * len(attached)
     assert flagship.equals(join_flagship)
     assert fold.equals(join_fold)
     assert flagship.equals(fold)
