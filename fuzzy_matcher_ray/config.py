@@ -75,7 +75,7 @@ class PipelineConfig:
     use_shingle_set_artifact: bool = False
     # (bigger batches raise the distinct-doc dedup ratio in the verifier —
     # each distinct doc is shingled once per batch)
-    join_num_partitions: int = 32   # input blocks / partitions (∝ CPUs)
+    join_num_partitions: int = 32   # blocks, key-local join ranges (∝ CPUs)
     # --- TTL (≙ ExpiryHeap, clean.go:29-51, as a read-time predicate) ---
     ttl_mode: bool = False
 

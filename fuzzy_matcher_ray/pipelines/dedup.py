@@ -154,7 +154,7 @@ def exact_dup_edges(norm, cfg: PipelineConfig,
         reps = star.reps()
     else:
         rows = _semi_join_rows(_hash_rows(prior.norm), star.rows(),
-                               _HASH_KEY).union(star.rows()).materialize()
+                               _HASH_KEY, cfg).union(star.rows()).materialize()
         reps = min_reps(rows, _HASH_KEY)
 
     def _edges(t: pa.Table) -> pa.Table:
@@ -215,7 +215,8 @@ def signature_table(norm, cfg: PipelineConfig, reps=None):
         if copies.count():
             drop = anti_lookup(copies, "doc_id", "doc_id")
             if drop is None:
-                src = anti_join(src, copies, "doc_id", "doc_id")
+                src = anti_join(src, copies, "doc_id", "doc_id",
+                                cfg.join_num_partitions)
     return add_stage(src, Signatures, cfg, drop=drop)
 
 
@@ -232,7 +233,7 @@ def _candidate_pairs(rows, prior_rows, key_cols: list[str],
     if prior_rows is not None:
         # pinned: the semi-join reads it twice (count gate + key collect)
         rows = rows.materialize()
-        rows = _tag_new(_semi_join_rows(prior_rows, rows, key_cols),
+        rows = _tag_new(_semi_join_rows(prior_rows, rows, key_cols, cfg),
                         0).union(_tag_new(rows, 1))
         carry_cols.append("is_new")
         pair_filter = _touches_new if pair_filter is None else \
@@ -261,7 +262,8 @@ def _verified_jaccard(pairs, texts, cfg: PipelineConfig, attacher,
         src = pairs
     else:
         ver = JaccardVerifier(cfg)
-        src = attach_pair_texts(pairs, texts)
+        src = attach_pair_texts(pairs, texts,
+                                num_partitions=cfg.join_num_partitions)
     return src.map_batches(ver, batch_format="pyarrow",
                            batch_size=cfg.verify_batch_size)
 
@@ -397,7 +399,8 @@ def substring_edges(norm, cfg: PipelineConfig, attacher=None, sigs=None,
         ver = SubstringVerifier(cfg, text_ref=attacher.ref)
     else:
         ver = SubstringVerifier(cfg)
-        pairs = attach_pair_texts(pairs, _texts(norm, prior))
+        pairs = attach_pair_texts(pairs, _texts(norm, prior),
+                                  num_partitions=cfg.join_num_partitions)
     return pairs.map_batches(ver, batch_format="pyarrow", batch_size=4096)
 
 
@@ -753,7 +756,7 @@ def _prior_stage(loaded, name: str, rebuild, usable):
 SIGS_PIN_MAX_BYTES = 2 << 30
 
 
-def _semi_join_rows(rows_prior, rows_inc, key_cols):
+def _semi_join_rows(rows_prior, rows_inc, key_cols, cfg: PipelineConfig):
     """Prior rows whose ``key_cols`` combo appears among the INCREMENT's
     key rows.
 
@@ -773,7 +776,8 @@ def _semi_join_rows(rows_prior, rows_inc, key_cols):
     if rows_inc.count() <= BROADCAST_KEYS_MAX:
         arr = _collect_combined_keys(rows_inc, key_cols)
         return _membership_filter(rows_prior, key_cols, arr)
-    return keyed_join(rows_prior, rows_inc, key_cols, key_cols, {}, "semi")
+    return keyed_join(rows_prior, rows_inc, key_cols, key_cols, {}, "semi",
+                      cfg.join_num_partitions)
 
 
 def _tag_new(ds, flag: int):
@@ -1033,7 +1037,7 @@ def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig):
         [t["a"].to_numpy(zero_copy_only=False),
          t["b"].to_numpy(zero_copy_only=False)])}),
         batch_format="pyarrow").materialize()
-    star = _semi_join_rows(base, ends, ["doc_id"]).map_batches(
+    star = _semi_join_rows(base, ends, ["doc_id"], cfg).map_batches(
         lambda t: pa.table({"a": t["cluster_id"], "b": t["doc_id"]}).filter(
             pc.not_equal(t["cluster_id"], t["doc_id"])),
         batch_format="pyarrow")
@@ -1041,7 +1045,8 @@ def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig):
     # the prior scan behind ``star`` should run once
     labels = component_labels(new_edges.union(star).materialize(), cfg)
     out = attach_columns(nodes, labels, "cluster_id", "node",
-                         {"label": "label"}, how="left")
+                         {"label": "label"}, how="left",
+                         num_partitions=cfg.join_num_partitions)
     return out.map_batches(lambda t: pa.table({
         "doc_id": t["doc_id"],
         "cluster_id": _coalesce_i64(t["label"], t["cluster_id"])}),

@@ -32,7 +32,7 @@ Parity map (vs ``/root/reference``):
   read-time predicates (state/tombstones.py)
 
 Scale shape: both sides are Datasets; blocking is one key-local kernel
-(``_block_pairs`` over ``joins.map_segments``) on slim (field int32, gram
+(``_block_pairs`` over ``joins.key_local``) on slim (field int32, gram
 int64-hash) key rows; verification is a fully batched numpy kernel over
 candidate pairs (similarity.py batched JW/Levenshtein — no per-row Python
 in any hot stage); field values attach by broadcast lookup (small index)
@@ -54,7 +54,7 @@ from fuzzy_matcher_ray.functions.normalize import (
 from fuzzy_matcher_ray.functions.similarity import (
     _jw_padded, _lev_padded, pad_utf32)
 from fuzzy_matcher_ray.stages.joins import (
-    SIDE, attach_columns, key_codes, map_segments, tagged_union)
+    SIDE, attach_columns, key_codes, key_local)
 from fuzzy_matcher_ray.stages.ranks import grouped_topk
 
 _HASH_P = np.uint64(1099511628211)     # FNV-1a prime, Horner base
@@ -317,9 +317,9 @@ def _chunked(col):
 def _block_pairs(t: pa.Table) -> pa.Table:
     """(a, b): every query × index ``rec_id`` pair sharing a (field, gram)
     key in ``t``: key rows of both tables tagged by ``joins.SIDE`` (query
-    0, index 1, its rec_id in ``SIDE_0``), holding every row of each key
-    they contain. Each query row finds its key's run of index rows by
-    ``searchsorted``."""
+    0, index 1, its rec_id in ``SIDE_0``), holding every index row of
+    each key of its query rows. Each query row finds its key's run of
+    index rows by ``searchsorted``."""
     code = key_codes(t, ["field", "gram"])
     is_q = t[SIDE].to_numpy(zero_copy_only=False) == 0
     order = np.argsort(code[~is_q], kind="stable")
@@ -359,11 +359,10 @@ def match_entities(index_ds, query_ds, cfg: EntityMatchConfig | None = None,
     if idx_keys.count() == 0 or q_keys.count() == 0:
         return empty
     # blocking join: one key-local kernel over both key tables, cut at
-    # (field, gram-hash)
+    # (field, gram-hash); a common gram's query rows stay on their blocks
     keys = ["field", "gram"]
-    pairs = map_segments(
-        tagged_union(q_keys, idx_keys, keys, keys, ["rec_id"]), keys,
-        _block_pairs)
+    pairs = key_local(q_keys, idx_keys, keys, keys, ["rec_id"], _block_pairs,
+                      first_only=False)
     # verify-once dedup via the shared pair helper: driver lexsort under
     # the row threshold (a Ray hash groupby costs ~15 s fixed on one box),
     # distributed groupby beyond — (a, b) are ORDERED (query, record)

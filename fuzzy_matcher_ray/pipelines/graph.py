@@ -22,8 +22,8 @@ Shape:
    byte-identical (parity-tested; `FMR_GRAPH_DRIVER_MAX_ROWS=0` forces the
    twin). Below the gate the edge list collects to the driver (slim rows);
    beyond it each iteration is: attach ranks onto edges by src
-   (`stages/joins.attach_columns` — broadcast under its own gate, hash
-   join beyond) → per-batch contribution kernel → `groupby(node).sum` →
+   (`stages/joins.attach_columns` — broadcast under its own gate,
+   key-local beyond) → per-batch contribution kernel → `groupby(node).sum` →
    left-attach back onto the node table, materialized per round so lineage
    stays O(1). Dangling-node mass evaporates each round (the classic
    no-redistribution variant) and integer floor division sheds ≤1 unit per

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Min
 
@@ -38,7 +39,7 @@ from fuzzy_matcher_ray.functions.unionfind import connected_components
 from fuzzy_matcher_ray.stages.candidates import _collect_driver_table
 from fuzzy_matcher_ray.stages import joins
 from fuzzy_matcher_ray.stages.joins import (attach_columns, broadcast_lookup,
-                                            map_blocks)
+                                            collect_table, map_blocks)
 
 
 def _coalesce_i64(primary, fallback) -> pa.Array:
@@ -96,7 +97,8 @@ def cluster_edges(edges, docs, cfg: PipelineConfig):
         return map_blocks(docs, lambda t: _fill(lookup(t)))
     out = attach_columns(docs, labels_ds, "doc_id", "node",
                          {"label": "cluster_id"}, how="left",
-                         strategy="shuffle")
+                         strategy="shuffle",
+                         num_partitions=cfg.join_num_partitions)
     return out.map_batches(_fill, batch_format="pyarrow")
 
 
@@ -113,7 +115,17 @@ def _driver_labels(edges):
                                      "label": pa.array(labels)})])
 
 
+def _label_sum(labels) -> int:
+    """Sum of the ``label`` column: per-block sums added on the driver
+    (``Dataset.sum`` ends its aggregate in a ``limit=1`` run)."""
+    sums = labels.map_batches(lambda t: pa.table({"s": pa.array(
+        [pc.sum(t["label"]).as_py() or 0 if len(t) else 0], pa.int64())}),
+        batch_format="pyarrow", batch_size=None)
+    return sum(collect_table(sums)["s"].to_pylist())
+
+
 def _distributed_labels(edges, cfg: PipelineConfig):
+    P = cfg.join_num_partitions
     # node universe = distinct endpoints; initial label = node id
     ends = edges.select_columns(["a"]).rename_columns({"a": "node"}).union(
         edges.select_columns(["b"]).rename_columns({"b": "node"}))
@@ -124,8 +136,10 @@ def _distributed_labels(edges, cfg: PipelineConfig):
         # strategy="auto": broadcast-attach while the label table fits
         # (≤2M edge-touched nodes), key-local beyond — the per-round
         # groupby(node).min() below is the distributed shuffle either way.
-        e = attach_columns(edges, labels, "a", "node", {"label": "la"})
-        e = attach_columns(e, labels, "b", "node", {"label": "lb"})
+        e = attach_columns(edges, labels, "a", "node", {"label": "la"},
+                           num_partitions=P)
+        e = attach_columns(e, labels, "b", "node", {"label": "lb"},
+                           num_partitions=P)
 
         def _msgs(t: pa.Table) -> pa.Table:
             m = np.minimum(t["la"].to_numpy(zero_copy_only=False),
@@ -146,14 +160,15 @@ def _distributed_labels(edges, cfg: PipelineConfig):
         # makes the reach per round grow geometrically — rounds needed are
         # O(log diameter), so max_label_rounds=12 covers diameters ~2^12.
         jumped = attach_columns(labels, labels, "label", "node",
-                                {"label": "label2"}, how="left")
+                                {"label": "label2"}, how="left",
+                                num_partitions=P)
 
         def _jump(t: pa.Table) -> pa.Table:
             lab = _coalesce_i64(t["label2"], t["label"])
             return pa.table({"node": t["node"], "label": lab})
 
         labels = jumped.map_batches(_jump, batch_format="pyarrow").materialize()
-        cur_sum = labels.sum("label")   # monotone witness (int64-safe in sandbox)
+        cur_sum = _label_sum(labels)    # monotone witness
         if prev_sum is not None and cur_sum == prev_sum:
             break
         prev_sum = cur_sum

@@ -1,17 +1,18 @@
 """Join helpers: a broadcast lookup or a key-local one, and the segment
-executor both run on.
+executor of every key-local operator.
 
 ≙ reference entry materialization ``fmc.Entries[id]``
 (fuzzy_matcher_core.go:272) — an O(1) RAM map lookup becomes one sorted-array
 lookup (``lookup``: ``searchsorted`` per batch) against either (a) the whole
 lookup side, sorted and put in the object store once (no shuffle), while it
-holds at most ``BROADCAST_MAX_ROWS`` rows, or (b) each key segment's own
-lookup rows (``keyed_join``: both sides tagged, unioned into one schema and
-range-sorted on the key by ``map_segments``). ``strategy="auto"`` picks by
-the lookup side's row count, read against ``BROADCAST_MAX_ROWS`` at call
-time; at 10^12-doc scale the doc-side attach is always key-local. The range
-sort inside ``map_segments`` is the package's one shuffle: no hash join and
-no aggregator actors.
+holds at most ``BROADCAST_MAX_ROWS`` rows, or (b) each sort range's own
+lookup rows (``keyed_join`` on ``key_local``: both sides tagged, unioned
+into one schema and range-sorted on the key; the lookup rows of the keys
+that straddle a range edge reach every range by ref, so a hot key's probe
+rows stay on their ranges). ``strategy="auto"`` picks by the lookup side's
+row count, read against ``BROADCAST_MAX_ROWS`` at call time; at 10^12-doc
+scale the doc-side attach is always key-local. The range sort is the
+package's one shuffle: no hash join and no aggregator actors.
 """
 
 from __future__ import annotations
@@ -138,11 +139,10 @@ def map_blocks(ds, fn, out_rows=None):
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def map_segments(ds, keys: list[str], fn, block_rows: int | None = None,
-                 partitions: int | None = None):
+def map_segments(ds, keys: list[str], fn, block_rows: int | None = None):
     """``fn`` (pyarrow Table → Table) over ``ds`` cut at ``keys`` changes:
     the one shape of every key-local operator (pair explode, pair dedup
-    and count, per-doc top-k, min-rep, span rebuild, join).
+    and count, per-doc top-k, min-rep, span rebuild).
 
     ``fn`` must be correct for any table that holds every row of each
     ``keys`` value it contains, and sorts its own rows. When ``ds`` is
@@ -153,7 +153,7 @@ def map_segments(ds, keys: list[str], fn, block_rows: int | None = None,
     ``block_rows``-row blocks (one block when None): no execution.
     Otherwise ``ds`` is range-sorted on ``keys`` and ``fn`` runs block by
     block (``_map_sorted``): zero per-group Python calls. The sort cuts as
-    many ranges as ``ds`` has blocks, or ``partitions`` when given.
+    many ranges as ``ds`` has blocks.
     """
     from fuzzy_matcher_ray.stages import candidates
 
@@ -163,9 +163,20 @@ def map_segments(ds, keys: list[str], fn, block_rows: int | None = None,
             return ds
         out = fn(collect_table(ds))
         return candidates._chunked_ds(out, block_rows or max(len(out), 1))
-    if partitions is not None:
-        ds = ds.repartition(partitions)
     return _map_sorted(ds.sort(keys).materialize(), keys, fn)
+
+
+def _key_masks(tbl: pa.Table, ref: pa.Table, keys: list[str]):
+    """(first, last): the rows of ``tbl`` whose ``keys`` equal those of
+    ``ref``'s first row, and of its last row (``ref`` non-empty)."""
+    first = np.ones(len(tbl), dtype=bool)
+    last = np.ones(len(tbl), dtype=bool)
+    for k in keys:
+        v = tbl[k].to_numpy(zero_copy_only=False)
+        r = ref[k].to_numpy(zero_copy_only=False)
+        first &= v == r[0]
+        last &= v == r[-1]
+    return first, last
 
 
 def _key_edges(t: pa.Table, keys: list[str]) -> tuple[int, int]:
@@ -174,12 +185,7 @@ def _key_edges(t: pa.Table, keys: list[str]) -> tuple[int, int]:
     n = len(t)
     if n == 0:
         return 0, 0
-    first = np.ones(n, dtype=bool)
-    last = np.ones(n, dtype=bool)
-    for k in keys:
-        v = t[k].to_numpy(zero_copy_only=False)
-        first &= v == v[0]
-        last &= v == v[-1]
+    first, last = _key_masks(t, t, keys)
     lo = n if first.all() else int(np.argmin(first))
     hi = 0 if last.all() else n - int(np.argmin(last[::-1]))
     return lo, max(lo, hi)
@@ -369,8 +375,8 @@ def tagged_union(left, right, on: list[str], right_on: list[str],
     type, and each side's missing columns are typed nulls, so every block
     of the union has one schema (Ray 2.49 does sort a union of two shapes,
     but warns that an operator "produced a RefBundle with a different
-    schema"). ``right`` is materialized, so its schema is metadata. Each
-    side is tagged by ``map_blocks``."""
+    schema"). Both sides are materialized, so their schemas are
+    metadata. Each side is tagged by ``map_blocks``."""
     lsch = left.schema().base_schema
     rsch = right.schema().base_schema
     vals = {f"{SIDE}_{i}": c for i, c in enumerate(cols)}
@@ -405,9 +411,11 @@ def tagged_union(left, right, on: list[str], right_on: list[str],
 
 def _segment_lookup(t: pa.Table, on: list[str], cols: dict[str, str],
                     how: str) -> pa.Table:
-    """``lookup`` over one key segment of a ``tagged_union``: its left rows
-    against its own right rows, sorted as ``broadcast_table`` sorts the
-    whole lookup side. A multi-column key is looked up by ``key_codes``."""
+    """``lookup`` over a ``tagged_union`` table that holds, for each key of
+    its left rows, that key's right rows (at least the first, if any): its
+    left rows against its right rows, sorted as ``broadcast_table`` sorts
+    the whole lookup side. A multi-column key is looked up by
+    ``key_codes``."""
     names = t.column_names
     cut = names.index(SIDE)
     is_left = t[SIDE].to_numpy(zero_copy_only=False) == 0
@@ -420,25 +428,127 @@ def _segment_lookup(t: pa.Table, on: list[str], cols: dict[str, str],
                   values, dict(zip(names[cut + 1:], cols.values())), how)
 
 
-def keyed_join(ds, other, on: list[str], right_on: list[str],
-               cols: dict[str, str], how: str, num_partitions: int = 32):
-    """``lookup`` of ``other`` onto ``ds`` (``on`` = ``right_on``), key-local:
-    the ``tagged_union`` of ``ds`` and ``other`` (projected and pinned) is
-    cut at ``on`` by ``map_segments``, and each segment's rows of ``ds`` are
-    looked up against its own rows of ``other`` — the broadcast branch's
-    lookup, segment by segment, so the two branches agree by construction.
-    ``how`` as in ``lookup``; the output holds ds's columns, then ``cols``'
-    out columns. The sort cuts ``partitions_for(num_partitions, …)``
-    ranges: a union's block count is the sum of its sides', so a join fed
-    its own output (label propagation's rounds) would otherwise grow its
-    sort round by round."""
+def _keyed_sorted(srt, on: list[str], fn, first_only: bool):
+    """``fn`` over a materialized ``tagged_union`` whose blocks are
+    contiguous ranges of one sort on ``on``, with no row on the driver.
+
+    A key with rows in two blocks is the last key of one and the first of
+    the next (a hot key may span any number of blocks). Each block's right
+    rows of its first and last key (with ``first_only`` only the first
+    right row of each: a lookup reads one) are pinned as a small dataset
+    whose block refs every block receives. Each block then runs ``fn``
+    over its own rows, less those edge right rows, plus the pinned right
+    rows of its own first and last key: every left row meets its key's
+    right rows on the block that holds it, so no key's rows are gathered
+    in one place.
+    """
+    sch = srt.schema()
+    if sch is None:           # no rows and no schema: nothing to run
+        return srt
+    empty = sch.base_schema.empty_table()
+
+    def _edge_right(t: pa.Table) -> pa.Table:
+        if len(t) == 0:       # empty blocks may carry no schema
+            return empty
+        lo, hi = _key_edges(t, on)
+        edge = pa.concat_tables([t.slice(0, lo), t.slice(hi)])
+        edge = edge.filter(pc.equal(edge[SIDE], 1))
+        if first_only:
+            at = {int(np.argmax(m)) for m in _key_masks(edge, t, on)
+                  if m.any()}
+            edge = edge.take(np.array(sorted(at), dtype=np.int64))
+        return edge
+
+    pinned = srt.map_batches(_edge_right, batch_format="pyarrow",
+                             batch_size=None, zero_copy_batch=True)
+    pinned = pinned.materialize()
+    refs = block_refs(pinned) or pinned.to_arrow_refs()
+
+    def _block(t: pa.Table) -> pa.Table:
+        if len(t) == 0:
+            return fn(empty)
+        lo, hi = _key_edges(t, on)
+        own = np.ones(len(t), dtype=bool)
+        side = t[SIDE].to_numpy(zero_copy_only=False)
+        own[:lo] = side[:lo] == 0
+        own[hi:] = side[hi:] == 0
+        edge = pa.concat_tables([empty, *ray.get(refs)],
+                                promote_options="permissive")
+        first, last = _key_masks(edge, t, on)
+        return fn(pa.concat_tables([t.filter(pa.array(own)),
+                                    edge.filter(pa.array(first | last))]))
+
+    return srt.map_batches(_block, batch_format="pyarrow", batch_size=None,
+                           zero_copy_batch=True)
+
+
+def _pin(ds) -> MaterializedDataset:
+    """``ds`` materialized, as a dataset whose stats lineage starts here.
+    Ray 2.49 sums up the stats of every execution by walking the stats
+    parents with no memo, so joins fed their own outputs (label
+    propagation's rounds join each round's labels with the edges and
+    with themselves) took time exponential in the rounds (seen: 277,494
+    ``to_summary`` calls for 96 executions, 4 rounds over 200 edges)."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import (
+        InputData)
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+
+    mat = ds.materialize()
+    data = mat._logical_plan.dag.output_data()
+    out = MaterializedDataset(
+        ExecutionPlan(DatasetStats(metadata={}, parent=None),
+                      data_context=mat.context),
+        LogicalPlan(InputData(input_data=data), mat.context))
+    out._plan.execute()         # marks the plan executed, as materialize()
+    return out
+
+
+def key_local(ds, other, on: list[str], right_on: list[str], cols: list[str],
+              fn, *, first_only: bool, num_partitions: int = 32):
+    """``fn`` (pyarrow Table → Table) over ``ds`` and ``other`` cut at the
+    join key (``on`` = ``right_on``). Each call gets a ``tagged_union``
+    table holding ds's rows of some keys and, for each of those keys,
+    every row of ``other`` (with ``first_only`` at least one: a lookup
+    reads one); ``other`` is projected to ``right_on`` and ``cols``.
+
+    Both sides are pinned first (``_pin``): the sort is a barrier anyway,
+    and both schemas are then metadata (``schema()`` of a lazy dataset
+    runs an early-stopped ``limit=1`` execution of it). A union of at most
+    ``candidates.DRIVER_EXPLODE_MAX_ROWS`` rows tagged on the driver runs
+    ``fn`` once there (``map_segments``); a larger one is range-sorted on
+    ``on`` into ``partitions_for(num_partitions, …)`` ranges (a union's
+    block count is the sum of its sides', and label propagation feeds
+    each join its own output) and run block by block by
+    ``_keyed_sorted``, which gathers no key's rows in one place.
+    """
+    from fuzzy_matcher_ray.stages import candidates
+
+    ds = _pin(ds)
     if ds.schema() is None:       # no rows and no schema: nothing to join
         return ds
-    right = project(other, [*right_on, *cols]).materialize()
-    tagged = tagged_union(ds, right, on, right_on, list(cols))
-    return map_segments(
-        tagged, on, lambda t: _segment_lookup(t, on, cols, how),
-        partitions=partitions_for(num_partitions, plan_bytes(tagged)))
+    right = _pin(project(other, [*right_on, *cols]))
+    tagged = tagged_union(ds, right, on, right_on, cols)
+    if (isinstance(tagged, MaterializedDataset)
+            and tagged.count() <= candidates.DRIVER_EXPLODE_MAX_ROWS):
+        return map_segments(tagged, on, fn)
+    parts = partitions_for(num_partitions, plan_bytes(tagged))
+    srt = tagged.repartition(parts).sort(on).materialize()
+    return _keyed_sorted(srt, on, fn, first_only)
+
+
+def keyed_join(ds, other, on: list[str], right_on: list[str],
+               cols: dict[str, str], how: str, num_partitions: int = 32):
+    """``lookup`` of ``other`` onto ``ds`` (``on`` = ``right_on``),
+    key-local (``key_local``): each cut's rows of ``ds`` are looked up
+    against its own rows of ``other`` — the broadcast branch's lookup, cut
+    by cut, so the two branches agree by construction (a lookup side
+    holds one row per key). ``how`` as in ``lookup``; the output holds
+    ds's columns, then ``cols``' out columns."""
+    return key_local(ds, other, on, right_on, list(cols),
+                     lambda t: _segment_lookup(t, on, cols, how),
+                     first_only=True, num_partitions=num_partitions)
 
 
 def attach_columns(ds, other, left_key: str, right_key: str,
@@ -448,10 +558,10 @@ def attach_columns(ds, other, left_key: str, right_key: str,
 
     how="inner" drops rows of ds with no match; how="left" keeps them
     (nulls); "semi" and "anti" keep the matched / unmatched rows and
-    attach nothing (``cols`` empty). ``strategy="auto"`` broadcasts ``other`` while it holds at
-    most ``BROADCAST_MAX_ROWS`` rows (read at call time) and joins
-    key-local (``keyed_join``, "shuffle") past that, in at most
-    ``num_partitions`` sort ranges.
+    attach nothing (``cols`` empty). ``strategy="auto"`` broadcasts
+    ``other`` while it holds at most ``BROADCAST_MAX_ROWS`` rows (read at
+    call time) and joins key-local (``keyed_join``, "shuffle") past that,
+    in at most ``num_partitions`` sort ranges.
     """
     if strategy == "auto":
         strategy = ("broadcast" if other.count() <= BROADCAST_MAX_ROWS
@@ -474,11 +584,13 @@ def anti_lookup(other, left_key: str, right_key: str):
     return broadcast_lookup(other, left_key, right_key, {}, "anti")
 
 
-def anti_join(ds, other, left_key: str, right_key: str):
+def anti_join(ds, other, left_key: str, right_key: str,
+              num_partitions: int = 32):
     """Rows of ds whose key does NOT appear in other (tombstone removal):
     the broadcast ``anti_lookup`` while the tombstone side is small (the
     common case), else the key-local ``keyed_join``."""
     drop = anti_lookup(other, left_key, right_key)
     if drop is not None:
         return ds.map_batches(drop, batch_format="pyarrow")
-    return keyed_join(ds, other, [left_key], [right_key], {}, "anti")
+    return keyed_join(ds, other, [left_key], [right_key], {}, "anti",
+                      num_partitions)

@@ -15,9 +15,10 @@ import pyarrow.compute as pc
 from fuzzy_matcher_ray.stages.joins import anti_join
 
 
-def remove_ids(docs, tombstones, key: str = "doc_id"):
+def remove_ids(docs, tombstones, key: str = "doc_id",
+               num_partitions: int = 32):
     """Drop rows of ``docs`` whose ``key`` appears in ``tombstones`` (doc_id)."""
-    return anti_join(docs, tombstones, key, "doc_id")
+    return anti_join(docs, tombstones, key, "doc_id", num_partitions)
 
 
 class TtlValidationError(ValueError):

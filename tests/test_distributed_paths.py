@@ -190,7 +190,25 @@ from fuzzy_matcher_ray.stages import candidates, joins
 from fuzzy_matcher_ray.stages.joins import collect_table
 from fuzzy_matcher_ray.state.checkpoint import Checkpointer
 from fuzzy_matcher_ray.sources.webpages import make_webpages
+from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
+# every executed DAG that stops early after one row (a ``schema()`` or
+# ``limit(1)`` over a lazy dataset)
+execute, early = StreamingExecutor.execute, []
+
+
+def _execute(executor, dag, *args, **kwargs):
+    names, todo = [], [dag]
+    while todo:
+        op = todo.pop()
+        names.append(op.name)
+        todo.extend(op.input_dependencies)
+    if "limit=1" in names:
+        early.append(" <- ".join(names))
+    return execute(executor, dag, *args, **kwargs)
+
+
+StreamingExecutor.execute = _execute
 assert candidates.DRIVER_EXPLODE_MAX_ROWS == 0
 # every attach, anti-join, semi-join and text attach takes the key-local join
 joins.BROADCAST_MAX_ROWS = 0
@@ -207,6 +225,7 @@ link0 = find_duplicates(rd.from_blocks([t.slice(0, 400)]), cfg,
 pq.write_table(collect_table(link0), out + "/link0.parquet")
 fold = incremental_update([out + "/link0"], rd.from_blocks([t.slice(400)]), cfg)
 pq.write_table(collect_table(fold), out + "/fold.parquet")
+assert early == [], early
 ray.shutdown()
 """
 
@@ -238,9 +257,10 @@ def test_forced_twins_one_cpu_flagship_and_fold(ray_session, tmp_path):
     """Every key-local operator on its distributed branch
     (FMR_DRIVER_EXPLODE_MAX_ROWS=0), every join key-local (both broadcast
     budgets 0) and distributed labelling, on a 1-CPU Ray: a checkpointed
-    flagship (chain link 0) and one fold finish and label every doc as the
-    default run does. The session fixture has 4
-    CPUs, so the run starts its own Ray in a subprocess."""
+    flagship (chain link 0) and one fold finish, start no execution that
+    stops after one row (``limit=1``), and label every doc as the default
+    run does. The session fixture has 4 CPUs, so the run starts its own
+    Ray in a subprocess."""
     import pyarrow.parquet as pq
     import ray.data as rd
     from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
@@ -347,15 +367,19 @@ def _join_sides(key: str):
 
 @pytest.mark.parametrize("key", ["int", "string", "pair", "empty"])
 @pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
-def test_keyed_join_matches_broadcast_lookup(ray_session, how, key):
-    """``joins.keyed_join`` over keys spanning 7 blocks (the range-sort
-    branch of ``map_segments``) keeps and attaches exactly what the
-    broadcast lookup does, with the same schema: keys absent from either
-    side, an empty right side, a string key, and a two-column key (its
-    broadcast twin looks up one column holding both)."""
+def test_keyed_join_matches_broadcast_lookup(ray_session, monkeypatch, how,
+                                             key):
+    """``joins.keyed_join`` on its range-sort branch
+    (``DRIVER_EXPLODE_MAX_ROWS = 0``, left rows over 7 blocks) keeps and
+    attaches exactly what the broadcast lookup does, with the same
+    schema: keys absent from either side, an empty right side, a string
+    key, and a two-column key (its broadcast twin looks up one column
+    holding both)."""
     import ray.data as rd
     from fuzzy_matcher_ray.stages.joins import (_Lookup, broadcast_table,
                                                 collect_table, keyed_join)
+
+    monkeypatch.setattr(C, "DRIVER_EXPLODE_MAX_ROWS", 0)
 
     left, right, on, right_on = _join_sides("int" if key == "empty" else key)
     if key == "empty":
@@ -378,29 +402,138 @@ def test_keyed_join_matches_broadcast_lookup(ray_session, how, key):
     assert got.sort_by("x").equals(want.sort_by("x"))
 
 
-def test_block_pairs_match_pandas_merge(ray_session):
-    """The entity-match blocking kernel over the side-tagged key tables,
-    range-sorted across 7 blocks, emits exactly the query × index
+def _hand_cut_union(kind: str) -> pa.Table:
+    """A ``tagged_union`` table in the ``_BLOCKS`` key layout (key = letter
+    index). "lookup": one right row per key but D, right rows first or
+    last in their key's run, so hot B's (5 rows over 3 blocks) lookup row
+    sits in another block than most of its probes; "pairs": entity-match
+    key rows, every third row an index row."""
+    from fuzzy_matcher_ray.stages.joins import SIDE
+
+    letters = "".join(_BLOCKS)
+    k = np.array([ord(c) - ord("A") for c in letters], dtype=np.int64)
+    n = len(k)
+    i64 = lambda v: pa.array(v, pa.int64())
+    if kind == "lookup":
+        first = np.r_[True, k[1:] != k[:-1]]
+        side = (first & (k != 3)).astype(np.int8)
+        side[np.flatnonzero(k == 4)] = [0, 0, 1]      # E's right row last
+        return pa.table({"k": i64(k), "x": i64(np.arange(n)),
+                         SIDE: pa.array(side),
+                         f"{SIDE}_0": pa.array(np.where(side, k * 10, 0))})
+    side = (np.arange(n) % 3 == 0).astype(np.int8)
+    return pa.table({"rec_id": i64(np.arange(n)),
+                     "field": pa.array(np.zeros(n, np.int32)),
+                     "gram": i64(k), SIDE: pa.array(side),
+                     f"{SIDE}_0": i64(1000 + np.arange(n))})
+
+
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti", "pairs"])
+def test_keyed_sorted_stitches_hot_keys(ray_session, how):
+    """The post-sort step of ``joins.key_local`` over hand-cut sorted
+    blocks equals its kernel over the whole table: a hot key over three
+    blocks whose lookup row sits in its first block, a key with no right
+    row, keys over 2 and 3 blocks, an empty and a 1-row block."""
+    import ray.data as rd
+    from fuzzy_matcher_ray.pipelines.entity_match import _block_pairs
+    from fuzzy_matcher_ray.stages.joins import (_keyed_sorted,
+                                                _segment_lookup, collect_table)
+
+    if how == "pairs":
+        rows, on, fn = _hand_cut_union("pairs"), ["field", "gram"], \
+            _block_pairs
+    else:
+        cols = {} if how in ("semi", "anti") else {"v": "vv"}
+        rows, on = _hand_cut_union("lookup"), ["k"]
+        fn = lambda t: _segment_lookup(t, on, cols, how)
+    want = fn(rows)
+    assert len(want) > 0
+    got = collect_table(_keyed_sorted(rd.from_blocks(_cut(rows)), on, fn,
+                                      how != "pairs"))
+    order = [(c, "ascending") for c in want.column_names]
+    assert got.sort_by(order).equals(want.sort_by(order))
+
+
+def test_block_pairs_match_pandas_merge(ray_session, monkeypatch):
+    """The entity-match blocking join (``_block_pairs`` over
+    ``joins.key_local`` on its range-sort branch, query key rows over 7
+    blocks, one gram holding most rows) emits exactly the query × index
     ``rec_id`` pairs of a pandas merge on (field, gram), repeats
     included."""
     import ray.data as rd
     from fuzzy_matcher_ray.pipelines.entity_match import _block_pairs
-    from fuzzy_matcher_ray.stages.joins import (collect_table, map_segments,
-                                                tagged_union)
+    from fuzzy_matcher_ray.stages.joins import collect_table, key_local
 
+    monkeypatch.setattr(C, "DRIVER_EXPLODE_MAX_ROWS", 0)
     rng = np.random.default_rng(5)
 
     def keys(n, lo):
+        gram = np.where(rng.random(n) < 0.6, 7, rng.integers(0, 60, n))
         return pa.table({"rec_id": pa.array(np.arange(lo, lo + n), pa.int64()),
                          "field": pa.array(rng.integers(0, 2, n), pa.int32()),
-                         "gram": pa.array(rng.integers(0, 60, n), pa.int64())})
+                         "gram": pa.array(gram, pa.int64())})
 
     q, i = keys(300, 0), keys(500, 10_000)
     k = ["field", "gram"]
-    got = collect_table(map_segments(tagged_union(
-        rd.from_arrow(q).repartition(7), rd.from_arrow(i), k, k, ["rec_id"]),
-        k, _block_pairs)).to_pandas()
+    got = collect_table(key_local(
+        rd.from_arrow(q).repartition(7), rd.from_arrow(i), k, k, ["rec_id"],
+        _block_pairs, first_only=False)).to_pandas()
     want = q.to_pandas().merge(i.to_pandas(), on=k)
     assert len(want) > len(q)
     assert sorted(zip(got.a, got.b)) == \
+        sorted(zip(want.rec_id_x, want.rec_id_y))
+
+
+def test_key_local_hot_key_gathers_no_rows_on_driver(ray_session,
+                                                      monkeypatch):
+    """A join key holding 3/4 of the probe rows, more than any of the 4
+    sort ranges: ``keyed_join`` and the blocking ``key_local`` give the
+    broadcast lookup's rows and the pandas merge's pairs, and build no
+    block on the driver (no ``from_blocks``, no ``block_tables``), so
+    nothing there grows with a key's size."""
+    import ray
+    import ray.data as rd
+    from fuzzy_matcher_ray.pipelines.entity_match import _block_pairs
+    from fuzzy_matcher_ray.stages import joins
+
+    monkeypatch.setattr(C, "DRIVER_EXPLODE_MAX_ROWS", 0)
+    monkeypatch.setattr(joins, "TARGET_PARTITION_BYTES", 1 << 10)
+    rng = np.random.default_rng(3)
+    n = 4000
+    k = np.where(np.arange(n) % 4 == 0, rng.integers(0, 400, n), 7)
+    left = pa.table({"k": pa.array(k, pa.int64()),
+                     "x": pa.array(np.arange(n), pa.int64())})
+    right = pa.table({"k": pa.array(np.arange(0, 400, 2), pa.int64()),
+                      "v": pa.array(np.arange(0, 400, 2) * 10, pa.int64())})
+    q = pa.table({"rec_id": left["x"], "field": pa.array(k % 2, pa.int32()),
+                  "gram": left["k"]})
+    i = pa.table({"rec_id": pa.array(np.arange(10_000, 10_060), pa.int64()),
+                  "field": pa.array(np.arange(60) % 2, pa.int32()),
+                  "gram": pa.array(np.r_[[7] * 30, np.arange(30) * 13],
+                                   pa.int64())})
+    gathered = []
+    from_blocks, block_tables = rd.from_blocks, joins.block_tables
+    monkeypatch.setattr(rd, "from_blocks", lambda b, *a, **kw: (
+        gathered.extend(len(t) for t in b), from_blocks(b, *a, **kw))[1])
+    monkeypatch.setattr(joins, "block_tables", lambda ds: (
+        lambda ts: (gathered.extend(len(t) for t in ts), ts)[1])(
+            block_tables(ds)))
+
+    def run(ds):      # empty blocks may carry no schema
+        return pa.concat_tables([t for t in ray.get(ds.to_arrow_refs())
+                                 if len(t)])
+
+    attached = run(joins.keyed_join(
+        rd.from_arrow(left).repartition(7), rd.from_arrow(right), ["k"],
+        ["k"], {"v": "vv"}, "left"))
+    pairs = run(joins.key_local(
+        rd.from_arrow(q).repartition(7), rd.from_arrow(i), ["field", "gram"],
+        ["field", "gram"], ["rec_id"], _block_pairs, first_only=False))
+    assert gathered == []
+    lookup = joins._Lookup(joins.broadcast_table(right, "k", ["v"]), "k",
+                           {"v": "vv"}, "left")
+    assert attached.sort_by("x").equals(lookup(left).sort_by("x"))
+    want = q.to_pandas().merge(i.to_pandas(), on=["field", "gram"])
+    assert len(want) > n // 2
+    assert sorted(zip(pairs["a"].to_pylist(), pairs["b"].to_pylist())) == \
         sorted(zip(want.rec_id_x, want.rec_id_y))
