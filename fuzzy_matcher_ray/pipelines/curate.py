@@ -41,7 +41,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
-from ray.data.dataset import MaterializedDataset
 
 from fuzzy_matcher_ray.state.checkpoint import Checkpointer
 
@@ -60,9 +59,9 @@ def _keep(docs, ids):
     construction. ``ids`` is pinned once, so its emptiness test and the
     attach read it once: a ``limit(1)`` probe or a ``schema()`` over the
     lazy semi-join would each start an early-stopped execution of it."""
-    from fuzzy_matcher_ray.stages.joins import attach_columns
+    from fuzzy_matcher_ray.stages.joins import attach_columns, is_pinned
 
-    ids = ids if isinstance(ids, MaterializedDataset) else ids.materialize()
+    ids = ids if is_pinned(ids) else ids.materialize()
     if ids.count() == 0:
         # upstream stage filtered everything: an empty survivor set has no
         # derivable schema for the join machinery — the semi-join result

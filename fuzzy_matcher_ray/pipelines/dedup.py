@@ -24,12 +24,15 @@ may fit under it).
 
 Three Dataset executions: normalize, the sketch (ONE per-doc map: MinHash
 bands, SimHash and winnowed fingerprints of each distinct fuzzy text), and
-the fan-in that runs every verify and dedups the edges. The exact key rows
-and their min-rep star are built on the driver from the normalize blocks
-ahead of the sketch. Between the executions the key rows,
-candidate pairs and, after it, the cluster fill are built on the driver
-from the materialized blocks (``joins.map_blocks``) while they fit; past
-that, or over a checkpoint read, each is a Ray map or shuffle with hot-key
+the fan-in that runs every verify. The exact key rows, their min-rep star
+and its edges are built on the driver from the normalize blocks ahead of
+the sketch. Between the executions the key rows, candidate pairs, the
+edge dedup and, after it, the labels and the cluster fill are built on the
+driver (``joins.map_blocks``, ``joins.map_segments``) while they fit, and
+each step hands the next driver blocks (``joins.DriverBlocks``): nothing
+crosses the object store until a Ray operation reads it (the two verify
+maps read their candidates, the caller the returned dataset). Past that,
+or over a checkpoint read, each is a Ray map or shuffle with hot-key
 capping (stages/candidates.py). The two LSH passes share one exact-Jaccard
 verify with one row per candidate pair, at the smaller of the thresholds of
 the passes that propose it. ``url`` rides from the normalize stage to the
@@ -51,18 +54,17 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-from ray.data.dataset import MaterializedDataset
 
 from fuzzy_matcher_ray.config import PipelineConfig
-from fuzzy_matcher_ray.stages.candidates import (_chunked_ds,
-                                                 _numpy_dedup_pairs,
+from fuzzy_matcher_ray.stages.candidates import (_numpy_dedup_pairs,
                                                  dedup_pairs, key_pairs)
 from fuzzy_matcher_ray.stages.cluster import (_coalesce_i64, cluster_edges,
                                               component_labels)
-from fuzzy_matcher_ray.stages.joins import (anti_join, anti_lookup,
-                                            attach_columns, block_tables,
+from fuzzy_matcher_ray.stages.joins import (DriverBlocks, anti_join,
+                                            anti_lookup, as_dataset,
+                                            attach_columns, is_pinned,
                                             keyed_join, map_blocks,
-                                            map_segments, project)
+                                            map_segments, project, union)
 from fuzzy_matcher_ray.stages.minhash_stage import (
     Signatures, add_stage, band_key_rows, simhash_key_rows, winnow_key_rows)
 from fuzzy_matcher_ray.stages.normalize_stage import normalized_docs
@@ -117,17 +119,13 @@ class _ExactStar:
 
     def rows(self):
         if self._rows is None:
-            self._rows = _pinned(_hash_rows(self.norm))
+            self._rows = _hash_rows(self.norm).materialize()
         return self._rows
 
     def reps(self):
         if self._reps is None:
-            self._reps = _pinned(min_reps(self.rows(), _HASH_KEY))
+            self._reps = min_reps(self.rows(), _HASH_KEY).materialize()
         return self._reps
-
-
-def _pinned(ds):
-    return ds if isinstance(ds, MaterializedDataset) else ds.materialize()
 
 
 def exact_dup_edges(norm, cfg: PipelineConfig,
@@ -161,7 +159,7 @@ def exact_dup_edges(norm, cfg: PipelineConfig,
         t = t.filter(pc.not_equal(t["doc_id"], t["rep"]))
         return pa.table({"a": t["rep"], "b": t["doc_id"]})
 
-    return reps.map_batches(_edges, batch_format="pyarrow")
+    return map_blocks(reps, _edges)
 
 
 def _min_rep_table(t: pa.Table, key_cols: list[str]) -> pa.Table:
@@ -209,9 +207,9 @@ def signature_table(norm, cfg: PipelineConfig, reps=None):
     src = norm.select_columns(["doc_id", "norm_text", "tier"])
     drop = None
     if reps is not None:
-        copies = _pinned(map_blocks(reps, lambda t: pa.table(
+        copies = map_blocks(reps, lambda t: pa.table(
             {"doc_id": t["doc_id"]}).filter(
-                pc.not_equal(t["doc_id"], t["rep"]))))
+                pc.not_equal(t["doc_id"], t["rep"]))).materialize()
         if copies.count():
             drop = anti_lookup(copies, "doc_id", "doc_id")
             if drop is None:
@@ -248,12 +246,13 @@ def _texts(norm, prior: PriorIndex | None):
     return src.select_columns(["doc_id", "norm_text"])
 
 
-def _verified_jaccard(pairs, texts, cfg: PipelineConfig, attacher,
-                      sets_ref=None):
+def _verified_jaccard(pairs, norm, prior: PriorIndex | None,
+                      cfg: PipelineConfig, attacher, sets_ref=None):
     """Exact-Jaccard verification of (a, b, threshold) pairs, each row at
     its own threshold. Preference order: the precomputed corpus shingle-set
     artifact (zero per-batch shingling), the shared text broadcast
-    (per-batch chunked recompute), a key-local join attaching texts."""
+    (per-batch chunked recompute), a key-local join attaching the texts
+    of ``norm`` (``_texts``)."""
     if sets_ref is not None:
         ver = JaccardVerifier(cfg, sets_ref=sets_ref)
         src = pairs
@@ -262,10 +261,10 @@ def _verified_jaccard(pairs, texts, cfg: PipelineConfig, attacher,
         src = pairs
     else:
         ver = JaccardVerifier(cfg)
-        src = attach_pair_texts(pairs, texts,
+        src = attach_pair_texts(pairs, _texts(norm, prior),
                                 num_partitions=cfg.join_num_partitions)
-    return src.map_batches(ver, batch_format="pyarrow",
-                           batch_size=cfg.verify_batch_size)
+    return as_dataset(src).map_batches(ver, batch_format="pyarrow",
+                                       batch_size=cfg.verify_batch_size)
 
 
 def _at_threshold(pairs, threshold: float):
@@ -278,25 +277,15 @@ def _at_threshold(pairs, threshold: float):
 
 def _union_lsh_pairs(cands: list):
     """The LSH passes' (a, b, threshold) candidates as one dataset. Driver
-    tables (the passes' candidates are materialized while they fit) union
-    on the driver into ONE row per pair at the smaller threshold: a pair is
-    accepted iff its Jaccard reaches the smaller of its passes' thresholds,
-    so the accept set is that of one row per pass, verified once."""
-    if len(cands) == 1:
-        return cands[0]
-    import ray.data as rd
-    from ray.data.dataset import MaterializedDataset
-
-    if not all(isinstance(c, MaterializedDataset) for c in cands):
-        return cands[0].union(*cands[1:])
-    parts = [t.select(["a", "b", "threshold"])
-             for c in cands for t in block_tables(c)]
-    if not parts:
-        return rd.from_blocks([pa.table({
-            "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-            "threshold": pa.array([], pa.float64())})])
-    return _chunked_ds(_numpy_dedup_pairs(pa.concat_tables(parts),
-                                          ["threshold"]), chunk=4096)
+    blocks (the passes' candidates while they fit) union on the driver
+    into ONE row per pair at the smaller threshold: a pair is accepted iff
+    its Jaccard reaches the smaller of its passes' thresholds, so the
+    accept set is that of one row per pass, verified once."""
+    pairs = union(*cands)
+    if len(cands) == 1 or not isinstance(pairs, DriverBlocks):
+        return pairs
+    return map_segments(pairs, ["a", "b"], lambda t: _numpy_dedup_pairs(
+        t.select(["a", "b", "threshold"]), ["threshold"]), 4096)
 
 
 def minhash_pairs(norm, cfg: PipelineConfig, sigs=None,
@@ -353,8 +342,8 @@ def lsh_edges(norm, cfg: PipelineConfig, passes: tuple = ("minhash", "simhash"),
                              ("simhash", simhash_pairs)) if p in passes]
     with ThreadPoolExecutor(max_workers=len(builds)) as pool:
         cands = list(pool.map(lambda f: f(norm, cfg, sigs, prior), builds))
-    return _verified_jaccard(_union_lsh_pairs(cands), _texts(norm, prior),
-                             cfg, attacher, sets_ref)
+    return _verified_jaccard(_union_lsh_pairs(cands), norm, prior, cfg,
+                             attacher, sets_ref)
 
 
 def _pack_pp(t: pa.Table) -> pa.Array:
@@ -401,7 +390,8 @@ def substring_edges(norm, cfg: PipelineConfig, attacher=None, sigs=None,
         ver = SubstringVerifier(cfg)
         pairs = attach_pair_texts(pairs, _texts(norm, prior),
                                   num_partitions=cfg.join_num_partitions)
-    return pairs.map_batches(ver, batch_format="pyarrow", batch_size=4096)
+    return as_dataset(pairs).map_batches(ver, batch_format="pyarrow",
+                                         batch_size=4096)
 
 
 def _pass_builders(passes: tuple, norm, cfg: PipelineConfig, attacher, sigs,
@@ -433,24 +423,29 @@ def _edges_all(ck: Checkpointer, builders, passes: tuple):
     The passes are independent until the union: on parallel threads their
     internal barriers (counts, sorts, collects) overlap instead of
     serializing end-to-end. While the key rows fit on the driver, each
-    pass's key rows and candidate pairs are driver tables built from the
-    materialized sketch and normalize blocks, and the per-pass edge
-    datasets stay LAZY, so the verify stages of all passes execute inside
-    ONE streaming execution at the fan-in, the only execution here. Each
-    separate Dataset execution has a fixed cost — the Amdahl term that caps
-    small-corpus scaling: on one pinned vCPU (Ray 2.49) 0.10-0.12 s to
-    start and finish even a trivial map over a materialized 2-block
-    dataset, against ~0.003 s for the same numpy over the same blocks
-    collected by ref on the driver.
+    pass's key rows and candidate pairs are driver blocks built from the
+    pinned sketch and normalize blocks, the exact star's edges are driver
+    blocks too, and the verified edge datasets stay LAZY, so the verifies
+    of all passes execute inside ONE streaming execution at the fan-in,
+    the only execution here; its blocks and the driver-built edges are
+    then deduped on the driver. Each Dataset execution has a fixed cost —
+    the Amdahl term that caps small-corpus scaling: on one vCPU (Ray 2.49)
+    ~50 ms for a trivial map over two materialized blocks — and each
+    hand-over of driver tables to Ray and back a ``from_blocks`` (~2 ms),
+    a ``ray.put`` (~0.5 ms) and a ``ray.get`` (~0.4 ms) per block, against
+    microseconds for the numpy over a few thousand rows. So a driver
+    step's output stays driver blocks until a Ray operation reads it
+    (``joins.DriverBlocks``).
     """
     def build():
         thunks = builders()
         with ThreadPoolExecutor(max_workers=len(thunks)) as pool:
             edge_sets = list(pool.map(lambda f: f(), thunks))
-        edges = edge_sets[0]
-        for e in edge_sets[1:]:
-            edges = edges.union(e)
-        return dedup_pairs(edges)
+        pinned = [e for e in edge_sets if is_pinned(e)]
+        lazy = [e for e in edge_sets if not is_pinned(e)]
+        if lazy:                    # the fan-in: one execution
+            pinned.append(union(*lazy).materialize())
+        return dedup_pairs(union(*pinned))
 
     return ck.stage("edges_all", build, empty_schema=EDGE_SCHEMA,
                     meta=_passes_meta(passes))
@@ -468,11 +463,11 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
 
     Uncheckpointed, the run is three Dataset executions: normalize, the
     sketch, and the fan-in of every pass's verify (``_edges_all``); the
-    exact star, the key rows, candidate pairs and the cluster fill are
-    built on the driver from the materialized blocks while they fit
-    (``joins.map_blocks``). With the exact pass the sketch holds one row
-    per distinct fuzzy text, its exact group's min doc_id: the other
-    copies reach the LSH and substring passes only through it.
+    exact star, the key rows, candidate pairs, the edge dedup and the
+    cluster fill are built on the driver while they fit and handed on as
+    driver blocks (``joins.DriverBlocks``). With the exact pass the sketch
+    holds one row per distinct fuzzy text, its exact group's min doc_id:
+    the other copies reach the LSH and substring passes only through it.
 
     With a ``checkpointer`` the run writes the same chain link as a fold
     (``incremental_update``): the ``normalize``, ``signatures`` (the
@@ -549,10 +544,10 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
     edges = _edges_all(ck, builders, passes)
     # url rides from the normalize stage: no join back to the source
     ids = [c for c in ("doc_id", "url") if c in norm.schema().names]
-    return ck.stage(
+    return as_dataset(ck.stage(
         "clusters",
         lambda: cluster_edges(edges, project(norm, ids), cfg),
-        meta=_passes_meta(passes))
+        meta=_passes_meta(passes)))
 
 
 def _sketch_stage(ck: Checkpointer, norm, cfg: PipelineConfig, passes: tuple,
@@ -674,8 +669,8 @@ def jaccard_allpairs_clusters(docs, cfg: PipelineConfig | None = None,
             return rd.from_blocks([pa.table({
                 "doc_id": pa.array([], pa.int64()),
                 "cluster_id": pa.array([], pa.int64())})])
-        return cluster_edges(rd.from_blocks([EDGE_SCHEMA.empty_table()]),
-                             ids, cfg)
+        return as_dataset(cluster_edges(
+            DriverBlocks([EDGE_SCHEMA.empty_table()]), ids, cfg))
     # exactness requires every within-group pair: lift the skew cap (the
     # star+chain shortcut would silently drop cross-pairs of hot shingles)
     nocap = replace(cfg, max_band_group=1 << 30)
@@ -784,7 +779,7 @@ def _tag_new(ds, flag: int):
     def _f(t: pa.Table) -> pa.Table:
         return t.append_column(
             "is_new", pa.array(np.full(len(t), flag, np.int8)))
-    return ds.map_batches(_f, batch_format="pyarrow")
+    return as_dataset(ds).map_batches(_f, batch_format="pyarrow")
 
 
 def _touches_new(t: pa.Table) -> pa.Table:
@@ -818,10 +813,9 @@ def _write_empty_link(ck: Checkpointer, cfg: PipelineConfig) -> None:
     """Write the rest of a zero-row first shard's chain link after its
     normalize stage: empty signatures and clusters stages, so a later fold
     unions it with the rest of the chain."""
-    import ray.data as rd
     for name, sch in _link_schemas(cfg).items():
         if name != "normalize":
-            ck.stage(name, lambda s=sch: rd.from_blocks([s.empty_table()]),
+            ck.stage(name, lambda s=sch: DriverBlocks([s.empty_table()]),
                      empty_schema=sch)
 
 
@@ -1032,6 +1026,7 @@ def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig):
         lambda t: pa.table({"doc_id": t["doc_id"],
                             "cluster_id": t["doc_id"]}),
         batch_format="pyarrow"))
+    new_edges = as_dataset(new_edges)
     # pinned: the semi-join reads it twice (count gate + key collect)
     ends = new_edges.map_batches(lambda t: pa.table({"doc_id": np.concatenate(
         [t["a"].to_numpy(zero_copy_only=False),

@@ -54,7 +54,7 @@ from fuzzy_matcher_ray.functions.normalize import (
 from fuzzy_matcher_ray.functions.similarity import (
     _jw_padded, _lev_padded, pad_utf32)
 from fuzzy_matcher_ray.stages.joins import (
-    SIDE, attach_columns, key_codes, key_local)
+    SIDE, as_dataset, attach_columns, key_codes, key_local, sort_rows)
 from fuzzy_matcher_ray.stages.ranks import grouped_topk
 
 _HASH_P = np.uint64(1099511628211)     # FNV-1a prime, Horner base
@@ -394,7 +394,7 @@ def match_entities(index_ds, query_ds, cfg: EntityMatchConfig | None = None,
 
     out = grouped_topk(scored, "query_id", "score", "rec_id", cfg.top_k,
                        rank_col="rnk", empty_schema=_Verifier._empty().schema)
-    return out.sort(["query_id", "rnk"])
+    return as_dataset(sort_rows(out, ["query_id", "rnk"]))
 
 
 # Deterministic probe corruptions over customer names — the same five kinds

@@ -15,7 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from fuzzy_matcher_ray.stages.joins import map_segments
+from fuzzy_matcher_ray.stages.joins import as_dataset, map_segments, sort_rows
 
 TTL_CUTOFF = "2024-01-15 00:00:00"   # fixed, deterministic (no wall-clock)
 
@@ -260,11 +260,13 @@ def _band_counts(t: pa.Table, win_us: int) -> pa.Table:
 def _join_sides(sf_dir: str, left_type: str, right_type: str, kernel):
     """``kernel`` over the two projected event streams cut at user_id
     changes (``joins.map_segments``: on the driver while they are small,
-    else per block of a range sort on user_id), sorted by event_id."""
+    else per block of a range sort on user_id), sorted by event_id (on
+    the driver while the result is driver blocks: ``joins.sort_rows``)."""
     sides = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"]) \
         .map_batches(_sides_projector(left_type, right_type),
                      batch_format="pyarrow").materialize()
-    return map_segments(sides, ["user_id"], kernel).sort("event_id")
+    return as_dataset(sort_rows(map_segments(sides, ["user_id"], kernel),
+                                "event_id"))
 
 
 def asof_latest_prior(sf_dir: str, left_type: str = "purchase",

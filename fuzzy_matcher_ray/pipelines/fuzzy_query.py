@@ -18,6 +18,7 @@ import ray
 import ray.data as rd
 
 from fuzzy_matcher_ray.functions.similarity import _lev_padded, pad_utf32
+from fuzzy_matcher_ray.stages.joins import as_dataset, sort_rows
 from fuzzy_matcher_ray.stages.ranks import grouped_topk
 
 # (probe_id, corruption) — applied to the p_name of partkey == probe_id.
@@ -95,4 +96,4 @@ def fuzzy_topk_levenshtein(sf_dir: str, k: int = 3):
                        empty_schema=pa.schema([
                            ("probe_id", pa.int64()), ("p_partkey", pa.int64()),
                            ("dist", pa.int64())]))
-    return out.sort(["probe_id", "rnk"])
+    return as_dataset(sort_rows(out, ["probe_id", "rnk"]))

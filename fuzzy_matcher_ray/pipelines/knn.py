@@ -27,6 +27,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from fuzzy_matcher_ray.stages.joins import as_dataset, map_blocks, sort_rows
 from fuzzy_matcher_ray.stages.ranks import grouped_topk
 
 _EMPTY_SCORED = pa.table({"query_id": pa.array([], pa.int64()),
@@ -86,11 +87,12 @@ def _partial_topk(qi: np.ndarray, ids: np.ndarray, sims: np.ndarray,
 
 def _merge_topk(scored, k: int):
     """Global merge of the (tiny) per-batch partial top-k tables: one
-    ``grouped_topk`` on query_id by (cosine desc, neighbor_id asc)."""
+    ``grouped_topk`` on query_id by (cosine desc, neighbor_id asc), sorted
+    on the driver while it is driver blocks (``joins.sort_rows``)."""
     out = grouped_topk(scored, "query_id", "cosine", "neighbor_id", k,
                        empty_schema=_EMPTY_SCORED.schema)
-    return out.sort(["query_id", "cosine", "neighbor_id"],
-                    descending=[False, True, False])
+    return as_dataset(sort_rows(out, ["query_id", "cosine", "neighbor_id"],
+                                descending=[False, True, False]))
 
 
 def knn_topk(sf_dir: str, n_queries: int = 5, k: int = 5):
@@ -150,8 +152,9 @@ def nearest_neighbor(sf_dir: str, limit_ids: int = 200):
                         empty_schema=pa.schema([
                             ("vec_id", pa.int64()), ("cand_id", pa.int64()),
                             ("cosine", pa.float64())]))
-    return best.rename_columns({"cand_id": "nn_id"}) \
-        .select_columns(["vec_id", "nn_id"]).sort("vec_id")
+    best = map_blocks(best, lambda t: pa.table(
+        {"vec_id": t["vec_id"], "nn_id": t["cand_id"]}))
+    return as_dataset(sort_rows(best, "vec_id"))
 
 
 def embedding_dup_pairs(sf_dir: str, threshold: float = 0.4):

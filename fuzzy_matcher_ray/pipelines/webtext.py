@@ -40,7 +40,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from fuzzy_matcher_ray.stages.joins import attach_columns, map_segments
+from fuzzy_matcher_ray.stages.joins import (as_dataset, attach_columns,
+                                            map_segments)
 
 
 def _as_array(col: pa.ChunkedArray | pa.Array) -> pa.Array:
@@ -1122,10 +1123,11 @@ def cap_per_host(pages, k: int = 2, char_col: str = "n_chars"):
                                pa.int64())})
 
     slim = pages.map_batches(_slim, batch_format="pyarrow")
-    return grouped_topk(slim, "host", "n_chars", "doc_id", k,
-                        empty_schema=pa.schema([
-                            ("host", pa.string()), ("doc_id", pa.int64()),
-                            ("n_chars", pa.int64())]))
+    return as_dataset(grouped_topk(slim, "host", "n_chars", "doc_id", k,
+                                   empty_schema=pa.schema([
+                                       ("host", pa.string()),
+                                       ("doc_id", pa.int64()),
+                                       ("n_chars", pa.int64())])))
 
 
 def host_cap(sf_dir: str, k: int = 2):

@@ -30,11 +30,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ray.data.dataset import MaterializedDataset
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.shingle import splitmix64
-from fuzzy_matcher_ray.stages.joins import block_tables, map_segments
+from fuzzy_matcher_ray.stages.joins import (block_tables, is_pinned,
+                                            map_segments)
 
 import os as _os
 
@@ -226,7 +226,7 @@ def key_pairs(key_rows, key_cols: list[str], cfg: PipelineConfig,
     derive = derive or {}
     # key_rows feeds multiple consumers — pin blocks so the signature stage
     # runs once. Key rows are ~100x smaller than corpus text; spill is fine.
-    if not isinstance(key_rows, MaterializedDataset):
+    if not is_pinned(key_rows):
         key_rows = key_rows.materialize()
 
     def _explode(t: pa.Table) -> pa.Table:
@@ -286,13 +286,6 @@ def _collect_driver_table(mat, cols: list[str]) -> pa.Table | None:
     if not tbls:
         return None
     return pa.concat_tables(tbls).combine_chunks()
-
-
-def _chunked_ds(out: pa.Table, chunk: int = 65536):
-    """Driver table → Dataset in small blocks (downstream parallelism)."""
-    import ray.data as rd
-    return rd.from_blocks(
-        [out.slice(lo, chunk) for lo in range(0, max(len(out), 1), chunk)])
 
 
 def dedup_pairs(pairs, min_cols: list[str] | None = None):

@@ -31,15 +31,17 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data as rd
+import ray
 from ray.data.aggregate import Min
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.unionfind import connected_components
 from fuzzy_matcher_ray.stages.candidates import _collect_driver_table
 from fuzzy_matcher_ray.stages import joins
-from fuzzy_matcher_ray.stages.joins import (attach_columns, broadcast_lookup,
-                                            collect_table, map_blocks)
+from fuzzy_matcher_ray.stages.joins import (DriverBlocks, _collect_columns,
+                                            _Lookup, attach_columns,
+                                            collect_table, map_blocks,
+                                            on_driver, sorted_side)
 
 
 def _coalesce_i64(primary, fallback) -> pa.Array:
@@ -80,8 +82,10 @@ def cluster_edges(edges, docs, cfg: PipelineConfig):
 
     Every doc appears exactly once; singletons get cluster_id = doc_id.
     While the labels broadcast, the lookup and the fill are one per-batch
-    function (``joins.map_blocks``: on the driver over a small materialized
-    ``docs``); past that, a key-local join attaches the labels.
+    function (``joins.map_blocks``): on the driver over a small pinned
+    ``docs``, where the sorted labels are looked up as they are, else a
+    Ray map that fetches them by ref. Past that, a key-local join
+    attaches the labels.
     """
     labels_ds = component_labels(edges, cfg)
 
@@ -92,8 +96,10 @@ def cluster_edges(edges, docs, cfg: PipelineConfig):
         return pa.table({"doc_id": t["doc_id"], "cluster_id": cid, **rest})
 
     if labels_ds.count() <= joins.BROADCAST_MAX_ROWS:
-        lookup = broadcast_lookup(labels_ds, "doc_id", "node",
-                                  {"label": "cluster_id"}, how="left")
+        tbl = _collect_columns(labels_ds, ["node", "label"])
+        side = sorted_side(tbl["node"], tbl, ["label"])
+        lookup = _Lookup(side if on_driver(docs) else ray.put(side),
+                         "doc_id", {"label": "cluster_id"}, "left")
         return map_blocks(docs, lambda t: _fill(lookup(t)))
     out = attach_columns(docs, labels_ds, "doc_id", "node",
                          {"label": "cluster_id"}, how="left",
@@ -111,8 +117,8 @@ def _driver_labels(edges):
         ea = t["a"].to_numpy(zero_copy_only=False)
         eb = t["b"].to_numpy(zero_copy_only=False)
     nodes, labels = connected_components(ea, eb)
-    return rd.from_blocks([pa.table({"node": pa.array(nodes),
-                                     "label": pa.array(labels)})])
+    return DriverBlocks([pa.table({"node": pa.array(nodes),
+                                   "label": pa.array(labels)})])
 
 
 def _label_sum(labels) -> int:

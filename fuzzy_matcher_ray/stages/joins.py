@@ -68,6 +68,88 @@ def plan_bytes(ds) -> int | None:
     return walk(ds._logical_plan.dag)
 
 
+class DriverBlocks:
+    """Blocks on the driver: what a driver branch (``map_blocks``,
+    ``map_segments``, ``union``, the driver labeller) hands back, Arrow
+    tables that no Ray operation has read yet. It knows its row count,
+    schema and blocks, and ``materialize()`` is itself: it is pinned
+    (``is_pinned``). It becomes a Ray dataset (``dataset()``, one
+    ``rd.from_blocks`` built on first use) only where a Ray operation
+    reads it: ``as_dataset`` at those consumers. Any other ``Dataset``
+    attribute is that dataset's, so a caller may use it as the
+    materialized dataset it stands for.
+
+    Measured on one vCPU (Ray 2.49) for a 2,000-row two-column table: a
+    ``from_blocks`` ~2 ms, a ``ray.put`` ~0.5 ms and a ``ray.get`` ~0.4 ms
+    (2-4x that in the VM's slow phases), a Dataset execution of a trivial
+    map over two materialized blocks ~50 ms, and a lexsort of its rows
+    ~20 us. A driver step that wrapped its output back into a Ray dataset
+    paid the round trip for microseconds of numpy."""
+
+    def __init__(self, tables: list[pa.Table]):
+        self.tables = list(tables)
+        self._ds = None
+
+    def count(self) -> int:
+        return sum(len(t) for t in self.tables)
+
+    def num_blocks(self) -> int:
+        return len(self.tables)
+
+    def schema(self):
+        """The blocks' unified schema as a Ray ``Schema``; None when there
+        is no block."""
+        from ray.data import DataContext
+        from ray.data.dataset import Schema
+
+        if not self.tables:
+            return None
+        sch = pa.unify_schemas([t.schema for t in self.tables],
+                               promote_options="permissive")
+        return Schema(sch, data_context=DataContext.get_current())
+
+    def materialize(self) -> "DriverBlocks":
+        return self
+
+    def dataset(self):
+        """The blocks as a Ray dataset, built once."""
+        if self._ds is None:
+            import ray.data as rd
+            self._ds = rd.from_blocks(self.tables)
+        return self._ds
+
+    def __getattr__(self, name: str):
+        if name.startswith("__") or name in ("tables", "_ds"):
+            raise AttributeError(name)
+        return getattr(self.dataset(), name)
+
+
+def is_pinned(ds) -> bool:
+    """Whether ``ds``'s blocks exist: driver blocks or a materialized
+    dataset (its count and schema are metadata)."""
+    return isinstance(ds, (DriverBlocks, MaterializedDataset))
+
+
+def as_dataset(ds):
+    """``ds`` as a Ray dataset: driver blocks become one (``from_blocks``,
+    cached), anything else is returned as it is."""
+    return ds.dataset() if isinstance(ds, DriverBlocks) else ds
+
+
+def on_driver(ds, out_rows=None) -> bool:
+    """The condition of every driver branch: ``ds`` is pinned and
+    ``out_rows(ds)`` (a bound on the output rows read from metadata ``ds``
+    holds; its row count when None) is within
+    ``candidates.DRIVER_EXPLODE_MAX_ROWS``, read at call time
+    (``FMR_DRIVER_EXPLODE_MAX_ROWS=0`` forces every distributed branch)."""
+    from fuzzy_matcher_ray.stages import candidates
+
+    if not is_pinned(ds):
+        return False
+    return (ds.count() if out_rows is None else out_rows(ds)) \
+        <= candidates.DRIVER_EXPLODE_MAX_ROWS
+
+
 def block_refs(mat) -> list | None:
     """A materialized Dataset's block refs, read off the plan's input data
     with no execution; None when the plan holds none.
@@ -81,10 +163,12 @@ def block_refs(mat) -> list | None:
 
 
 def block_tables(mat) -> list[pa.Table]:
-    """A materialized Dataset's non-empty blocks, fetched by ref with no
-    execution (``block_refs``; empty blocks may be schema-less and break a
-    concat). Blocks that are not Arrow tables go through
-    ``to_arrow_refs``."""
+    """A pinned dataset's non-empty blocks: driver blocks' own tables, a
+    materialized Dataset's fetched by ref with no execution
+    (``block_refs``; empty blocks may be schema-less and break a concat).
+    Blocks that are not Arrow tables go through ``to_arrow_refs``."""
+    if isinstance(mat, DriverBlocks):
+        return [t for t in mat.tables if len(t)]
     refs = block_refs(mat)
     tables = None if refs is None else ray.get(refs)
     if tables is None or not all(isinstance(t, pa.Table) for t in tables):
@@ -93,9 +177,10 @@ def block_tables(mat) -> list[pa.Table]:
 
 
 def collect_table(ds) -> pa.Table:
-    """Collect a (small) Dataset into one pyarrow Table on the driver. A
-    ``MaterializedDataset`` hands over its blocks by ref: no execution."""
-    if isinstance(ds, MaterializedDataset):
+    """Collect a (small) Dataset into one pyarrow Table on the driver.
+    Driver blocks and a ``MaterializedDataset`` hand over their blocks
+    with no execution."""
+    if is_pinned(ds):
         parts = block_tables(ds)
     else:
         parts = list(ds.iter_batches(batch_size=1 << 18,
@@ -107,36 +192,36 @@ def collect_table(ds) -> pa.Table:
     return ds.schema().base_schema.empty_table()
 
 
+def _driver_tables(ds) -> list[pa.Table]:
+    """A pinned dataset's non-empty blocks on the driver
+    (``block_tables``); one empty table of its schema when it has no rows
+    but a schema."""
+    blocks = block_tables(ds)
+    if not blocks and (sch := ds.schema()) is not None:
+        blocks = [sch.base_schema.empty_table()]
+    return blocks
+
+
 def map_blocks(ds, fn, out_rows=None):
     """``fn`` (pyarrow Table → Table) over every batch of ``ds``.
 
-    A Dataset execution has a fixed cost, 0.10-0.12 s on one pinned vCPU
-    (Ray 2.49) for a trivial map over two materialized blocks, which
-    dwarfs a reshape of a few thousand rows. So when ``ds`` is
-    materialized and small, ``fn`` runs on the driver over its blocks,
-    fetched by ref, and the result is a materialized dataset of one block
-    per input block: no execution. Small means ``out_rows(ds)``, a bound on
-    the output rows read from metadata ``ds`` holds (its row count when
-    None), is within ``candidates.DRIVER_EXPLODE_MAX_ROWS``. The output
-    blocks are wrapped with ``from_blocks``, whose block metadata is
-    computed on the driver (``from_arrow`` runs a Ray task per table for
-    it). A lazy source
-    (a checkpoint read, a prior run's artifact) or a large one gets the
-    lazy ``map_batches(fn)``; ``FMR_DRIVER_EXPLODE_MAX_ROWS=0`` forces it.
+    A Dataset execution has a fixed cost (~50 ms on one vCPU for a
+    trivial map over two materialized blocks), and handing driver tables
+    to Ray and back costs a ``from_blocks``, a ``ray.put`` per block and a
+    ``ray.get`` per block (``DriverBlocks``: ~2, 0.5 and 0.4 ms), all of
+    which dwarf a reshape of a few thousand rows. So when ``ds`` is
+    pinned and small (``on_driver(ds, out_rows)``), ``fn`` runs on the
+    driver over its blocks and the result is driver blocks, one per input
+    block: no execution and no object-store round trip. A lazy source (a
+    checkpoint read, a prior run's artifact) or a large one gets the lazy
+    ``map_batches(fn)``; ``FMR_DRIVER_EXPLODE_MAX_ROWS=0`` forces it.
     """
-    import ray.data as rd
-
-    from fuzzy_matcher_ray.stages import candidates
-
-    if isinstance(ds, MaterializedDataset):
-        bound = ds.count() if out_rows is None else out_rows(ds)
-        if bound <= candidates.DRIVER_EXPLODE_MAX_ROWS:
-            blocks = block_tables(ds)
-            if not blocks and (sch := ds.schema()) is not None:
-                blocks = [sch.base_schema.empty_table()]
-            if blocks:
-                return rd.from_blocks([fn(t) for t in blocks])
-    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
+    if on_driver(ds, out_rows):
+        blocks = _driver_tables(ds)
+        if blocks:
+            return DriverBlocks([fn(t) for t in blocks])
+    return as_dataset(ds).map_batches(fn, batch_format="pyarrow",
+                                      zero_copy_batch=True)
 
 
 def map_segments(ds, keys: list[str], fn, block_rows: int | None = None):
@@ -146,24 +231,50 @@ def map_segments(ds, keys: list[str], fn, block_rows: int | None = None):
 
     ``fn`` must be correct for any table that holds every row of each
     ``keys`` value it contains, and sorts its own rows. When ``ds`` is
-    materialized and at most ``candidates.DRIVER_EXPLODE_MAX_ROWS`` rows
-    (read at call time; ``FMR_DRIVER_EXPLODE_MAX_ROWS=0`` forces the
-    other branch), ``fn`` runs once on the driver over its blocks, fetched
-    by ref, and the result is wrapped with ``from_blocks`` in
-    ``block_rows``-row blocks (one block when None): no execution.
-    Otherwise ``ds`` is range-sorted on ``keys`` and ``fn`` runs block by
-    block (``_map_sorted``): zero per-group Python calls. The sort cuts as
-    many ranges as ``ds`` has blocks.
+    pinned and small (``on_driver``), ``fn`` runs once on the driver over
+    its blocks and the result is driver blocks of ``block_rows`` rows (one
+    block when None): no execution. Otherwise ``ds`` is range-sorted on
+    ``keys`` and ``fn`` runs block by block (``_map_sorted``): zero
+    per-group Python calls. The sort cuts as many ranges as ``ds`` has
+    blocks.
     """
-    from fuzzy_matcher_ray.stages import candidates
-
-    if (isinstance(ds, MaterializedDataset)
-            and ds.count() <= candidates.DRIVER_EXPLODE_MAX_ROWS):
+    if on_driver(ds):
         if ds.schema() is None:     # no rows and no schema: nothing to run
             return ds
         out = fn(collect_table(ds))
-        return candidates._chunked_ds(out, block_rows or max(len(out), 1))
-    return _map_sorted(ds.sort(keys).materialize(), keys, fn)
+        rows = block_rows or max(len(out), 1)
+        return DriverBlocks([out.slice(lo, rows)
+                             for lo in range(0, max(len(out), 1), rows)])
+    return _map_sorted(as_dataset(ds).sort(keys).materialize(), keys, fn)
+
+
+def union(*parts):
+    """``parts`` as one dataset: driver blocks when every part is pinned
+    and together they pass ``on_driver`` (a materialized part's blocks
+    fetched by ref), else a lazy Ray union. One part is returned as it
+    is."""
+    if len(parts) == 1:
+        return parts[0]
+    if all(is_pinned(p) for p in parts) and \
+            on_driver(parts[0], lambda _: sum(p.count() for p in parts)):
+        return DriverBlocks([t for p in parts for t in _driver_tables(p)])
+    first, *rest = (as_dataset(p) for p in parts)
+    return first.union(*rest)
+
+
+def sort_rows(ds, key, descending=False):
+    """``ds`` sorted by ``key`` (``Dataset.sort``'s arguments): driver
+    blocks sort on the driver (``pa.Table.sort_by``, one block), anything
+    else by ``Dataset.sort``. Null keys sort last either way; callers sort
+    on keys unique per row, so the two orders agree."""
+    if not isinstance(ds, DriverBlocks):
+        return ds.sort(key, descending=descending)
+    keys = [key] if isinstance(key, str) else list(key)
+    desc = descending if isinstance(descending, list) \
+        else [descending] * len(keys)
+    return DriverBlocks([collect_table(ds).sort_by(
+        [(k, "descending" if d else "ascending")
+         for k, d in zip(keys, desc)])])
 
 
 def _key_masks(tbl: pa.Table, ref: pa.Table, keys: list[str]):
@@ -235,7 +346,7 @@ def project(ds, cols: list[str]):
     materialized (``map_blocks``; a ``select_columns`` would make it lazy
     again and cost an execution), projected in the plan otherwise (pushed
     into a read)."""
-    if isinstance(ds, MaterializedDataset):
+    if is_pinned(ds):
         return map_blocks(ds, lambda t: t.select(cols))
     return ds.select_columns(cols)
 
@@ -244,7 +355,7 @@ def _collect_columns(ds, cols: list[str]) -> pa.Table:
     """``collect_table`` of ``cols``: selected on the driver when ``ds`` is
     materialized (a ``select_columns`` would make it lazy again and cost an
     execution), projected in the plan otherwise (pushed into a read)."""
-    if isinstance(ds, MaterializedDataset):
+    if is_pinned(ds):
         return collect_table(ds).select(cols)
     return collect_table(ds.select_columns(cols))
 
@@ -306,18 +417,19 @@ class _Lookup:
     idle CPU reservation — an actor pool here starves small clusters). Only
     the object ref travels in the task spec; the table is fetched lazily via
     ``ray.get`` on first use in each worker (zero-copy from the local store).
+    ``side`` is ``sorted_side``'s pair or its object ref: a lookup run on
+    the driver holds the pair itself.
     """
 
-    def __init__(self, ref, left_key: str, cols: dict[str, str], how: str):
-        self.ref = ref
+    def __init__(self, side, left_key: str, cols: dict[str, str], how: str):
+        self.side = side
         self.left_key = left_key
         self.cols = cols                     # value_col -> out_col
         self.how = how
-        self.side = None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.side is None:
-            self.side = ray.get(self.ref)
+        if isinstance(self.side, ray.ObjectRef):
+            self.side = ray.get(self.side)
         probe = batch[self.left_key].to_numpy(zero_copy_only=False)
         return lookup(batch, probe, *self.side, self.cols, self.how)
 
@@ -336,8 +448,8 @@ class BroadcastAttacher:
         self.ref = broadcast_table(tbl, right_key, value_cols)
 
     def attach(self, ds, left_key: str, cols: dict[str, str], how: str = "inner"):
-        return ds.map_batches(_Lookup(self.ref, left_key, cols, how),
-                              batch_format="pyarrow")
+        return as_dataset(ds).map_batches(
+            _Lookup(self.ref, left_key, cols, how), batch_format="pyarrow")
 
 
 def broadcast_lookup(other, left_key: str, right_key: str,
@@ -375,8 +487,10 @@ def tagged_union(left, right, on: list[str], right_on: list[str],
     type, and each side's missing columns are typed nulls, so every block
     of the union has one schema (Ray 2.49 does sort a union of two shapes,
     but warns that an operator "produced a RefBundle with a different
-    schema"). Both sides are materialized, so their schemas are
-    metadata. Each side is tagged by ``map_blocks``."""
+    schema"). Both sides are pinned, so their schemas are metadata. Each
+    side is tagged by ``map_blocks``; both tagged on the driver, the union
+    is driver blocks too (``union``), so ``map_segments`` runs on the
+    driver (no execution)."""
     lsch = left.schema().base_schema
     rsch = right.schema().base_schema
     vals = {f"{SIDE}_{i}": c for i, c in enumerate(cols)}
@@ -397,16 +511,7 @@ def tagged_union(left, right, on: list[str], right_on: list[str],
         src = {k: t[rk] for k, rk in zip(on, right_on)}
         return _build(t, 1, {**src, **{v: t[c] for v, c in vals.items()}})
 
-    left, right = map_blocks(left, _left), map_blocks(right, _right)
-    if isinstance(left, MaterializedDataset) and \
-            isinstance(right, MaterializedDataset):
-        # both sides tagged on the driver: one materialized union, so
-        # ``map_segments`` runs on the driver too (no execution)
-        import ray.data as rd
-        return rd.from_blocks(
-            [*block_tables(left), *block_tables(right)] or
-            [schema.empty_table()])
-    return left.union(right)
+    return union(map_blocks(left, _left), map_blocks(right, _right))
 
 
 def _segment_lookup(t: pa.Table, on: list[str], cols: dict[str, str],
@@ -482,8 +587,9 @@ def _keyed_sorted(srt, on: list[str], fn, first_only: bool):
                            zero_copy_batch=True)
 
 
-def _pin(ds) -> MaterializedDataset:
-    """``ds`` materialized, as a dataset whose stats lineage starts here.
+def _pin(ds):
+    """``ds`` materialized, as a dataset whose stats lineage starts here
+    (driver blocks as they are: they have no lineage).
     Ray 2.49 sums up the stats of every execution by walking the stats
     parents with no memo, so joins fed their own outputs (label
     propagation's rounds join each round's labels with the edges and
@@ -495,6 +601,8 @@ def _pin(ds) -> MaterializedDataset:
     from ray.data._internal.plan import ExecutionPlan
     from ray.data._internal.stats import DatasetStats
 
+    if isinstance(ds, DriverBlocks):
+        return ds
     mat = ds.materialize()
     data = mat._logical_plan.dag.output_data()
     out = MaterializedDataset(
@@ -523,15 +631,12 @@ def key_local(ds, other, on: list[str], right_on: list[str], cols: list[str],
     each join its own output) and run block by block by
     ``_keyed_sorted``, which gathers no key's rows in one place.
     """
-    from fuzzy_matcher_ray.stages import candidates
-
     ds = _pin(ds)
     if ds.schema() is None:       # no rows and no schema: nothing to join
         return ds
     right = _pin(project(other, [*right_on, *cols]))
     tagged = tagged_union(ds, right, on, right_on, cols)
-    if (isinstance(tagged, MaterializedDataset)
-            and tagged.count() <= candidates.DRIVER_EXPLODE_MAX_ROWS):
+    if on_driver(tagged):
         return map_segments(tagged, on, fn)
     parts = partitions_for(num_partitions, plan_bytes(tagged))
     srt = tagged.repartition(parts).sort(on).materialize()
@@ -567,7 +672,7 @@ def attach_columns(ds, other, left_key: str, right_key: str,
         strategy = ("broadcast" if other.count() <= BROADCAST_MAX_ROWS
                     else "shuffle")
     if strategy == "broadcast":
-        return ds.map_batches(
+        return as_dataset(ds).map_batches(
             broadcast_lookup(other, left_key, right_key, cols, how),
             batch_format="pyarrow")
     return keyed_join(ds, other, [left_key], [right_key], cols, how,
@@ -591,6 +696,6 @@ def anti_join(ds, other, left_key: str, right_key: str,
     common case), else the key-local ``keyed_join``."""
     drop = anti_lookup(other, left_key, right_key)
     if drop is not None:
-        return ds.map_batches(drop, batch_format="pyarrow")
+        return as_dataset(ds).map_batches(drop, batch_format="pyarrow")
     return keyed_join(ds, other, [left_key], [right_key], {}, "anti",
                       num_partitions)

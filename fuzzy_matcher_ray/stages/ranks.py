@@ -137,7 +137,7 @@ def grouped_topk(ds, group_col: str, value_col: str, id_col: str, k: int,
     With ``rank_col`` the 1-based rank within the group is emitted.
     Output columns = input columns (+ rank_col), in input order.
     """
-    from fuzzy_matcher_ray.stages.joins import map_segments
+    from fuzzy_matcher_ray.stages.joins import DriverBlocks, map_segments
 
     residue = ds.map_batches(
         lambda t: _partial_topk(t, group_col, value_col, id_col, k,
@@ -147,7 +147,7 @@ def grouped_topk(ds, group_col: str, value_col: str, id_col: str, k: int,
         t = (empty_schema or pa.schema([])).empty_table()
         if rank_col is not None:
             t = t.append_column(rank_col, pa.array([], pa.int64()))
-        return rd.from_arrow(t)
+        return DriverBlocks([t])
     return map_segments(residue, [group_col], lambda t: _partial_topk(
         t, group_col, value_col, id_col, k, descending, rank_col))
 

@@ -9,10 +9,11 @@ heap); at 10^12-doc scale every stage must be resumable. Layout:
 
 ``stage()`` has one path. A stage with a manifest of the same config hash
 (the lineage key) resumes as a lazy Parquet read of its data. Any other
-stage builds and is pinned (``materialize()``); when the checkpointer is
-enabled, the pinned blocks are then written (tmp dir → os.replace) and
-the pinned dataset is returned, not a read-back. A checkpointed run
-executes the same program as an uncheckpointed one, plus the writes. A
+stage builds and is pinned (``materialize()``, or the driver blocks a
+driver branch built); when the checkpointer is enabled, the pinned blocks
+are then written (tmp dir → os.replace) and the pinned dataset is
+returned, not a read-back. A checkpointed run executes the same program
+as an uncheckpointed one, plus the writes. A
 killed run resumes by skipping every completed stage; sub-stage
 granularity comes from running the pipeline per input shard (each shard
 gets its own checkpoint root).
@@ -31,9 +32,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 from ray.data.block import BlockAccessor
-from ray.data.dataset import MaterializedDataset
 
-from fuzzy_matcher_ray.stages.joins import block_refs
+from fuzzy_matcher_ray.stages.joins import as_dataset, block_refs, is_pinned
 
 
 class Checkpointer:
@@ -87,7 +87,7 @@ class Checkpointer:
             return rd.read_parquet(data_dir)
         t0 = time.perf_counter()
         ds = build_fn()
-        if not isinstance(ds, MaterializedDataset):
+        if not is_pinned(ds):
             ds = ds.materialize()
         if not self.enabled:
             return ds
@@ -112,14 +112,16 @@ def _write_blocks(ds, path: str, empty_schema=None) -> None:
     block, each writing a non-empty block as ``part-NNNNN.parquet``, NNNNN
     the block's index, so a retried task overwrites its own file.
 
-    A materialized dataset's block refs are read off its plan, with no
-    execution; a lazy one's stream from one execution. A zero-row dataset
-    would leave no file, which breaks the atomic tmp→rename and a later
-    ``read_parquet``, so one empty part then pins the schema
-    (``_empty_part_schema``). A failed write removes ``path``: the callers
-    write into a fresh tmp dir, renamed into place only once it is whole.
+    A pinned dataset's block refs are read off its plan, with no
+    execution (driver blocks are put in the object store for it:
+    ``joins.as_dataset``); a lazy one's stream from one execution. A
+    zero-row dataset would leave no file, which breaks the atomic
+    tmp→rename and a later ``read_parquet``, so one empty part then pins
+    the schema (``_empty_part_schema``). A failed write removes ``path``:
+    the callers write into a fresh tmp dir, renamed into place only once
+    it is whole.
     """
-    refs = block_refs(ds) if isinstance(ds, MaterializedDataset) else None
+    refs = block_refs(as_dataset(ds)) if is_pinned(ds) else None
     if refs is None:
         refs = (r for bundle in ds.iter_internal_ref_bundles()
                 for r in bundle.block_refs)

@@ -134,6 +134,26 @@ def test_topk_per_source_runs_in_two_executions(ray_session):
     assert counter.count == 2
 
 
+@pytest.mark.parametrize("query,executions", [("knn_topk", 2),
+                                               ("asof_latest_prior", 1)])
+def test_sorted_queries_sort_on_the_driver(ray_session, query, executions):
+    """A result the merge built on the driver is sorted there
+    (``joins.sort_rows``): knn_topk runs its score map and partial top-k
+    pass, asof_latest_prior only its side projection. With a
+    ``Dataset.sort`` over that result they took 3 and 2."""
+    from test_entry_contract import SF_DIR
+    from test_flagship_plan import ExecutionCounter
+
+    from fuzzy_matcher_ray.pipelines.events import asof_latest_prior
+    from fuzzy_matcher_ray.pipelines.knn import knn_topk
+    from fuzzy_matcher_ray.stages.joins import collect_table
+    fn = {"knn_topk": knn_topk, "asof_latest_prior": asof_latest_prior}
+    with ExecutionCounter().installed() as counter:
+        out = collect_table(fn[query](SF_DIR))
+    assert len(out) > 0
+    assert counter.count == executions
+
+
 def test_grouped_topk_empty(ray_session):
     import ray.data as rd
 

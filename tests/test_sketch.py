@@ -132,9 +132,8 @@ def _sorted(t: pa.Table) -> pa.Table:
 
 @pytest.mark.parametrize("derive", ["band", "simhash", "winnow", "exact"])
 def test_key_rows_match_on_driver_and_as_map(sketch, derive):
-    from ray.data.dataset import MaterializedDataset
-
     from fuzzy_matcher_ray.pipelines.dedup import _hash_rows
+    from fuzzy_matcher_ray.stages.joins import DriverBlocks, is_pinned
     from fuzzy_matcher_ray.stages.minhash_stage import (band_key_rows,
                                                         simhash_key_rows,
                                                         winnow_key_rows)
@@ -146,10 +145,10 @@ def test_key_rows_match_on_driver_and_as_map(sketch, derive):
         "exact": (_hash_rows, norm, norm_read),
     }[derive]
     driver = fn(src)
-    assert isinstance(driver, MaterializedDataset)
+    assert isinstance(driver, DriverBlocks)
     assert driver.num_blocks() == src.num_blocks()
     mapped = fn(src_read)
-    assert not isinstance(mapped, MaterializedDataset)
+    assert not is_pinned(mapped)
     got, want = collect_table(driver), collect_table(mapped)
     assert len(got) > 0
     assert _sorted(got).equals(_sorted(want))
