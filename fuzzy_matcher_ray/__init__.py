@@ -9,7 +9,7 @@ add/remove/expiry), generalized to web-scale near-duplicate detection:
 - MinHash/LSH near-dup (5-gram shingles, 128 perms, b=16 r=8)
 - SimHash Hamming-band near-dup
 - substring dedup (winnowed fingerprints + per-partition suffix arrays)
-- distributed connected components (min-label propagation / union-find)
+- distributed connected components (union-find per range + contraction)
 - entity matching (per-field Jaro-Winkler / Levenshtein / exact, weighted)
 - embedding k-NN + cosine near-dup
 - text analysis (lang-id, quality, token counts, fingerprints)

@@ -59,8 +59,7 @@ class PipelineConfig:
     # a fingerprint at all ⇒ far fewer spurious substring candidates)
     substr_min_len: int = 200       # min shared substring to count as dup
     # --- clustering ---
-    driver_uf_max_edges: int = 2_000_000  # below this, exact driver union-find
-    max_label_rounds: int = 12      # distributed min-label propagation cap
+    driver_uf_max_edges: int = 2_000_000  # edges one union-find range takes
     # --- execution ---
     batch_size: int = 1024          # docs per batch through signature stage
     verify_batch_size: int = 4096   # pairs per batch through Jaccard verify

@@ -1,9 +1,10 @@
-"""Driver-side union-find over a (possibly relabeled) edge array.
+"""Union-find over one range of an edge array.
 
-Used when the verified-edge set is small enough to collect
-(cfg.driver_uf_max_edges); the distributed path is
-``stages/cluster.py``. Cluster representative = min member id, matching the
-deterministic-rep requirement (SURVEY.md §7 "hard parts").
+``stages/cluster.py`` runs it on each range of the edges (one range on the
+driver while they fit cfg.driver_uf_max_edges) and contracts what the
+ranges share. Cluster representative = min member id, matching the
+deterministic-rep requirement (SURVEY.md §7 "hard parts"), so labels of
+ranges compose.
 """
 
 from __future__ import annotations

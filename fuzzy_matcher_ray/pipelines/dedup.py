@@ -58,8 +58,8 @@ import pyarrow.compute as pc
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.stages.candidates import (_numpy_dedup_pairs,
                                                  dedup_pairs, key_pairs)
-from fuzzy_matcher_ray.stages.cluster import (_coalesce_i64, cluster_edges,
-                                              component_labels)
+from fuzzy_matcher_ray.stages.cluster import (cluster_edges,
+                                              component_labels, relabel)
 from fuzzy_matcher_ray.stages.joins import (DriverBlocks, anti_join,
                                             anti_lookup, as_dataset,
                                             attach_columns, is_pinned,
@@ -1016,36 +1016,28 @@ def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig):
     (``_semi_join_rows``: the prior corpus streams, never shuffles), each
     prior endpoint joins its label by a (cluster_id, doc_id) edge, and the
     clustering stage's labeller runs over that small graph. Its labels are
-    min node ids, so remapping every row's cluster_id through them gives
-    a full re-run's labels (same components ⇒ same min ids) at O(touched)
-    cost per fold: rows of untouched components find no label and keep
-    their own.
+    min node ids, so remapping every row's cluster_id through them
+    (``cluster.relabel``) gives a full re-run's labels (same components ⇒
+    same min ids) at O(touched) cost per fold: rows of untouched
+    components find no label and keep their own.
     """
     base = clusters_A.select_columns(["doc_id", "cluster_id"])
     nodes = base.union(ids_B.map_batches(
         lambda t: pa.table({"doc_id": t["doc_id"],
                             "cluster_id": t["doc_id"]}),
         batch_format="pyarrow"))
-    new_edges = as_dataset(new_edges)
     # pinned: the semi-join reads it twice (count gate + key collect)
-    ends = new_edges.map_batches(lambda t: pa.table({"doc_id": np.concatenate(
+    ends = map_blocks(new_edges, lambda t: pa.table({"doc_id": np.concatenate(
         [t["a"].to_numpy(zero_copy_only=False),
-         t["b"].to_numpy(zero_copy_only=False)])}),
-        batch_format="pyarrow").materialize()
+         t["b"].to_numpy(zero_copy_only=False)])})).materialize()
+    # pinned: the prior scan behind it runs once, and its union with the
+    # new edges is driver blocks while both are small
     star = _semi_join_rows(base, ends, ["doc_id"], cfg).map_batches(
         lambda t: pa.table({"a": t["cluster_id"], "b": t["doc_id"]}).filter(
             pc.not_equal(t["cluster_id"], t["doc_id"])),
-        batch_format="pyarrow")
-    # pinned: the labeller reads it twice (size gate + labelling), and
-    # the prior scan behind ``star`` should run once
-    labels = component_labels(new_edges.union(star).materialize(), cfg)
-    out = attach_columns(nodes, labels, "cluster_id", "node",
-                         {"label": "label"}, how="left",
-                         num_partitions=cfg.join_num_partitions)
-    return out.map_batches(lambda t: pa.table({
-        "doc_id": t["doc_id"],
-        "cluster_id": _coalesce_i64(t["label"], t["cluster_id"])}),
-        batch_format="pyarrow")
+        batch_format="pyarrow").materialize()
+    labels = component_labels(union(new_edges, star), cfg)
+    return relabel(nodes, "cluster_id", "cluster_id", labels, cfg)
 
 
 def _fold_done(root: str, key: str) -> bool:

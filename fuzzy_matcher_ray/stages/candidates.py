@@ -177,11 +177,9 @@ def _combined_key(batch: pa.Table, key_cols: list[str]) -> np.ndarray:
 
 
 def _collect_combined_keys(ds, key_cols: list[str]) -> np.ndarray:
-    parts = [
-        _combined_key(t, key_cols)
-        for t in ds.iter_batches(batch_size=1 << 20, batch_format="pyarrow")
-        if len(t)
-    ]
+    blocks = block_tables(ds) if is_pinned(ds) else ds.iter_batches(
+        batch_size=1 << 20, batch_format="pyarrow")
+    parts = [_combined_key(t, key_cols) for t in blocks if len(t)]
     return np.unique(np.concatenate(parts)) if parts else np.empty(0, np.uint64)
 
 

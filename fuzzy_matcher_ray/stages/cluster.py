@@ -5,25 +5,21 @@ SURVEY.md §2.6); the north rule requires cluster assignments, so this stage
 closes the transitive hull. Representative = **min doc_id** of the component
 (deterministic — no wall-clock or randomness anywhere).
 
-Two labellers; ``component_labels`` picks the driver one while |edges| <=
-cfg.driver_uf_max_edges (set it to 0 to force the distributed one):
+One labeller, ``component_labels``: union-find per range with contraction
+(partition-local union-find, as in BTS, PAPERS.md). Each block of the
+edges is one range, and union-find (``functions/unionfind``) labels its
+endpoints with their local root, the min id of their local component. A
+node that several ranges touched has several roots: one ``map_segments``
+on node keeps its min root and emits a contracted edge from it to each
+other root, and the contracted edges are labelled the same way in at most
+half as many ranges, so the depth is at most ⌈log2 R⌉ with no round cap.
+Roots are node ids and a min of mins is the min, so every label is its
+component's min id. Edges that fit ``cfg.driver_uf_max_edges`` are one
+range on the driver (no execution); 0 forces the contraction.
 
-- ``driver``: collect edges (they are O(duplicates), orders of magnitude
-  smaller than the corpus) and run exact union-find with path compression.
-- ``distributed``: iterative min-label propagation entirely in Dataset ops —
-  per round, attach current labels to both edge endpoints (broadcast or
-  key-local lookup), emit (node, min(label_a, label_b)) messages both ways
-  plus identity rows, and ``groupby(node).min()``. Labels decrease monotonically, so the sum of
-  labels is a strictly decreasing fixpoint witness; rounds are bounded by
-  cfg.max_label_rounds. Convergence takes O(max cluster diameter) rounds —
-  small here because hot-group star edges (stages/candidates.py) keep
-  diameters tiny. (Pointer-jumping halving, as in the BTS/alternating
-  algorithms from PAPERS.md, can be layered on; unnecessary at these depths.)
-
-Both paths produce identical output (asserted in tests).
-``component_labels`` is the labeller alone, (a, b) edges → (node, label);
-a fold runs it over its new edges with every prior component contracted to
-its label (pipelines/dedup.py ``_fold_labels``).
+``relabel`` maps ids through the labels (broadcast or key-local): the
+doc fill of ``cluster_edges``, each contraction level's roots, and a
+fold's remap of prior components (pipelines/dedup.py ``_fold_labels``).
 """
 
 from __future__ import annotations
@@ -32,16 +28,19 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ray.data.aggregate import Min
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.unionfind import connected_components
 from fuzzy_matcher_ray.stages.candidates import _collect_driver_table
 from fuzzy_matcher_ray.stages import joins
 from fuzzy_matcher_ray.stages.joins import (DriverBlocks, _collect_columns,
-                                            _Lookup, attach_columns,
-                                            collect_table, map_blocks,
-                                            on_driver, sorted_side)
+                                            _Lookup, as_dataset,
+                                            attach_columns, map_blocks,
+                                            map_segments, on_driver,
+                                            sorted_side)
+
+# the label column ``relabel`` attaches and its fill drops
+_LABEL = "__fmr_label"
 
 
 def _coalesce_i64(primary, fallback) -> pa.Array:
@@ -53,7 +52,6 @@ def _coalesce_i64(primary, fallback) -> pa.Array:
     ids). Fill via the is_null mask + take of the valid slots instead; every
     kernel used here (is_null, take) is verified against the same batches.
     """
-    import pyarrow.compute as pc
     if isinstance(primary, pa.ChunkedArray):
         primary = primary.combine_chunks()
     mask = pc.is_null(primary).to_numpy(zero_copy_only=False).astype(bool)
@@ -68,122 +66,93 @@ def _coalesce_i64(primary, fallback) -> pa.Array:
     return pa.array(out, pa.int64())
 
 
-def component_labels(edges, cfg: PipelineConfig):
+def _union_find(t: pa.Table | None) -> pa.Table:
+    """(a, b) edges → (node, label): each endpoint once, labelled with the
+    min id of its component within ``t``."""
+    ends = [np.empty(0, np.int64)] * 2 if t is None or not len(t) else \
+        [t[c].to_numpy(zero_copy_only=False) for c in ("a", "b")]
+    nodes, labels = connected_components(*ends)
+    return pa.table({"node": pa.array(nodes, pa.int64()),
+                     "label": pa.array(labels, pa.int64())})
+
+
+def _contract(t: pa.Table) -> pa.Table:
+    """(node, label) local roots, every row of each node present →
+    (node, label, root): one row per node and distinct local root, with
+    ``label`` the node's min root."""
+    node = t["node"].to_numpy(zero_copy_only=False)
+    root = t["label"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((root, node))
+    node, root = node[order], root[order]
+    keep = np.ones(len(node), bool)
+    keep[1:] = (node[1:] != node[:-1]) | (root[1:] != root[:-1])
+    node, root = node[keep], root[keep]
+    first = np.ones(len(node), bool)
+    first[1:] = node[1:] != node[:-1]
+    low = root[first][np.cumsum(first) - 1]
+    return pa.table({"node": pa.array(node, pa.int64()),
+                     "label": pa.array(low, pa.int64()),
+                     "root": pa.array(root, pa.int64())})
+
+
+def component_labels(edges, cfg: PipelineConfig, ranges: int | None = None):
     """edges (a:int64, b:int64) → (node, label): every edge endpoint once,
-    labelled with the min node id of its component."""
+    labelled with the min node id of its component. The edges' blocks are
+    the ranges, at most ``ranges`` of them (all when None; a contraction
+    level passes half its own)."""
+    edges = edges.materialize()
     if edges.count() <= cfg.driver_uf_max_edges:
-        return _driver_labels(edges)
-    return _distributed_labels(edges, cfg)
+        # a materialized edge set collects from its blocks with no execution
+        return DriverBlocks([_union_find(
+            _collect_driver_table(edges, ["a", "b"]))])
+    ranges = min(ranges or edges.num_blocks(), edges.num_blocks())
+    if ranges < edges.num_blocks():
+        edges = as_dataset(edges).repartition(ranges)
+    local = map_blocks(edges, _union_find)
+    if ranges == 1:
+        return local
+    seg = map_segments(local, ["node"], _contract)
+    contracted = map_blocks(seg, lambda t: t.filter(pc.not_equal(
+        t["label"], t["root"])).select(["label", "root"])
+        .rename_columns(["a", "b"]))
+    roots = map_blocks(seg, lambda t: t.filter(pc.equal(
+        t["label"], t["root"])).select(["node", "label"]))
+    return relabel(roots, "label", "label",
+                   component_labels(contracted, cfg, ranges // 2), cfg)
+
+
+def relabel(ds, key: str, out: str, labels, cfg: PipelineConfig):
+    """``ds`` with column ``out`` (``key`` itself, or a new column right
+    after it) set to the label of each row's ``key`` in ``labels`` (node,
+    label), or to the ``key`` value where ``labels`` holds none.
+
+    While the labels broadcast, the lookup and the fill are one per-batch
+    function (``joins.map_blocks``): on the driver over a small pinned
+    ``ds``, where the sorted labels are looked up as they are, else a Ray
+    map that fetches them by ref. Past that, a key-local join attaches the
+    labels.
+    """
+    def _fill(t: pa.Table) -> pa.Table:
+        i = t.column_names.index(key)
+        lab = _coalesce_i64(t[_LABEL], t[key])
+        t = t.drop_columns([_LABEL, *([key] if out == key else [])])
+        return t.add_column(i + (out != key), out, lab)
+
+    labels = labels.materialize()
+    if labels.count() <= joins.BROADCAST_MAX_ROWS:
+        tbl = _collect_columns(labels, ["node", "label"])
+        side = sorted_side(tbl["node"], tbl, ["label"])
+        lookup = _Lookup(side if on_driver(ds) else ray.put(side),
+                         key, {"label": _LABEL}, "left")
+        return map_blocks(ds, lambda t: _fill(lookup(t)))
+    return map_blocks(attach_columns(
+        ds, labels, key, "node", {"label": _LABEL}, how="left",
+        strategy="shuffle", num_partitions=cfg.join_num_partitions), _fill)
 
 
 def cluster_edges(edges, docs, cfg: PipelineConfig):
     """edges (a:int64, b:int64) + docs (doc_id [, ...]) → (doc_id,
     cluster_id [, ...]): docs' other columns ride along unchanged.
-
-    Every doc appears exactly once; singletons get cluster_id = doc_id.
-    While the labels broadcast, the lookup and the fill are one per-batch
-    function (``joins.map_blocks``): on the driver over a small pinned
-    ``docs``, where the sorted labels are looked up as they are, else a
-    Ray map that fetches them by ref. Past that, a key-local join
-    attaches the labels.
-    """
-    labels_ds = component_labels(edges, cfg)
-
-    def _fill(t: pa.Table) -> pa.Table:
-        cid = _coalesce_i64(t["cluster_id"], t["doc_id"])
-        rest = {c: t[c] for c in t.column_names
-                if c not in ("doc_id", "cluster_id")}
-        return pa.table({"doc_id": t["doc_id"], "cluster_id": cid, **rest})
-
-    if labels_ds.count() <= joins.BROADCAST_MAX_ROWS:
-        tbl = _collect_columns(labels_ds, ["node", "label"])
-        side = sorted_side(tbl["node"], tbl, ["label"])
-        lookup = _Lookup(side if on_driver(docs) else ray.put(side),
-                         "doc_id", {"label": "cluster_id"}, "left")
-        return map_blocks(docs, lambda t: _fill(lookup(t)))
-    out = attach_columns(docs, labels_ds, "doc_id", "node",
-                         {"label": "cluster_id"}, how="left",
-                         strategy="shuffle",
-                         num_partitions=cfg.join_num_partitions)
-    return out.map_batches(_fill, batch_format="pyarrow")
-
-
-def _driver_labels(edges):
-    # a materialized edge set collects from its blocks with no execution
-    t = _collect_driver_table(edges, ["a", "b"])
-    if t is None:
-        ea = eb = np.empty(0, dtype=np.int64)
-    else:
-        ea = t["a"].to_numpy(zero_copy_only=False)
-        eb = t["b"].to_numpy(zero_copy_only=False)
-    nodes, labels = connected_components(ea, eb)
-    return DriverBlocks([pa.table({"node": pa.array(nodes),
-                                   "label": pa.array(labels)})])
-
-
-def _label_sum(labels) -> int:
-    """Sum of the ``label`` column: per-block sums added on the driver
-    (``Dataset.sum`` ends its aggregate in a ``limit=1`` run)."""
-    sums = labels.map_batches(lambda t: pa.table({"s": pa.array(
-        [pc.sum(t["label"]).as_py() or 0 if len(t) else 0], pa.int64())}),
-        batch_format="pyarrow", batch_size=None)
-    return sum(collect_table(sums)["s"].to_pylist())
-
-
-def _distributed_labels(edges, cfg: PipelineConfig):
-    P = cfg.join_num_partitions
-    # node universe = distinct endpoints; initial label = node id
-    ends = edges.select_columns(["a"]).rename_columns({"a": "node"}).union(
-        edges.select_columns(["b"]).rename_columns({"b": "node"}))
-    labels = ends.groupby("node").count().select_columns(["node"]).map_batches(
-        lambda t: t.append_column("label", t["node"]), batch_format="pyarrow")
-    prev_sum = None
-    for _ in range(cfg.max_label_rounds):
-        # strategy="auto": broadcast-attach while the label table fits
-        # (≤2M edge-touched nodes), key-local beyond — the per-round
-        # groupby(node).min() below is the distributed shuffle either way.
-        e = attach_columns(edges, labels, "a", "node", {"label": "la"},
-                           num_partitions=P)
-        e = attach_columns(e, labels, "b", "node", {"label": "lb"},
-                           num_partitions=P)
-
-        def _msgs(t: pa.Table) -> pa.Table:
-            m = np.minimum(t["la"].to_numpy(zero_copy_only=False),
-                           t["lb"].to_numpy(zero_copy_only=False))
-            return pa.table({
-                "node": pa.concat_arrays([
-                    t["a"].combine_chunks() if isinstance(t["a"], pa.ChunkedArray) else t["a"],
-                    t["b"].combine_chunks() if isinstance(t["b"], pa.ChunkedArray) else t["b"]]),
-                "label": pa.array(np.concatenate([m, m])),
-            })
-
-        msgs = e.map_batches(_msgs, batch_format="pyarrow").union(labels)
-        labels = msgs.groupby("node").aggregate(
-            Min("label", alias_name="label")).materialize()
-        # pointer-jumping halving: label ← label[label]. Every label value is
-        # itself a node (labels start as node ids and only min-propagate), so
-        # the self-lookup is total; composing it with the edge relaxation
-        # makes the reach per round grow geometrically — rounds needed are
-        # O(log diameter), so max_label_rounds=12 covers diameters ~2^12.
-        jumped = attach_columns(labels, labels, "label", "node",
-                                {"label": "label2"}, how="left",
-                                num_partitions=P)
-
-        def _jump(t: pa.Table) -> pa.Table:
-            lab = _coalesce_i64(t["label2"], t["label"])
-            return pa.table({"node": t["node"], "label": lab})
-
-        labels = jumped.map_batches(_jump, batch_format="pyarrow").materialize()
-        cur_sum = _label_sum(labels)    # monotone witness
-        if prev_sum is not None and cur_sum == prev_sum:
-            break
-        prev_sum = cur_sum
-    else:
-        # loop exhausted without the fixpoint break — labels may be split
-        # across what should be one component. Never return silently wrong
-        # clusters (ADVICE r1): fail loudly; callers can raise the cap.
-        raise RuntimeError(
-            f"label propagation did not converge within "
-            f"{cfg.max_label_rounds} rounds (cluster diameter too large); "
-            "raise PipelineConfig.max_label_rounds")
-    return labels
+    Every doc appears exactly once; singletons get cluster_id = doc_id."""
+    return relabel(docs, "doc_id", "cluster_id",
+                   component_labels(edges, cfg), cfg)

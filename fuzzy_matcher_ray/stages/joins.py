@@ -203,7 +203,7 @@ def _driver_tables(ds) -> list[pa.Table]:
 
 
 def map_blocks(ds, fn, out_rows=None):
-    """``fn`` (pyarrow Table → Table) over every batch of ``ds``.
+    """``fn`` (pyarrow Table → Table) over every block of ``ds``.
 
     A Dataset execution has a fixed cost (~50 ms on one vCPU for a
     trivial map over two materialized blocks), and handing driver tables
@@ -221,6 +221,7 @@ def map_blocks(ds, fn, out_rows=None):
         if blocks:
             return DriverBlocks([fn(t) for t in blocks])
     return as_dataset(ds).map_batches(fn, batch_format="pyarrow",
+                                      batch_size=None,
                                       zero_copy_batch=True)
 
 
@@ -342,11 +343,14 @@ def _map_sorted(srt, keys: list[str], fn):
 
 
 def project(ds, cols: list[str]):
-    """``ds`` with only ``cols``: selected on the driver when ``ds`` is
-    materialized (``map_blocks``; a ``select_columns`` would make it lazy
-    again and cost an execution), projected in the plan otherwise (pushed
-    into a read)."""
+    """``ds`` with only ``cols``: as it is when materialized with just
+    those, selected on the driver when ``ds`` is materialized
+    (``map_blocks``; a ``select_columns`` would make it lazy again and
+    cost an execution), projected in the plan otherwise (pushed into a
+    read)."""
     if is_pinned(ds):
+        if (sch := ds.schema()) is not None and sch.names == cols:
+            return ds
         return map_blocks(ds, lambda t: t.select(cols))
     return ds.select_columns(cols)
 
@@ -591,10 +595,12 @@ def _pin(ds):
     """``ds`` materialized, as a dataset whose stats lineage starts here
     (driver blocks as they are: they have no lineage).
     Ray 2.49 sums up the stats of every execution by walking the stats
-    parents with no memo, so joins fed their own outputs (label
-    propagation's rounds join each round's labels with the edges and
-    with themselves) took time exponential in the rounds (seen: 277,494
-    ``to_summary`` calls for 96 executions, 4 rounds over 200 edges)."""
+    parents with no memo, so joins fed the outputs of joins (each
+    contraction level's relabel reads labels that deeper levels joined,
+    and the doc fill reads those) take time exponential in the join
+    depth (seen with the min-label propagation this package once ran:
+    277,494 ``to_summary`` calls for 96 executions, 4 rounds over 200
+    edges)."""
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.input_data_operator import (
         InputData)
@@ -627,8 +633,8 @@ def key_local(ds, other, on: list[str], right_on: list[str], cols: list[str],
     ``candidates.DRIVER_EXPLODE_MAX_ROWS`` rows tagged on the driver runs
     ``fn`` once there (``map_segments``); a larger one is range-sorted on
     ``on`` into ``partitions_for(num_partitions, …)`` ranges (a union's
-    block count is the sum of its sides', and label propagation feeds
-    each join its own output) and run block by block by
+    block count is the sum of its sides', so joins fed join outputs
+    would compound it) and run block by block by
     ``_keyed_sorted``, which gathers no key's rows in one place.
     """
     ds = _pin(ds)

@@ -92,9 +92,10 @@ def test_driver_vs_distributed_clustering(corpus):
     import ray.data as rd
     from fuzzy_matcher_ray.stages.cluster import cluster_edges
     docs, _, _ = corpus
-    edges = rd.from_arrow(pa.table({
-        "a": pa.array([0, 1, 5, 6, 7], pa.int64()),
-        "b": pa.array([1, 2, 6, 7, 8], pa.int64())}))
+    # three ranges that share nodes 1, 6 and 7: the forced run contracts
+    edges = rd.from_arrow([pa.table({
+        "a": pa.array(a, pa.int64()), "b": pa.array(b, pa.int64())})
+        for a, b in (([0, 6], [1, 7]), ([1, 5], [2, 6]), ([7], [8]))])
     ids = docs.select_columns(["doc_id"])
     d1 = cluster_edges(edges, ids, CFG).to_pandas()
     d2 = cluster_edges(edges, ids, dataclasses.replace(

@@ -1,7 +1,7 @@
 """Force the at-scale code paths (the range-sort branch of
-``joins.map_segments``, key-local joins, distributed label propagation) on
-small data and assert they produce byte-identical results to the driver
-fast paths."""
+``joins.map_segments``, key-local joins, union-find per range with
+contraction) on small data and assert they produce byte-identical results
+to the driver fast paths."""
 
 import dataclasses
 import os
@@ -193,8 +193,9 @@ from fuzzy_matcher_ray.sources.webpages import make_webpages
 from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
 # every executed DAG that stops early after one row (a ``schema()`` or
-# ``limit(1)`` over a lazy dataset)
-execute, early = StreamingExecutor.execute, []
+# ``limit(1)`` over a lazy dataset), and every one that holds a groupby
+# (Ray 2.49 names its operator ``Aggregate``)
+execute, early, grouped = StreamingExecutor.execute, [], []
 
 
 def _execute(executor, dag, *args, **kwargs):
@@ -205,6 +206,8 @@ def _execute(executor, dag, *args, **kwargs):
         todo.extend(op.input_dependencies)
     if "limit=1" in names:
         early.append(" <- ".join(names))
+    if "Aggregate" in names:
+        grouped.append(" <- ".join(names))
     return execute(executor, dag, *args, **kwargs)
 
 
@@ -226,6 +229,7 @@ pq.write_table(collect_table(link0), out + "/link0.parquet")
 fold = incremental_update([out + "/link0"], rd.from_blocks([t.slice(400)]), cfg)
 pq.write_table(collect_table(fold), out + "/fold.parquet")
 assert early == [], early
+assert grouped == [], grouped
 ray.shutdown()
 """
 
@@ -256,11 +260,11 @@ def _run_forced_one_cpu(script: str, tmp_path, *args: str) -> None:
 def test_forced_twins_one_cpu_flagship_and_fold(ray_session, tmp_path):
     """Every key-local operator on its distributed branch
     (FMR_DRIVER_EXPLODE_MAX_ROWS=0), every join key-local (both broadcast
-    budgets 0) and distributed labelling, on a 1-CPU Ray: a checkpointed
-    flagship (chain link 0) and one fold finish, start no execution that
-    stops after one row (``limit=1``), and label every doc as the default
-    run does. The session fixture has 4 CPUs, so the run starts its own
-    Ray in a subprocess."""
+    budgets 0) and labelling contracted over ranges, on a 1-CPU Ray: a
+    checkpointed flagship (chain link 0) and one fold finish, start no
+    execution that stops after one row (``limit=1``) and none that holds
+    a groupby, and label every doc as the default run does. The session
+    fixture has 4 CPUs, so the run starts its own Ray in a subprocess."""
     import pyarrow.parquet as pq
     import ray.data as rd
     from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,

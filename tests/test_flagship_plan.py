@@ -1,9 +1,10 @@
 """What ``find_duplicates`` executes and what rides through it: the Dataset
 executions of one run (checkpointed or not, and of a fold and a chain),
 its object-store round trips, the driver blocks that carry its driver
-steps, sizing off the plan, url carried from the normalize stage to the
-output, zero-row and all-empty inputs, and normalize checkpoints written
-without url."""
+steps, the executions of a run with every budget forced to 0, sizing
+off the plan, url carried from the normalize stage to the output,
+zero-row and all-empty inputs, and normalize checkpoints written without
+url."""
 
 import contextlib
 import threading
@@ -145,12 +146,14 @@ def test_checkpointed_flagship_runs_as_the_uncheckpointed_one(shards,
     assert counter.count == 3
 
 
-def test_fold_runs_in_thirteen_executions(shards, tmp_path):
+def test_fold_runs_in_twelve_executions(shards, tmp_path):
     """An uncheckpointed fold of 400 docs onto a 400-doc link, collected.
-    With the increment's ids collected through a ``select_columns`` over
-    its materialized normalize stage it took 14; with the increment's key
-    rows as Ray maps and a winnow_rows stage, 19; with a ``limit(1)``
-    emptiness probe ahead of its normalize stage too, 20."""
+    With the relabel's edge endpoints and its edge union as Ray datasets
+    over the fold's driver-block edges it took 13; with the increment's
+    ids collected through a ``select_columns`` over its materialized
+    normalize stage, 14; with the increment's key rows as Ray maps and a
+    winnow_rows stage, 19; with a ``limit(1)`` emptiness probe ahead of
+    its normalize stage too, 20."""
     from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
                                                    incremental_update)
     from fuzzy_matcher_ray.sources.protocol import webpages_source
@@ -162,14 +165,16 @@ def test_fold_runs_in_thirteen_executions(shards, tmp_path):
         out = collect_table(incremental_update(
             [root], webpages_source(shards[1]), CFG))
     assert len(out) == 800
-    assert counter.count == 13
+    assert counter.count == 12
 
 
-def test_two_shard_chain_runs_in_seventeen_executions(shards, tmp_path):
+def test_two_shard_chain_runs_in_sixteen_executions(shards, tmp_path):
     """``dedup_sharded`` over both shards, collected: link 0, the prebuild
     of link 1 and the fold, every stage written from its pinned blocks and
-    the prebuild's pinned stages handed to the fold. With the fold reading
-    the prebuilt normalize and signatures back as lazy Parquet it took 21;
+    the prebuild's pinned stages handed to the fold. With the fold's
+    relabel turning its driver-block edges back into Ray datasets it took
+    17; with the fold reading the prebuilt normalize and signatures back
+    as lazy Parquet, 21;
     with each stage read back after its write, 31; with a winnow_rows
     stage in every link, 33; with per-pass edge checkpoints in link 0 and
     emptiness probes ahead of the prebuild and the fold too, 40."""
@@ -181,7 +186,37 @@ def test_two_shard_chain_runs_in_seventeen_executions(shards, tmp_path):
             [(f"s{i}", webpages_source(p)) for i, p in enumerate(shards)],
             str(tmp_path / "state"), CFG))
     assert len(out) == 800
-    assert counter.count == 17
+    assert counter.count == 16
+
+
+def test_forced_flagship_labels_with_no_groupby(shards, monkeypatch):
+    """The flagship on 400 docs with every budget forced to 0 (every
+    key-local operator range-sorted, every join key-local and
+    ``driver_uf_max_edges=0``): the output equals the unforced run's, and
+    no executed DAG holds a groupby (``Aggregate``). Its 416 edges come in
+    6 ranges, so the labeller contracts at most twice (6 → 3 → 1 ranges):
+    64 executions when the 3 ranges leave no node shared, 68 when a third
+    level runs (the range sort samples its bounds). With the edges on
+    driver union-find (the default ``driver_uf_max_edges``) the same run
+    takes 53; min-label propagation with its groupby rounds took 109."""
+    from dataclasses import replace
+
+    from fuzzy_matcher_ray.pipelines.dedup import find_duplicates
+    from fuzzy_matcher_ray.sources.protocol import webpages_source
+    from fuzzy_matcher_ray.stages import candidates, joins
+
+    ids = ["doc_id", "cluster_id"]
+    want = collect_table(find_duplicates(webpages_source(shards[0]), CFG))
+    monkeypatch.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 0)
+    monkeypatch.setattr(candidates, "BROADCAST_KEYS_MAX", 0)
+    monkeypatch.setattr(joins, "BROADCAST_MAX_ROWS", 0)
+    with ExecutionCounter().installed() as counter:
+        got = collect_table(find_duplicates(
+            webpages_source(shards[0]), replace(CFG, driver_uf_max_edges=0)))
+    assert got.select(ids).sort_by("doc_id").equals(
+        want.select(ids).sort_by("doc_id"))
+    assert all("Aggregate" not in dag for dag in counter.dags)
+    assert counter.count <= 68
 
 
 def test_plan_bytes_executes_nothing(pages):
