@@ -397,11 +397,16 @@ def run_scaling() -> dict:
     }
 
 
+# both byte budgets (fuzzy_matcher_ray/stages/gates.py) at 0: the cluster
+# shape on any corpus
+_CLUSTER_SHAPE = {"FMR_DRIVER_BYTES": "0", "FMR_BROADCAST_BYTES": "0"}
+
+
 def run_scaling_distributed() -> dict:
     """--scaling in the CLUSTER-SHAPE configuration: every driver fast path
-    forced to its distributed twin (FMR_DRIVER_EXPLODE_MAX_ROWS=0 — the
-    exact code a 100 TB shard runs, where the thresholds are always
-    exceeded). Slower in absolute wall at toy scale (the distributed
+    forced to its distributed twin and every broadcast to its key-local
+    join (FMR_DRIVER_BYTES=0 FMR_BROADCAST_BYTES=0 — the exact code a
+    100 TB shard runs, where both budgets are always exceeded). Slower in absolute wall at toy scale (the distributed
     shuffles' fixed costs only amortize on real shards) but measures the
     engine's parallel fraction without the deliberately-serial small-corpus
     driver shortcuts."""
@@ -409,7 +414,7 @@ def run_scaling_distributed() -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
                    FMR_BENCH_DOCS=str(_SCALING_DOCS),
                    FMR_BENCH_SKIP_SECONDARY="1",
-                   FMR_DRIVER_EXPLODE_MAX_ROWS="0")
+                   **_CLUSTER_SHAPE)
         out = subprocess.run([sys.executable, os.path.abspath(__file__)],
                              env=env, capture_output=True, text=True,
                              check=True,
@@ -440,9 +445,10 @@ def run_scaling_throughput(distributed: bool = False) -> dict:
     own driver, workers and object store, sharing only the box's memory
     bus — so this isolates hardware contention from engine serialization.
 
-    With ``distributed=True`` each head additionally forces every driver
-    fast path onto its distributed twin (FMR_DRIVER_EXPLODE_MAX_ROWS=0) —
-    the exact code a 100 TB shard runs, in the exact N→4N load pattern.
+    With ``distributed=True`` each head additionally forces the cluster
+    shape (``_CLUSTER_SHAPE``: every driver fast path onto its distributed
+    twin, every broadcast onto its key-local join) — the exact code a
+    100 TB shard runs, in the exact N→4N load pattern.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -452,7 +458,7 @@ def run_scaling_throughput(distributed: bool = False) -> dict:
                    FMR_BENCH_SKIP_SECONDARY="1",
                    RAY_DEFAULT_OBJECT_STORE_MEMORY_PROPORTION="0.05")
         if distributed:
-            env["FMR_DRIVER_EXPLODE_MAX_ROWS"] = "0"
+            env.update(_CLUSTER_SHAPE)
         out = subprocess.run([sys.executable, os.path.abspath(__file__)],
                              env=env, capture_output=True, text=True,
                              check=True, cwd=os.path.dirname(os.path.abspath(__file__)))

@@ -58,8 +58,6 @@ class PipelineConfig:
     # (larger windows ⇒ near-dup pairs with only ~150-char runs rarely share
     # a fingerprint at all ⇒ far fewer spurious substring candidates)
     substr_min_len: int = 200       # min shared substring to count as dup
-    # --- clustering ---
-    driver_uf_max_edges: int = 2_000_000  # edges one union-find range takes
     # --- execution ---
     batch_size: int = 1024          # docs per batch through signature stage
     verify_batch_size: int = 4096   # pairs per batch through Jaccard verify
@@ -77,6 +75,13 @@ class PipelineConfig:
     join_num_partitions: int = 32   # blocks, key-local join ranges (∝ CPUs)
     # --- TTL (≙ ExpiryHeap, clean.go:29-51, as a read-time predicate) ---
     ttl_mode: bool = False
+
+    @property
+    def driver_uf_max_edges(self) -> int:
+        """Edges (16 B each) within ``FMR_DRIVER_BYTES`` (``stages/gates``),
+        read now; kept read-only for ``perfbench/layers.py``."""
+        from fuzzy_matcher_ray.stages import gates
+        return gates.budget(gates.DRIVER) // 16
 
     def config_hash(self) -> str:
         """Stable hash of all semantic parameters — keys checkpoint manifests."""

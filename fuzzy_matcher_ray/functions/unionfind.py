@@ -1,10 +1,10 @@
 """Union-find over one range of an edge array.
 
 ``stages/cluster.py`` runs it on each range of the edges (one range on the
-driver while they fit cfg.driver_uf_max_edges) and contracts what the
-ranges share. Cluster representative = min member id, matching the
-deterministic-rep requirement (SURVEY.md §7 "hard parts"), so labels of
-ranges compose.
+driver while they fit the driver budget, ``stages/gates``) and contracts
+what the ranges share. Cluster representative = min member id, matching
+the deterministic-rep requirement (SURVEY.md §7 "hard parts"), so labels
+of ranges compose.
 """
 
 from __future__ import annotations

@@ -16,16 +16,17 @@ Shape:
    `webtext.top_ngrams`). The word table is orders of magnitude smaller than
    the corpus: every later pass runs over it, never over the corpus again.
 2. **merge loop** — each round needs one global (a, b) pair-count aggregate
-   and one symbol-stream rewrite. Below `DRIVER_WORDS_MAX_ROWS` the word
-   table collects to the driver and the rounds run locally on the in-memory
-   symbol stream (one lexsort-scale numpy kernel per round, no per-round
-   engine overhead). Beyond it — open-web vocabularies — the distributed
-   twin keeps the words as a Dataset of `(syms: list<string>, cnt)` rows:
-   per-batch partial pair counts → `groupby(["a","b"]).sum` → a 1-row
+   and one symbol-stream rewrite. While its bytes fit the driver budget
+   (gate "words", `stages/gates`) the word table collects to the driver
+   and the rounds run locally on the in-memory symbol stream (one
+   lexsort-scale numpy kernel per round, no per-round engine overhead).
+   Beyond it — open-web vocabularies — the distributed twin keeps the
+   words as a Dataset of `(syms: list<string>, cnt)` rows: per-batch
+   partial pair counts → `groupby(["a","b"]).sum` → a 1-row
    sort/limit picks the winner → one `map_batches` applies the merge, with a
    `materialize()` per round so lineage stays O(1). BOTH paths run the SAME
    numpy kernels on the same total ordering, so they are byte-identical
-   (parity-tested; `FMR_BPE_DRIVER_MAX_ROWS=0` forces the distributed twin).
+   (parity-tested; `FMR_DRIVER_BYTES=0` forces the distributed twin).
 3. **tokenize pass** — merges are rank-ordered constants (n_merges rows);
    they broadcast once via `ray.put`. Each batch segments only its DISTINCT
    words (vocabulary-bounded work), applies the merges in rank order with
@@ -40,8 +41,6 @@ semantics pinned by the pure-Python oracle in tests/test_bpe.py.
 
 from __future__ import annotations
 
-import os as _os
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -49,15 +48,8 @@ import ray
 import ray.data as rd
 
 from fuzzy_matcher_ray.pipelines.webtext import _as_array
-
-# word tables at or below this row count collect to the driver for the
-# in-memory merge loop (slim (word, cnt) rows, ~40 B each ⇒ ~160 MB at the
-# ceiling); beyond it the Dataset-per-round distributed twin runs — the
-# code path an open-web vocabulary (10^9 distinct words) takes. 0 forces
-# the distributed twin (scaling-bench / parity-test convention, same as
-# FMR_DRIVER_EXPLODE_MAX_ROWS in stages/candidates.py).
-DRIVER_WORDS_MAX_ROWS = int(_os.environ.get(
-    "FMR_BPE_DRIVER_MAX_ROWS", 4_000_000))
+from fuzzy_matcher_ray.stages import gates
+from fuzzy_matcher_ray.stages.joins import nbytes
 
 
 def _words_of(text: pa.Array | pa.ChunkedArray):
@@ -216,9 +208,9 @@ def bpe_train(sf_dir: str, n_merges: int = 32, min_count: int = 1
     wc = word_counts(sf_dir)
     if min_count > 1:
         wc = wc.filter(expr=f"cnt >= {min_count}")
-    n_rows = wc.count()
+    wc = wc.materialize()
     stop_below = max(2, min_count)
-    if n_rows <= DRIVER_WORDS_MAX_ROWS:
+    if gates.decide("words", nbytes(wc)) == "driver":
         wt = wc.sort("word").take_all()
         words = [r["word"] for r in wt]
         weights = np.array([r["cnt"] for r in wt], dtype=np.int64)

@@ -60,11 +60,13 @@ from fuzzy_matcher_ray.stages.candidates import (_numpy_dedup_pairs,
                                                  dedup_pairs, key_pairs)
 from fuzzy_matcher_ray.stages.cluster import (cluster_edges,
                                               component_labels, relabel)
+from fuzzy_matcher_ray.stages import gates
 from fuzzy_matcher_ray.stages.joins import (DriverBlocks, anti_join,
                                             anti_lookup, as_dataset,
                                             attach_columns, is_pinned,
                                             keyed_join, map_blocks,
-                                            map_segments, project, union)
+                                            map_segments, nbytes,
+                                            pinned_bytes, project, union)
 from fuzzy_matcher_ray.stages.minhash_stage import (
     Signatures, add_stage, band_key_rows, simhash_key_rows, winnow_key_rows)
 from fuzzy_matcher_ray.stages.normalize_stage import normalized_docs
@@ -229,7 +231,7 @@ def _candidate_pairs(rows, prior_rows, key_cols: list[str],
     buckets the increment never touches never explode into pairs."""
     carry_cols = list(carry_cols)
     if prior_rows is not None:
-        # pinned: the semi-join reads it twice (count gate + key collect)
+        # pinned: the semi-join and the union below both read it
         rows = rows.materialize()
         rows = _tag_new(_semi_join_rows(prior_rows, rows, key_cols, cfg),
                         0).union(_tag_new(rows, 1))
@@ -528,10 +530,9 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
         # instead of re-shingling every batch's distinct docs (size-gated;
         # None ⇒ verifiers fall back to the text broadcast / join paths).
         # Off by default — see config.use_shingle_set_artifact.
-        from fuzzy_matcher_ray.stages.joins import (BROADCAST_MAX_ROWS,
-                                                    BroadcastAttacher)
+        from fuzzy_matcher_ray.stages.joins import BroadcastAttacher
         attacher = None
-        if norm.count() <= BROADCAST_MAX_ROWS:
+        if gates.decide("texts", nbytes(norm)) == "broadcast":
             attacher = BroadcastAttacher(norm, "doc_id", ["norm_text"])
         sets_ref = None
         if ("minhash" in passes or "simhash" in passes) \
@@ -744,19 +745,12 @@ def _prior_stage(loaded, name: str, rebuild, usable):
     return out
 
 
-# pin the fold's prior-signature union in the object store (shared by the
-# minhash AND simhash semi-joins) only while it stays under this budget;
-# larger chains re-read the checkpoint parquet per pass instead — see
-# incremental_update
-SIGS_PIN_MAX_BYTES = 2 << 30
-
-
 def _semi_join_rows(rows_prior, rows_inc, key_cols, cfg: PipelineConfig):
     """Prior rows whose ``key_cols`` combo appears among the INCREMENT's
     key rows.
 
-    The increment is the small side by definition: while its row count is
-    within the broadcast budget (``BROADCAST_KEYS_MAX``), its distinct
+    The increment is the small side by definition: while its bytes are
+    within the broadcast budget (gate "keys"), its distinct
     combined keys come from ONE driver pass (``np.unique`` over streamed
     batches) and the prior side streams through a broadcast membership
     filter — zero Ray shuffles, and the prior rows are never sorted.
@@ -766,9 +760,10 @@ def _semi_join_rows(rows_prior, rows_inc, key_cols, cfg: PipelineConfig):
     an increment row. Either way the prior side never explodes into pairs
     for buckets the increment doesn't touch.
     """
-    from fuzzy_matcher_ray.stages.candidates import (
-        BROADCAST_KEYS_MAX, _collect_combined_keys, _membership_filter)
-    if rows_inc.count() <= BROADCAST_KEYS_MAX:
+    from fuzzy_matcher_ray.stages.candidates import (_collect_combined_keys,
+                                                     _membership_filter)
+    rows_inc, n = pinned_bytes(rows_inc)
+    if gates.decide("keys", n) == "broadcast":
         arr = _collect_combined_keys(rows_inc, key_cols)
         return _membership_filter(rows_prior, key_cols, arr)
     return keyed_join(rows_prior, rows_inc, key_cols, key_cols, {}, "semi",
@@ -935,9 +930,8 @@ def incremental_update(prior_root: str | list[str], new_docs,
             empty_schema=_link_schemas(cfg)["clusters"],
             meta=_passes_meta(passes))
 
-    from fuzzy_matcher_ray.stages.joins import (BROADCAST_MAX_ROWS,
-                                                BroadcastAttacher,
-                                                _collect_columns, plan_bytes)
+    from fuzzy_matcher_ray.stages.joins import (BroadcastAttacher,
+                                                _collect_columns)
 
     # --- disjoint-id guard: one streaming filter over the slim prior ids
     # against the broadcast increment ids (the increment is the small side
@@ -976,7 +970,8 @@ def incremental_update(prior_root: str | list[str], new_docs,
         texts = norm_A.select_columns(["doc_id", "norm_text"]).union(
             norm_B.select_columns(["doc_id", "norm_text"])).materialize()
         attacher = (BroadcastAttacher(texts, "doc_id", ["norm_text"])
-                    if texts.count() <= BROADCAST_MAX_ROWS else None)
+                    if gates.decide("texts", nbytes(texts)) == "broadcast"
+                    else None)
         f_overlap.result()
 
     sigs_A = None
@@ -986,16 +981,14 @@ def incremental_update(prior_root: str | list[str], new_docs,
             loaded, "signatures", lambda n: signature_table(n, cfg),
             lambda m: m.get("columns") == cols
             and ("exact" in passes or not _reps_only(m)))
-        # each sketch pass scans this prior-sketch union (band keys,
-        # simhash keys, winnow rows). While it fits a bounded object-store
-        # budget, pin it ONCE so the semi-joins share a single execution
-        # instead of re-reading the whole chain's artifacts per pass — a
-        # per-fold fixed cost that stacks on cold chains. Past the budget
-        # the lazy re-read streams: at open-web scale a second pruned
-        # parquet read beats pinning the corpus sketch in the object store.
-        if len(_SKETCH_PASSES & set(passes)) > 1 \
-                and (plan_bytes(sigs_A) or 0) <= SIGS_PIN_MAX_BYTES:
-            sigs_A = sigs_A.materialize()
+        # each sketch pass scans this prior-sketch union: pinned once
+        # while gate "sketch_pin" keeps it (the semi-joins share one
+        # execution, not one re-read of the chain's artifacts per pass);
+        # past the budget a pruned parquet re-read per pass streams.
+        if len(_SKETCH_PASSES & set(passes)) > 1:
+            sigs_A, n = pinned_bytes(sigs_A)
+            if gates.decide("sketch_pin", n) == "driver":
+                sigs_A = sigs_A.materialize()
 
     prior = PriorIndex(norm_A, sigs_A, texts)
     new_edges = _edges_all(ck, lambda: _pass_builders(
@@ -1026,10 +1019,9 @@ def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig):
         lambda t: pa.table({"doc_id": t["doc_id"],
                             "cluster_id": t["doc_id"]}),
         batch_format="pyarrow"))
-    # pinned: the semi-join reads it twice (count gate + key collect)
     ends = map_blocks(new_edges, lambda t: pa.table({"doc_id": np.concatenate(
         [t["a"].to_numpy(zero_copy_only=False),
-         t["b"].to_numpy(zero_copy_only=False)])})).materialize()
+         t["b"].to_numpy(zero_copy_only=False)])}))
     # pinned: the prior scan behind it runs once, and its union with the
     # new edges is driver blocks while both are small
     star = _semi_join_rows(base, ends, ["doc_id"], cfg).map_batches(

@@ -19,16 +19,17 @@ Shape:
    outdeg(u)⌋ over DISTINCT edges, all arithmetic int64 fixed point
    (damping in ppm, ranks in SCALE units) so integer addition order cannot
    matter — the driver loop and the Dataset-per-iteration twin are
-   byte-identical (parity-tested; `FMR_GRAPH_DRIVER_MAX_ROWS=0` forces the
-   twin). Below the gate the edge list collects to the driver (slim rows);
-   beyond it each iteration is: attach ranks onto edges by src
-   (`stages/joins.attach_columns` — broadcast under its own gate,
-   key-local beyond) → per-batch contribution kernel → `groupby(node).sum` →
-   left-attach back onto the node table, materialized per round so lineage
-   stays O(1). Dangling-node mass evaporates each round (the classic
-   no-redistribution variant) and integer floor division sheds ≤1 unit per
-   edge — both documented, deterministic, and irrelevant to the signal's
-   use as a relative quality prior.
+   byte-identical (parity-tested; `FMR_DRIVER_BYTES=0` forces the twin).
+   Within the driver budget (gate "graph") the edge list collects to the
+   driver (slim rows); beyond it each iteration is: attach ranks onto
+   edges by src (`stages/joins.attach_columns` — broadcast under its own
+   gate, key-local beyond) → per-batch contribution kernel →
+   `groupby(node).sum` → left-attach back onto the node table,
+   materialized per round so lineage stays O(1). Dangling-node mass
+   evaporates each round (the classic no-redistribution variant) and
+   integer floor division sheds ≤1 unit per edge — both documented,
+   deterministic, and irrelevant to the signal's use as a relative
+   quality prior.
 
 Determinism: no float, no RNG; ranks are exact int64 functions of the
 distinct edge set. SCALE = 10^6 keeps Σ ranks ≤ N·10^6 — inside int64 up
@@ -40,7 +41,6 @@ d·rank product either.
 
 from __future__ import annotations
 
-import os as _os
 import re
 
 import numpy as np
@@ -49,14 +49,8 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from fuzzy_matcher_ray.pipelines.webtext import _as_array
-
-# edge tables at or below this row count collect to the driver for the
-# in-memory power iteration (~50 B/edge ⇒ ~800 MB at the ceiling); beyond
-# it the Dataset-per-iteration twin runs — the open-web path. 0 forces the
-# twin (parity-test / scaling-bench convention, same as
-# FMR_DRIVER_EXPLODE_MAX_ROWS).
-DRIVER_EDGES_MAX_ROWS = int(_os.environ.get(
-    "FMR_GRAPH_DRIVER_MAX_ROWS", 16_000_000))
+from fuzzy_matcher_ray.stages import gates
+from fuzzy_matcher_ray.stages.joins import nbytes
 
 SCALE = 1_000_000          # rank fixed-point units per node at init
 PPM = 1_000_000            # damping denominator
@@ -129,8 +123,8 @@ def pagerank(edges, n_iter: int = 10, damping_ppm: int = 850_000):
     distinct. Node set = union of srcs and dsts; every node starts at
     SCALE and receives base = ⌊(1-d)·SCALE⌋ each round.
     """
-    n_edges = edges.count()
-    if n_edges <= DRIVER_EDGES_MAX_ROWS:
+    edges = edges.materialize()
+    if gates.decide("graph", nbytes(edges)) == "driver":
         t = _collect(edges)
         return rd.from_arrow(_pagerank_driver(t, n_iter, damping_ppm))
     return _pagerank_distributed(edges, n_iter, damping_ppm)

@@ -27,7 +27,9 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from fuzzy_matcher_ray.stages.joins import as_dataset, map_blocks, sort_rows
+from fuzzy_matcher_ray.stages import gates
+from fuzzy_matcher_ray.stages.joins import (as_dataset, map_blocks,
+                                            pinned_bytes, sort_rows)
 from fuzzy_matcher_ray.stages.ranks import grouped_topk
 
 _EMPTY_SCORED = pa.table({"query_id": pa.array([], pa.int64()),
@@ -390,29 +392,18 @@ def knn_topk_ivf_kmeans(sf_dir: str, n_queries: int = 5, k: int = 5,
     return _merge_topk(scored, k)
 
 
-# Verify-side broadcast gate for the SRP-LSH pass: below this many vectors
-# the whole normalized matrix ships once via ray.put and pairs stay 16 B/row
-# through the shuffle; above it vectors are attached onto the pairs by id
-# key-local (the attach_pair_texts pattern) so nothing ever materializes
-# driver-side.
-_VERIFY_BROADCAST_MAX_ROWS = 1_000_000
-# below this row count the SRP bucketing runs on plain tasks: the actor
-# pool's spin-up (~seconds) dwarfs the per-batch hyperplane rebuild it
-# amortizes; above it the pool's once-per-actor state wins
-SRP_ACTOR_MIN_ROWS = 100_000
-
 _EMPTY_PAIRS = pa.table({"a": pa.array([], pa.int64()),
                          "b": pa.array([], pa.int64()),
                          "cosine": pa.array([], pa.float64())})
 
 
 class _SRPBucketer:
-    """SRP bucketing as a stateful actor-pool stage: the seeded hyperplane
-    tensor is built ONCE PER ACTOR (on the first batch, which fixes the
-    embedding dim) rather than per batch — the canonical state-in-
-    ``__init__``-not-``__call__`` shape. Planes stay deterministic per
-    (seed, dim), so every actor builds the identical tensor and the output
-    is independent of batch routing."""
+    """SRP bucketing, one stateless instance shipped to every task: the
+    seeded hyperplane tensor is built on a task's first batch (which fixes
+    the embedding dim), deterministic per (seed, dim), so the output is
+    independent of batch routing. The rebuild is ``n_tables·dim·n_bits``
+    normal draws: 40-60 us at the defaults and dim 32 (the LSH test
+    fixture's), against seconds of actor-pool spin-up (BASELINE.md)."""
 
     def __init__(self, seed: int, n_tables: int, n_bits: int):
         self.seed = seed
@@ -464,8 +455,9 @@ def embedding_dup_pairs_lsh(sf_dir: str, threshold: float = 0.9,
     bucket:int64, vec_id). ``verify_strategy`` picks how the verify stage
     gets its vectors: ``"broadcast"`` ships the normalized matrix once via
     ``ray.put`` (small side); ``"join"`` attaches both vectors onto the
-    pairs by id (``stages/joins.attach_columns`` key-local path — nothing
-    whole-dataset ever reaches the driver); ``"auto"`` gates on row count.
+    pairs by id (``stages/joins.keyed_join`` — nothing
+    whole-dataset ever reaches the driver); ``"auto"`` broadcasts while
+    gate "vectors" keeps the read's bytes within the broadcast budget.
     Both paths are byte-identical (tests/test_knn.py parity test).
     """
     from dataclasses import replace
@@ -474,25 +466,11 @@ def embedding_dup_pairs_lsh(sf_dir: str, threshold: float = 0.9,
     from fuzzy_matcher_ray.stages.candidates import key_pairs
 
     ds = _read(sf_dir)
-    n_rows = ds.count()              # parquet-metadata count — no data scan
-    if verify_strategy == "auto":
-        verify_strategy = ("broadcast"
-                           if n_rows <= _VERIFY_BROADCAST_MAX_ROWS
-                           else "join")
-    if n_rows > SRP_ACTOR_MIN_ROWS:
-        # actor pool: the hyperplane tensor builds once per actor and
-        # amortizes over many batches — the scale shape
-        rows = ds.map_batches(_SRPBucketer, batch_format="pyarrow",
-                              fn_constructor_args=(seed, n_tables, n_bits),
-                              concurrency=(1, 8))
-    else:
-        # small inputs: a task pool skips the multi-second actor-pool
-        # spin-up that dominates demo-scale walls; the per-batch plane
-        # rebuild is microseconds (n_tables·dim·n_bits floats) and the
-        # planes are deterministic per (seed, dim), so output is
-        # byte-identical to the actor path
-        bucketer = _SRPBucketer(seed, n_tables, n_bits)
-        rows = ds.map_batches(bucketer, batch_format="pyarrow")
+    if verify_strategy == "auto":    # the read's estimate: no data scan
+        ds, n = pinned_bytes(ds)
+        verify_strategy = gates.decide("vectors", n)
+    rows = ds.map_batches(_SRPBucketer(seed, n_tables, n_bits),
+                          batch_format="pyarrow")
     # the SRP recall model assumes EVERY within-bucket pair is emitted —
     # the star+chain hot-group cap would silently drop pairs with no
     # union-find downstream to restore connectivity. Skew control here is
@@ -573,21 +551,20 @@ def _bytes_matrix(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
 
 def _verify_pairs_join(pairs, ds, threshold: float):
     """Exact-cosine verify, scale shape: both vectors attached onto the
-    pairs by id (two key-local ``attach_columns`` — the attach_pair_texts
+    pairs by id (two ``joins.keyed_join`` — the attach_pair_texts
     pattern, stages/verify.py), then a per-batch normalized einsum. The
     embeddings Dataset streams into the join; the driver never holds the
     matrix. Byte-identical to the broadcast path (row normalization and the
     pair dot product are row-local float64 ops on the same values)."""
-    from fuzzy_matcher_ray.stages.joins import attach_columns
+    from fuzzy_matcher_ray.stages.joins import keyed_join
     pairs = pairs.materialize()
     if pairs.count() == 0:
         return rd.from_arrow(_EMPTY_PAIRS)
     for side in ("a", "b"):
         vecs = ds.map_batches(_VecsAsBytes(f"vec_{side}"),
                               batch_format="pyarrow")
-        pairs = attach_columns(pairs, vecs, side, "vec_id",
-                               {f"vec_{side}": f"vec_{side}"},
-                               strategy="shuffle")
+        pairs = keyed_join(pairs, vecs, [side], ["vec_id"],
+                           {f"vec_{side}": f"vec_{side}"}, "inner")
 
     def _verify(t: pa.Table) -> pa.Table:
         if len(t) == 0:

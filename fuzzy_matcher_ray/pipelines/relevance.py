@@ -17,7 +17,7 @@ Shape (both ops, two streaming passes + one vocab-sized shuffle):
    open-web vocab sizes, prune with ``min_df`` (hapax legomena dominate raw
    vocab counts but can never rank: tf·idf of a df=1 term appears in one
    doc only) or swap the broadcast for a key-local join on term — the
-   ``stages/joins.attach_columns`` switch.
+   ``vocab_strategy="join"`` (``stages/joins.keyed_join``).
 3. **score pass** — per-batch Arrow ``index_in`` maps tokens to vocab ids;
    scores and per-doc top-k come from one numpy lexsort per batch. No
    shuffle at all (per-doc top-k needs no cross-doc state).
@@ -37,6 +37,8 @@ import ray
 import ray.data as rd
 
 from fuzzy_matcher_ray.pipelines.webtext import _as_array
+from fuzzy_matcher_ray.stages import gates
+from fuzzy_matcher_ray.stages.joins import nbytes
 
 
 def _tokens(text: pa.Array | pa.ChunkedArray):
@@ -72,14 +74,6 @@ def _df_table(docs, min_df: int):
     if min_df > 1:
         agg = agg.filter(expr=f"df >= {min_df}")
     return agg
-
-
-# Vocabulary tables at or below this row count broadcast whole via ray.put
-# (one searchsorted per batch, zero shuffle); above it the key-local join
-# takes over — the corpus (doc, term) rows join the counts on term and the
-# driver never holds the vocabulary (same size-gate shape as
-# knn._VERIFY_BROADCAST_MAX_ROWS).
-VOCAB_BROADCAST_MAX_ROWS = 2_000_000
 
 
 def _broadcast_vocab(df_ds, col: str = "df"):
@@ -122,13 +116,13 @@ def _tf_rows(t: pa.Table) -> pa.Table:
 
 def _tfidf_join(docs, n_docs: int, df_agg, k: int):
     """TF-IDF at open-web vocabulary sizes: the df table attaches to the
-    (doc, term, tf) rows on term (``attach_columns`` key-local path — the
+    (doc, term, tf) rows on term (``joins.keyed_join`` — the
     vocabulary never reaches the driver), scores are row-local, and the
     per-doc top-k comes from ``grouped_topk`` (per-batch partial top-k +
     the same kernel over the residue). Byte-identical to the broadcast
     path: the idf/score doubles are the same IEEE expression on the same
     integers, and the (score desc, term asc) order is total per doc."""
-    from fuzzy_matcher_ray.stages.joins import attach_columns
+    from fuzzy_matcher_ray.stages.joins import keyed_join
     from fuzzy_matcher_ray.stages.ranks import grouped_topk
 
     if df_agg.count() == 0:
@@ -139,8 +133,8 @@ def _tfidf_join(docs, n_docs: int, df_agg, k: int):
             "score": pa.array([], pa.float64()),
             "rnk": pa.array([], pa.int64())}))
     tf_rows = docs.map_batches(_tf_rows, batch_format="pyarrow")
-    joined = attach_columns(tf_rows, df_agg, "term", "term", {"df": "df"},
-                            how="inner", strategy="shuffle")
+    joined = keyed_join(tf_rows, df_agg, ["term"], ["term"], {"df": "df"},
+                        "inner")
 
     def _score_rows(t: pa.Table) -> pa.Table:
         tf = t["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -170,17 +164,15 @@ def tfidf_top_terms(sf_dir: str, k: int = 3, min_df: int = 1,
     ``ray.put`` (right while the vocabulary is orders of magnitude smaller
     than the corpus); ``"join"`` attaches df key-locally onto the exploded
     (doc, term, tf) rows so nothing vocabulary-sized ever reaches the driver
-    (the 10^9-term open-web shape); ``"auto"`` gates on the vocab row
-    count (``VOCAB_BROADCAST_MAX_ROWS``). Both paths are byte-identical
+    (the 10^9-term open-web shape); ``"auto"`` gates on the vocab's
+    bytes (gate "vocab", ``stages/gates``). Both paths are byte-identical
     (tests/test_relevance.py parity test)."""
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
     n_docs = docs.count()
     df_agg = _df_table(docs, min_df).materialize()
     if vocab_strategy == "auto":
-        vocab_strategy = ("broadcast"
-                          if df_agg.count() <= VOCAB_BROADCAST_MAX_ROWS
-                          else "join")
+        vocab_strategy = gates.decide("vocab", nbytes(df_agg))
     if vocab_strategy == "join":
         return _tfidf_join(docs, n_docs, df_agg, k)
     ref = _broadcast_vocab(df_agg)
@@ -361,7 +353,7 @@ def _unigram_join(docs, tf_agg, total: float):
     """Unigram-LM scoring, key-local join shape (see unigram_doc_logprob)."""
     from ray.data.aggregate import Sum
 
-    from fuzzy_matcher_ray.stages.joins import attach_columns
+    from fuzzy_matcher_ray.stages.joins import attach_columns, keyed_join
 
     if tf_agg.count() == 0:
         # termless corpus: skip the join; every doc scores (0, 0)
@@ -379,8 +371,7 @@ def _unigram_join(docs, tf_agg, total: float):
 
     lp = tf_agg.map_batches(_lp, batch_format="pyarrow")
     tok = docs.map_batches(_tf_rows, batch_format="pyarrow")
-    joined = attach_columns(tok, lp, "term", "term", {"lw": "lw"},
-                            how="inner", strategy="shuffle")
+    joined = keyed_join(tok, lp, ["term"], ["term"], {"lw": "lw"}, "inner")
 
     def _parts(t: pa.Table) -> pa.Table:
         tf = t["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -430,7 +421,7 @@ def unigram_doc_logprob(sf_dir: str, vocab_strategy: str = "auto"):
     attach key-locally onto the exploded (doc, term, tf) rows and per-doc sums come
     from one ``groupby(doc_id)`` over fixed-point ints
     (``vocab_strategy="join"``: the driver never holds the vocabulary).
-    ``"auto"`` gates on vocab rows (``VOCAB_BROADCAST_MAX_ROWS``); the two
+    ``"auto"`` gates on vocab bytes (gate "vocab"); the two
     paths are byte-identical — fixed-pointing each term's log BEFORE any
     sum makes the result independent of addition order
     (tests/test_relevance.py parity test).
@@ -452,9 +443,7 @@ def unigram_doc_logprob_ds(docs, vocab_strategy: str = "auto"):
             if tf_agg.count() else None)
     total = float(_tot or 0) or 1.0
     if vocab_strategy == "auto":
-        vocab_strategy = ("broadcast"
-                          if tf_agg.count() <= VOCAB_BROADCAST_MAX_ROWS
-                          else "join")
+        vocab_strategy = gates.decide("vocab", nbytes(tf_agg))
     if vocab_strategy == "join":
         return _unigram_join(docs, tf_agg, total)
     ref = _broadcast_vocab(tf_agg, col="c")

@@ -120,7 +120,7 @@ def tiered_dedup(sf_dir: str, cfg: PipelineConfig | None = None,
         from fuzzy_matcher_ray.pipelines.dedup import jaccard_allpairs_clusters
         near = jaccard_allpairs_clusters(winners, cfg)
 
-    # near is keyed by winner id. Materialized: attach_columns counts its
+    # near is keyed by winner id. Materialized: attach_columns sizes its
     # right side before joining — without the pin the whole near-tier
     # pipeline would execute twice
     labeled = attach_columns(doc_w, near.materialize(), "w", "doc_id",

@@ -6,10 +6,10 @@ become candidate pairs.
 
 Structure: every operator here is a function of the rows that share a key
 (pair explode, pair dedup, pair count, per-doc top-k), so each is one numpy
-kernel run by ``joins.map_segments`` — once on the driver for driver-sized
-materialized input, else block by block over a range sort on the key, the
-keys that straddle block edges stitched on the driver. Zero per-group
-Python calls on either branch.
+kernel run by ``joins.map_segments`` — once on the driver for input within
+the driver budget (``stages/gates``), else block by block over a range
+sort on the key, the keys that straddle block edges stitched on the
+driver. Zero per-group Python calls on either branch.
 
 1. ``key_pairs`` lexsorts the key rows and explodes each key segment: a
    segment of 2..max_group rows emits all its pairs, size-batched so one
@@ -35,25 +35,6 @@ from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.shingle import splitmix64
 from fuzzy_matcher_ray.stages.joins import (block_tables, is_pinned,
                                             map_segments)
-
-import os as _os
-
-# membership sets larger than this are not broadcast — the key-local
-# semi-join (``joins.keyed_join``) takes over. ~8 bytes/key ⇒ 160 MB ceiling.
-BROADCAST_KEYS_MAX = 20_000_000
-
-# key-local inputs up to this many rows run their kernel once on the
-# driver (``joins.map_segments``); beyond it the same kernel runs per block
-# of a range sort. Slim key rows are ~24-32 B ⇒ 16M rows ≈ 512 MB driver
-# RAM and a ~3 s serial lexsort+explode, far below the fixed cost of
-# distributed Dataset executions at this size on one node. Real 100 TB
-# shards exceed the threshold and take the distributed branch, where the
-# work parallelizes across nodes. Env-overridable so the scaling bench can
-# force the cluster-shape configuration on a small corpus
-# (FMR_DRIVER_EXPLODE_MAX_ROWS=0 ⇒ every key-local operator takes its
-# distributed branch, the exact code a 100 TB shard runs).
-DRIVER_EXPLODE_MAX_ROWS = int(_os.environ.get(
-    "FMR_DRIVER_EXPLODE_MAX_ROWS", 16_000_000))
 
 
 def _segment_explode(gk: np.ndarray, ids: np.ndarray, carries: dict,

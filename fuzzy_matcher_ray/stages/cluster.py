@@ -14,8 +14,8 @@ on node keeps its min root and emits a contracted edge from it to each
 other root, and the contracted edges are labelled the same way in at most
 half as many ranges, so the depth is at most ⌈log2 R⌉ with no round cap.
 Roots are node ids and a min of mins is the min, so every label is its
-component's min id. Edges that fit ``cfg.driver_uf_max_edges`` are one
-range on the driver (no execution); 0 forces the contraction.
+component's min id. Edges within the driver budget (gate "labels") are
+one range on the driver (no execution); ``FMR_DRIVER_BYTES=0`` contracts.
 
 ``relabel`` maps ids through the labels (broadcast or key-local): the
 doc fill of ``cluster_edges``, each contraction level's roots, and a
@@ -32,12 +32,11 @@ import ray
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.unionfind import connected_components
 from fuzzy_matcher_ray.stages.candidates import _collect_driver_table
-from fuzzy_matcher_ray.stages import joins
+from fuzzy_matcher_ray.stages import gates
 from fuzzy_matcher_ray.stages.joins import (DriverBlocks, _collect_columns,
-                                            _Lookup, as_dataset,
-                                            attach_columns, map_blocks,
-                                            map_segments, on_driver,
-                                            sorted_side)
+                                            _Lookup, as_dataset, keyed_join,
+                                            map_blocks, map_segments, nbytes,
+                                            on_driver, sorted_side)
 
 # the label column ``relabel`` attaches and its fill drops
 _LABEL = "__fmr_label"
@@ -101,7 +100,7 @@ def component_labels(edges, cfg: PipelineConfig, ranges: int | None = None):
     the ranges, at most ``ranges`` of them (all when None; a contraction
     level passes half its own)."""
     edges = edges.materialize()
-    if edges.count() <= cfg.driver_uf_max_edges:
+    if gates.decide("labels", nbytes(edges)) == "driver":
         # a materialized edge set collects from its blocks with no execution
         return DriverBlocks([_union_find(
             _collect_driver_table(edges, ["a", "b"]))])
@@ -114,9 +113,11 @@ def component_labels(edges, cfg: PipelineConfig, ranges: int | None = None):
     seg = map_segments(local, ["node"], _contract)
     contracted = map_blocks(seg, lambda t: t.filter(pc.not_equal(
         t["label"], t["root"])).select(["label", "root"])
-        .rename_columns(["a", "b"]))
+        .rename_columns(["a", "b"])).materialize()
     roots = map_blocks(seg, lambda t: t.filter(pc.equal(
         t["label"], t["root"])).select(["node", "label"]))
+    if not contracted.count():      # the ranges share no node: done
+        return roots
     return relabel(roots, "label", "label",
                    component_labels(contracted, cfg, ranges // 2), cfg)
 
@@ -126,11 +127,11 @@ def relabel(ds, key: str, out: str, labels, cfg: PipelineConfig):
     after it) set to the label of each row's ``key`` in ``labels`` (node,
     label), or to the ``key`` value where ``labels`` holds none.
 
-    While the labels broadcast, the lookup and the fill are one per-batch
-    function (``joins.map_blocks``): on the driver over a small pinned
-    ``ds``, where the sorted labels are looked up as they are, else a Ray
-    map that fetches them by ref. Past that, a key-local join attaches the
-    labels.
+    While the labels broadcast (gate "relabel"), the lookup and the fill
+    are one per-batch function (``joins.map_blocks``): on the driver over
+    a small pinned ``ds``, where the sorted labels are looked up as they
+    are, else a Ray map that fetches them by ref. Past that, a key-local
+    join attaches the labels.
     """
     def _fill(t: pa.Table) -> pa.Table:
         i = t.column_names.index(key)
@@ -139,15 +140,15 @@ def relabel(ds, key: str, out: str, labels, cfg: PipelineConfig):
         return t.add_column(i + (out != key), out, lab)
 
     labels = labels.materialize()
-    if labels.count() <= joins.BROADCAST_MAX_ROWS:
+    if gates.decide("relabel", nbytes(labels)) == "broadcast":
         tbl = _collect_columns(labels, ["node", "label"])
         side = sorted_side(tbl["node"], tbl, ["label"])
-        lookup = _Lookup(side if on_driver(ds) else ray.put(side),
+        lookup = _Lookup(side if on_driver(ds, "blocks") else ray.put(side),
                          key, {"label": _LABEL}, "left")
         return map_blocks(ds, lambda t: _fill(lookup(t)))
-    return map_blocks(attach_columns(
-        ds, labels, key, "node", {"label": _LABEL}, how="left",
-        strategy="shuffle", num_partitions=cfg.join_num_partitions), _fill)
+    return map_blocks(keyed_join(ds, labels, [key], ["node"],
+                                 {"label": _LABEL}, "left",
+                                 cfg.join_num_partitions), _fill)
 
 
 def cluster_edges(edges, docs, cfg: PipelineConfig):

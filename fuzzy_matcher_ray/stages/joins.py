@@ -4,15 +4,14 @@ executor of every key-local operator.
 ≙ reference entry materialization ``fmc.Entries[id]``
 (fuzzy_matcher_core.go:272) — an O(1) RAM map lookup becomes one sorted-array
 lookup (``lookup``: ``searchsorted`` per batch) against either (a) the whole
-lookup side, sorted and put in the object store once (no shuffle), while it
-holds at most ``BROADCAST_MAX_ROWS`` rows, or (b) each sort range's own
-lookup rows (``keyed_join`` on ``key_local``: both sides tagged, unioned
-into one schema and range-sorted on the key; the lookup rows of the keys
-that straddle a range edge reach every range by ref, so a hot key's probe
-rows stay on their ranges). ``strategy="auto"`` picks by the lookup side's
-row count, read against ``BROADCAST_MAX_ROWS`` at call time; at 10^12-doc
-scale the doc-side attach is always key-local. The range sort is the
-package's one shuffle: no hash join and no aggregator actors.
+lookup side, sorted and put in the object store once (no shuffle), while
+its bytes fit the broadcast budget (``gates``), or (b) each sort range's
+own lookup rows (``keyed_join`` on ``key_local``: both sides tagged,
+unioned into one schema and range-sorted on the key; the lookup rows of
+the keys that straddle a range edge reach every range by ref, so a hot
+key's probe rows stay on their ranges). At 10^12-doc scale the doc-side
+attach is always key-local. The range sort is the package's one shuffle:
+no hash join and no aggregator actors.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data.dataset import MaterializedDataset
 
-BROADCAST_MAX_ROWS = 2_000_000
+from fuzzy_matcher_ray.stages import gates
 
 
 # Target bytes per shuffle partition. Partitions far smaller than this drown
@@ -136,18 +135,34 @@ def as_dataset(ds):
     return ds.dataset() if isinstance(ds, DriverBlocks) else ds
 
 
-def on_driver(ds, out_rows=None) -> bool:
-    """The condition of every driver branch: ``ds`` is pinned and
-    ``out_rows(ds)`` (a bound on the output rows read from metadata ``ds``
-    holds; its row count when None) is within
-    ``candidates.DRIVER_EXPLODE_MAX_ROWS``, read at call time
-    (``FMR_DRIVER_EXPLODE_MAX_ROWS=0`` forces every distributed branch)."""
-    from fuzzy_matcher_ray.stages import candidates
+def nbytes(ds) -> int | None:
+    """``ds``'s in-memory bytes read from metadata, with no execution:
+    driver blocks' own ``nbytes``, else ``plan_bytes``."""
+    if isinstance(ds, DriverBlocks):
+        return sum(t.nbytes for t in ds.tables)
+    return plan_bytes(ds)
 
+
+def pinned_bytes(ds):
+    """(ds, ``nbytes``), ``ds`` pinned first when its plan knows no size:
+    no gate decides on an unknown size."""
+    n = nbytes(ds)
+    if n is None:
+        ds = ds.materialize()
+        n = nbytes(ds)
+    return ds, n
+
+
+def on_driver(ds, name: str, out_rows=None) -> bool:
+    """Whether ``ds`` is pinned and gate ``name`` picks the driver for its
+    bytes, scaled by ``out_rows(ds)`` (an output-row bound read from its
+    metadata) over its row count when given."""
     if not is_pinned(ds):
         return False
-    return (ds.count() if out_rows is None else out_rows(ds)) \
-        <= candidates.DRIVER_EXPLODE_MAX_ROWS
+    n = nbytes(ds)
+    if out_rows is not None:
+        n = n * out_rows(ds) // max(ds.count(), 1)
+    return gates.decide(name, n) == "driver"
 
 
 def block_refs(mat) -> list | None:
@@ -203,20 +218,13 @@ def _driver_tables(ds) -> list[pa.Table]:
 
 
 def map_blocks(ds, fn, out_rows=None):
-    """``fn`` (pyarrow Table → Table) over every block of ``ds``.
-
-    A Dataset execution has a fixed cost (~50 ms on one vCPU for a
-    trivial map over two materialized blocks), and handing driver tables
-    to Ray and back costs a ``from_blocks``, a ``ray.put`` per block and a
-    ``ray.get`` per block (``DriverBlocks``: ~2, 0.5 and 0.4 ms), all of
-    which dwarf a reshape of a few thousand rows. So when ``ds`` is
-    pinned and small (``on_driver(ds, out_rows)``), ``fn`` runs on the
-    driver over its blocks and the result is driver blocks, one per input
-    block: no execution and no object-store round trip. A lazy source (a
-    checkpoint read, a prior run's artifact) or a large one gets the lazy
-    ``map_batches(fn)``; ``FMR_DRIVER_EXPLODE_MAX_ROWS=0`` forces it.
-    """
-    if on_driver(ds, out_rows):
+    """``fn`` (pyarrow Table → Table) over every block of ``ds``: on the
+    driver when ``ds`` is pinned and gate "blocks" keeps it there
+    (``on_driver``), driver blocks one per input block, with no execution
+    and no object-store round trip (``DriverBlocks`` gives their costs);
+    else, for a lazy source (a checkpoint read, a prior run's artifact)
+    or a large one, the lazy ``map_batches(fn)``."""
+    if on_driver(ds, "blocks", out_rows):
         blocks = _driver_tables(ds)
         if blocks:
             return DriverBlocks([fn(t) for t in blocks])
@@ -231,33 +239,37 @@ def map_segments(ds, keys: list[str], fn, block_rows: int | None = None):
     and count, per-doc top-k, min-rep, span rebuild).
 
     ``fn`` must be correct for any table that holds every row of each
-    ``keys`` value it contains, and sorts its own rows. When ``ds`` is
-    pinned and small (``on_driver``), ``fn`` runs once on the driver over
-    its blocks and the result is driver blocks of ``block_rows`` rows (one
-    block when None): no execution. Otherwise ``ds`` is range-sorted on
+    ``keys`` value it contains, and sorts its own rows. When ``ds``'s
+    bytes are known (``nbytes``: a lazy input's off its plan) and gate
+    "segments" picks the driver, ``ds`` is pinned and ``fn`` runs once on
+    the driver over its blocks: driver blocks of ``block_rows`` rows (one
+    block when None), no execution. Otherwise ``ds`` is range-sorted on
     ``keys`` and ``fn`` runs block by block (``_map_sorted``): zero
     per-group Python calls. The sort cuts as many ranges as ``ds`` has
     blocks.
     """
-    if on_driver(ds):
-        if ds.schema() is None:     # no rows and no schema: nothing to run
-            return ds
-        out = fn(collect_table(ds))
-        rows = block_rows or max(len(out), 1)
-        return DriverBlocks([out.slice(lo, rows)
-                             for lo in range(0, max(len(out), 1), rows)])
-    return _map_sorted(as_dataset(ds).sort(keys).materialize(), keys, fn)
+    n = nbytes(ds)
+    if n is None or gates.decide("segments", n) != "driver":
+        return _map_sorted(as_dataset(ds).sort(keys).materialize(), keys, fn)
+    if not is_pinned(ds):
+        ds = ds.materialize()
+    if ds.schema() is None:     # no rows and no schema: nothing to run
+        return ds
+    out = fn(collect_table(ds))
+    rows = block_rows or max(len(out), 1)
+    return DriverBlocks([out.slice(lo, rows)
+                         for lo in range(0, max(len(out), 1), rows)])
 
 
 def union(*parts):
     """``parts`` as one dataset: driver blocks when every part is pinned
-    and together they pass ``on_driver`` (a materialized part's blocks
-    fetched by ref), else a lazy Ray union. One part is returned as it
-    is."""
+    and gate "union" picks the driver for their bytes together (a
+    materialized part's blocks fetched by ref), else a lazy Ray union.
+    One part is returned as it is."""
     if len(parts) == 1:
         return parts[0]
-    if all(is_pinned(p) for p in parts) and \
-            on_driver(parts[0], lambda _: sum(p.count() for p in parts)):
+    if all(is_pinned(p) for p in parts) and gates.decide(
+            "union", sum(nbytes(p) for p in parts)) == "driver":
         return DriverBlocks([t for p in parts for t in _driver_tables(p)])
     first, *rest = (as_dataset(p) for p in parts)
     return first.union(*rest)
@@ -629,9 +641,9 @@ def key_local(ds, other, on: list[str], right_on: list[str], cols: list[str],
 
     Both sides are pinned first (``_pin``): the sort is a barrier anyway,
     and both schemas are then metadata (``schema()`` of a lazy dataset
-    runs an early-stopped ``limit=1`` execution of it). A union of at most
-    ``candidates.DRIVER_EXPLODE_MAX_ROWS`` rows tagged on the driver runs
-    ``fn`` once there (``map_segments``); a larger one is range-sorted on
+    runs an early-stopped ``limit=1`` execution of it). A union tagged on
+    the driver (``union``) runs ``fn`` once there (``map_segments``); a
+    larger one is range-sorted on
     ``on`` into ``partitions_for(num_partitions, …)`` ranges (a union's
     block count is the sum of its sides', so joins fed join outputs
     would compound it) and run block by block by
@@ -642,7 +654,7 @@ def key_local(ds, other, on: list[str], right_on: list[str], cols: list[str],
         return ds
     right = _pin(project(other, [*right_on, *cols]))
     tagged = tagged_union(ds, right, on, right_on, cols)
-    if on_driver(tagged):
+    if isinstance(tagged, DriverBlocks):
         return map_segments(tagged, on, fn)
     parts = partitions_for(num_partitions, plan_bytes(tagged))
     srt = tagged.repartition(parts).sort(on).materialize()
@@ -664,20 +676,18 @@ def keyed_join(ds, other, on: list[str], right_on: list[str],
 
 def attach_columns(ds, other, left_key: str, right_key: str,
                    cols: dict[str, str], *, how: str = "inner",
-                   strategy: str = "auto", num_partitions: int = 32):
+                   num_partitions: int = 32):
     """Attach ``cols`` (value_col → out_col) from ``other`` onto ``ds``.
 
     how="inner" drops rows of ds with no match; how="left" keeps them
     (nulls); "semi" and "anti" keep the matched / unmatched rows and
-    attach nothing (``cols`` empty). ``strategy="auto"`` broadcasts
-    ``other`` while it holds at most ``BROADCAST_MAX_ROWS`` rows (read at
-    call time) and joins key-local (``keyed_join``, "shuffle") past that,
-    in at most ``num_partitions`` sort ranges.
+    attach nothing (``cols`` empty). ``other`` is broadcast while gate
+    "attach" keeps its bytes within the broadcast budget (``other``
+    pinned first when its plan knows no size), else joined key-local
+    (``keyed_join``) in at most ``num_partitions`` sort ranges.
     """
-    if strategy == "auto":
-        strategy = ("broadcast" if other.count() <= BROADCAST_MAX_ROWS
-                    else "shuffle")
-    if strategy == "broadcast":
+    other, n = pinned_bytes(other)
+    if gates.decide("attach", n) == "broadcast":
         return as_dataset(ds).map_batches(
             broadcast_lookup(other, left_key, right_key, cols, how),
             batch_format="pyarrow")
@@ -688,9 +698,10 @@ def attach_columns(ds, other, left_key: str, right_key: str,
 def anti_lookup(other, left_key: str, right_key: str):
     """The per-batch function of a broadcast anti join: drops the rows
     whose ``left_key`` is among ``other``'s ``right_key`` values, collected
-    and put in the object store once. None when ``other`` is past
-    ``BROADCAST_MAX_ROWS`` (the caller joins key-local instead)."""
-    if other.count() > BROADCAST_MAX_ROWS:
+    and put in the object store once. None when gate "anti" does not
+    broadcast ``other`` (the caller joins key-local instead)."""
+    other, n = pinned_bytes(other)
+    if gates.decide("anti", n) != "broadcast":
         return None
     return broadcast_lookup(other, left_key, right_key, {}, "anti")
 

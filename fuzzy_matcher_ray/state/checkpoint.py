@@ -33,7 +33,7 @@ import ray
 import ray.data as rd
 from ray.data.block import BlockAccessor
 
-from fuzzy_matcher_ray.stages.joins import as_dataset, block_refs, is_pinned
+from fuzzy_matcher_ray.stages.joins import DriverBlocks, block_refs, is_pinned
 
 
 class Checkpointer:
@@ -108,27 +108,30 @@ class Checkpointer:
 
 
 def _write_blocks(ds, path: str, empty_schema=None) -> None:
-    """Write ``ds`` into the directory ``path`` as Parquet: one Ray task per
-    block, each writing a non-empty block as ``part-NNNNN.parquet``, NNNNN
-    the block's index, so a retried task overwrites its own file.
+    """Write ``ds`` into the directory ``path`` as Parquet, each non-empty
+    block as ``part-NNNNN.parquet``, NNNNN the block's index, so a retried
+    write overwrites its own file: driver blocks from the driver, where
+    they sit, Ray blocks by one Ray task each (a pinned dataset's refs
+    read off its plan, a lazy one's streamed from one execution).
 
-    A pinned dataset's block refs are read off its plan, with no
-    execution (driver blocks are put in the object store for it:
-    ``joins.as_dataset``); a lazy one's stream from one execution. A
-    zero-row dataset would leave no file, which breaks the atomic
+    A zero-row dataset would leave no file, which breaks the atomic
     tmp→rename and a later ``read_parquet``, so one empty part then pins
     the schema (``_empty_part_schema``). A failed write removes ``path``:
-    the callers write into a fresh tmp dir, renamed into place only once
-    it is whole.
+    the callers write into a fresh tmp dir, renamed once it is whole.
     """
-    refs = block_refs(as_dataset(ds)) if is_pinned(ds) else None
-    if refs is None:
-        refs = (r for bundle in ds.iter_internal_ref_bundles()
-                for r in bundle.block_refs)
     os.makedirs(path, exist_ok=True)
     try:
-        if not any(ray.get([_write_block.remote(ref, path, i)
-                            for i, ref in enumerate(refs)])):
+        if isinstance(ds, DriverBlocks):
+            written = [_write_part(t, path, i)
+                       for i, t in enumerate(ds.tables)]
+        else:
+            refs = block_refs(ds)   # None unless the plan holds its blocks
+            if refs is None:
+                refs = (r for bundle in ds.iter_internal_ref_bundles()
+                        for r in bundle.block_refs)
+            written = ray.get([_write_block.remote(ref, path, i)
+                               for i, ref in enumerate(refs)])
+        if not any(written):
             pq.write_table(_empty_part_schema(ds, empty_schema).empty_table(),
                            os.path.join(path, "part-empty.parquet"))
     except BaseException:

@@ -9,7 +9,7 @@
    contraction has no cap).
 """
 
-import dataclasses
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -87,19 +87,18 @@ def test_winnow_small_doc_fingerprints_batch_independent():
 
 def test_distributed_labels_long_chain_converges(ray_session, monkeypatch):
     """A 1,500-node path, far deeper than any round cap, labelled with
-    ``driver_uf_max_edges=0`` and every key-local operator on Ray, over 4
-    ranges: the contraction has no round cap to run out of. Its edges run
+    the driver budget forced to 0 (every range and key-local operator on
+    Ray), over 4 ranges: the contraction has no round cap to run out of. Its edges run
     once in ascending and once in descending id order, so the ranges get
     different local roots."""
     import ray.data as rd
 
     from fuzzy_matcher_ray.config import PipelineConfig
-    from fuzzy_matcher_ray.stages import candidates
     from fuzzy_matcher_ray.stages.cluster import cluster_edges
-    monkeypatch.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 0)
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
     n = 1500
     docs = rd.from_arrow(pa.table({"doc_id": pa.array(np.arange(n, dtype=np.int64))}))
-    cfg = dataclasses.replace(PipelineConfig(), driver_uf_max_edges=0)
+    cfg = PipelineConfig()
     a = np.arange(n - 1, dtype=np.int64)
     for ends in (a, a[::-1]):
         edges = rd.from_arrow([pa.table({"a": c, "b": c + 1})
@@ -128,20 +127,20 @@ def _named_graph(kind: str, n: int, blocks: int) -> list[tuple]:
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["pairs", "path", "star", "cut"]),
        n=st.integers(1, 40), blocks=st.sampled_from([1, 2, 7]),
-       on_ray=st.booleans(), data=st.data())
-def test_forced_labels_equal_union_find(ray_session, kind, n, blocks,
-                                        on_ray, data):
-    """``component_labels`` with ``driver_uf_max_edges=0`` over the named
-    graphs cut in 1, 2 and 7 ranges, on the driver or on Ray, equals one
-    union-find over all edges byte for byte. Node ids are permuted (the
-    star's hub keeps the largest), so local roots move between ranges."""
+       data=st.data())
+def test_forced_labels_equal_union_find(ray_session, kind, n, blocks, data):
+    """``component_labels`` with the driver budget forced to 0 over the
+    named graphs cut in 1, 2 and 7 ranges on Ray equals one union-find
+    over all edges byte for byte. Node ids are permuted (the star's hub
+    keeps the largest), so local roots move between ranges. (One budget
+    covers the labels and the ranges' key-local steps alike, so a
+    contraction over driver blocks is no longer a branch of its own.)"""
     import ray.data as rd
 
     from fuzzy_matcher_ray.config import PipelineConfig
     from fuzzy_matcher_ray.functions.unionfind import connected_components
-    from fuzzy_matcher_ray.stages import candidates
     from fuzzy_matcher_ray.stages.cluster import component_labels
-    from fuzzy_matcher_ray.stages.joins import DriverBlocks, collect_table
+    from fuzzy_matcher_ray.stages.joins import collect_table
 
     parts = _named_graph(kind, n, blocks)
     size = 1 + max(int(max(a.max(initial=0), b.max(initial=0)))
@@ -154,12 +153,16 @@ def test_forced_labels_equal_union_find(ray_session, kind, n, blocks,
     nodes, labels = connected_components(
         *(np.concatenate([t[c].to_numpy() for t in tables]) for c in "ab"))
     want = pa.table({"node": nodes, "label": labels})
-    cfg = dataclasses.replace(PipelineConfig(), driver_uf_max_edges=0)
-    budget = candidates.DRIVER_EXPLODE_MAX_ROWS
-    candidates.DRIVER_EXPLODE_MAX_ROWS = 0 if on_ray else budget
+    # hypothesis runs every example in one function-scoped fixture, so
+    # the env var is set and restored here instead of by monkeypatch
+    budget = os.environ.get("FMR_DRIVER_BYTES")
+    os.environ["FMR_DRIVER_BYTES"] = "0"
     try:
-        got = collect_table(component_labels(
-            rd.from_arrow(tables) if on_ray else DriverBlocks(tables), cfg))
+        got = collect_table(component_labels(rd.from_arrow(tables),
+                                             PipelineConfig()))
     finally:
-        candidates.DRIVER_EXPLODE_MAX_ROWS = budget
+        if budget is None:
+            del os.environ["FMR_DRIVER_BYTES"]
+        else:
+            os.environ["FMR_DRIVER_BYTES"] = budget
     assert got.sort_by("node").equals(want)

@@ -119,12 +119,12 @@ def test_bpe_overlap_run_semantics(ray_session, tmp_path):
 
 
 def test_bpe_distributed_twin_parity(ray_session, bpe_corpus, monkeypatch):
-    """FMR_BPE_DRIVER_MAX_ROWS=0 forces the Dataset-per-round twin; the
+    """FMR_DRIVER_BYTES=0 forces the Dataset-per-round twin; the
     merge table must be byte-identical to the driver loop's."""
     import fuzzy_matcher_ray.pipelines.bpe as bpe
     sf, texts = bpe_corpus
     driver = bpe.bpe_train(sf, n_merges=8)
-    monkeypatch.setattr(bpe, "DRIVER_WORDS_MAX_ROWS", 0)
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
     dist = bpe.bpe_train(sf, n_merges=8)
     assert driver.equals(dist)
     exp, _ = _ref_bpe_train(texts, 8)

@@ -165,7 +165,8 @@ def test_run_report_lineage(ray_session, tmp_path):
 
 
 def test_fault_inside_the_writer_leaves_no_stage(docs, tmp_path, monkeypatch):
-    """A block write that raises mid-stage fails the stage without a
+    """A block write that raises mid-stage, in a Ray write task or on the
+    driver (a driver-block stage), fails the stage without a
     ``data`` dir or a manifest that a resume would accept; a rerun into
     the same root rebuilds it and labels as an uncheckpointed run. The
     part names are the block indices, so writing the same pinned blocks
@@ -178,10 +179,17 @@ def test_fault_inside_the_writer_leaves_no_stage(docs, tmp_path, monkeypatch):
     from fuzzy_matcher_ray.pipelines.dedup import find_duplicates
     from fuzzy_matcher_ray.state import checkpoint
 
+    write_part = checkpoint._write_part
+
     def fail_second_block(block, path, i):
         if i == 1:
             raise OSError("injected write failure")
-        return checkpoint._write_part(block, path, i)
+        return write_part(block, path, i)
+
+    def fail_edges(block, path, i):
+        if os.sep + "edges_all" + os.sep in path:
+            raise OSError("injected driver write failure")
+        return write_part(block, path, i)
 
     cfg = PipelineConfig()
     root = str(tmp_path / "ck")
@@ -192,6 +200,16 @@ def test_fault_inside_the_writer_leaves_no_stage(docs, tmp_path, monkeypatch):
     # normalize, the first stage, holds several blocks: it failed
     assert os.listdir(os.path.join(root, "normalize")) == []
     assert not os.path.exists(os.path.join(root, "signatures"))
+    # edges_all is driver blocks, written from the driver: its failed
+    # write leaves the stages before it whole and no edges_all
+    driver_root = str(tmp_path / "ck_driver")
+    with monkeypatch.context() as m:
+        m.setattr(checkpoint, "_write_part", fail_edges)
+        with pytest.raises(OSError, match="injected driver write failure"):
+            _run(docs, driver_root, cfg)
+    ck = Checkpointer(driver_root, cfg.config_hash())
+    assert [ck.has(s) for s in LINK_STAGES] == [True, True, False, False]
+    assert os.listdir(os.path.join(driver_root, "edges_all")) == []
 
     out, ck = _run(docs, root, cfg)
     assert not any(m.get("resumed") for m in ck.metrics.values())

@@ -2,8 +2,6 @@
 strategy (b)): planted-duplicate corpus, dup-pair recall >= 0.99, cluster
 sanity, driver vs distributed clustering equality."""
 
-import dataclasses
-
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -88,7 +86,7 @@ def test_full_pipeline_clusters(corpus):
     assert len({label[i] for i in empties}) == len(empties)
 
 
-def test_driver_vs_distributed_clustering(corpus):
+def test_driver_vs_distributed_clustering(corpus, monkeypatch):
     import ray.data as rd
     from fuzzy_matcher_ray.stages.cluster import cluster_edges
     docs, _, _ = corpus
@@ -98,8 +96,8 @@ def test_driver_vs_distributed_clustering(corpus):
         for a, b in (([0, 6], [1, 7]), ([1, 5], [2, 6]), ([7], [8]))])
     ids = docs.select_columns(["doc_id"])
     d1 = cluster_edges(edges, ids, CFG).to_pandas()
-    d2 = cluster_edges(edges, ids, dataclasses.replace(
-        CFG, driver_uf_max_edges=0)).to_pandas()
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
+    d2 = cluster_edges(edges, ids, CFG).to_pandas()
     m1 = dict(zip(d1.doc_id, d1.cluster_id))
     m2 = dict(zip(d2.doc_id, d2.cluster_id))
     assert m1 == m2

@@ -44,7 +44,7 @@ def test_sorted_explode_matches_driver_path(band_rows, monkeypatch):
     cfg = PipelineConfig()
     driver = _pairs_set(C.key_pairs(band_rows, ["band", "band_hash"], cfg))
     # force the distributed sort-based explode
-    monkeypatch.setattr(C, "DRIVER_EXPLODE_MAX_ROWS", 10)
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
     dist = _pairs_set(C.key_pairs(band_rows, ["band", "band_hash"], cfg))
     assert driver == dist and len(driver) > 0
 
@@ -61,9 +61,8 @@ def test_full_pipeline_distributed_paths(ray_session, monkeypatch):
         "url": pages["url"], "text": pages["text"], "lang": pages["lang"]})
     fast = find_duplicates(rd.from_arrow(tbl), cfg) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    monkeypatch.setattr(C, "DRIVER_EXPLODE_MAX_ROWS", 10)
-    slow = find_duplicates(rd.from_arrow(tbl),
-                           dataclasses.replace(cfg, driver_uf_max_edges=0)) \
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
+    slow = find_duplicates(rd.from_arrow(tbl), cfg) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert fast[["doc_id", "cluster_id"]].equals(slow[["doc_id", "cluster_id"]])
 
@@ -81,7 +80,7 @@ def test_jaccard_allpairs_distributed_parity(ray_session, monkeypatch):
     fast = jaccard_allpairs_clusters(ds) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert (fast.doc_id != fast.cluster_id).sum() > 0  # planted dups found
-    monkeypatch.setattr(C, "DRIVER_EXPLODE_MAX_ROWS", 10)
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
     slow = jaccard_allpairs_clusters(ds) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert fast.equals(slow)
@@ -183,10 +182,9 @@ ray.init(address="local", num_cpus=1, include_dashboard=False,
          logging_level="ERROR")
 import ray.data as rd
 rd.DataContext.get_current().enable_progress_bars = False
-from dataclasses import replace
+import logging
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.pipelines.dedup import find_duplicates, incremental_update
-from fuzzy_matcher_ray.stages import candidates, joins
 from fuzzy_matcher_ray.stages.joins import collect_table
 from fuzzy_matcher_ray.state.checkpoint import Checkpointer
 from fuzzy_matcher_ray.sources.webpages import make_webpages
@@ -212,16 +210,27 @@ def _execute(executor, dag, *args, **kwargs):
 
 
 StreamingExecutor.execute = _execute
-assert candidates.DRIVER_EXPLODE_MAX_ROWS == 0
-# every attach, anti-join, semi-join and text attach takes the key-local join
-joins.BROADCAST_MAX_ROWS = 0
-candidates.BROADCAST_KEYS_MAX = 0
+
+
+# every gate decision (name, nbytes, branch), off the gates module's log
+class _Decisions(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.seen = []
+
+    def emit(self, record):
+        self.seen.append(record.args)
+
+
+decisions = _Decisions()
+logging.getLogger("fuzzy_matcher_ray.stages.gates").addHandler(decisions)
+logging.getLogger("fuzzy_matcher_ray.stages.gates").setLevel(logging.DEBUG)
 out = sys.argv[1]
 pages, _ = make_webpages(750, seed=5)
 t = pa.table({"doc_id": pa.array(range(len(pages)), pa.int64()),
               "url": pages["url"], "text": pages["text"],
               "lang": pages["lang"]})
-cfg = replace(PipelineConfig(), driver_uf_max_edges=0)
+cfg = PipelineConfig()
 link0 = find_duplicates(rd.from_blocks([t.slice(0, 400)]), cfg,
                         checkpointer=Checkpointer(out + "/link0",
                                                   cfg.config_hash()))
@@ -230,15 +239,22 @@ fold = incremental_update([out + "/link0"], rd.from_blocks([t.slice(400)]), cfg)
 pq.write_table(collect_table(fold), out + "/fold.parquet")
 assert early == [], early
 assert grouped == [], grouped
+# both budgets 0: every gate takes its distributed or join branch
+names = {name for name, _, _ in decisions.seen}
+assert {"blocks", "segments", "labels", "attach", "relabel", "texts",
+        "keys", "anti"} <= names, names
+assert all(b in ("distributed", "join") for _, _, b in decisions.seen), [
+    d for d in decisions.seen if d[2] not in ("distributed", "join")]
 ray.shutdown()
 """
 
 
 def _run_forced_one_cpu(script: str, tmp_path, *args: str) -> None:
     """Run ``script`` with argv ``tmp_path, *args`` in a subprocess with
-    FMR_DRIVER_EXPLODE_MAX_ROWS=0 under a hard timeout; it starts its own
-    1-CPU Ray."""
-    env = dict(os.environ, FMR_DRIVER_EXPLODE_MAX_ROWS="0",
+    both budgets forced to 0 (``FMR_DRIVER_BYTES=0 FMR_BROADCAST_BYTES=0``,
+    the cluster shape) under a hard timeout; it starts its own 1-CPU
+    Ray."""
+    env = dict(os.environ, FMR_DRIVER_BYTES="0", FMR_BROADCAST_BYTES="0",
                PYTHONPATH=os.pathsep.join(
                    [os.path.dirname(os.path.dirname(__file__)),
                     os.environ.get("PYTHONPATH", "")]))
@@ -258,12 +274,12 @@ def _run_forced_one_cpu(script: str, tmp_path, *args: str) -> None:
 
 
 def test_forced_twins_one_cpu_flagship_and_fold(ray_session, tmp_path):
-    """Every key-local operator on its distributed branch
-    (FMR_DRIVER_EXPLODE_MAX_ROWS=0), every join key-local (both broadcast
-    budgets 0) and labelling contracted over ranges, on a 1-CPU Ray: a
-    checkpointed flagship (chain link 0) and one fold finish, start no
-    execution that stops after one row (``limit=1``) and none that holds
-    a groupby, and label every doc as the default run does. The session
+    """Every key-local operator on its distributed branch, every join
+    key-local and labelling contracted over ranges (both budgets 0), on a
+    1-CPU Ray: a checkpointed flagship (chain link 0) and one fold finish,
+    every gate decision logged takes its distributed or join branch, no
+    execution stops after one row (``limit=1``) and none holds a groupby,
+    and every doc is labelled as the default run labels it. The session
     fixture has 4 CPUs, so the run starts its own Ray in a subprocess."""
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -310,10 +326,8 @@ ray.init(address="local", num_cpus=1, include_dashboard=False,
 import ray.data as rd
 rd.DataContext.get_current().enable_progress_bars = False
 import __ray_entry__ as entry
-from fuzzy_matcher_ray.stages import candidates
 from fuzzy_matcher_ray.stages.joins import collect_table
 
-assert candidates.DRIVER_EXPLODE_MAX_ROWS == 0
 out, sf = sys.argv[1], sys.argv[2]
 queries = entry.queries()
 for name in sys.argv[3].split(","):
@@ -324,9 +338,9 @@ ray.shutdown()
 
 def test_forced_twins_one_cpu_moved_queries(ray_session, tmp_path):
     """The grouped top-k, event-join and entity-match queries with their
-    key-local kernels on the range-sort branch of ``map_segments``
-    (FMR_DRIVER_EXPLODE_MAX_ROWS=0), on a 1-CPU Ray, give the default
-    run's rows."""
+    key-local kernels on the range-sort branch of ``map_segments`` and
+    their joins key-local (both budgets 0), on a 1-CPU Ray, give the
+    default run's rows."""
     import pyarrow.parquet as pq
 
     from test_entry_contract import SF_DIR
@@ -374,7 +388,7 @@ def _join_sides(key: str):
 def test_keyed_join_matches_broadcast_lookup(ray_session, monkeypatch, how,
                                              key):
     """``joins.keyed_join`` on its range-sort branch
-    (``DRIVER_EXPLODE_MAX_ROWS = 0``, left rows over 7 blocks) keeps and
+    (``FMR_DRIVER_BYTES=0``, left rows over 7 blocks) keeps and
     attaches exactly what the broadcast lookup does, with the same
     schema: keys absent from either side, an empty right side, a string
     key, and a two-column key (its broadcast twin looks up one column
@@ -383,7 +397,7 @@ def test_keyed_join_matches_broadcast_lookup(ray_session, monkeypatch, how,
     from fuzzy_matcher_ray.stages.joins import (_Lookup, broadcast_table,
                                                 collect_table, keyed_join)
 
-    monkeypatch.setattr(C, "DRIVER_EXPLODE_MAX_ROWS", 0)
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
 
     left, right, on, right_on = _join_sides("int" if key == "empty" else key)
     if key == "empty":
@@ -468,7 +482,7 @@ def test_block_pairs_match_pandas_merge(ray_session, monkeypatch):
     from fuzzy_matcher_ray.pipelines.entity_match import _block_pairs
     from fuzzy_matcher_ray.stages.joins import collect_table, key_local
 
-    monkeypatch.setattr(C, "DRIVER_EXPLODE_MAX_ROWS", 0)
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
     rng = np.random.default_rng(5)
 
     def keys(n, lo):
@@ -500,7 +514,7 @@ def test_key_local_hot_key_gathers_no_rows_on_driver(ray_session,
     from fuzzy_matcher_ray.pipelines.entity_match import _block_pairs
     from fuzzy_matcher_ray.stages import joins
 
-    monkeypatch.setattr(C, "DRIVER_EXPLODE_MAX_ROWS", 0)
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
     monkeypatch.setattr(joins, "TARGET_PARTITION_BYTES", 1 << 10)
     rng = np.random.default_rng(3)
     n = 4000

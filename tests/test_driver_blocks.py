@@ -80,7 +80,7 @@ def test_map_blocks_and_segments_stay_on_the_driver(ray_session, monkeypatch):
     assert isinstance(swapped, DriverBlocks) and swapped.num_blocks() == 2
     assert isinstance(pairs, DriverBlocks)
     assert calls == []
-    monkeypatch.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 0)
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
     forced = joins.map_segments(
         joins.map_blocks(src, lambda t: t.select(["b", "a"])), ["a", "b"],
         lambda t: candidates._numpy_dedup_pairs(t, []))
@@ -106,7 +106,8 @@ def test_union_with_a_lazy_dataset(ray_session, monkeypatch):
     assert _sorted(collect_table(union(pinned, lazy))).equals(
         _edges([1, 3, 4, 7], [2, 5, 6, 8]))
     assert union(blocks) is blocks
-    monkeypatch.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 2)
+    # a budget of two (a, b) int64 rows: the union's three rows pass it
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "32")
     assert not isinstance(union(blocks, mat), DriverBlocks)
 
 

@@ -58,7 +58,7 @@ def test_range_join_counts_band(ray_session, tmp_path):
 @pytest.mark.parametrize("forced", [False, True])
 def test_joins_user_across_block_edges(ray_session, monkeypatch, forced):
     """Both join kernels run over whole users: on the driver, and with
-    ``DRIVER_EXPLODE_MAX_ROWS = 0`` per block of a range sort on user_id,
+    ``FMR_DRIVER_BYTES=0`` per block of a range sort on user_id,
     with user 3's 600 events spread over every input block (a user cut
     across sorted blocks is in
     ``test_distributed_paths::test_map_sorted_stitches_boundary_keys``).
@@ -67,7 +67,6 @@ def test_joins_user_across_block_edges(ray_session, monkeypatch, forced):
     import ray.data as rd
 
     from fuzzy_matcher_ray.pipelines import events as ev
-    from fuzzy_matcher_ray.stages import candidates
 
     rng = np.random.default_rng(5)
     rows = [(1, 10 * MIN, 7, "purchase"), (2, 5 * MIN, 8, "signup"),
@@ -88,7 +87,7 @@ def test_joins_user_across_block_edges(ray_session, monkeypatch, forced):
                         lambda sf_dir, columns=None:
                         rd.from_arrow(tbl).repartition(8))
     if forced:
-        monkeypatch.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 0)
+        monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
 
     def _ts(kind):
         return {r[0]: (r[2], r[1]) for r in rows if r[3] == kind}
@@ -146,7 +145,6 @@ def test_user_sessions_block_boundaries_and_twin(ray_session, monkeypatch):
     import ray.data as rd
 
     from fuzzy_matcher_ray.pipelines import events as ev
-    from fuzzy_matcher_ray.stages import candidates
 
     rng = np.random.default_rng(9)
     rows = []
@@ -185,7 +183,7 @@ def test_user_sessions_block_boundaries_and_twin(ray_session, monkeypatch):
     assert got2.astype({"n_events": "int64"}).equals(exp)
 
     # range-sort branch: force the stitch off the driver
-    monkeypatch.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 0)
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
     twin = ev.user_sessions("ignored").to_pandas() \
         .sort_values(["user_id", "session_start"]).reset_index(drop=True)
     assert twin.equals(got2)

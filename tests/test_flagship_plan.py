@@ -130,20 +130,28 @@ def test_checkpointed_flagship_runs_as_the_uncheckpointed_one(shards,
     """A checkpointed run writes normalize, signatures (the sketch),
     edges_all and clusters from the blocks each stage already pinned, so
     it starts the uncheckpointed run's 3 executions: the writes are Ray
-    tasks over block refs, not executions. With each stage written, read
+    tasks over block refs, not executions. The driver-block stages
+    (edges_all, clusters) are written from the driver, so it makes no
+    more ``from_blocks`` and ``ray.put`` calls than the uncheckpointed run
+    either (4 and 13 against 3 and 12 while they were put in the object
+    store for one write task per block). With each stage written, read
     back and counted, and the key rows of those reads run as Ray maps, it
-    took 12; with a winnow_rows stage beside the signatures, 13; with each
-    pass's edges also checkpointed (``edges_<pass>``) and the verifies run
-    as four executions, 17."""
+    took 12 executions; with a winnow_rows stage beside the signatures,
+    13; with each pass's edges also checkpointed (``edges_<pass>``) and
+    the verifies run as four executions, 17."""
     from fuzzy_matcher_ray.pipelines.dedup import find_duplicates
     from fuzzy_matcher_ray.sources.protocol import webpages_source
 
+    with ExecutionCounter().installed() as plain:
+        collect_table(find_duplicates(webpages_source(shards[0]), CFG))
     ck = Checkpointer(str(tmp_path / "ck"), CFG.config_hash())
     with ExecutionCounter().installed() as counter:
         out = collect_table(find_duplicates(webpages_source(shards[0]), CFG,
                                             checkpointer=ck))
     assert len(out) == 400
     assert counter.count == 3
+    assert counter.from_blocks <= plain.from_blocks
+    assert counter.puts <= plain.puts
 
 
 def test_fold_runs_in_twelve_executions(shards, tmp_path):
@@ -190,33 +198,47 @@ def test_two_shard_chain_runs_in_sixteen_executions(shards, tmp_path):
 
 
 def test_forced_flagship_labels_with_no_groupby(shards, monkeypatch):
-    """The flagship on 400 docs with every budget forced to 0 (every
-    key-local operator range-sorted, every join key-local and
-    ``driver_uf_max_edges=0``): the output equals the unforced run's, and
-    no executed DAG holds a groupby (``Aggregate``). Its 416 edges come in
+    """The flagship on 400 docs with both budgets forced to 0 (every
+    key-local operator range-sorted, every join key-local and the labels
+    contracted over ranges): the output equals the unforced run's, and no
+    executed DAG holds a groupby (``Aggregate``). Its 416 edges come in
     6 ranges, so the labeller contracts at most twice (6 → 3 → 1 ranges):
     64 executions when the 3 ranges leave no node shared, 68 when a third
     level runs (the range sort samples its bounds). With the edges on
-    driver union-find (the default ``driver_uf_max_edges``) the same run
-    takes 53; min-label propagation with its groupby rounds took 109."""
-    from dataclasses import replace
-
+    driver union-find the same run took 53; min-label propagation with its
+    groupby rounds took 109."""
     from fuzzy_matcher_ray.pipelines.dedup import find_duplicates
     from fuzzy_matcher_ray.sources.protocol import webpages_source
-    from fuzzy_matcher_ray.stages import candidates, joins
 
     ids = ["doc_id", "cluster_id"]
     want = collect_table(find_duplicates(webpages_source(shards[0]), CFG))
-    monkeypatch.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 0)
-    monkeypatch.setattr(candidates, "BROADCAST_KEYS_MAX", 0)
-    monkeypatch.setattr(joins, "BROADCAST_MAX_ROWS", 0)
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
+    monkeypatch.setenv("FMR_BROADCAST_BYTES", "0")
     with ExecutionCounter().installed() as counter:
-        got = collect_table(find_duplicates(
-            webpages_source(shards[0]), replace(CFG, driver_uf_max_edges=0)))
+        got = collect_table(find_duplicates(webpages_source(shards[0]), CFG))
     assert got.select(ids).sort_by("doc_id").equals(
         want.select(ids).sort_by("doc_id"))
     assert all("Aggregate" not in dag for dag in counter.dags)
     assert counter.count <= 68
+
+
+def test_default_flagship_gates_take_driver_and_broadcast(pages, caplog):
+    """Every gate decision of a default flagship on the 300-doc plan-test
+    corpus, logged by ``stages/gates`` as (name, nbytes, branch), takes
+    the driver or broadcast branch: the bytes sit far inside both
+    budgets."""
+    import logging
+
+    from fuzzy_matcher_ray.pipelines.dedup import find_duplicates
+    from fuzzy_matcher_ray.sources.protocol import webpages_source
+
+    logger = "fuzzy_matcher_ray.stages.gates"
+    with caplog.at_level(logging.DEBUG, logger=logger):
+        collect_table(find_duplicates(webpages_source(pages), CFG))
+    seen = [r.args for r in caplog.records if r.name == logger]
+    assert {"blocks", "segments", "labels", "relabel", "texts"} <= \
+        {name for name, _, _ in seen}
+    assert all(b in ("driver", "broadcast") for _, _, b in seen), seen
 
 
 def test_plan_bytes_executes_nothing(pages):

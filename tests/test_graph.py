@@ -56,7 +56,7 @@ def test_pagerank_driver_distributed_parity(ray_session, monkeypatch):
     import fuzzy_matcher_ray.pipelines.graph as g
     driver = {r["node"]: r["rank"]
               for r in g.pagerank(_edge_ds(PAIRS), n_iter=6).take_all()}
-    monkeypatch.setattr(g, "DRIVER_EDGES_MAX_ROWS", 0)
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
     dist = {r["node"]: r["rank"]
             for r in g.pagerank(_edge_ds(PAIRS), n_iter=6).take_all()}
     assert driver == dist

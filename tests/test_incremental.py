@@ -168,7 +168,6 @@ def test_incremental_distributed_twin(ray_session, tmp_path, monkeypatch):
 
     from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
                                                    incremental_update)
-    from fuzzy_matcher_ray.stages import candidates
     from fuzzy_matcher_ray.state.checkpoint import Checkpointer
 
     cfg = PipelineConfig()
@@ -181,7 +180,7 @@ def test_incremental_distributed_twin(ray_session, tmp_path, monkeypatch):
 
     fast = incremental_update(root, rd.from_arrow(b), cfg).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    monkeypatch.setattr(candidates, "BROADCAST_KEYS_MAX", 0)
+    monkeypatch.setenv("FMR_BROADCAST_BYTES", "0")
     slow = incremental_update(root, rd.from_arrow(b), cfg).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert len(fast) == 370

@@ -161,7 +161,7 @@ def test_join_path_labels_match_broadcast(ray_session, tmp_path, monkeypatch):
     keyed_join = joins.keyed_join
     monkeypatch.setattr(joins, "keyed_join",
                         lambda *a, **k: keyed.append(1) or keyed_join(*a, **k))
-    monkeypatch.setattr(joins, "BROADCAST_MAX_ROWS", 0)
+    monkeypatch.setenv("FMR_BROADCAST_BYTES", "0")
     join_flagship, join_fold = runs("join")
     assert len(attached) == 2 * 3
     assert len(keyed) >= 2 * len(attached)

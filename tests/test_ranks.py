@@ -97,15 +97,14 @@ def test_grouped_topk_rank_col(ray_session, rng):
 
 
 def test_grouped_topk_distributed_merge(ray_session, rng, monkeypatch):
-    """The merge's range-sort branch (``DRIVER_EXPLODE_MAX_ROWS = 0``)
+    """The merge's range-sort branch (``FMR_DRIVER_BYTES=0``)
     over a residue from 7 blocks, every group in each, and the rank
     column, against the pandas oracle (a group cut across sorted blocks
     is in test_distributed_paths' ``topk`` stitch case)."""
     import ray.data as rd
 
-    from fuzzy_matcher_ray.stages import candidates
     from fuzzy_matcher_ray.stages.ranks import grouped_topk
-    monkeypatch.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 0)
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
     n = 4000
     tbl = pa.table({
         "g": pa.array([f"grp{int(x)}" for x in rng.integers(0, 5, n)]),

@@ -64,9 +64,8 @@ def test_doc_winner_distributed_twin(ray_session, tmp_path, monkeypatch):
     """The min-rep kernel's distributed branch (range sort on the key,
     per-block segment min, boundary keys stitched on the driver) gives the
     driver path's (doc_id, w) rows: three copies of the fixture's docs, 24
-    rows past a driver budget of 10."""
+    rows past a driver budget of ten 16-byte key rows."""
     from fuzzy_matcher_ray.pipelines.tier import _doc_winner
-    from fuzzy_matcher_ray.stages import candidates
 
     base = {1: BASE, 2: BASE + " x", 3: "abc", 4: "A b-c!", 5: "unique",
             6: BASE.upper() + "!", 7: None, 8: ""}
@@ -85,7 +84,7 @@ def test_doc_winner_distributed_twin(ray_session, tmp_path, monkeypatch):
         return t
 
     driver = rows()
-    monkeypatch.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 10)
+    monkeypatch.setenv("FMR_DRIVER_BYTES", str(10 * 16))
     assert rows().equals(driver)
 
 

@@ -33,7 +33,7 @@ def _sorted_pairs(ds):
 @pytest.mark.parametrize("distributed", [False, True])
 def test_count_pairs_hits(ray_session, monkeypatch, distributed):
     if distributed:
-        monkeypatch.setattr(cand, "DRIVER_EXPLODE_MAX_ROWS", 0)
+        monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
     ds = _pairs_ds([(1, 2), (1, 2), (1, 2), (1, 3), (2, 3), (2, 3)])
     got = cand.count_pairs(ds).to_pandas().sort_values(["a", "b"])
     assert list(map(tuple, got.itertuples(index=False))) == [
@@ -50,7 +50,7 @@ def test_dedup_pairs_min_cols_keep_type(ray_session, monkeypatch,
 
     from fuzzy_matcher_ray.stages.joins import block_tables, collect_table
     if distributed:
-        monkeypatch.setattr(cand, "DRIVER_EXPLODE_MAX_ROWS", 0)
+        monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
     i64 = lambda v: pa.array(v, pa.int64())
     ds = rd.from_blocks([
         pa.table({"a": i64([1, 1, 2]), "b": i64([2, 2, 3]),
@@ -73,7 +73,7 @@ def test_dedup_pairs_min_cols_keep_type(ray_session, monkeypatch,
 @pytest.mark.parametrize("distributed", [False, True])
 def test_budget_pairs_rank_and_union(ray_session, monkeypatch, distributed):
     if distributed:
-        monkeypatch.setattr(cand, "DRIVER_EXPLODE_MAX_ROWS", 0)
+        monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
     # doc1 drops (1,4) (rank 3); doc4's top-2 are its h=9 pairs, so (1,4)
     # is dropped on both sides; (2,4) survives via doc4's budget (union).
     ds = _hits_ds([(1, 2, 9), (1, 3, 8), (1, 4, 1),

@@ -62,6 +62,28 @@ def test_span_dedup_reconstructs_unique_docs(ray_session):
     assert out == dict(enumerate(texts))    # nothing shared -> identity
 
 
+def test_few_row_span_dedup_rebuilds_on_the_driver(ray_session):
+    """A few-row ``dedup_spans``, collected, starts 2 Dataset executions
+    (the winner groupby and the pin of the kept rows): the rebuild's
+    ``map_segments`` sizes its lazy input off the plan and runs on the
+    driver. While a lazy input always took the range sort (a sort and a
+    boundary execution, then the interior map), it started 4."""
+    from test_flagship_plan import ExecutionCounter
+
+    from fuzzy_matcher_ray.stages.joins import collect_table
+    texts = ["a b c d e f", "a b c x y z", "q r s a b c", None, ""]
+    ds = rd.from_arrow(pa.table({"doc_id": pa.array(range(5), pa.int64()),
+                                 "text": pa.array(texts)}))
+    with ExecutionCounter().installed() as counter:
+        out = collect_table(dedup_spans(ds, span_tokens=3))
+    assert counter.count == 2
+    assert out.sort_by("doc_id").to_pylist() == [
+        {"doc_id": 0, "kept_text": "a b c d e f"},
+        {"doc_id": 1, "kept_text": "x y z"},
+        {"doc_id": 2, "kept_text": "q r s"},
+        {"doc_id": 4, "kept_text": ""}]
+
+
 def test_canonical_url_kernel():
     cases = {
         "https://WWW.Example.com/Path/?utm=1#frag": "example.com/path",
@@ -651,13 +673,12 @@ def test_host_quantiles_sketch_range_sort_branch(ray_session, monkeypatch):
     and the quantiles extracted per block, hosts at block edges stitched
     on the driver: the same table as the driver branch's."""
     from fuzzy_matcher_ray.pipelines.webtext import host_quantiles_sketch
-    from fuzzy_matcher_ray.stages import candidates
 
     for eps, batch_size in ((1e-9, 8192), (0.05, 64)):
         want = host_quantiles_sketch(SF_SMOKE, eps=eps,
                                      batch_size=batch_size).to_pandas()
         with monkeypatch.context() as m:
-            m.setattr(candidates, "DRIVER_EXPLODE_MAX_ROWS", 0)
+            m.setenv("FMR_DRIVER_BYTES", "0")
             got = host_quantiles_sketch(SF_SMOKE, eps=eps,
                                         batch_size=batch_size).to_pandas()
         assert len(got) == len(want) > 0
