@@ -49,7 +49,7 @@ import ray.data as rd
 
 from fuzzy_matcher_ray.pipelines.webtext import _as_array
 from fuzzy_matcher_ray.stages import gates
-from fuzzy_matcher_ray.stages.joins import nbytes
+from fuzzy_matcher_ray.stages.joins import collect_table, nbytes
 
 
 def _words_of(text: pa.Array | pa.ChunkedArray):
@@ -191,6 +191,7 @@ def _unpack_syms(t: pa.Table):
     return vals, word_of, cnt
 
 
+_WORDS_SCHEMA = pa.schema([("word", pa.string()), ("cnt", pa.int64())])
 _MERGES_SCHEMA = pa.schema([("rank", pa.int64()), ("a", pa.string()),
                             ("b", pa.string()), ("cnt", pa.int64())])
 
@@ -211,9 +212,11 @@ def bpe_train(sf_dir: str, n_merges: int = 32, min_count: int = 1
     wc = wc.materialize()
     stop_below = max(2, min_count)
     if gates.decide("words", nbytes(wc)) == "driver":
-        wt = wc.sort("word").take_all()
-        words = [r["word"] for r in wt]
-        weights = np.array([r["cnt"] for r in wt], dtype=np.int64)
+        # the counts are pinned: collect by ref and sort here, no execution
+        wt = collect_table(wc) if wc.count() else _WORDS_SCHEMA.empty_table()
+        wt = wt.sort_by("word")
+        words = wt["word"].to_pylist()
+        weights = wt["cnt"].to_numpy().astype(np.int64)
         vals, word_of = _char_stream(words)
         merges = []
         for rank in range(n_merges):

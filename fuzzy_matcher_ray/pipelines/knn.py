@@ -10,8 +10,8 @@
   partial argmax, tiny global merge.
 - ``knn_topk_ivf``: the scale path — deterministic random-hyperplane LSH
   buckets as a SHUFFLE KEY: data vectors are filtered to the queries' probed
-  buckets (multi-probe, Hamming ≤ 1), co-located by ``groupby(bucket)``, and
-  scored per bucket against only that bucket's queries. At 10^12-vector
+  buckets (multi-probe, Hamming ≤ 1), co-located by a range sort on the
+  bucket (``joins.map_segments``), and scored per bucket against only that bucket's queries. At 10^12-vector
   scale each vector is scored against the queries sharing its bucket — not
   every query per batch — and non-probed vectors never enter the shuffle.
   Recall < 1 by design (see tests/test_knn.py recall gate).
@@ -28,7 +28,8 @@ import ray
 import ray.data as rd
 
 from fuzzy_matcher_ray.stages import gates
-from fuzzy_matcher_ray.stages.joins import (as_dataset, map_blocks,
+from fuzzy_matcher_ray.stages.joins import (as_dataset, each_key,
+                                            map_blocks, map_segments,
                                             pinned_bytes, sort_rows)
 from fuzzy_matcher_ray.stages.ranks import grouped_topk
 
@@ -225,6 +226,42 @@ def _auto_bits(n_rows: int) -> int:
     return int(np.clip(np.ceil(np.log2(max(n_rows, 1) / 16384.0)), 2, 20))
 
 
+def _probed_topk(ds, col: str, assign, queries: dict, q_ids: np.ndarray,
+                 q_mat: np.ndarray, n_queries: int, k: int):
+    """The IVF paths' per-group exact top-k: each non-query vector of
+    ``ds`` is keyed by its group ``col`` (``assign(raw, normalized)``, one
+    int per row) and dropped before the shuffle unless a query probes that
+    group (``queries``: group → indices of the queries probing it); each
+    group is scored against only its queries, one ``joins.map_segments``
+    segment at a time (``joins.each_key``)."""
+    probed = np.array(sorted(queries), dtype=np.int64)
+    dim = q_mat.shape[1]
+
+    def _keyed(t: pa.Table) -> pa.Table:
+        ids, m = _batch_matrix(t)
+        keep = ids >= n_queries
+        ids, m = ids[keep], m[keep].reshape(-1, dim)
+        mn = _normalize_rows(m)
+        group = np.asarray(assign(m, mn), np.int64).reshape(-1)
+        sel = np.isin(group, probed)        # prune before the shuffle
+        return pa.table({
+            col: pa.array(group[sel]),
+            "vec_id": pa.array(ids[sel], pa.int64()),
+            "embedding": pa.FixedSizeListArray.from_arrays(
+                pa.array(mn[sel].reshape(-1), pa.float64()), dim)})
+
+    def _score(g: pa.Table) -> pa.Table:
+        q_idx = queries.get(int(g[col][0].as_py())) if len(g) else None
+        if q_idx is None:
+            return _EMPTY_SCORED
+        ids, m = _batch_matrix(g.select(["vec_id", "embedding"]))
+        return _partial_topk(q_ids[q_idx], ids, m @ q_mat[q_idx].T, k)
+
+    scored = map_segments(ds.map_batches(_keyed, batch_format="pyarrow"),
+                          [col], lambda t: each_key(t, [col], _score))
+    return _merge_topk(scored, k)
+
+
 def knn_topk_ivf(sf_dir: str, n_queries: int = 5, k: int = 5,
                  bits: int | None = None, seed: int = 7):
     """LSH-bucketed ANN with the bucket as the SHUFFLE key.
@@ -234,9 +271,10 @@ def knn_topk_ivf(sf_dir: str, n_queries: int = 5, k: int = 5,
     2. The data pass keeps only vectors whose bucket is probed by some query
        and emits (bucket, vec_id, embedding) rows — non-candidate vectors
        never enter the shuffle.
-    3. ``groupby(bucket)`` co-locates each bucket; the per-group kernel
-       scores the group's matrix against ONLY the queries probing that
-       bucket and emits per-(query, bucket) partial top-k.
+    3. ``joins.map_segments`` on the bucket co-locates each bucket; the
+       per-bucket kernel (``_probed_topk``) scores the bucket's matrix
+       against ONLY the queries probing it and emits per-(query, bucket)
+       partial top-k.
     4. A tiny global merge reduces the per-bucket partials.
 
     ``bits`` controls the bucket count (2^bits). The default (None)
@@ -254,7 +292,7 @@ def knn_topk_ivf(sf_dir: str, n_queries: int = 5, k: int = 5,
     if bits <= 4:
         logging.getLogger(__name__).warning(
             "knn_topk_ivf: 2^%d = %d buckets is demo-scale; at real corpus "
-            "sizes raise `bits` or the bucket groupby skews onto %d reducers",
+            "sizes raise `bits` or the bucket sort skews onto %d ranges",
             bits, 1 << bits, 1 << bits)
     q_tbl = ds.filter(expr=f"vec_id < {n_queries}").to_pandas()
     q_ids = q_tbl["vec_id"].to_numpy()
@@ -270,54 +308,12 @@ def knn_topk_ivf(sf_dir: str, n_queries: int = 5, k: int = 5,
         probe_buckets.append(_bucket_of(q_sig ^ f[None, :]))
     probes = np.stack(probe_buckets, axis=1)                   # (nq, bits+1)
     # bucket → indices of queries probing it
-    bucket_queries: dict[int, np.ndarray] = {}
-    for b in np.unique(probes):
-        mask = (probes == b).any(axis=1)
-        bucket_queries[int(b)] = np.nonzero(mask)[0]
-    probed = np.array(sorted(bucket_queries), dtype=np.int64)
-    ref = ray.put((q_ids, q_mat, planes, bucket_queries))
-
-    def _keyed(t: pa.Table) -> pa.Table:
-        _, _, pl, _ = ray.get(ref)
-        ids, m = _batch_matrix(t)
-        keep = ids >= n_queries
-        ids, m = ids[keep], m[keep]
-        dim = m.shape[1] if len(ids) else q_mat.shape[1]
-        if len(ids) == 0:
-            return pa.table({
-                "bucket": pa.array([], pa.int64()),
-                "vec_id": pa.array([], pa.int64()),
-                "embedding": pa.FixedSizeListArray.from_arrays(
-                    pa.array([], pa.float64()), dim)})
-        mn = _normalize_rows(m)
-        buckets = _bucket_of((mn @ pl > 0).astype(np.uint8))
-        sel = np.isin(buckets, probed)      # prune before the shuffle
-        mn, ids, buckets = mn[sel], ids[sel], buckets[sel]
-        return pa.table({
-            "bucket": pa.array(buckets),
-            "vec_id": pa.array(ids),
-            "embedding": pa.FixedSizeListArray.from_arrays(
-                pa.array(mn.reshape(-1)), mn.shape[1]),
-        })
-
-    keyed = ds.map_batches(_keyed, batch_format="pyarrow")
-
-    def _score_bucket(g: pa.Table) -> pa.Table:
-        qi, qm, _, bq = ray.get(ref)
-        bucket = int(g["bucket"][0].as_py())
-        q_idx = bq.get(bucket)
-        if q_idx is None or len(g) == 0:
-            return _EMPTY_SCORED
-        ids, m = _batch_matrix(g.select(["vec_id", "embedding"]))
-        sims = m @ qm[q_idx].T                                 # (group, nq_b)
-        return _partial_topk(qi[q_idx], ids, sims, k)
-
-    # map_groups, not joins.map_segments: one bucket is a large share of
-    # the corpus and carries its embeddings, and map_segments gathers every
-    # key that spans a block edge onto the driver
-    scored = keyed.groupby("bucket").map_groups(_score_bucket,
-                                                batch_format="pyarrow")
-    return _merge_topk(scored, k)
+    bucket_queries = {int(b): np.nonzero((probes == b).any(axis=1))[0]
+                      for b in np.unique(probes)}
+    return _probed_topk(
+        ds, "bucket", lambda m, mn: _bucket_of((mn @ planes > 0)
+                                               .astype(np.uint8)),
+        bucket_queries, q_ids, q_mat, n_queries, k)
 
 
 def knn_topk_ivf_kmeans(sf_dir: str, n_queries: int = 5, k: int = 5,
@@ -330,7 +326,8 @@ def knn_topk_ivf_kmeans(sf_dir: str, n_queries: int = 5, k: int = 5,
     balanced where SRP buckets skew, and ``n_cells`` / ``nprobe`` tune the
     recall/cost point directly (the classic IVF knobs). Each query probes
     its ``nprobe`` nearest cells; the cell is the SHUFFLE key
-    (``groupby(cell)``), and non-probed vectors never enter the shuffle.
+    (``joins.map_segments`` on the cell), and non-probed vectors never
+    enter the shuffle.
     Approximation is candidate pruning only — every returned cosine is the
     exact brute-force value (recall gate in tests/test_knn.py)."""
     from fuzzy_matcher_ray.pipelines.semantic import _fp_rows, kmeans_fit
@@ -347,49 +344,9 @@ def knn_topk_ivf_kmeans(sf_dir: str, n_queries: int = 5, k: int = 5,
     probes = np.argsort(-dots, axis=1, kind="stable")[:, :nprobe]
     cell_queries = {int(c): np.nonzero((probes == c).any(axis=1))[0]
                     for c in np.unique(probes)}
-    probed = np.array(sorted(cell_queries), dtype=np.int64)
-    ref = ray.put((q_ids, q_mat, c_fp, cell_queries, probed))
-
-    def _keyed(t: pa.Table) -> pa.Table:
-        _, _, cents, _, prb = ray.get(ref)
-        ids, m = _batch_matrix(t)
-        keep = ids >= n_queries
-        ids, m = ids[keep], m[keep]
-        dim = m.shape[1] if len(ids) else q_mat.shape[1]
-        if len(ids) == 0:
-            return pa.table({
-                "cell": pa.array([], pa.int64()),
-                "vec_id": pa.array([], pa.int64()),
-                "embedding": pa.FixedSizeListArray.from_arrays(
-                    pa.array([], pa.float64()), dim)})
-        mn = _normalize_rows(m)
-        cells = np.argmax(_fp_rows(m) @ cents.T, axis=1).astype(np.int64)
-        sel = np.isin(cells, prb)           # prune before the shuffle
-        mn, ids, cells = mn[sel], ids[sel], cells[sel]
-        return pa.table({
-            "cell": pa.array(cells),
-            "vec_id": pa.array(ids),
-            "embedding": pa.FixedSizeListArray.from_arrays(
-                pa.array(mn.reshape(-1)), mn.shape[1]),
-        })
-
-    keyed = ds.map_batches(_keyed, batch_format="pyarrow")
-
-    def _score_cell(g: pa.Table) -> pa.Table:
-        qi, qm, _, cq, _ = ray.get(ref)
-        cell = int(g["cell"][0].as_py())
-        q_idx = cq.get(cell)
-        if q_idx is None or len(g) == 0:
-            return _EMPTY_SCORED
-        ids, m = _batch_matrix(g.select(["vec_id", "embedding"]))
-        sims = m @ qm[q_idx].T                                 # (group, nq_c)
-        return _partial_topk(qi[q_idx], ids, sims, k)
-
-    # map_groups, not joins.map_segments: one k-means cell is a large
-    # share of the corpus and carries its embeddings (see knn_topk_ivf)
-    scored = keyed.groupby("cell").map_groups(_score_cell,
-                                              batch_format="pyarrow")
-    return _merge_topk(scored, k)
+    return _probed_topk(
+        ds, "cell", lambda m, mn: np.argmax(_fp_rows(m) @ c_fp.T, axis=1),
+        cell_queries, q_ids, q_mat, n_queries, k)
 
 
 _EMPTY_PAIRS = pa.table({"a": pa.array([], pa.int64()),

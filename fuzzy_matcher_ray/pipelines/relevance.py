@@ -500,8 +500,8 @@ def ccnet_buckets(sf_dir: str, k: int = 3, vocab_strategy: str = "auto"):
     joined back. Document text is read once, by the LM fit; nothing wider
     than (doc_id, lang, 2×int64) ever shuffles here. The stamp stays where
     ``grouped_topk`` moved onto ``joins.map_segments``: a group here is a
-    whole language, a large share of the corpus, and ``map_segments``
-    gathers every key that spans a block edge onto the driver.
+    whole language, a large share of the corpus, that ``map_segments``
+    would gather into one worker task, while the stamp gathers no rows.
     """
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text", "lang"])

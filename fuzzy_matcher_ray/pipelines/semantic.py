@@ -15,7 +15,7 @@ training-data pipeline runs AFTER exact/near-dup text dedup to remove
 3. ``semdedup_prune`` — within each cluster, greedy cosine prune: members
    ordered by (cosine-to-centroid desc, vec_id asc); a member is kept iff
    its cosine to every already-kept member of the cluster is < ``eps``.
-   The cluster is the shuffle key (``groupby(cluster_id).map_groups``), so
+   The cluster is the shuffle key (``joins.map_segments`` on cluster_id), so
    the O(c²) kernel only ever sees one cluster's matrix — the SemDeDup
    trick that makes all-pairs pruning tractable at 10^12 vectors.
 
@@ -43,6 +43,8 @@ import ray.data as rd
 
 from fuzzy_matcher_ray.functions.shingle import splitmix64
 from fuzzy_matcher_ray.pipelines.knn import _batch_matrix, _normalize_rows
+from fuzzy_matcher_ray.stages.joins import (as_dataset, each_key,
+                                            map_segments, sort_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -286,12 +288,33 @@ def _greedy_kept(xs: np.ndarray, eps_int: np.int64,
     return np.concatenate(kept_pos)
 
 
+def _group_kept(g: pa.Table, eps_int: np.int64, max_cluster: int,
+                name: str) -> np.ndarray:
+    """Row indices of prune group ``g`` (vec_id, embedding, cos_dot) that
+    survive the greedy in (cos_dot desc, vec_id asc) order; a group larger
+    than ``max_cluster`` is pruned in vec_id-sorted chunks of that size
+    (logged under ``name``)."""
+    ids, m = _batch_matrix(g.select(["vec_id", "embedding"]))
+    dots = g["cos_dot"].to_numpy(zero_copy_only=False)
+    x = _fp_rows(m)
+    if len(ids) > max_cluster:
+        logger.warning("%s: group of %d > max_cluster=%d — pruning in "
+                       "chunks; raise k", name, len(ids), max_cluster)
+    chunk_order = np.argsort(ids, kind="stable")
+    kept = [np.array([], np.int64)]
+    for lo in range(0, len(ids), max_cluster):
+        ci = chunk_order[lo:lo + max_cluster]
+        order = ci[np.lexsort((ids[ci], -dots[ci]))]
+        kept.append(order[_greedy_kept(x[order], eps_int)])
+    return np.concatenate(kept)
+
+
 def semdedup_prune(sf_dir: str, k: int = 10, iters: int = 4, eps: float = 0.4,
                    seed: int = 7, max_cluster: int = 100_000):
     """SemDeDup: (vec_id, cluster_id) of the KEPT vectors after per-cluster
     greedy cosine pruning at threshold ``eps``.
 
-    Within each cluster (co-located by the groupby shuffle), members are
+    Within each cluster (co-located by the range sort), members are
     ordered by (cosine-to-centroid desc, vec_id asc); a member survives iff
     its cosine to every earlier survivor is < eps (exact int64 comparison —
     eps snapped to the 2^48 dot grid; blocked vectorized kernel, see
@@ -308,31 +331,14 @@ def semdedup_prune(sf_dir: str, k: int = 10, iters: int = 4, eps: float = 0.4,
     eps_int = np.int64(np.rint(eps * _DOT_SCALE))
 
     def _prune_group(g: pa.Table) -> pa.Table:
-        ids, m = _batch_matrix(g.select(["vec_id", "embedding"]))
-        dots = g["cos_dot"].to_numpy(zero_copy_only=False)
-        x = _fp_rows(m)
-        out_idx: list[np.ndarray] = []
-        if len(ids) > max_cluster:
-            logger.warning(
-                "semdedup_prune: cluster of %d > max_cluster=%d — pruning "
-                "in chunks; raise k", len(ids), max_cluster)
-        chunk_order = np.argsort(ids, kind="stable")
-        for lo in range(0, len(ids), max_cluster):
-            ci = chunk_order[lo:lo + max_cluster]
-            order = ci[np.lexsort((ids[ci], -dots[ci]))]
-            kept = _greedy_kept(x[order], eps_int)
-            out_idx.append(order[kept])
-        sel = np.concatenate(out_idx) if out_idx else np.array([], np.int64)
+        sel = _group_kept(g, eps_int, max_cluster, "semdedup_prune")
         sub = g.take(pa.array(np.sort(sel)))
         return pa.table({"vec_id": sub["vec_id"],
                          "cluster_id": sub["cluster_id"]})
 
-    # map_groups, not joins.map_segments: one SemDeDup cluster is ~n/k of
-    # the corpus and carries its embeddings, and map_segments gathers
-    # every key that spans a block edge onto the driver
-    return (assigned.groupby("cluster_id")
-            .map_groups(_prune_group, batch_format="pyarrow")
-            .sort("vec_id"))
+    return as_dataset(sort_rows(map_segments(
+        assigned, ["cluster_id"],
+        lambda t: each_key(t, ["cluster_id"], _prune_group)), "vec_id"))
 
 
 def semdedup_prune_boundary(sf_dir: str, k: int = 10, iters: int = 4,
@@ -361,7 +367,7 @@ def semdedup_prune_boundary(sf_dir: str, k: int = 10, iters: int = 4,
     exactly.
 
     Cost model: shadows add a boundary fraction f of duplicate SLIM rows
-    (one extra embedding row each) to the groupby exchange and ≤ (1+f)²
+    (one extra embedding row each) to the range sort and ≤ (1+f)²
     to the per-group greedy work; the survival vote is one extra
     slim-row ``groupby(vec_id)`` with two mergeable aggregates. f is
     measured by ``log``-visible counts at runtime; for well-separated
@@ -417,19 +423,9 @@ def semdedup_prune_boundary(sf_dir: str, k: int = 10, iters: int = 4,
     rows = ds.map_batches(_assign_shadow, batch_format="pyarrow")
 
     def _prune_group(g: pa.Table) -> pa.Table:
-        ids, m = _batch_matrix(g.select(["vec_id", "embedding"]))
-        dots = g["cos_dot"].to_numpy(zero_copy_only=False)
-        x = _fp_rows(m)
-        if len(ids) > max_cluster:
-            logger.warning(
-                "semdedup_prune_boundary: group of %d > max_cluster=%d — "
-                "pruning in chunks; raise k", len(ids), max_cluster)
-        kept_mask = np.zeros(len(ids), dtype=bool)
-        chunk_order = np.argsort(ids, kind="stable")
-        for lo in range(0, len(ids), max_cluster):
-            ci = chunk_order[lo:lo + max_cluster]
-            order = ci[np.lexsort((ids[ci], -dots[ci]))]
-            kept_mask[order[_greedy_kept(x[order], eps_int)]] = True
+        kept_mask = np.zeros(len(g), dtype=bool)
+        kept_mask[_group_kept(g, eps_int, max_cluster,
+                              "semdedup_prune_boundary")] = True
         return pa.table({
             "vec_id": g["vec_id"],
             "cid_vote": g["cluster_id"],
@@ -437,9 +433,9 @@ def semdedup_prune_boundary(sf_dir: str, k: int = 10, iters: int = 4,
             "kept": pa.array(kept_mask.astype(np.int64)),
         })
 
-    # map_groups for the reason given in semdedup_prune
-    voted = (rows.groupby("cluster_id")
-             .map_groups(_prune_group, batch_format="pyarrow"))
+    voted = as_dataset(map_segments(
+        rows, ["cluster_id"],
+        lambda t: each_key(t, ["cluster_id"], _prune_group)))
 
     def _weight(t: pa.Table) -> pa.Table:
         cid = t["cid_vote"].to_numpy(zero_copy_only=False)

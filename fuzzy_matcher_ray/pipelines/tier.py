@@ -59,8 +59,8 @@ def _doc_winner(sf_dir: str):
     24 B/row ever enters an exchange: the full normalized text never
     leaves the batch that computed it. The min-rep core is exact_dup_edges'
     own (``dedup.min_reps``): a lexsort + segment min over key segments,
-    once on the driver on small corpora, per block of a range sort on the
-    key at scale.
+    once on the driver on small corpora, per range of a range sort on the
+    key at scale, no key's rows on the driver.
     """
     from fuzzy_matcher_ray.functions.fingerprint import content_hash
     from fuzzy_matcher_ray.pipelines.dedup import min_reps

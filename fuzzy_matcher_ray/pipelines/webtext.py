@@ -1272,8 +1272,8 @@ def host_quantiles_sketch(sf_dir: str, qs: tuple = (0.5, 0.9),
     segment's rows by (host, value) and extracts every host's quantiles
     with a segmented cumulative-weight searchsorted (no per-host
     dispatch), on the driver while the summaries are small, else per
-    block of a range sort on host with the hosts at block edges stitched
-    on the driver (the span-dedup rebuild's shape). Rank error ≤ 2·eps·n_host
+    range of a range sort on host, each host at a range edge on one of
+    its ranges (the span-dedup rebuild's shape). Rank error ≤ 2·eps·n_host
     (per-batch segment sizes sum to the host's total), tested against the
     exact per-host quantiles.
     """

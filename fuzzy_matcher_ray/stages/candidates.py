@@ -7,9 +7,9 @@ become candidate pairs.
 Structure: every operator here is a function of the rows that share a key
 (pair explode, pair dedup, pair count, per-doc top-k), so each is one numpy
 kernel run by ``joins.map_segments`` — once on the driver for input within
-the driver budget (``stages/gates``), else block by block over a range
-sort on the key, the keys that straddle block edges stitched on the
-driver. Zero per-group Python calls on either branch.
+the driver budget (``stages/gates``), else as one Ray task per range of
+a range sort on the key, each key that straddles a range edge run whole
+on one of its ranges. Zero per-group Python calls on either branch.
 
 1. ``key_pairs`` lexsorts the key rows and explodes each key segment: a
    segment of 2..max_group rows emits all its pairs, size-batched so one

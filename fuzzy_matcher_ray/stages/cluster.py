@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.unionfind import connected_components
@@ -36,7 +35,7 @@ from fuzzy_matcher_ray.stages import gates
 from fuzzy_matcher_ray.stages.joins import (DriverBlocks, _collect_columns,
                                             _Lookup, as_dataset, keyed_join,
                                             map_blocks, map_segments, nbytes,
-                                            on_driver, sorted_side)
+                                            sorted_side)
 
 # the label column ``relabel`` attaches and its fill drops
 _LABEL = "__fmr_label"
@@ -128,9 +127,10 @@ def relabel(ds, key: str, out: str, labels, cfg: PipelineConfig):
     label), or to the ``key`` value where ``labels`` holds none.
 
     While the labels broadcast (gate "relabel"), the lookup and the fill
-    are one per-batch function (``joins.map_blocks``): on the driver over
-    a small pinned ``ds``, where the sorted labels are looked up as they
-    are, else a Ray map that fetches them by ref. Past that, a key-local
+    are one per-batch function (``joins.map_blocks``, which alone picks
+    its branch): on the driver over a small pinned ``ds``, where the
+    sorted labels are looked up as they are, else a Ray map, which puts
+    them in the object store with its function. Past that, a key-local
     join attaches the labels.
     """
     def _fill(t: pa.Table) -> pa.Table:
@@ -143,8 +143,7 @@ def relabel(ds, key: str, out: str, labels, cfg: PipelineConfig):
     if gates.decide("relabel", nbytes(labels)) == "broadcast":
         tbl = _collect_columns(labels, ["node", "label"])
         side = sorted_side(tbl["node"], tbl, ["label"])
-        lookup = _Lookup(side if on_driver(ds, "blocks") else ray.put(side),
-                         key, {"label": _LABEL}, "left")
+        lookup = _Lookup(side, key, {"label": _LABEL}, "left")
         return map_blocks(ds, lambda t: _fill(lookup(t)))
     return map_blocks(keyed_join(ds, labels, [key], ["node"],
                                  {"label": _LABEL}, "left",

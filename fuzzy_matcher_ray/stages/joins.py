@@ -7,11 +7,13 @@ lookup (``lookup``: ``searchsorted`` per batch) against either (a) the whole
 lookup side, sorted and put in the object store once (no shuffle), while
 its bytes fit the broadcast budget (``gates``), or (b) each sort range's
 own lookup rows (``keyed_join`` on ``key_local``: both sides tagged,
-unioned into one schema and range-sorted on the key; the lookup rows of
-the keys that straddle a range edge reach every range by ref, so a hot
-key's probe rows stay on their ranges). At 10^12-doc scale the doc-side
-attach is always key-local. The range sort is the package's one shuffle:
-no hash join and no aggregator actors.
+unioned into one schema and range-sorted on the key; the lookup rows of a
+key that straddles a range edge reach the ranges that hold it by ref, so
+a hot key's probe rows stay on their ranges). At 10^12-doc scale the
+doc-side attach is always key-local. The range sort is the package's one
+shuffle: no hash join and no aggregator actors. After it, one post-sort
+step (``_map_ranges``) runs ``map_segments`` and ``key_local`` as Ray
+tasks, one per range: no key's rows pass through the driver.
 """
 
 from __future__ import annotations
@@ -244,13 +246,14 @@ def map_segments(ds, keys: list[str], fn, block_rows: int | None = None):
     "segments" picks the driver, ``ds`` is pinned and ``fn`` runs once on
     the driver over its blocks: driver blocks of ``block_rows`` rows (one
     block when None), no execution. Otherwise ``ds`` is range-sorted on
-    ``keys`` and ``fn`` runs block by block (``_map_sorted``): zero
-    per-group Python calls. The sort cuts as many ranges as ``ds`` has
-    blocks.
+    ``keys`` into as many ranges as it has blocks, and ``fn`` runs once
+    per range in a Ray task (``_map_ranges``), each key that straddles a
+    range edge on its first range: zero per-group Python calls, and no
+    key's rows on the driver.
     """
     n = nbytes(ds)
     if n is None or gates.decide("segments", n) != "driver":
-        return _map_sorted(as_dataset(ds).sort(keys).materialize(), keys, fn)
+        return _map_ranges(as_dataset(ds).sort(keys).materialize(), keys, fn)
     if not is_pinned(ds):
         ds = ds.materialize()
     if ds.schema() is None:     # no rows and no schema: nothing to run
@@ -259,6 +262,18 @@ def map_segments(ds, keys: list[str], fn, block_rows: int | None = None):
     rows = block_rows or max(len(out), 1)
     return DriverBlocks([out.slice(lo, rows)
                          for lo in range(0, max(len(out), 1), rows)])
+
+
+def each_key(t: pa.Table, keys: list[str], fn) -> pa.Table:
+    """``fn`` over each run of equal ``keys`` of ``t`` sorted on them,
+    outputs concatenated: a per-group kernel as a ``map_segments`` kernel.
+    ``fn(t)`` when ``t`` is empty, which gives the output schema."""
+    if len(t) == 0:
+        return fn(t)
+    t = t.sort_by([(k, "ascending") for k in keys])
+    cut = np.r_[0, np.flatnonzero(np.diff(key_codes(t, keys))) + 1, len(t)]
+    return pa.concat_tables([fn(t.slice(lo, hi - lo))
+                             for lo, hi in zip(cut[:-1], cut[1:])])
 
 
 def union(*parts):
@@ -293,8 +308,7 @@ def sort_rows(ds, key, descending=False):
 def _key_masks(tbl: pa.Table, ref: pa.Table, keys: list[str]):
     """(first, last): the rows of ``tbl`` whose ``keys`` equal those of
     ``ref``'s first row, and of its last row (``ref`` non-empty)."""
-    first = np.ones(len(tbl), dtype=bool)
-    last = np.ones(len(tbl), dtype=bool)
+    first, last = np.ones((2, len(tbl)), dtype=bool)
     for k in keys:
         v = tbl[k].to_numpy(zero_copy_only=False)
         r = ref[k].to_numpy(zero_copy_only=False)
@@ -304,54 +318,89 @@ def _key_masks(tbl: pa.Table, ref: pa.Table, keys: list[str]):
 
 
 def _key_edges(t: pa.Table, keys: list[str]) -> tuple[int, int]:
-    """(lo, hi) of a key-sorted table: rows [0, lo) hold its first key
-    value and rows [hi, n) its last (lo <= hi)."""
+    """(lo, hi) of a non-empty key-sorted table: rows [0, lo) hold its
+    first key value and rows [hi, n) its last (lo <= hi)."""
     n = len(t)
-    if n == 0:
-        return 0, 0
     first, last = _key_masks(t, t, keys)
     lo = n if first.all() else int(np.argmin(first))
     hi = 0 if last.all() else n - int(np.argmin(last[::-1]))
     return lo, max(lo, hi)
 
 
-def _map_sorted(srt, keys: list[str], fn):
+def _split(t: pa.Table, lo: int, hi: int, lookup: bool):
+    """(own, travelling) rows of a sorted range (``_key_edges``' ``lo``,
+    ``hi``): the rows of its two edge keys travel, with ``lookup`` (a
+    ``key_local`` range) only their lookup-side rows."""
+    if not lookup:
+        return t.slice(lo, hi - lo), pa.concat_tables([t.slice(0, lo),
+                                                       t.slice(hi)])
+    edge = np.zeros(len(t), dtype=bool)
+    edge[:lo] = edge[hi:] = True
+    edge &= t[SIDE].to_numpy(zero_copy_only=False) == 1
+    return t.filter(pa.array(~edge)), t.filter(pa.array(edge))
+
+
+@ray.remote(num_returns=3)
+def _pin_edges(t: pa.Table, keys: list[str], lookup: bool, first_only: bool):
+    """A sorted range's (first, last) edge keys as value tuples (None for
+    no edge: a null key, or a single-key range's last), then the
+    travelling rows of its first key and of its last (with ``first_only``
+    the first row of each: a lookup reads one)."""
+    if len(t) == 0:
+        return (None, None), t, t
+    lo, hi = _key_edges(t, keys)
+    travel = _split(t, lo, hi, lookup)[1]
+    first, last = _key_masks(travel, t, keys)
+    rows = [travel.filter(pa.array(m)) for m in (first, last & ~first)]
+    key = lambda i: tuple(t[k][i].as_py() for k in keys)
+    return ((key(0) if lo else None, key(len(t) - 1) if hi < len(t) else None),
+            *(r.slice(0, 1) if first_only else r for r in rows))
+
+
+@ray.remote
+def _run_range(t: pa.Table, keys: list[str], fn, lookup: bool,
+               empty: pa.Table, *taken: pa.Table) -> pa.Table:
+    """``fn`` over a sorted range's own rows plus the ``taken``
+    travelling rows."""
+    if len(t) == 0:           # empty blocks may carry no schema
+        return fn(empty)
+    own = _split(t, *_key_edges(t, keys), lookup)[0]
+    return fn(pa.concat_tables([own, *taken], promote_options="permissive"))
+
+
+def _map_ranges(srt, keys: list[str], fn, lookup: bool = False,
+                first_only: bool = False):
     """``fn`` over a materialized dataset whose blocks are contiguous
-    ranges of one sort on ``keys``.
+    ranges of one sort on ``keys``, one Ray task per range: the post-sort
+    step of ``map_segments`` and, with ``lookup``, of ``key_local``.
 
-    Each block runs ``fn`` over the rows whose key differs from the
-    block's first and last key: all of a key's rows sit in that block, as
-    a key with rows in two blocks is the last key of one and the first of
-    the next. The rows of those boundary keys (a key may span any number
-    of blocks, whatever layout the sort picks) are collected and run
-    through ``fn`` once on the driver.
+    A key with rows in two ranges is the last key of one and the first of
+    the next (a hot key may span any number of ranges). Each range pins
+    the travelling rows of its two edge keys (``_split``), and the driver
+    reads only those keys. Each edge key is taken by its first range or,
+    with ``lookup``, by every range that holds it; a range runs ``fn``
+    over its own rows plus, by ref, the travelling rows of the keys it
+    takes from every range that holds them. So a key's rows meet in one
+    worker task, no block passes through the driver, and the outputs,
+    wrapped by ref, cost no Dataset execution.
     """
-    import ray.data as rd
-
     sch = srt.schema()
     if sch is None:           # no rows and no schema: nothing to run
         return srt
-    empty = sch.base_schema.empty_table()
-
-    def _interior(t: pa.Table) -> pa.Table:
-        if len(t) == 0:       # empty blocks may carry no schema
-            return fn(empty)
-        lo, hi = _key_edges(t, keys)
-        return fn(t.slice(lo, hi - lo))
-
-    def _boundary(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return empty
-        lo, hi = _key_edges(t, keys)
-        return pa.concat_tables([t.slice(0, lo), t.slice(hi)])
-
-    interior = srt.map_batches(_interior, batch_format="pyarrow",
-                               batch_size=None, zero_copy_batch=True)
-    edges = block_tables(srt.map_batches(
-        _boundary, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True).materialize())
-    bt = pa.concat_tables([empty, *edges], promote_options="permissive")
-    return interior.union(rd.from_blocks([fn(bt)]))
+    blocks = block_refs(srt) or srt.to_arrow_refs()
+    pinned = [_pin_edges.remote(b, keys, lookup, first_only) for b in blocks]
+    bounds = ray.get([p[0] for p in pinned])
+    holders: dict[tuple, list] = {}     # edge key -> [(range, rows ref)]
+    for i, edge_keys in enumerate(bounds):
+        for k, rows in zip(edge_keys, pinned[i][1:]):
+            if k is not None:
+                holders.setdefault(k, []).append((i, rows))
+    out = [_run_range.remote(
+        b, keys, fn, lookup, sch.base_schema.empty_table(),
+        *(rows for k in edge_keys if k is not None
+          and (lookup or holders[k][0][0] == i) for _, rows in holders[k]))
+        for i, (b, edge_keys) in enumerate(zip(blocks, bounds))]
+    return ray.data.from_arrow_refs(out)
 
 
 def project(ds, cols: list[str]):
@@ -434,7 +483,8 @@ class _Lookup:
     the object ref travels in the task spec; the table is fetched lazily via
     ``ray.get`` on first use in each worker (zero-copy from the local store).
     ``side`` is ``sorted_side``'s pair or its object ref: a lookup run on
-    the driver holds the pair itself.
+    the driver holds the pair itself, and a Ray map that ships the pair
+    puts it in the object store once, with its function.
     """
 
     def __init__(self, side, left_key: str, cols: dict[str, str], how: str):
@@ -549,60 +599,6 @@ def _segment_lookup(t: pa.Table, on: list[str], cols: dict[str, str],
                   values, dict(zip(names[cut + 1:], cols.values())), how)
 
 
-def _keyed_sorted(srt, on: list[str], fn, first_only: bool):
-    """``fn`` over a materialized ``tagged_union`` whose blocks are
-    contiguous ranges of one sort on ``on``, with no row on the driver.
-
-    A key with rows in two blocks is the last key of one and the first of
-    the next (a hot key may span any number of blocks). Each block's right
-    rows of its first and last key (with ``first_only`` only the first
-    right row of each: a lookup reads one) are pinned as a small dataset
-    whose block refs every block receives. Each block then runs ``fn``
-    over its own rows, less those edge right rows, plus the pinned right
-    rows of its own first and last key: every left row meets its key's
-    right rows on the block that holds it, so no key's rows are gathered
-    in one place.
-    """
-    sch = srt.schema()
-    if sch is None:           # no rows and no schema: nothing to run
-        return srt
-    empty = sch.base_schema.empty_table()
-
-    def _edge_right(t: pa.Table) -> pa.Table:
-        if len(t) == 0:       # empty blocks may carry no schema
-            return empty
-        lo, hi = _key_edges(t, on)
-        edge = pa.concat_tables([t.slice(0, lo), t.slice(hi)])
-        edge = edge.filter(pc.equal(edge[SIDE], 1))
-        if first_only:
-            at = {int(np.argmax(m)) for m in _key_masks(edge, t, on)
-                  if m.any()}
-            edge = edge.take(np.array(sorted(at), dtype=np.int64))
-        return edge
-
-    pinned = srt.map_batches(_edge_right, batch_format="pyarrow",
-                             batch_size=None, zero_copy_batch=True)
-    pinned = pinned.materialize()
-    refs = block_refs(pinned) or pinned.to_arrow_refs()
-
-    def _block(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return fn(empty)
-        lo, hi = _key_edges(t, on)
-        own = np.ones(len(t), dtype=bool)
-        side = t[SIDE].to_numpy(zero_copy_only=False)
-        own[:lo] = side[:lo] == 0
-        own[hi:] = side[hi:] == 0
-        edge = pa.concat_tables([empty, *ray.get(refs)],
-                                promote_options="permissive")
-        first, last = _key_masks(edge, t, on)
-        return fn(pa.concat_tables([t.filter(pa.array(own)),
-                                    edge.filter(pa.array(first | last))]))
-
-    return srt.map_batches(_block, batch_format="pyarrow", batch_size=None,
-                           zero_copy_batch=True)
-
-
 def _pin(ds):
     """``ds`` materialized, as a dataset whose stats lineage starts here
     (driver blocks as they are: they have no lineage).
@@ -643,11 +639,12 @@ def key_local(ds, other, on: list[str], right_on: list[str], cols: list[str],
     and both schemas are then metadata (``schema()`` of a lazy dataset
     runs an early-stopped ``limit=1`` execution of it). A union tagged on
     the driver (``union``) runs ``fn`` once there (``map_segments``); a
-    larger one is range-sorted on
-    ``on`` into ``partitions_for(num_partitions, …)`` ranges (a union's
-    block count is the sum of its sides', so joins fed join outputs
-    would compound it) and run block by block by
-    ``_keyed_sorted``, which gathers no key's rows in one place.
+    larger one is range-sorted on ``on`` into ``partitions_for(
+    num_partitions, …)`` ranges (a union's block count is the sum of its
+    sides', so joins fed join outputs would compound it) and run range by
+    range (``_map_ranges``): each range gets the lookup rows of its edge
+    keys from the ranges that share them, so a hot key's probe rows stay
+    on their ranges.
     """
     ds = _pin(ds)
     if ds.schema() is None:       # no rows and no schema: nothing to join
@@ -658,7 +655,7 @@ def key_local(ds, other, on: list[str], right_on: list[str], cols: list[str],
         return map_segments(tagged, on, fn)
     parts = partitions_for(num_partitions, plan_bytes(tagged))
     srt = tagged.repartition(parts).sort(on).materialize()
-    return _keyed_sorted(srt, on, fn, first_only)
+    return _map_ranges(srt, on, fn, lookup=True, first_only=first_only)
 
 
 def keyed_join(ds, other, on: list[str], right_on: list[str],

@@ -100,9 +100,16 @@ def test_word_counts_duckdb_parity(ray_session, bpe_corpus):
 
 
 def test_bpe_train_matches_reference(ray_session, bpe_corpus):
+    """The driver loop gives the reference merges and starts one Dataset
+    execution, the word counts': the pinned counts are collected by ref
+    and sorted on the driver, not range-sorted in a second execution."""
+    from test_flagship_plan import ExecutionCounter
+
     from fuzzy_matcher_ray.pipelines.bpe import bpe_train
     sf, texts = bpe_corpus
-    got = bpe_train(sf, n_merges=12).to_pandas()
+    with ExecutionCounter().installed() as counter:
+        got = bpe_train(sf, n_merges=12).to_pandas()
+    assert counter.count == 1
     exp, _ = _ref_bpe_train(texts, 12)
     assert list(map(tuple, got.itertuples(index=False))) == exp
 

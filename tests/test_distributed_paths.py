@@ -103,16 +103,18 @@ def _cut(rows: pa.Table) -> list[pa.Table]:
     return out
 
 
-def _segment_kernels():
-    """(name, rows, keys, fn): each key-local kernel with a sorted input
-    table in the ``_BLOCKS`` key layout."""
+def _segment_kernels(k=None):
+    """(name, rows, keys, fn): each key-local kernel with an input table
+    whose key runs are ``k`` (default: sorted, in the ``_BLOCKS`` key
+    layout)."""
     from fuzzy_matcher_ray.pipelines.dedup import _min_rep_table
     from fuzzy_matcher_ray.pipelines.events import _asof_rows, _band_counts
     from fuzzy_matcher_ray.pipelines.webtext import _segmented_rebuild
     from fuzzy_matcher_ray.stages.ranks import _partial_topk
 
-    letters = "".join(_BLOCKS)
-    k = np.array([ord(c) - ord("A") for c in letters], dtype=np.int64)
+    if k is None:
+        k = np.array([ord(c) - ord("A") for c in "".join(_BLOCKS)],
+                     dtype=np.int64)
     n = len(k)
     ids = (np.arange(n, dtype=np.int64) * 7) % 11 + 1
     ids[1] = ids[0]                      # one doc twice under key A
@@ -153,24 +155,6 @@ def _segment_kernels():
                            "doc_id": i64(np.arange(n))}), ["g"],
          lambda t: _partial_topk(t, "g", "val", "doc_id", 2, rank_col="r")),
     ]
-
-
-@pytest.mark.parametrize("name", ["explode", "dedup", "count", "min_rep",
-                                  "rebuild", "asof", "band", "topk"])
-def test_map_sorted_stitches_boundary_keys(ray_session, name):
-    """The post-sort step of ``map_segments`` over hand-cut sorted blocks
-    equals the kernel over the whole table: keys spanning 2 and 3 blocks,
-    a single-key block, a 1-row and an empty block, and a hot key spanning
-    3 non-empty blocks."""
-    import ray.data as rd
-    from fuzzy_matcher_ray.stages.joins import _map_sorted, collect_table
-
-    (_, rows, keys, fn), = [x for x in _segment_kernels() if x[0] == name]
-    want = fn(rows)
-    assert len(want) > 0
-    got = collect_table(_map_sorted(rd.from_blocks(_cut(rows)), keys, fn))
-    order = [(c, "ascending") for c in want.column_names]
-    assert got.sort_by(order).equals(want.sort_by(order))
 
 
 _ONE_CPU_RUN = """
@@ -311,11 +295,13 @@ def test_forced_twins_one_cpu_flagship_and_fold(ray_session, tmp_path):
 
 
 # The queries whose per-key operator moved onto joins.map_segments (the
-# grouped top-k, the per-user event joins and the entity-match blocking
-# join).
+# grouped top-k, the per-user event joins, the entity-match blocking join
+# and the per-bucket, per-cell and per-cluster embedding kernels).
 _MOVED_QUERIES = ("knn_topk", "nearest_neighbor", "topk_per_source",
                   "keep_best_representatives", "asof_latest_prior",
-                  "range_join_count", "entity_match_customers")
+                  "range_join_count", "entity_match_customers",
+                  "knn_topk_ivf", "knn_topk_ivf_kmeans", "semdedup_prune",
+                  "semdedup_prune_boundary")
 
 _ONE_CPU_QUERIES = """
 import sys
@@ -446,30 +432,57 @@ def _hand_cut_union(kind: str) -> pa.Table:
                      f"{SIDE}_0": i64(1000 + np.arange(n))})
 
 
-@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti", "pairs"])
-def test_keyed_sorted_stitches_hot_keys(ray_session, how):
-    """The post-sort step of ``joins.key_local`` over hand-cut sorted
-    blocks equals its kernel over the whole table: a hot key over three
-    blocks whose lookup row sits in its first block, a key with no right
-    row, keys over 2 and 3 blocks, an empty and a 1-row block."""
+_SEGMENT_KERNELS = ["explode", "dedup", "count", "min_rep", "rebuild", "asof",
+                    "band", "topk"]
+_JOIN_KINDS = ["inner", "left", "semi", "anti", "pairs"]
+
+
+@pytest.mark.parametrize("name", _SEGMENT_KERNELS + _JOIN_KINDS)
+def test_map_sorted_stitches_boundary_keys(ray_session, name):
+    """The one post-sort step (``joins._map_ranges``) over hand-cut sorted
+    blocks equals the kernel over the whole table, for every segment
+    kernel of ``map_segments`` (each edge key run on one owner range) and
+    every join kind of ``key_local`` (each edge key's lookup rows on every
+    range that holds it): keys spanning 2 and 3 blocks, a single-key
+    block, a 1-row and an empty block, a hot key spanning 3 non-empty
+    blocks whose lookup row sits in its first block, and a key with no
+    lookup row."""
     import ray.data as rd
     from fuzzy_matcher_ray.pipelines.entity_match import _block_pairs
-    from fuzzy_matcher_ray.stages.joins import (_keyed_sorted,
-                                                _segment_lookup, collect_table)
+    from fuzzy_matcher_ray.stages.joins import (_map_ranges, _segment_lookup,
+                                                collect_table)
 
-    if how == "pairs":
-        rows, on, fn = _hand_cut_union("pairs"), ["field", "gram"], \
-            _block_pairs
+    lookup = name in _JOIN_KINDS
+    if not lookup:
+        (_, rows, keys, fn), = [x for x in _segment_kernels() if x[0] == name]
     else:
-        cols = {} if how in ("semi", "anti") else {"v": "vv"}
-        rows, on = _hand_cut_union("lookup"), ["k"]
-        fn = lambda t: _segment_lookup(t, on, cols, how)
+        if name == "pairs":
+            rows, keys, fn = _hand_cut_union("pairs"), ["field", "gram"], \
+                _block_pairs
+        else:
+            cols = {} if name in ("semi", "anti") else {"v": "vv"}
+            rows, keys = _hand_cut_union("lookup"), ["k"]
+            fn = lambda t: _segment_lookup(t, keys, cols, name)
     want = fn(rows)
     assert len(want) > 0
-    got = collect_table(_keyed_sorted(rd.from_blocks(_cut(rows)), on, fn,
-                                      how != "pairs"))
+    got = collect_table(_map_ranges(rd.from_blocks(_cut(rows)), keys, fn,
+                                    lookup, lookup and name != "pairs"))
     order = [(c, "ascending") for c in want.column_names]
     assert got.sort_by(order).equals(want.sort_by(order))
+
+
+def _blocking_sides() -> tuple[pa.Table, pa.Table]:
+    """(query, index) entity-match key rows (rec_id, field, gram): 300
+    and 500 rows, gram 7 holding 60% of each side."""
+    rng = np.random.default_rng(5)
+
+    def keys(n, lo):
+        gram = np.where(rng.random(n) < 0.6, 7, rng.integers(0, 60, n))
+        return pa.table({"rec_id": pa.array(np.arange(lo, lo + n), pa.int64()),
+                         "field": pa.array(rng.integers(0, 2, n), pa.int32()),
+                         "gram": pa.array(gram, pa.int64())})
+
+    return keys(300, 0), keys(500, 10_000)
 
 
 def test_block_pairs_match_pandas_merge(ray_session, monkeypatch):
@@ -483,15 +496,7 @@ def test_block_pairs_match_pandas_merge(ray_session, monkeypatch):
     from fuzzy_matcher_ray.stages.joins import collect_table, key_local
 
     monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
-    rng = np.random.default_rng(5)
-
-    def keys(n, lo):
-        gram = np.where(rng.random(n) < 0.6, 7, rng.integers(0, 60, n))
-        return pa.table({"rec_id": pa.array(np.arange(lo, lo + n), pa.int64()),
-                         "field": pa.array(rng.integers(0, 2, n), pa.int32()),
-                         "gram": pa.array(gram, pa.int64())})
-
-    q, i = keys(300, 0), keys(500, 10_000)
+    q, i = _blocking_sides()
     k = ["field", "gram"]
     got = collect_table(key_local(
         rd.from_arrow(q).repartition(7), rd.from_arrow(i), k, k, ["rec_id"],
@@ -500,6 +505,122 @@ def test_block_pairs_match_pandas_merge(ray_session, monkeypatch):
     assert len(want) > len(q)
     assert sorted(zip(got.a, got.b)) == \
         sorted(zip(want.rec_id_x, want.rec_id_y))
+
+
+def _spy_driver_blocks(monkeypatch) -> list[int]:
+    """The row counts of every block built on the driver from now on: each
+    ``rd.from_blocks`` block and each ``joins.block_tables`` table."""
+    import ray.data as rd
+    from fuzzy_matcher_ray.stages import joins
+
+    gathered = []
+    from_blocks, block_tables = rd.from_blocks, joins.block_tables
+    monkeypatch.setattr(rd, "from_blocks", lambda b, *a, **kw: (
+        gathered.extend(len(t) for t in b), from_blocks(b, *a, **kw))[1])
+    monkeypatch.setattr(joins, "block_tables", lambda ds: (
+        lambda ts: (gathered.extend(len(t) for t in ts), ts)[1])(
+            block_tables(ds)))
+    return gathered
+
+
+def _even_cuts(rows: pa.Table, keys: list[str], n: int) -> list[pa.Table]:
+    """``rows`` sorted on ``keys`` and cut into ``n`` ranges of equal row
+    count, so a hot key spans several of them: a layout Ray's range sort
+    does not make (its bounds are key values, so all rows of a key land
+    in one range), but one the post-sort step must take as any other."""
+    srt = rows.sort_by([(k, "ascending") for k in keys])
+    step = -(-len(srt) // n)
+    return [srt.slice(lo, step) for lo in range(0, len(srt), step)]
+
+
+def _spans(cuts: list[pa.Table], keys: list[str], key: tuple) -> int:
+    """How many of ``cuts`` hold rows of ``key``."""
+    return sum(key in set(zip(*(t[k].to_pylist() for k in keys)))
+               for t in cuts)
+
+
+@pytest.mark.parametrize("name", ["explode", "min_rep", "rebuild", "asof"])
+def test_map_segments_hot_key_gathers_no_rows_on_driver(ray_session,
+                                                        monkeypatch, name):
+    """A key holding 3/4 of the rows, on ``map_segments``' distributed
+    branch (7 input blocks) and, cut evenly over 7 sorted ranges so that
+    it spans at least 3 of them, through its post-sort step: both outputs
+    equal the kernel over the whole table, and no block is built on the
+    driver (no ``from_blocks``, no ``block_tables``): the hot key's rows
+    meet in its owner range's worker task."""
+    import ray
+    import ray.data as rd
+    from fuzzy_matcher_ray.stages.joins import _map_ranges, map_segments
+
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
+    rng = np.random.default_rng(9)
+    n = 4000
+    k = np.where(np.arange(n) % 4 == 0, rng.integers(0, 400, n), 7)
+    (_, rows, keys, fn), = [x for x in _segment_kernels(k) if x[0] == name]
+    cuts = _even_cuts(rows, keys, 7)
+    hot = tuple(cuts[3][c][0].as_py() for c in keys)
+    assert _spans(cuts, keys, hot) >= 3
+    ranges = rd.from_blocks(cuts)
+    gathered = _spy_driver_blocks(monkeypatch)
+    outs = [map_segments(rd.from_arrow(rows).repartition(7), keys, fn),
+            _map_ranges(ranges, keys, fn)]
+    assert gathered == []
+    want = fn(rows)
+    order = [(c, "ascending") for c in want.column_names]
+    for out in outs:
+        got = pa.concat_tables([t for t in ray.get(out.to_arrow_refs())
+                                if len(t)])
+        assert got.sort_by(order).equals(want.sort_by(order))
+
+
+def test_key_local_ranges_receive_only_their_edge_keys(ray_session,
+                                                       monkeypatch):
+    """Each range of the entity-match blocking join's post-sort step (the
+    ``_blocking_sides`` key rows tagged and cut evenly over 7 sorted
+    ranges, one gram holding most rows over at least 3 of them) is handed by ref only index rows of its own
+    two edge keys, from the ranges that share them, and runs its kernel
+    over exactly its own query rows plus, for each edge key, every index
+    row of that key."""
+    import ray
+    import ray.data as rd
+    from fuzzy_matcher_ray.stages import joins
+
+    q, i = _blocking_sides()
+    k = ["field", "gram"]
+    tagged = joins.collect_table(joins.tagged_union(
+        rd.from_arrow(q).materialize(), rd.from_arrow(i).materialize(), k, k,
+        ["rec_id"]))
+    cuts = _even_cuts(tagged, k, 7)
+    assert _spans(cuts, k, (0, 7)) >= 3
+    received, run = [], joins._run_range
+
+    class _Spy:       # the rows each range task is handed by ref
+        def remote(self, block, *args):
+            received.append(ray.get(list(args[4:])))
+            return run.remote(block, *args)
+
+    monkeypatch.setattr(joins, "_run_range", _Spy())
+    out = joins._map_ranges(rd.from_blocks(cuts), k, lambda t: t,
+                            lookup=True)
+    got_ranges = ray.get(out.to_arrow_refs())
+    assert len(got_ranges) == len(received) == len(cuts)
+    pairs = lambda t: list(zip(t["field"].to_pylist(), t["gram"].to_pylist()))
+    side = lambda t, v: t.filter(pa.compute.equal(t[joins.SIDE], v))
+    index = {}
+    for key in pairs(i):
+        index[key] = index.get(key, 0) + 1
+    for own, fetched, got in zip(cuts, received, got_ranges):
+        edge = {pairs(own)[0], pairs(own)[-1]}
+        fetched = [key for t in fetched for key in pairs(t)]
+        assert set(fetched) <= edge
+        for key in edge:
+            assert fetched.count(key) == index.get(key, 0)
+        assert side(got, 0).sort_by("rec_id").equals(
+            side(own, 0).sort_by("rec_id"))
+        assert set(pairs(got)) <= set(pairs(own))
+        recv = pairs(side(got, 1))
+        for key in edge:
+            assert recv.count(key) == index.get(key, 0)
 
 
 def test_key_local_hot_key_gathers_no_rows_on_driver(ray_session,
@@ -529,13 +650,7 @@ def test_key_local_hot_key_gathers_no_rows_on_driver(ray_session,
                   "field": pa.array(np.arange(60) % 2, pa.int32()),
                   "gram": pa.array(np.r_[[7] * 30, np.arange(30) * 13],
                                    pa.int64())})
-    gathered = []
-    from_blocks, block_tables = rd.from_blocks, joins.block_tables
-    monkeypatch.setattr(rd, "from_blocks", lambda b, *a, **kw: (
-        gathered.extend(len(t) for t in b), from_blocks(b, *a, **kw))[1])
-    monkeypatch.setattr(joins, "block_tables", lambda ds: (
-        lambda ts: (gathered.extend(len(t) for t in ts), ts)[1])(
-            block_tables(ds)))
+    gathered = _spy_driver_blocks(monkeypatch)
 
     def run(ds):      # empty blocks may carry no schema
         return pa.concat_tables([t for t in ray.get(ds.to_arrow_refs())

@@ -60,7 +60,7 @@ def test_joins_user_across_block_edges(ray_session, monkeypatch, forced):
     """Both join kernels run over whole users: on the driver, and with
     ``FMR_DRIVER_BYTES=0`` per block of a range sort on user_id,
     with user 3's 600 events spread over every input block (a user cut
-    across sorted blocks is in
+    across sorted ranges, run on one of them, is in
     ``test_distributed_paths::test_map_sorted_stitches_boundary_keys``).
     The rows of the two tests above keep their expectations, and every
     row equals a brute-force scan of its user's events."""

@@ -202,11 +202,13 @@ def test_forced_flagship_labels_with_no_groupby(shards, monkeypatch):
     key-local operator range-sorted, every join key-local and the labels
     contracted over ranges): the output equals the unforced run's, and no
     executed DAG holds a groupby (``Aggregate``). Its 416 edges come in
-    6 ranges, so the labeller contracts at most twice (6 → 3 → 1 ranges):
-    64 executions when the 3 ranges leave no node shared, 68 when a third
-    level runs (the range sort samples its bounds). With the edges on
-    driver union-find the same run took 53; min-label propagation with its
-    groupby rounds took 109."""
+    6 ranges, so the labeller contracts at most twice (6 → 3 → 1 ranges).
+    38 executions: each range-sorted step is its sort alone, as the
+    post-sort step runs as Ray tasks. While each step also ran a boundary
+    map and its lazy interior map, the run took 60 to 68 (68 when a third
+    level ran: the range sort samples its bounds). With the edges on
+    driver union-find it took 53; min-label propagation with its groupby
+    rounds took 109."""
     from fuzzy_matcher_ray.pipelines.dedup import find_duplicates
     from fuzzy_matcher_ray.sources.protocol import webpages_source
 
@@ -219,14 +221,15 @@ def test_forced_flagship_labels_with_no_groupby(shards, monkeypatch):
     assert got.select(ids).sort_by("doc_id").equals(
         want.select(ids).sort_by("doc_id"))
     assert all("Aggregate" not in dag for dag in counter.dags)
-    assert counter.count <= 68
+    assert counter.count <= 48
 
 
 def test_default_flagship_gates_take_driver_and_broadcast(pages, caplog):
     """Every gate decision of a default flagship on the 300-doc plan-test
     corpus, logged by ``stages/gates`` as (name, nbytes, branch), takes
     the driver or broadcast branch: the bytes sit far inside both
-    budgets."""
+    budgets. Each relabel fill asks gate "blocks" once (``map_blocks``
+    alone picks its branch)."""
     import logging
 
     from fuzzy_matcher_ray.pipelines.dedup import find_duplicates
@@ -239,6 +242,10 @@ def test_default_flagship_gates_take_driver_and_broadcast(pages, caplog):
     assert {"blocks", "segments", "labels", "relabel", "texts"} <= \
         {name for name, _, _ in seen}
     assert all(b in ("driver", "broadcast") for _, _, b in seen), seen
+    names = [name for name, _, _ in seen]
+    for at in (j for j, name in enumerate(names) if name == "relabel"):
+        fill = names[at + 1:]
+        assert fill[:1] == ["blocks"] and fill[1:2] != ["blocks"], names
 
 
 def test_plan_bytes_executes_nothing(pages):

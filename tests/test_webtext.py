@@ -670,8 +670,8 @@ def test_mg_sketch_nul_tokens_excluded_not_folded(ray_session, tmp_path):
 
 def test_host_quantiles_sketch_range_sort_branch(ray_session, monkeypatch):
     """With the driver branch off, the summaries are range-sorted on host
-    and the quantiles extracted per block, hosts at block edges stitched
-    on the driver: the same table as the driver branch's."""
+    and the quantiles extracted per range, each host at a range edge on
+    one of its ranges: the same table as the driver branch's."""
     from fuzzy_matcher_ray.pipelines.webtext import host_quantiles_sketch
 
     for eps, batch_size in ((1e-9, 8192), (0.05, 64)):
