@@ -153,8 +153,8 @@ def exact_dup_edges(norm, cfg: PipelineConfig,
     if prior is None:
         reps = star.reps()
     else:
-        rows = _semi_join_rows(_hash_rows(prior.norm), star.rows(),
-                               _HASH_KEY, cfg).union(star.rows()).materialize()
+        rows = union(_semi_join_rows(_hash_rows(prior.norm), star.rows(),
+                                     _HASH_KEY, cfg), star.rows()).materialize()
         reps = min_reps(rows, _HASH_KEY)
 
     def _edges(t: pa.Table) -> pa.Table:
@@ -233,8 +233,8 @@ def _candidate_pairs(rows, prior_rows, key_cols: list[str],
     if prior_rows is not None:
         # pinned: the semi-join and the union below both read it
         rows = rows.materialize()
-        rows = _tag_new(_semi_join_rows(prior_rows, rows, key_cols, cfg),
-                        0).union(_tag_new(rows, 1))
+        rows = union(_tag_new(_semi_join_rows(prior_rows, rows, key_cols,
+                                              cfg), 0), _tag_new(rows, 1))
         carry_cols.append("is_new")
         pair_filter = _touches_new if pair_filter is None else \
             (lambda t, f=pair_filter: f(_touches_new(t)))
@@ -774,7 +774,7 @@ def _tag_new(ds, flag: int):
     def _f(t: pa.Table) -> pa.Table:
         return t.append_column(
             "is_new", pa.array(np.full(len(t), flag, np.int8)))
-    return as_dataset(ds).map_batches(_f, batch_format="pyarrow")
+    return map_blocks(ds, _f)
 
 
 def _touches_new(t: pa.Table) -> pa.Table:

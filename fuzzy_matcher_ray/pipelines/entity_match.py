@@ -359,10 +359,9 @@ def match_entities(index_ds, query_ds, cfg: EntityMatchConfig | None = None,
     if idx_keys.count() == 0 or q_keys.count() == 0:
         return empty
     # blocking join: one key-local kernel over both key tables, cut at
-    # (field, gram-hash); a common gram's query rows stay on their blocks
+    # (field, gram-hash)
     keys = ["field", "gram"]
-    pairs = key_local(q_keys, idx_keys, keys, keys, ["rec_id"], _block_pairs,
-                      first_only=False)
+    pairs = key_local(q_keys, idx_keys, keys, keys, ["rec_id"], _block_pairs)
     # verify-once dedup via the shared pair helper: driver lexsort under
     # the row threshold (a Ray hash groupby costs ~15 s fixed on one box),
     # distributed groupby beyond — (a, b) are ORDERED (query, record)

@@ -8,8 +8,8 @@ Structure: every operator here is a function of the rows that share a key
 (pair explode, pair dedup, pair count, per-doc top-k), so each is one numpy
 kernel run by ``joins.map_segments`` — once on the driver for input within
 the driver budget (``stages/gates``), else as one Ray task per range of
-a range sort on the key, each key that straddles a range edge run whole
-on one of its ranges. Zero per-group Python calls on either branch.
+a range sort on the key, which puts each key's rows in one range. Zero
+per-group Python calls on either branch.
 
 1. ``key_pairs`` lexsorts the key rows and explodes each key segment: a
    segment of 2..max_group rows emits all its pairs, size-batched so one
@@ -29,12 +29,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.shingle import splitmix64
 from fuzzy_matcher_ray.stages.joins import (block_tables, is_pinned,
-                                            map_segments)
+                                            map_blocks, map_segments)
 
 
 def _segment_explode(gk: np.ndarray, ids: np.ndarray, carries: dict,
@@ -165,19 +164,18 @@ def _collect_combined_keys(ds, key_cols: list[str]) -> np.ndarray:
 
 
 def _membership_filter(key_rows, key_cols, keys_arr: np.ndarray):
-    """Rows whose combined key is in keys_arr (broadcast sorted-array isin)."""
-    ref = ray.put(keys_arr)
-
+    """Rows whose combined key is in the sorted ``keys_arr`` (a
+    searchsorted isin per block, ``map_blocks``: on the driver while the
+    rows are pinned and fit, else a Ray map that ships ``keys_arr`` with
+    its function)."""
     def _f(batch: pa.Table) -> pa.Table:
-        ks = ray.get(ref)
-        if len(ks) == 0:
+        if len(keys_arr) == 0:
             return batch.slice(0, 0)
         k = _combined_key(batch, key_cols)
-        idx = np.searchsorted(ks, k)
-        idx = np.clip(idx, 0, len(ks) - 1)
-        return batch.filter(pa.array(ks[idx] == k))
+        idx = np.clip(np.searchsorted(keys_arr, k), 0, len(keys_arr) - 1)
+        return batch.filter(pa.array(keys_arr[idx] == k))
 
-    return key_rows.map_batches(_f, batch_format="pyarrow")
+    return map_blocks(key_rows, _f)
 
 
 def key_pairs(key_rows, key_cols: list[str], cfg: PipelineConfig,
@@ -358,7 +356,6 @@ def budget_pairs(pairs_hits, budget: int):
     over doc segments (``map_segments``), then ``dedup_pairs`` for pairs
     both endpoints keep.
     """
-    from fuzzy_matcher_ray.stages.joins import map_blocks
     ends = map_blocks(pairs_hits.materialize(), _endpoint_rows,
                       out_rows=lambda d: 2 * d.count())
     return dedup_pairs(map_segments(ends, ["doc"],

@@ -7,13 +7,13 @@ lookup (``lookup``: ``searchsorted`` per batch) against either (a) the whole
 lookup side, sorted and put in the object store once (no shuffle), while
 its bytes fit the broadcast budget (``gates``), or (b) each sort range's
 own lookup rows (``keyed_join`` on ``key_local``: both sides tagged,
-unioned into one schema and range-sorted on the key; the lookup rows of a
-key that straddles a range edge reach the ranges that hold it by ref, so
-a hot key's probe rows stay on their ranges). At 10^12-doc scale the
-doc-side attach is always key-local. The range sort is the package's one
-shuffle: no hash join and no aggregator actors. After it, one post-sort
-step (``_map_ranges``) runs ``map_segments`` and ``key_local`` as Ray
-tasks, one per range: no key's rows pass through the driver.
+unioned into one schema and run through ``map_segments`` on the key).
+At 10^12-doc scale the doc-side attach is always key-local. The range
+sort is the package's one shuffle: no hash join and no aggregator
+actors. Its bounds are sampled key values, so each key's rows, probe and
+lookup side alike, land in one range. After it, one post-sort step
+(``_map_ranges``) runs one Ray task per range: no key's rows pass
+through the driver, and a key split across two ranges raises.
 """
 
 from __future__ import annotations
@@ -247,9 +247,9 @@ def map_segments(ds, keys: list[str], fn, block_rows: int | None = None):
     the driver over its blocks: driver blocks of ``block_rows`` rows (one
     block when None), no execution. Otherwise ``ds`` is range-sorted on
     ``keys`` into as many ranges as it has blocks, and ``fn`` runs once
-    per range in a Ray task (``_map_ranges``), each key that straddles a
-    range edge on its first range: zero per-group Python calls, and no
-    key's rows on the driver.
+    per range in a Ray task (``_map_ranges``), each key whole in one
+    range: zero per-group Python calls, and no key's rows on the
+    driver.
     """
     n = nbytes(ds)
     if n is None or gates.decide("segments", n) != "driver":
@@ -305,102 +305,42 @@ def sort_rows(ds, key, descending=False):
          for k, d in zip(keys, desc)])])
 
 
-def _key_masks(tbl: pa.Table, ref: pa.Table, keys: list[str]):
-    """(first, last): the rows of ``tbl`` whose ``keys`` equal those of
-    ``ref``'s first row, and of its last row (``ref`` non-empty)."""
-    first, last = np.ones((2, len(tbl)), dtype=bool)
-    for k in keys:
-        v = tbl[k].to_numpy(zero_copy_only=False)
-        r = ref[k].to_numpy(zero_copy_only=False)
-        first &= v == r[0]
-        last &= v == r[-1]
-    return first, last
-
-
-def _key_edges(t: pa.Table, keys: list[str]) -> tuple[int, int]:
-    """(lo, hi) of a non-empty key-sorted table: rows [0, lo) hold its
-    first key value and rows [hi, n) its last (lo <= hi)."""
-    n = len(t)
-    first, last = _key_masks(t, t, keys)
-    lo = n if first.all() else int(np.argmin(first))
-    hi = 0 if last.all() else n - int(np.argmin(last[::-1]))
-    return lo, max(lo, hi)
-
-
-def _split(t: pa.Table, lo: int, hi: int, lookup: bool):
-    """(own, travelling) rows of a sorted range (``_key_edges``' ``lo``,
-    ``hi``): the rows of its two edge keys travel, with ``lookup`` (a
-    ``key_local`` range) only their lookup-side rows."""
-    if not lookup:
-        return t.slice(lo, hi - lo), pa.concat_tables([t.slice(0, lo),
-                                                       t.slice(hi)])
-    edge = np.zeros(len(t), dtype=bool)
-    edge[:lo] = edge[hi:] = True
-    edge &= t[SIDE].to_numpy(zero_copy_only=False) == 1
-    return t.filter(pa.array(~edge)), t.filter(pa.array(edge))
-
-
-@ray.remote(num_returns=3)
-def _pin_edges(t: pa.Table, keys: list[str], lookup: bool, first_only: bool):
-    """A sorted range's (first, last) edge keys as value tuples (None for
-    no edge: a null key, or a single-key range's last), then the
-    travelling rows of its first key and of its last (with ``first_only``
-    the first row of each: a lookup reads one)."""
-    if len(t) == 0:
-        return (None, None), t, t
-    lo, hi = _key_edges(t, keys)
-    travel = _split(t, lo, hi, lookup)[1]
-    first, last = _key_masks(travel, t, keys)
-    rows = [travel.filter(pa.array(m)) for m in (first, last & ~first)]
-    key = lambda i: tuple(t[k][i].as_py() for k in keys)
-    return ((key(0) if lo else None, key(len(t) - 1) if hi < len(t) else None),
-            *(r.slice(0, 1) if first_only else r for r in rows))
-
-
-@ray.remote
-def _run_range(t: pa.Table, keys: list[str], fn, lookup: bool,
-               empty: pa.Table, *taken: pa.Table) -> pa.Table:
-    """``fn`` over a sorted range's own rows plus the ``taken``
-    travelling rows."""
+@ray.remote(num_returns=2)
+def _run_range(t: pa.Table, keys: list[str], fn, empty: pa.Table):
+    """``fn`` over a sorted range's rows, and the range's (first, last)
+    key tuples (None for an empty range)."""
     if len(t) == 0:           # empty blocks may carry no schema
-        return fn(empty)
-    own = _split(t, *_key_edges(t, keys), lookup)[0]
-    return fn(pa.concat_tables([own, *taken], promote_options="permissive"))
+        return fn(empty), None
+    key = lambda i: tuple(t[k][i].as_py() for k in keys)
+    return fn(t), (key(0), key(len(t) - 1))
 
 
-def _map_ranges(srt, keys: list[str], fn, lookup: bool = False,
-                first_only: bool = False):
+def _map_ranges(srt, keys: list[str], fn):
     """``fn`` over a materialized dataset whose blocks are contiguous
-    ranges of one sort on ``keys``, one Ray task per range: the post-sort
-    step of ``map_segments`` and, with ``lookup``, of ``key_local``.
+    ranges of one Ray range sort on ``keys``, one Ray task per range: the
+    post-sort step of ``map_segments``.
 
-    A key with rows in two ranges is the last key of one and the first of
-    the next (a hot key may span any number of ranges). Each range pins
-    the travelling rows of its two edge keys (``_split``), and the driver
-    reads only those keys. Each edge key is taken by its first range or,
-    with ``lookup``, by every range that holds it; a range runs ``fn``
-    over its own rows plus, by ref, the travelling rows of the keys it
-    takes from every range that holds them. So a key's rows meet in one
-    worker task, no block passes through the driver, and the outputs,
-    wrapped by ref, cost no Dataset execution.
+    The sort takes its range bounds from sampled key values, so every
+    row of a key lands in one range and ``fn`` sees each key whole. Each
+    task also returns its range's first and last key tuples, and the
+    driver reads only those: a key at the edge of two non-empty ranges
+    (a layout the sort does not make) raises ``RuntimeError`` instead of
+    handing back ``fn``'s output over a split key. No block passes
+    through the driver, and the outputs, wrapped by ref, cost no Dataset
+    execution.
     """
     sch = srt.schema()
     if sch is None:           # no rows and no schema: nothing to run
         return srt
     blocks = block_refs(srt) or srt.to_arrow_refs()
-    pinned = [_pin_edges.remote(b, keys, lookup, first_only) for b in blocks]
-    bounds = ray.get([p[0] for p in pinned])
-    holders: dict[tuple, list] = {}     # edge key -> [(range, rows ref)]
-    for i, edge_keys in enumerate(bounds):
-        for k, rows in zip(edge_keys, pinned[i][1:]):
-            if k is not None:
-                holders.setdefault(k, []).append((i, rows))
-    out = [_run_range.remote(
-        b, keys, fn, lookup, sch.base_schema.empty_table(),
-        *(rows for k in edge_keys if k is not None
-          and (lookup or holders[k][0][0] == i) for _, rows in holders[k]))
-        for i, (b, edge_keys) in enumerate(zip(blocks, bounds))]
-    return ray.data.from_arrow_refs(out)
+    runs = [_run_range.remote(b, keys, fn, sch.base_schema.empty_table())
+            for b in blocks]
+    edges = [e for e in ray.get([r[1] for r in runs]) if e is not None]
+    for (_, last), (first, _) in zip(edges, edges[1:]):
+        if last == first:
+            raise RuntimeError(f"key {last} of {keys} spans two sorted "
+                               "ranges")
+    return ray.data.from_arrow_refs([r[0] for r in runs])
 
 
 def project(ds, cols: list[str]):
@@ -583,10 +523,9 @@ def tagged_union(left, right, on: list[str], right_on: list[str],
 def _segment_lookup(t: pa.Table, on: list[str], cols: dict[str, str],
                     how: str) -> pa.Table:
     """``lookup`` over a ``tagged_union`` table that holds, for each key of
-    its left rows, that key's right rows (at least the first, if any): its
-    left rows against its right rows, sorted as ``broadcast_table`` sorts
-    the whole lookup side. A multi-column key is looked up by
-    ``key_codes``."""
+    its left rows, every right row of that key: its left rows against its
+    right rows, sorted as ``broadcast_table`` sorts the whole lookup side.
+    A multi-column key is looked up by ``key_codes``."""
     names = t.column_names
     cut = names.index(SIDE)
     is_left = t[SIDE].to_numpy(zero_copy_only=False) == 0
@@ -628,47 +567,45 @@ def _pin(ds):
 
 
 def key_local(ds, other, on: list[str], right_on: list[str], cols: list[str],
-              fn, *, first_only: bool, num_partitions: int = 32):
+              fn, num_partitions: int = 32):
     """``fn`` (pyarrow Table → Table) over ``ds`` and ``other`` cut at the
     join key (``on`` = ``right_on``). Each call gets a ``tagged_union``
     table holding ds's rows of some keys and, for each of those keys,
-    every row of ``other`` (with ``first_only`` at least one: a lookup
-    reads one); ``other`` is projected to ``right_on`` and ``cols``.
+    every row of ``other``; ``other`` is projected to ``right_on`` and
+    ``cols``.
 
     Both sides are pinned first (``_pin``): the sort is a barrier anyway,
     and both schemas are then metadata (``schema()`` of a lazy dataset
-    runs an early-stopped ``limit=1`` execution of it). A union tagged on
-    the driver (``union``) runs ``fn`` once there (``map_segments``); a
-    larger one is range-sorted on ``on`` into ``partitions_for(
+    runs an early-stopped ``limit=1`` execution of it). The union runs
+    through ``map_segments`` on ``on``: once on the driver when it is
+    driver blocks (``union``), else range-sorted into ``partitions_for(
     num_partitions, …)`` ranges (a union's block count is the sum of its
-    sides', so joins fed join outputs would compound it) and run range by
-    range (``_map_ranges``): each range gets the lookup rows of its edge
-    keys from the ranges that share them, so a hot key's probe rows stay
-    on their ranges.
+    sides', so joins fed join outputs would compound it), one task per
+    range, each key's probe and lookup rows in one range.
     """
     ds = _pin(ds)
     if ds.schema() is None:       # no rows and no schema: nothing to join
         return ds
     right = _pin(project(other, [*right_on, *cols]))
     tagged = tagged_union(ds, right, on, right_on, cols)
-    if isinstance(tagged, DriverBlocks):
-        return map_segments(tagged, on, fn)
-    parts = partitions_for(num_partitions, plan_bytes(tagged))
-    srt = tagged.repartition(parts).sort(on).materialize()
-    return _map_ranges(srt, on, fn, lookup=True, first_only=first_only)
+    if not isinstance(tagged, DriverBlocks):
+        tagged = tagged.repartition(
+            partitions_for(num_partitions, plan_bytes(tagged)))
+    return map_segments(tagged, on, fn)
 
 
 def keyed_join(ds, other, on: list[str], right_on: list[str],
                cols: dict[str, str], how: str, num_partitions: int = 32):
     """``lookup`` of ``other`` onto ``ds`` (``on`` = ``right_on``),
     key-local (``key_local``): each cut's rows of ``ds`` are looked up
-    against its own rows of ``other`` — the broadcast branch's lookup, cut
-    by cut, so the two branches agree by construction (a lookup side
-    holds one row per key). ``how`` as in ``lookup``; the output holds
-    ds's columns, then ``cols``' out columns."""
+    against every row of ``other`` with the same keys — the broadcast
+    branch's lookup, cut by cut, so the two branches agree by
+    construction (a lookup side holds one row per key). ``how`` as in
+    ``lookup``; the output holds ds's columns, then ``cols``' out
+    columns."""
     return key_local(ds, other, on, right_on, list(cols),
                      lambda t: _segment_lookup(t, on, cols, how),
-                     first_only=True, num_partitions=num_partitions)
+                     num_partitions)
 
 
 def attach_columns(ds, other, left_key: str, right_key: str,

@@ -438,37 +438,39 @@ _JOIN_KINDS = ["inner", "left", "semi", "anti", "pairs"]
 
 
 @pytest.mark.parametrize("name", _SEGMENT_KERNELS + _JOIN_KINDS)
-def test_map_sorted_stitches_boundary_keys(ray_session, name):
-    """The one post-sort step (``joins._map_ranges``) over hand-cut sorted
-    blocks equals the kernel over the whole table, for every segment
-    kernel of ``map_segments`` (each edge key run on one owner range) and
-    every join kind of ``key_local`` (each edge key's lookup rows on every
-    range that holds it): keys spanning 2 and 3 blocks, a single-key
-    block, a 1-row and an empty block, a hot key spanning 3 non-empty
-    blocks whose lookup row sits in its first block, and a key with no
-    lookup row."""
+def test_map_sorted_stitches_boundary_keys(ray_session, monkeypatch, name):
+    """Every segment kernel of ``map_segments`` and every join kind of
+    ``key_local`` (a ``tagged_union`` table through ``map_segments``),
+    run over Ray-sorted ranges of a 7-block input
+    (``FMR_DRIVER_BYTES=0``), equals the kernel over the whole table:
+    keys spanning 2 and 3 input blocks, a single-key block, a 1-row and
+    an empty block, a hot key over 3 blocks whose lookup row sits in the
+    first, and a key with no lookup row. The same blocks handed to the
+    post-sort step (``joins._map_ranges``) as if they were sorted ranges
+    share edge keys, a layout Ray's range sort does not make: it raises
+    instead of stitching them."""
     import ray.data as rd
     from fuzzy_matcher_ray.pipelines.entity_match import _block_pairs
     from fuzzy_matcher_ray.stages.joins import (_map_ranges, _segment_lookup,
-                                                collect_table)
+                                                collect_table, map_segments)
 
-    lookup = name in _JOIN_KINDS
-    if not lookup:
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
+    if name in _SEGMENT_KERNELS:
         (_, rows, keys, fn), = [x for x in _segment_kernels() if x[0] == name]
+    elif name == "pairs":
+        rows, keys, fn = _hand_cut_union("pairs"), ["field", "gram"], \
+            _block_pairs
     else:
-        if name == "pairs":
-            rows, keys, fn = _hand_cut_union("pairs"), ["field", "gram"], \
-                _block_pairs
-        else:
-            cols = {} if name in ("semi", "anti") else {"v": "vv"}
-            rows, keys = _hand_cut_union("lookup"), ["k"]
-            fn = lambda t: _segment_lookup(t, keys, cols, name)
+        cols = {} if name in ("semi", "anti") else {"v": "vv"}
+        rows, keys = _hand_cut_union("lookup"), ["k"]
+        fn = lambda t: _segment_lookup(t, keys, cols, name)
     want = fn(rows)
     assert len(want) > 0
-    got = collect_table(_map_ranges(rd.from_blocks(_cut(rows)), keys, fn,
-                                    lookup, lookup and name != "pairs"))
+    got = collect_table(map_segments(rd.from_blocks(_cut(rows)), keys, fn))
     order = [(c, "ascending") for c in want.column_names]
     assert got.sort_by(order).equals(want.sort_by(order))
+    with pytest.raises(RuntimeError, match="spans two sorted ranges"):
+        _map_ranges(rd.from_blocks(_cut(rows)), keys, fn)
 
 
 def _blocking_sides() -> tuple[pa.Table, pa.Table]:
@@ -500,7 +502,7 @@ def test_block_pairs_match_pandas_merge(ray_session, monkeypatch):
     k = ["field", "gram"]
     got = collect_table(key_local(
         rd.from_arrow(q).repartition(7), rd.from_arrow(i), k, k, ["rec_id"],
-        _block_pairs, first_only=False)).to_pandas()
+        _block_pairs)).to_pandas()
     want = q.to_pandas().merge(i.to_pandas(), on=k)
     assert len(want) > len(q)
     assert sorted(zip(got.a, got.b)) == \
@@ -527,7 +529,7 @@ def _even_cuts(rows: pa.Table, keys: list[str], n: int) -> list[pa.Table]:
     """``rows`` sorted on ``keys`` and cut into ``n`` ranges of equal row
     count, so a hot key spans several of them: a layout Ray's range sort
     does not make (its bounds are key values, so all rows of a key land
-    in one range), but one the post-sort step must take as any other."""
+    in one range), and one the post-sort step refuses."""
     srt = rows.sort_by([(k, "ascending") for k in keys])
     step = -(-len(srt) // n)
     return [srt.slice(lo, step) for lo in range(0, len(srt), step)]
@@ -543,11 +545,11 @@ def _spans(cuts: list[pa.Table], keys: list[str], key: tuple) -> int:
 def test_map_segments_hot_key_gathers_no_rows_on_driver(ray_session,
                                                         monkeypatch, name):
     """A key holding 3/4 of the rows, on ``map_segments``' distributed
-    branch (7 input blocks) and, cut evenly over 7 sorted ranges so that
-    it spans at least 3 of them, through its post-sort step: both outputs
-    equal the kernel over the whole table, and no block is built on the
-    driver (no ``from_blocks``, no ``block_tables``): the hot key's rows
-    meet in its owner range's worker task."""
+    branch (7 input blocks): the output equals the kernel over the whole
+    table, and no block is built on the driver (no ``from_blocks``, no
+    ``block_tables``): the hot key's rows meet in its range's worker
+    task. Cut evenly over 7 sorted ranges instead, so that it spans at
+    least 3 of them, the key makes the post-sort step raise."""
     import ray
     import ray.data as rd
     from fuzzy_matcher_ray.stages.joins import _map_ranges, map_segments
@@ -562,65 +564,69 @@ def test_map_segments_hot_key_gathers_no_rows_on_driver(ray_session,
     assert _spans(cuts, keys, hot) >= 3
     ranges = rd.from_blocks(cuts)
     gathered = _spy_driver_blocks(monkeypatch)
-    outs = [map_segments(rd.from_arrow(rows).repartition(7), keys, fn),
-            _map_ranges(ranges, keys, fn)]
+    out = map_segments(rd.from_arrow(rows).repartition(7), keys, fn)
     assert gathered == []
     want = fn(rows)
     order = [(c, "ascending") for c in want.column_names]
-    for out in outs:
-        got = pa.concat_tables([t for t in ray.get(out.to_arrow_refs())
-                                if len(t)])
-        assert got.sort_by(order).equals(want.sort_by(order))
+    got = pa.concat_tables([t for t in ray.get(out.to_arrow_refs())
+                            if len(t)])
+    assert got.sort_by(order).equals(want.sort_by(order))
+    with pytest.raises(RuntimeError, match="spans two sorted ranges"):
+        _map_ranges(ranges, keys, fn)
 
 
-def test_key_local_ranges_receive_only_their_edge_keys(ray_session,
-                                                       monkeypatch):
-    """Each range of the entity-match blocking join's post-sort step (the
-    ``_blocking_sides`` key rows tagged and cut evenly over 7 sorted
-    ranges, one gram holding most rows over at least 3 of them) is handed by ref only index rows of its own
-    two edge keys, from the ranges that share them, and runs its kernel
-    over exactly its own query rows plus, for each edge key, every index
-    row of that key."""
-    import ray
+def _contract_layouts() -> dict:
+    """name -> (dataset, keys): inputs whose range sort must put each
+    key's rows in one block, built under the current ``DataContext``.
+    "hot": one key holds 3/4 of 20k rows; "pair": a two-column key;
+    "union": a ``repartition(9)`` of a two-part union (``key_local``'s
+    shape); "nulls": 1/3 of the keys null."""
     import ray.data as rd
-    from fuzzy_matcher_ray.stages import joins
 
-    q, i = _blocking_sides()
-    k = ["field", "gram"]
-    tagged = joins.collect_table(joins.tagged_union(
-        rd.from_arrow(q).materialize(), rd.from_arrow(i).materialize(), k, k,
-        ["rec_id"]))
-    cuts = _even_cuts(tagged, k, 7)
-    assert _spans(cuts, k, (0, 7)) >= 3
-    received, run = [], joins._run_range
+    rng = np.random.default_rng(21)
+    n = 20_000
+    hot = np.where(np.arange(n) % 4 == 0, rng.integers(0, 2_000, n), 7)
+    x = np.arange(n)
+    nulls = pa.array(rng.integers(0, 500, n), pa.int64(),
+                     mask=np.arange(n) % 3 == 0)
+    pair = pa.table({"a": hot % 3, "b": hot // 3, "x": x})
+    parts = lambda t: rd.from_arrow(t).repartition(7)
+    return {
+        "hot": (parts(pa.table({"k": hot, "x": x})), ["k"]),
+        "pair": (parts(pair), ["a", "b"]),
+        "union": (rd.from_arrow(pair.slice(0, n // 3)).union(
+            rd.from_arrow(pair.slice(n // 3))).repartition(9), ["a", "b"]),
+        "nulls": (parts(pa.table({"k": nulls, "x": x})), ["k"]),
+    }
 
-    class _Spy:       # the rows each range task is handed by ref
-        def remote(self, block, *args):
-            received.append(ray.get(list(args[4:])))
-            return run.remote(block, *args)
 
-    monkeypatch.setattr(joins, "_run_range", _Spy())
-    out = joins._map_ranges(rd.from_blocks(cuts), k, lambda t: t,
-                            lookup=True)
-    got_ranges = ray.get(out.to_arrow_refs())
-    assert len(got_ranges) == len(received) == len(cuts)
-    pairs = lambda t: list(zip(t["field"].to_pylist(), t["gram"].to_pylist()))
-    side = lambda t, v: t.filter(pa.compute.equal(t[joins.SIDE], v))
-    index = {}
-    for key in pairs(i):
-        index[key] = index.get(key, 0) + 1
-    for own, fetched, got in zip(cuts, received, got_ranges):
-        edge = {pairs(own)[0], pairs(own)[-1]}
-        fetched = [key for t in fetched for key in pairs(t)]
-        assert set(fetched) <= edge
-        for key in edge:
-            assert fetched.count(key) == index.get(key, 0)
-        assert side(got, 0).sort_by("rec_id").equals(
-            side(own, 0).sort_by("rec_id"))
-        assert set(pairs(got)) <= set(pairs(own))
-        recv = pairs(side(got, 1))
-        for key in edge:
-            assert recv.count(key) == index.get(key, 0)
+@pytest.mark.parametrize("block_bytes", [None, 8 << 10])
+@pytest.mark.parametrize("layout", ["hot", "pair", "union", "nulls"])
+def test_range_sort_keeps_each_key_in_one_block(ray_session, monkeypatch,
+                                                layout, block_bytes):
+    """The contract the post-sort step relies on: Ray's range sort takes
+    its bounds from sampled key values, so each key's rows, nulls
+    included, land in one block (at the default ``target_max_block_size``
+    and at 8 KiB), and ``_map_ranges`` over the sorted blocks runs with
+    no shared edge key."""
+    import ray
+    from ray.data import DataContext
+    from fuzzy_matcher_ray.stages.joins import _map_ranges, block_refs
+
+    if block_bytes is not None:
+        monkeypatch.setattr(DataContext.get_current(),
+                            "target_max_block_size", block_bytes)
+    ds, keys = _contract_layouts()[layout]
+    srt = ds.sort(keys).materialize()
+    blocks = [t for t in ray.get(block_refs(srt)) if len(t)]
+    assert len(blocks) > 1
+    seen: dict[tuple, int] = {}
+    for i, t in enumerate(blocks):
+        for key in set(zip(*(t[k].to_pylist() for k in keys))):
+            assert seen.setdefault(key, i) == i, key
+    assert (None,) in seen or layout != "nulls"
+    out = _map_ranges(srt, keys, lambda t: t.select(["x"]))
+    assert sum(len(t) for t in ray.get(out.to_arrow_refs())) == 20_000
 
 
 def test_key_local_hot_key_gathers_no_rows_on_driver(ray_session,
@@ -661,7 +667,7 @@ def test_key_local_hot_key_gathers_no_rows_on_driver(ray_session,
         ["k"], {"v": "vv"}, "left"))
     pairs = run(joins.key_local(
         rd.from_arrow(q).repartition(7), rd.from_arrow(i), ["field", "gram"],
-        ["field", "gram"], ["rec_id"], _block_pairs, first_only=False))
+        ["field", "gram"], ["rec_id"], _block_pairs))
     assert gathered == []
     lookup = joins._Lookup(joins.broadcast_table(right, "k", ["v"]), "k",
                            {"v": "vv"}, "left")

@@ -217,3 +217,50 @@ def test_entry_points_return_ray_datasets(distinct_docs, tmp_path):
         assert isinstance(out, rd.Dataset) and not isinstance(
             out, DriverBlocks)
     assert [o.count() for o in outs] == [60, 30, 60, 60]
+
+
+def test_no_package_path_reads_dataset_attributes_off_driver_blocks(
+        ray_session, tmp_path, monkeypatch):
+    """Every package step that reads driver blocks asks them directly
+    (``count``, ``schema``, ``tables``, ``as_dataset``): with
+    ``DriverBlocks.__getattr__`` raising for every non-dunder name, the
+    default flagship, a fold, a 2-shard chain and the flagship with both
+    budgets forced to 0 all run. ``__getattr__`` itself stays for
+    callers outside the package that treat a driver result as a
+    dataset."""
+    from fuzzy_matcher_ray.pipelines.dedup import (dedup_sharded,
+                                                   find_duplicates,
+                                                   incremental_update)
+    from fuzzy_matcher_ray.sources.protocol import webpages_source
+    from fuzzy_matcher_ray.sources.webpages import make_webpages
+
+    pages, _ = make_webpages(400, seed=5)
+    paths = [str(tmp_path / f"shard{i}.parquet") for i in range(2)]
+    for i, p in enumerate(paths):
+        pq.write_table(pages.slice(200 * i, 200), p)
+    reads = []
+
+    def strict(self, name):
+        if name.startswith("__") or name in ("tables", "_ds"):
+            raise AttributeError(name)
+        reads.append(name)
+        raise AssertionError(f"DriverBlocks.{name} read as a Dataset's")
+
+    monkeypatch.setattr(DriverBlocks, "__getattr__", strict)
+    src = lambda i: webpages_source(paths[i])
+    link0 = str(tmp_path / "link0")
+    want = collect_table(find_duplicates(
+        src(0), CFG, checkpointer=Checkpointer(link0, CFG.config_hash())))
+    fold = collect_table(incremental_update([link0], src(1), CFG))
+    chain = collect_table(dedup_sharded([("s0", src(0)), ("s1", src(1))],
+                                        str(tmp_path / "state"), CFG))
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
+    monkeypatch.setenv("FMR_BROADCAST_BYTES", "0")
+    forced = collect_table(find_duplicates(src(0), CFG))
+    assert reads == []
+    ids = ["doc_id", "cluster_id"]
+    assert forced.select(ids).sort_by("doc_id").equals(
+        want.select(ids).sort_by("doc_id"))
+    assert chain.select(ids).sort_by("doc_id").equals(
+        fold.select(ids).sort_by("doc_id"))
+    assert len(fold) == 400

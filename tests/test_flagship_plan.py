@@ -154,9 +154,12 @@ def test_checkpointed_flagship_runs_as_the_uncheckpointed_one(shards,
     assert counter.puts <= plain.puts
 
 
-def test_fold_runs_in_twelve_executions(shards, tmp_path):
+def test_fold_runs_in_nine_executions(shards, tmp_path):
     """An uncheckpointed fold of 400 docs onto a 400-doc link, collected.
-    With the relabel's edge endpoints and its edge union as Ray datasets
+    The prior rows sharing a key with the increment's, their ``is_new``
+    tags and each pass's union of the two are driver blocks. With those
+    as lazy Ray maps and a Ray union (driver blocks read through
+    ``Dataset.union``) it took 12; with the relabel's edge endpoints and its edge union as Ray datasets
     over the fold's driver-block edges it took 13; with the increment's
     ids collected through a ``select_columns`` over its materialized
     normalize stage, 14; with the increment's key rows as Ray maps and a
@@ -173,13 +176,15 @@ def test_fold_runs_in_twelve_executions(shards, tmp_path):
         out = collect_table(incremental_update(
             [root], webpages_source(shards[1]), CFG))
     assert len(out) == 800
-    assert counter.count == 12
+    assert counter.count == 9
 
 
-def test_two_shard_chain_runs_in_sixteen_executions(shards, tmp_path):
+def test_two_shard_chain_runs_in_thirteen_executions(shards, tmp_path):
     """``dedup_sharded`` over both shards, collected: link 0, the prebuild
     of link 1 and the fold, every stage written from its pinned blocks and
-    the prebuild's pinned stages handed to the fold. With the fold's
+    the prebuild's pinned stages handed to the fold, the fold's key-row
+    unions on the driver. With those unions as Ray unions of lazy tag
+    maps it took 16; with the fold's
     relabel turning its driver-block edges back into Ray datasets it took
     17; with the fold reading the prebuilt normalize and signatures back
     as lazy Parquet, 21;
@@ -194,7 +199,7 @@ def test_two_shard_chain_runs_in_sixteen_executions(shards, tmp_path):
             [(f"s{i}", webpages_source(p)) for i, p in enumerate(shards)],
             str(tmp_path / "state"), CFG))
     assert len(out) == 800
-    assert counter.count == 16
+    assert counter.count == 13
 
 
 def test_forced_flagship_labels_with_no_groupby(shards, monkeypatch):

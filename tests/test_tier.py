@@ -62,7 +62,7 @@ def test_tiered_lsh_path_matches_exact(ray_session, corpus):
 
 def test_doc_winner_distributed_twin(ray_session, tmp_path, monkeypatch):
     """The min-rep kernel's distributed branch (range sort on the key,
-    per-range segment min, each edge key on one of its ranges) gives the
+    per-range segment min, each key whole in one range) gives the
     driver path's (doc_id, w) rows: three copies of the fixture's docs, 24
     rows past a driver budget of ten 16-byte key rows."""
     from fuzzy_matcher_ray.pipelines.tier import _doc_winner
