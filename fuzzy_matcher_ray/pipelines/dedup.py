@@ -44,6 +44,8 @@ A fold (``incremental_update``, chained by ``dedup_sharded``) is the same
 pass builders run over a delta: handed a ``PriorIndex``, each builder
 semi-joins the prior run's key rows against the increment's, keeps only
 pairs touching a new doc, and fans in at the same ``edges_all`` stage.
+The prior labels are read once and pinned: the disjoint-id guard, the
+touched-label star and the output fill all run over those blocks.
 """
 
 from __future__ import annotations
@@ -61,11 +63,11 @@ from fuzzy_matcher_ray.stages.candidates import (_numpy_dedup_pairs,
 from fuzzy_matcher_ray.stages.cluster import (cluster_edges,
                                               component_labels, relabel)
 from fuzzy_matcher_ray.stages import gates
-from fuzzy_matcher_ray.stages.joins import (DriverBlocks, anti_join,
-                                            anti_lookup, as_dataset,
-                                            attach_columns, is_pinned,
-                                            keyed_join, map_blocks,
-                                            map_segments, nbytes,
+from fuzzy_matcher_ray.stages.joins import (BroadcastAttacher,
+                                            DriverBlocks, anti_lookup,
+                                            as_dataset, attach_columns,
+                                            is_pinned, keyed_join,
+                                            map_blocks, map_segments, nbytes,
                                             pinned_bytes, project, union)
 from fuzzy_matcher_ray.stages.minhash_stage import (
     Signatures, add_stage, band_key_rows, simhash_key_rows, winnow_key_rows)
@@ -203,8 +205,8 @@ def signature_table(norm, cfg: PipelineConfig, reps=None):
     ``reps``: the exact pass's (doc_id, rep) star over ``norm``. Given, the
     docs that are not their group's rep are left out: one sketch row per
     distinct fuzzy text. The filter runs inside the sketch map (a broadcast
-    ``joins.anti_lookup``) and is a ``joins.anti_join`` ahead of it past
-    the broadcast budget.
+    ``joins.anti_lookup``) and is an anti ``joins.attach_columns`` ahead of
+    it past the broadcast budget.
     """
     src = norm.select_columns(["doc_id", "norm_text", "tier"])
     drop = None
@@ -215,8 +217,9 @@ def signature_table(norm, cfg: PipelineConfig, reps=None):
         if copies.count():
             drop = anti_lookup(copies, "doc_id", "doc_id")
             if drop is None:
-                src = anti_join(src, copies, "doc_id", "doc_id",
-                                cfg.join_num_partitions)
+                src = attach_columns(src, copies, "doc_id", "doc_id", {},
+                                     how="anti",
+                                     num_partitions=cfg.join_num_partitions)
     return add_stage(src, Signatures, cfg, drop=drop)
 
 
@@ -530,7 +533,6 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
         # instead of re-shingling every batch's distinct docs (size-gated;
         # None ⇒ verifiers fall back to the text broadcast / join paths).
         # Off by default — see config.use_shingle_set_artifact.
-        from fuzzy_matcher_ray.stages.joins import BroadcastAttacher
         attacher = None
         if gates.decide("texts", nbytes(norm)) == "broadcast":
             attacher = BroadcastAttacher(norm, "doc_id", ["norm_text"])
@@ -858,10 +860,13 @@ def incremental_update(prior_root: str | list[str], new_docs,
     The verified edges fan in at the same ``edges_all`` stage as the
     flagship; the fold then runs the clustering stage's labeller over the
     new edges with every prior component contracted to its label, and
-    remaps only the components they touch (``_fold_labels``). Signatures
-    are deterministic per doc, so the result is BYTE-IDENTICAL to a full
-    re-run over prior ∪ new (same edge components ⇒ same min-id labels) —
-    asserted by tests/test_incremental.py.
+    remaps only the components they touch (``_fold_labels``). The prior
+    labels are read once, pinned: the disjoint-id guard (a
+    ``_semi_join_rows``, ahead of every pass), the touched-label star and
+    the output fill share them. Signatures are deterministic per doc, so
+    the result is BYTE-IDENTICAL to a full re-run over prior ∪ new (same
+    edge components ⇒ same min-id labels) — asserted by
+    tests/test_incremental.py.
 
     Returns (doc_id, cluster_id) for every doc in prior ∪ new. Requires
     disjoint doc_id spaces (checked) and the same ``cfg`` AND pass set as
@@ -893,8 +898,6 @@ def incremental_update(prior_root: str | list[str], new_docs,
     prebuild (``_prebuild_increment``) built them under ``checkpointer``'s
     root, so the fold reads neither stage back.
     """
-    import ray
-
     cfg = cfg or PipelineConfig()
     if cfg.verify_budget_per_doc is not None:
         raise ValueError("incremental_update: verify_budget_per_doc breaks "
@@ -930,49 +933,23 @@ def incremental_update(prior_root: str | list[str], new_docs,
             empty_schema=_link_schemas(cfg)["clusters"],
             meta=_passes_meta(passes))
 
-    from fuzzy_matcher_ray.stages.joins import (BroadcastAttacher,
-                                                _collect_columns)
+    # the prior labels, pinned: the id guard, the touched-label star and
+    # the output fill read them, and the prior clusters stage is read once
+    labels_A = project(clusters_A, ["doc_id", "cluster_id"]).materialize()
+    ids_B = project(norm_B, ["doc_id"])
+    n_overlap = _semi_join_rows(project(labels_A, ["doc_id"]), ids_B,
+                                ["doc_id"], cfg).count()
+    if n_overlap:
+        raise ValueError(
+            f"incremental_update: {n_overlap} doc_ids of the "
+            "increment already exist in the prior corpus")
 
-    # --- disjoint-id guard: one streaming filter over the slim prior ids
-    # against the broadcast increment ids (the increment is the small side
-    # by definition; at shard sizes past driver memory, skip via the
-    # caller's own id discipline and the check degrades to the join paths
-    # simply producing garbage — hence the hard error here while it fits)
-    b_ids = np.unique(_collect_columns(norm_B, ["doc_id"])["doc_id"]
-                      .to_numpy(zero_copy_only=False))
-    ids_ref = ray.put(b_ids)
-
-    def _overlap(t: pa.Table) -> pa.Table:
-        ks = ray.get(ids_ref)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        idx = np.clip(np.searchsorted(ks, ids), 0, max(len(ks) - 1, 0))
-        n = int((ks[idx] == ids).sum()) if len(ks) else 0
-        return pa.table({"n": pa.array([n], pa.int64())})
-
-    def _overlap_guard():
-        # iter_batches merges the per-block counts: sum every row
-        n_overlap = sum(
-            int(t["n"].to_numpy(zero_copy_only=False).sum())
-            for t in clusters_A.select_columns(["doc_id"])
-            .map_batches(_overlap, batch_format="pyarrow")
-            .iter_batches(batch_size=1 << 20, batch_format="pyarrow"))
-        if n_overlap:
-            raise ValueError(
-                f"incremental_update: {n_overlap} doc_ids of the "
-                "increment already exist in the prior corpus")
-
-    # the guard and the shared text broadcast are independent Dataset
-    # executions: overlap their fixed scheduling costs (~0.5-1 s each on
-    # one node), which stack up per fold on a cold dedup_sharded chain
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        f_overlap = pool.submit(_overlap_guard)
-        # the verify stages' text source (A ∪ B, slim columns)
-        texts = norm_A.select_columns(["doc_id", "norm_text"]).union(
-            norm_B.select_columns(["doc_id", "norm_text"])).materialize()
-        attacher = (BroadcastAttacher(texts, "doc_id", ["norm_text"])
-                    if gates.decide("texts", nbytes(texts)) == "broadcast"
-                    else None)
-        f_overlap.result()
+    # the verify stages' text source (A ∪ B, slim columns)
+    texts = norm_A.select_columns(["doc_id", "norm_text"]).union(
+        norm_B.select_columns(["doc_id", "norm_text"])).materialize()
+    attacher = (BroadcastAttacher(texts, "doc_id", ["norm_text"])
+                if gates.decide("texts", nbytes(texts)) == "broadcast"
+                else None)
 
     sigs_A = None
     if sigs_B is not None:
@@ -995,39 +972,35 @@ def incremental_update(prior_root: str | list[str], new_docs,
         passes, norm_B, cfg, attacher, sigs_B, prior=prior, star=star),
         passes)
 
-    ids_B = norm_B.select_columns(["doc_id"])
-    return ck.stage("clusters", lambda: _fold_labels(
-        clusters_A, new_edges, ids_B, cfg), meta=_passes_meta(passes))
+    return as_dataset(ck.stage("clusters", lambda: _fold_labels(
+        labels_A, new_edges, ids_B, cfg), meta=_passes_meta(passes)))
 
 
-def _fold_labels(clusters_A, new_edges, ids_B, cfg: PipelineConfig):
+def _fold_labels(labels_A, new_edges, ids_B, cfg: PipelineConfig):
     """(doc_id, cluster_id) over prior ∪ increment, relabelling only what
     the new edges touch.
 
-    Every prior component is already contracted to its label, its min
-    doc_id. The new edges' endpoints semi-join against the prior labels
-    (``_semi_join_rows``: the prior corpus streams, never shuffles), each
-    prior endpoint joins its label by a (cluster_id, doc_id) edge, and the
-    clustering stage's labeller runs over that small graph. Its labels are
-    min node ids, so remapping every row's cluster_id through them
-    (``cluster.relabel``) gives a full re-run's labels (same components ⇒
-    same min ids) at O(touched) cost per fold: rows of untouched
-    components find no label and keep their own.
+    ``labels_A`` are the prior labels, pinned: every prior component is
+    already contracted to its label, its min doc_id. The new edges'
+    endpoints semi-join against them (``_semi_join_rows``: on the driver
+    while they fit), each prior endpoint joins its label by a (cluster_id,
+    doc_id) edge, and the clustering stage's labeller runs over that small
+    graph. Its labels are min node ids, so remapping every row's
+    cluster_id through them (``cluster.relabel``) gives a full re-run's
+    labels (same components ⇒ same min ids) at O(touched) cost per fold:
+    rows of untouched components find no label and keep their own.
     """
-    base = clusters_A.select_columns(["doc_id", "cluster_id"])
-    nodes = base.union(ids_B.map_batches(
-        lambda t: pa.table({"doc_id": t["doc_id"],
-                            "cluster_id": t["doc_id"]}),
-        batch_format="pyarrow"))
+    nodes = union(labels_A, map_blocks(ids_B, lambda t: pa.table(
+        {"doc_id": t["doc_id"], "cluster_id": t["doc_id"]})))
     ends = map_blocks(new_edges, lambda t: pa.table({"doc_id": np.concatenate(
         [t["a"].to_numpy(zero_copy_only=False),
          t["b"].to_numpy(zero_copy_only=False)])}))
-    # pinned: the prior scan behind it runs once, and its union with the
-    # new edges is driver blocks while both are small
-    star = _semi_join_rows(base, ends, ["doc_id"], cfg).map_batches(
+    # pinned: its union with the new edges is driver blocks while both are
+    # small
+    star = map_blocks(
+        _semi_join_rows(labels_A, ends, ["doc_id"], cfg),
         lambda t: pa.table({"a": t["cluster_id"], "b": t["doc_id"]}).filter(
-            pc.not_equal(t["cluster_id"], t["doc_id"])),
-        batch_format="pyarrow").materialize()
+            pc.not_equal(t["cluster_id"], t["doc_id"]))).materialize()
     labels = component_labels(union(new_edges, star), cfg)
     return relabel(nodes, "cluster_id", "cluster_id", labels, cfg)
 

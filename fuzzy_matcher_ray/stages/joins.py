@@ -639,14 +639,3 @@ def anti_lookup(other, left_key: str, right_key: str):
         return None
     return broadcast_lookup(other, left_key, right_key, {}, "anti")
 
-
-def anti_join(ds, other, left_key: str, right_key: str,
-              num_partitions: int = 32):
-    """Rows of ds whose key does NOT appear in other (tombstone removal):
-    the broadcast ``anti_lookup`` while the tombstone side is small (the
-    common case), else the key-local ``keyed_join``."""
-    drop = anti_lookup(other, left_key, right_key)
-    if drop is not None:
-        return as_dataset(ds).map_batches(drop, batch_format="pyarrow")
-    return keyed_join(ds, other, [left_key], [right_key], {}, "anti",
-                      num_partitions)

@@ -12,13 +12,14 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from fuzzy_matcher_ray.stages.joins import anti_join
+from fuzzy_matcher_ray.stages.joins import attach_columns
 
 
 def remove_ids(docs, tombstones, key: str = "doc_id",
                num_partitions: int = 32):
     """Drop rows of ``docs`` whose ``key`` appears in ``tombstones`` (doc_id)."""
-    return anti_join(docs, tombstones, key, "doc_id", num_partitions)
+    return attach_columns(docs, tombstones, key, "doc_id", {}, how="anti",
+                          num_partitions=num_partitions)
 
 
 class TtlValidationError(ValueError):

@@ -154,17 +154,24 @@ def test_checkpointed_flagship_runs_as_the_uncheckpointed_one(shards,
     assert counter.puts <= plain.puts
 
 
-def test_fold_runs_in_nine_executions(shards, tmp_path):
+def test_fold_runs_in_seven_executions(shards, tmp_path):
     """An uncheckpointed fold of 400 docs onto a 400-doc link, collected.
     The prior rows sharing a key with the increment's, their ``is_new``
-    tags and each pass's union of the two are driver blocks. With those
-    as lazy Ray maps and a Ray union (driver blocks read through
-    ``Dataset.union``) it took 12; with the relabel's edge endpoints and its edge union as Ray datasets
-    over the fold's driver-block edges it took 13; with the increment's
-    ids collected through a ``select_columns`` over its materialized
-    normalize stage, 14; with the increment's key rows as Ray maps and a
-    winnow_rows stage, 19; with a ``limit(1)`` emptiness probe ahead of
-    its normalize stage too, 20."""
+    tags and each pass's union of the two are driver blocks, and the prior
+    labels are read once, pinned: the disjoint-id guard, the touched-label
+    star and the output fill run over those blocks on the driver, and the
+    returned dataset is one ``from_blocks`` of the filled labels. While
+    the guard and the star each scanned the prior clusters stage and the
+    fill read it lazily, it took 9, with 37 ``ray.put`` and 3
+    ``from_blocks`` calls (35 and 4 now). With the key-row tags as lazy
+    Ray maps and a Ray union (driver blocks read through
+    ``Dataset.union``) it took 12; with the relabel's edge endpoints and
+    its edge union as Ray datasets over the fold's driver-block edges it
+    took 13; with the increment's ids collected through a
+    ``select_columns`` over its materialized normalize stage, 14; with
+    the increment's key rows as Ray maps and a winnow_rows stage, 19;
+    with a ``limit(1)`` emptiness probe ahead of its normalize stage too,
+    20."""
     from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
                                                    incremental_update)
     from fuzzy_matcher_ray.sources.protocol import webpages_source
@@ -176,17 +183,20 @@ def test_fold_runs_in_nine_executions(shards, tmp_path):
         out = collect_table(incremental_update(
             [root], webpages_source(shards[1]), CFG))
     assert len(out) == 800
-    assert counter.count == 9
+    assert counter.count == 7
+    assert counter.from_blocks <= 4
+    assert counter.puts <= 35
 
 
-def test_two_shard_chain_runs_in_thirteen_executions(shards, tmp_path):
+def test_two_shard_chain_runs_in_eleven_executions(shards, tmp_path):
     """``dedup_sharded`` over both shards, collected: link 0, the prebuild
     of link 1 and the fold, every stage written from its pinned blocks and
     the prebuild's pinned stages handed to the fold, the fold's key-row
-    unions on the driver. With those unions as Ray unions of lazy tag
-    maps it took 16; with the fold's
-    relabel turning its driver-block edges back into Ray datasets it took
-    17; with the fold reading the prebuilt normalize and signatures back
+    unions on the driver and its prior labels read once. With the fold's
+    id guard and touched-label star each scanning the prior clusters
+    stage it took 13; with those unions as Ray unions of lazy tag maps it
+    took 16; with the fold's relabel turning its driver-block edges back
+    into Ray datasets it took 17; with the fold reading the prebuilt normalize and signatures back
     as lazy Parquet, 21;
     with each stage read back after its write, 31; with a winnow_rows
     stage in every link, 33; with per-pass edge checkpoints in link 0 and
@@ -199,7 +209,7 @@ def test_two_shard_chain_runs_in_thirteen_executions(shards, tmp_path):
             [(f"s{i}", webpages_source(p)) for i, p in enumerate(shards)],
             str(tmp_path / "state"), CFG))
     assert len(out) == 800
-    assert counter.count == 13
+    assert counter.count == 11
 
 
 def test_forced_flagship_labels_with_no_groupby(shards, monkeypatch):

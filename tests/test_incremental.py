@@ -141,9 +141,9 @@ def test_incremental_update_guards(ray_session, tmp_path):
 
 
 def test_overlap_guard_reads_every_prior_block(ray_session, tmp_path):
-    """The disjoint-id guard counts overlaps in every part file of the
-    prior clusters stage, not only in the first block of each merged
-    batch: ids 60-69 of a 120-doc prior sit in its second part file."""
+    """The disjoint-id guard counts overlaps in every block of the pinned
+    prior labels, not only in the first: ids 60-69 of a 120-doc prior sit
+    in a later part file of its clusters stage."""
     import ray.data as rd
     from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
                                                    incremental_update)
@@ -158,6 +158,31 @@ def test_overlap_guard_reads_every_prior_block(ray_session, tmp_path):
     with pytest.raises(ValueError, match="already exist"):
         incremental_update(root, rd.from_arrow(
             _docs_tbl(10, seed=53, id_offset=60)), cfg).to_pandas()
+
+
+def test_overlap_guard_past_the_budgets(ray_session, tmp_path,
+                                        monkeypatch):
+    """With both budgets at 0 the guard's semi-join of the prior ids
+    against the increment's is key-local, and a fold whose increment
+    reuses 10 prior doc_ids still fails before any pass is built."""
+    import ray.data as rd
+    from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
+                                                   incremental_update)
+    from fuzzy_matcher_ray.state.checkpoint import Checkpointer
+
+    cfg = PipelineConfig()
+    root = str(tmp_path / "ck")
+    find_duplicates(rd.from_arrow(_docs_tbl(120, seed=51)), cfg,
+                    checkpointer=Checkpointer(root, cfg.config_hash())) \
+        .materialize()
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
+    monkeypatch.setenv("FMR_BROADCAST_BYTES", "0")
+    fold = str(tmp_path / "fold")
+    with pytest.raises(ValueError, match="10 doc_ids .* already exist"):
+        incremental_update(root, rd.from_arrow(
+            _docs_tbl(10, seed=53, id_offset=60)), cfg,
+            checkpointer=Checkpointer(fold, cfg.config_hash()))
+    assert not os.path.exists(os.path.join(fold, "edges_all"))
 
 
 def test_incremental_distributed_twin(ray_session, tmp_path, monkeypatch):
