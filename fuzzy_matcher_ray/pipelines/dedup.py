@@ -51,6 +51,7 @@ touched-label star and the output fill all run over those blocks.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -64,9 +65,8 @@ from fuzzy_matcher_ray.stages.cluster import (cluster_edges,
                                               component_labels, relabel)
 from fuzzy_matcher_ray.stages import gates
 from fuzzy_matcher_ray.stages.joins import (BroadcastAttacher,
-                                            DriverBlocks, anti_lookup,
-                                            as_dataset, attach_columns,
-                                            is_pinned, keyed_join,
+                                            DriverBlocks, as_dataset,
+                                            attach_columns, is_pinned,
                                             map_blocks, map_segments, nbytes,
                                             pinned_bytes, project, union)
 from fuzzy_matcher_ray.stages.minhash_stage import (
@@ -155,8 +155,10 @@ def exact_dup_edges(norm, cfg: PipelineConfig,
     if prior is None:
         reps = star.reps()
     else:
-        rows = union(_semi_join_rows(_hash_rows(prior.norm), star.rows(),
-                                     _HASH_KEY, cfg), star.rows()).materialize()
+        rows = union(attach_columns(
+            _hash_rows(prior.norm), star.rows(), _HASH_KEY, _HASH_KEY, {},
+            how="semi", num_partitions=cfg.join_num_partitions),
+            star.rows()).materialize()
         reps = min_reps(rows, _HASH_KEY)
 
     def _edges(t: pa.Table) -> pa.Table:
@@ -204,23 +206,19 @@ def signature_table(norm, cfg: PipelineConfig, reps=None):
 
     ``reps``: the exact pass's (doc_id, rep) star over ``norm``. Given, the
     docs that are not their group's rep are left out: one sketch row per
-    distinct fuzzy text. The filter runs inside the sketch map (a broadcast
-    ``joins.anti_lookup``) and is an anti ``joins.attach_columns`` ahead of
-    it past the broadcast budget.
+    distinct fuzzy text: an anti ``joins.attach_columns`` ahead of the
+    sketch map, in the same execution.
     """
     src = norm.select_columns(["doc_id", "norm_text", "tier"])
-    drop = None
     if reps is not None:
         copies = map_blocks(reps, lambda t: pa.table(
             {"doc_id": t["doc_id"]}).filter(
                 pc.not_equal(t["doc_id"], t["rep"]))).materialize()
         if copies.count():
-            drop = anti_lookup(copies, "doc_id", "doc_id")
-            if drop is None:
-                src = attach_columns(src, copies, "doc_id", "doc_id", {},
-                                     how="anti",
-                                     num_partitions=cfg.join_num_partitions)
-    return add_stage(src, Signatures, cfg, drop=drop)
+            src = attach_columns(src, copies, "doc_id", "doc_id", {},
+                                 how="anti",
+                                 num_partitions=cfg.join_num_partitions)
+    return add_stage(src, Signatures, cfg)
 
 
 def _candidate_pairs(rows, prior_rows, key_cols: list[str],
@@ -229,15 +227,18 @@ def _candidate_pairs(rows, prior_rows, key_cols: list[str],
     """``key_pairs`` over one pass's key rows.
 
     In a fold (``prior_rows`` given) the prior rows sharing a key with the
-    increment's (``_semi_join_rows``) join them, tagged ``is_new`` 0 and 1,
-    and only pairs touching a new doc reach the pass's own pair filter —
-    buckets the increment never touches never explode into pairs."""
+    increment's (a semi ``joins.attach_columns``) join them, tagged
+    ``is_new`` 0 and 1, and only pairs touching a new doc reach the pass's
+    own pair filter — buckets the increment never touches never explode
+    into pairs."""
     carry_cols = list(carry_cols)
     if prior_rows is not None:
         # pinned: the semi-join and the union below both read it
         rows = rows.materialize()
-        rows = union(_tag_new(_semi_join_rows(prior_rows, rows, key_cols,
-                                              cfg), 0), _tag_new(rows, 1))
+        prior_rows = attach_columns(prior_rows, rows, key_cols, key_cols, {},
+                                    how="semi",
+                                    num_partitions=cfg.join_num_partitions)
+        rows = union(_tag_new(prior_rows, 0), _tag_new(rows, 1))
         carry_cols.append("is_new")
         pair_filter = _touches_new if pair_filter is None else \
             (lambda t, f=pair_filter: f(_touches_new(t)))
@@ -747,31 +748,6 @@ def _prior_stage(loaded, name: str, rebuild, usable):
     return out
 
 
-def _semi_join_rows(rows_prior, rows_inc, key_cols, cfg: PipelineConfig):
-    """Prior rows whose ``key_cols`` combo appears among the INCREMENT's
-    key rows.
-
-    The increment is the small side by definition: while its bytes are
-    within the broadcast budget (gate "keys"), its distinct
-    combined keys come from ONE driver pass (``np.unique`` over streamed
-    batches) and the prior side streams through a broadcast membership
-    filter — zero Ray shuffles, and the prior rows are never sorted.
-    Beyond the budget the semi-join is key-local (``joins.keyed_join``):
-    the prior and increment key rows, tagged by side, are range-sorted on
-    ``key_cols`` and each key segment keeps its prior rows whose key has
-    an increment row. Either way the prior side never explodes into pairs
-    for buckets the increment doesn't touch.
-    """
-    from fuzzy_matcher_ray.stages.candidates import (_collect_combined_keys,
-                                                     _membership_filter)
-    rows_inc, n = pinned_bytes(rows_inc)
-    if gates.decide("keys", n) == "broadcast":
-        arr = _collect_combined_keys(rows_inc, key_cols)
-        return _membership_filter(rows_prior, key_cols, arr)
-    return keyed_join(rows_prior, rows_inc, key_cols, key_cols, {}, "semi",
-                      cfg.join_num_partitions)
-
-
 def _tag_new(ds, flag: int):
     def _f(t: pa.Table) -> pa.Table:
         return t.append_column(
@@ -861,9 +837,9 @@ def incremental_update(prior_root: str | list[str], new_docs,
     flagship; the fold then runs the clustering stage's labeller over the
     new edges with every prior component contracted to its label, and
     remaps only the components they touch (``_fold_labels``). The prior
-    labels are read once, pinned: the disjoint-id guard (a
-    ``_semi_join_rows``, ahead of every pass), the touched-label star and
-    the output fill share them. Signatures are deterministic per doc, so
+    labels are read once, pinned: the disjoint-id guard (a semi
+    ``joins.attach_columns``, ahead of every pass), the touched-label star
+    and the output fill share them. Signatures are deterministic per doc, so
     the result is BYTE-IDENTICAL to a full re-run over prior ∪ new (same
     edge components ⇒ same min-id labels) — asserted by
     tests/test_incremental.py.
@@ -937,8 +913,9 @@ def incremental_update(prior_root: str | list[str], new_docs,
     # the output fill read them, and the prior clusters stage is read once
     labels_A = project(clusters_A, ["doc_id", "cluster_id"]).materialize()
     ids_B = project(norm_B, ["doc_id"])
-    n_overlap = _semi_join_rows(project(labels_A, ["doc_id"]), ids_B,
-                                ["doc_id"], cfg).count()
+    n_overlap = attach_columns(project(labels_A, ["doc_id"]), ids_B,
+                               "doc_id", "doc_id", {}, how="semi",
+                               num_partitions=cfg.join_num_partitions).count()
     if n_overlap:
         raise ValueError(
             f"incremental_update: {n_overlap} doc_ids of the "
@@ -982,13 +959,14 @@ def _fold_labels(labels_A, new_edges, ids_B, cfg: PipelineConfig):
 
     ``labels_A`` are the prior labels, pinned: every prior component is
     already contracted to its label, its min doc_id. The new edges'
-    endpoints semi-join against them (``_semi_join_rows``: on the driver
-    while they fit), each prior endpoint joins its label by a (cluster_id,
-    doc_id) edge, and the clustering stage's labeller runs over that small
-    graph. Its labels are min node ids, so remapping every row's
-    cluster_id through them (``cluster.relabel``) gives a full re-run's
-    labels (same components ⇒ same min ids) at O(touched) cost per fold:
-    rows of untouched components find no label and keep their own.
+    endpoints semi-join against them (``joins.attach_columns``: on the
+    driver while they fit), each prior endpoint joins its label by a
+    (cluster_id, doc_id) edge, and the clustering stage's labeller runs
+    over that small graph. Its labels are min node ids, so remapping every
+    row's cluster_id through them (``cluster.relabel``) gives a full
+    re-run's labels (same components ⇒ same min ids) at O(touched) cost
+    per fold: rows of untouched components find no label and keep their
+    own.
     """
     nodes = union(labels_A, map_blocks(ids_B, lambda t: pa.table(
         {"doc_id": t["doc_id"], "cluster_id": t["doc_id"]})))
@@ -998,7 +976,8 @@ def _fold_labels(labels_A, new_edges, ids_B, cfg: PipelineConfig):
     # pinned: its union with the new edges is driver blocks while both are
     # small
     star = map_blocks(
-        _semi_join_rows(labels_A, ends, ["doc_id"], cfg),
+        attach_columns(labels_A, ends, "doc_id", "doc_id", {}, how="semi",
+                       num_partitions=cfg.join_num_partitions),
         lambda t: pa.table({"a": t["cluster_id"], "b": t["doc_id"]}).filter(
             pc.not_equal(t["cluster_id"], t["doc_id"]))).materialize()
     labels = component_labels(union(new_edges, star), cfg)
@@ -1047,7 +1026,7 @@ def _prune_clusters(root: str) -> None:
 
 
 def _prebuild_increment(sroot: str, key: str, ds, cfg: PipelineConfig,
-                        passes: tuple, box: dict) -> None:
+                        passes: tuple, box: dict, stop=None) -> None:
     """Build a shard's fold-INDEPENDENT artifacts ahead of its turn in a
     ``dedup_sharded`` chain: ``_shard_artifacts`` — the builder
     ``incremental_update`` itself runs, with the same cfg — computes them
@@ -1057,8 +1036,13 @@ def _prebuild_increment(sroot: str, key: str, ds, cfg: PipelineConfig,
     resolved dataset to the fold so shard factories still run once on the
     success path, and ``box['built']`` the pinned (normalize, signatures,
     exact star), so the fold reads no stage back and its exact pass
-    reuses the key rows the sketch filter built."""
+    reuses the key rows the sketch filter built. ``stop`` (a
+    ``threading.Event``): set once the chain has ended, e.g. on a fold's
+    error; a prebuild whose factory returns after that builds nothing, so
+    no abandoned thread runs Ray work or writes under the chain's root."""
     data = ds() if callable(ds) else ds
+    if stop is not None and stop.is_set():
+        return
     box["data"] = data
     box["built"] = _shard_artifacts(Checkpointer(sroot, key), data, cfg,
                                     passes)
@@ -1118,6 +1102,7 @@ def dedup_sharded(shards, state_root: str,
     # not a with-block: its __exit__ would make a raising fold wait for
     # every queued prebuild before the error propagates
     _pre_pool = ThreadPoolExecutor(max_workers=_PRE_WINDOW)
+    _pre_stop = threading.Event()       # the chain has ended: build nothing
     try:
         for i, (label, ds) in enumerate(shards):
             sroot, key = _shard_ck(i, label)
@@ -1150,7 +1135,7 @@ def dedup_sharded(shards, state_root: str,
                         box_n: dict = {}
                         pre[j] = (_pre_pool.submit(
                             _prebuild_increment, sroot_n, key_n, ds_n,
-                            cfg, passes, box_n), box_n)
+                            cfg, passes, box_n, _pre_stop), box_n)
                 ck = Checkpointer(sroot, key)
                 if not chain:
                     # an empty first shard writes an empty link too
@@ -1164,6 +1149,7 @@ def dedup_sharded(shards, state_root: str,
             chain.append(sroot)
             prev_root = sroot
     finally:
+        _pre_stop.set()
         _pre_pool.shutdown(wait=False, cancel_futures=True)
     # Guard: re-running with a TRUNCATED shard list against a state_root
     # from a longer completed run finds every fold done — but the last

@@ -31,9 +31,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from fuzzy_matcher_ray.config import PipelineConfig
-from fuzzy_matcher_ray.functions.shingle import splitmix64
-from fuzzy_matcher_ray.stages.joins import (block_tables, is_pinned,
-                                            map_blocks, map_segments)
+from fuzzy_matcher_ray.stages.joins import (_combined_key, block_tables,
+                                            is_pinned, map_blocks,
+                                            map_segments)
 
 
 def _segment_explode(gk: np.ndarray, ids: np.ndarray, carries: dict,
@@ -137,45 +137,6 @@ def _numpy_dedup_pairs(t: pa.Table, min_cols: list[str]) -> pa.Table:
         m = np.minimum.reduceat(v, seg) if len(seg) else v[:0]
         cols[c] = pa.array(m, type=col.type, mask=mask)
     return pa.table(cols)
-
-
-def _combined_key(batch: pa.Table, key_cols: list[str]) -> np.ndarray:
-    """Mix multiple key columns into one uint64 for membership tests.
-
-    Single-column fast path: the column IS the key — identity is injective
-    (strictly better than the lossy mix) and skips the splitmix temporaries,
-    whose fresh multi-MB allocations this VM faults at ~100x cost (measured
-    3.5 s over a 2.6M-row winnow table; the identity path is ~0.1 s)."""
-    if len(key_cols) == 1:
-        return (batch[key_cols[0]].to_numpy(zero_copy_only=False)
-                .astype(np.int64, copy=False).view(np.uint64))
-    acc = np.zeros(len(batch), dtype=np.uint64)
-    for i, c in enumerate(key_cols):
-        v = batch[c].to_numpy(zero_copy_only=False).astype(np.int64, copy=False).view(np.uint64)
-        acc = splitmix64(acc ^ (v + np.uint64(0x9E37 + i)))
-    return acc
-
-
-def _collect_combined_keys(ds, key_cols: list[str]) -> np.ndarray:
-    blocks = block_tables(ds) if is_pinned(ds) else ds.iter_batches(
-        batch_size=1 << 20, batch_format="pyarrow")
-    parts = [_combined_key(t, key_cols) for t in blocks if len(t)]
-    return np.unique(np.concatenate(parts)) if parts else np.empty(0, np.uint64)
-
-
-def _membership_filter(key_rows, key_cols, keys_arr: np.ndarray):
-    """Rows whose combined key is in the sorted ``keys_arr`` (a
-    searchsorted isin per block, ``map_blocks``: on the driver while the
-    rows are pinned and fit, else a Ray map that ships ``keys_arr`` with
-    its function)."""
-    def _f(batch: pa.Table) -> pa.Table:
-        if len(keys_arr) == 0:
-            return batch.slice(0, 0)
-        k = _combined_key(batch, key_cols)
-        idx = np.clip(np.searchsorted(keys_arr, k), 0, len(keys_arr) - 1)
-        return batch.filter(pa.array(keys_arr[idx] == k))
-
-    return map_blocks(key_rows, _f)
 
 
 def key_pairs(key_rows, key_cols: list[str], cfg: PipelineConfig,

@@ -11,8 +11,9 @@ var at call time:
   driver step may hold — key-local kernels, union-find edges, BPE words,
   PageRank edges, a fold's pinned prior sketch;
 - ``FMR_BROADCAST_BYTES`` (160 MiB: 20M 8-byte keys): what one worker
-  may receive — verify texts, semi-join keys, labels, a vocabulary,
-  verify vectors.
+  may receive — the lookup side of every ``joins.attach_columns`` join
+  (gate "attach": its lookups and its semi and anti filters alike),
+  verify texts, labels, a vocabulary, verify vectors.
 
 Both at 0 force the cluster shape a web-scale shard runs. Each decision
 is logged at DEBUG as ``(name, nbytes, branch)``.
@@ -34,8 +35,8 @@ _BRANCHES = {DRIVER: ("driver", "distributed"),
 _BUDGET_OF = {
     **dict.fromkeys(("blocks", "segments", "union", "labels", "words",
                      "graph", "sketch_pin"), DRIVER),
-    **dict.fromkeys(("attach", "anti", "relabel", "texts", "keys", "vocab",
-                     "vectors"), BROADCAST),
+    **dict.fromkeys(("attach", "relabel", "texts", "vocab", "vectors"),
+                    BROADCAST),
 }
 
 

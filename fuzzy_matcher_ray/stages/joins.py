@@ -4,10 +4,12 @@ executor of every key-local operator.
 ≙ reference entry materialization ``fmc.Entries[id]``
 (fuzzy_matcher_core.go:272) — an O(1) RAM map lookup becomes one sorted-array
 lookup (``lookup``: ``searchsorted`` per batch) against either (a) the whole
-lookup side, sorted and put in the object store once (no shuffle), while
-its bytes fit the broadcast budget (``gates``), or (b) each sort range's
-own lookup rows (``keyed_join`` on ``key_local``: both sides tagged,
-unioned into one schema and run through ``map_segments`` on the key).
+lookup side, sorted and held by the per-batch function (a Ray map puts it
+in the object store once, no shuffle), while its bytes fit the broadcast
+budget (``gates``), or (b) each sort range's own lookup rows
+(``keyed_join`` on ``key_local``: both sides tagged, unioned into one
+schema and run through ``map_segments`` on the key). ``attach_columns``
+picks the branch for every lookup, semi and anti join of the package.
 At 10^12-doc scale the doc-side attach is always key-local. The range
 sort is the package's one shuffle: no hash join and no aggregator
 actors. Its bounds are sampled key values, so each key's rows, probe and
@@ -24,6 +26,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data.dataset import MaterializedDataset
 
+from fuzzy_matcher_ray.functions.shingle import splitmix64
 from fuzzy_matcher_ray.stages import gates
 
 
@@ -415,56 +418,64 @@ def broadcast_table(other_tbl: pa.Table, right_key: str, value_cols: list[str]):
     return ray.put(sorted_side(other_tbl[right_key], other_tbl, value_cols))
 
 
-class _Lookup:
-    """Broadcast sorted-key lookup: ``lookup`` per batch.
+def _combined_key(batch: pa.Table, key_cols: list[str]) -> np.ndarray:
+    """Mix multiple key columns into one uint64: the key of a multi-column
+    broadcast lookup and of ``key_pairs``' explode.
 
-    Shipped to ``map_batches`` as a stateless *instance* (elastic tasks, no
-    idle CPU reservation — an actor pool here starves small clusters). Only
-    the object ref travels in the task spec; the table is fetched lazily via
-    ``ray.get`` on first use in each worker (zero-copy from the local store).
-    ``side`` is ``sorted_side``'s pair or its object ref: a lookup run on
-    the driver holds the pair itself, and a Ray map that ships the pair
-    puts it in the object store once, with its function.
+    Single-column fast path: the column IS the key — identity is injective
+    (strictly better than the lossy mix) and skips the splitmix temporaries,
+    whose fresh multi-MB allocations a VM that faults fresh pages slowly
+    pays ~100x for (measured on one vCPU: 3.5 s over a 2.6M-row winnow
+    table; the identity path is ~0.1 s)."""
+    if len(key_cols) == 1:
+        return (batch[key_cols[0]].to_numpy(zero_copy_only=False)
+                .astype(np.int64, copy=False).view(np.uint64))
+    acc = np.zeros(len(batch), dtype=np.uint64)
+    for i, c in enumerate(key_cols):
+        v = batch[c].to_numpy(zero_copy_only=False).astype(
+            np.int64, copy=False).view(np.uint64)
+        acc = splitmix64(acc ^ (v + np.uint64(0x9E37 + i)))
+    return acc
+
+
+def _lookup_key(t: pa.Table, keys: list[str]):
+    """Each row's key for a broadcast ``lookup``: its one ``keys`` column,
+    or the ``_combined_key`` of several."""
+    return t[keys[0]] if len(keys) == 1 else pa.array(_combined_key(t, keys))
+
+
+class _Lookup:
+    """Broadcast sorted-key lookup: ``lookup`` per batch, probing by
+    ``_lookup_key`` of ``left_key`` (one column or a list).
+
+    ``side`` is ``sorted_side``'s pair, held by value: a lookup run on the
+    driver looks it up as it is, and a Ray map (a stateless *instance*:
+    elastic tasks, no idle CPU reservation — an actor pool here starves
+    small clusters) puts it in the object store once, with its function.
     """
 
-    def __init__(self, side, left_key: str, cols: dict[str, str], how: str):
+    def __init__(self, side, left_key: str | list[str], cols: dict[str, str],
+                 how: str):
         self.side = side
-        self.left_key = left_key
+        self.left_key = [left_key] if isinstance(left_key, str) \
+            else list(left_key)
         self.cols = cols                     # value_col -> out_col
         self.how = how
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if isinstance(self.side, ray.ObjectRef):
-            self.side = ray.get(self.side)
-        probe = batch[self.left_key].to_numpy(zero_copy_only=False)
+        probe = _lookup_key(batch, self.left_key).to_numpy(
+            zero_copy_only=False)
         return lookup(batch, probe, *self.side, self.cols, self.how)
 
 
 class BroadcastAttacher:
-    """A reusable broadcast lookup: collect + sort + ``ray.put`` ONCE, attach
-    columns onto any number of datasets afterwards (no per-call re-collect).
-
-    Build it once per pipeline run for the lookup side every pass shares
-    (e.g. doc_id → norm_text); the per-attach cost is then only the
-    per-batch searchsorted.
-    """
+    """One broadcast copy of a lookup side: collected, sorted and put in
+    the object store ONCE (``ref``), for the verifiers that fetch it per
+    batch (e.g. doc_id → norm_text, shared by every pass of a run)."""
 
     def __init__(self, other, right_key: str, value_cols: list[str]):
         tbl = _collect_columns(other, [right_key, *value_cols])
         self.ref = broadcast_table(tbl, right_key, value_cols)
-
-    def attach(self, ds, left_key: str, cols: dict[str, str], how: str = "inner"):
-        return as_dataset(ds).map_batches(
-            _Lookup(self.ref, left_key, cols, how), batch_format="pyarrow")
-
-
-def broadcast_lookup(other, left_key: str, right_key: str,
-                     cols: dict[str, str], how: str = "inner") -> _Lookup:
-    """The per-batch function of a broadcast attach: ``other``'s
-    ``right_key`` and ``cols`` (value_col → out_col) collected, sorted and
-    put in the object store once, looked up by each batch's ``left_key``."""
-    ref = BroadcastAttacher(other, right_key, list(cols)).ref
-    return _Lookup(ref, left_key, cols, how)
 
 
 def key_codes(t: pa.Table, keys: list[str]) -> np.ndarray:
@@ -538,34 +549,6 @@ def _segment_lookup(t: pa.Table, on: list[str], cols: dict[str, str],
                   values, dict(zip(names[cut + 1:], cols.values())), how)
 
 
-def _pin(ds):
-    """``ds`` materialized, as a dataset whose stats lineage starts here
-    (driver blocks as they are: they have no lineage).
-    Ray 2.49 sums up the stats of every execution by walking the stats
-    parents with no memo, so joins fed the outputs of joins (each
-    contraction level's relabel reads labels that deeper levels joined,
-    and the doc fill reads those) take time exponential in the join
-    depth (seen with the min-label propagation this package once ran:
-    277,494 ``to_summary`` calls for 96 executions, 4 rounds over 200
-    edges)."""
-    from ray.data._internal.logical.interfaces import LogicalPlan
-    from ray.data._internal.logical.operators.input_data_operator import (
-        InputData)
-    from ray.data._internal.plan import ExecutionPlan
-    from ray.data._internal.stats import DatasetStats
-
-    if isinstance(ds, DriverBlocks):
-        return ds
-    mat = ds.materialize()
-    data = mat._logical_plan.dag.output_data()
-    out = MaterializedDataset(
-        ExecutionPlan(DatasetStats(metadata={}, parent=None),
-                      data_context=mat.context),
-        LogicalPlan(InputData(input_data=data), mat.context))
-    out._plan.execute()         # marks the plan executed, as materialize()
-    return out
-
-
 def key_local(ds, other, on: list[str], right_on: list[str], cols: list[str],
               fn, num_partitions: int = 32):
     """``fn`` (pyarrow Table → Table) over ``ds`` and ``other`` cut at the
@@ -574,19 +557,20 @@ def key_local(ds, other, on: list[str], right_on: list[str], cols: list[str],
     every row of ``other``; ``other`` is projected to ``right_on`` and
     ``cols``.
 
-    Both sides are pinned first (``_pin``): the sort is a barrier anyway,
-    and both schemas are then metadata (``schema()`` of a lazy dataset
-    runs an early-stopped ``limit=1`` execution of it). The union runs
-    through ``map_segments`` on ``on``: once on the driver when it is
-    driver blocks (``union``), else range-sorted into ``partitions_for(
-    num_partitions, …)`` ranges (a union's block count is the sum of its
-    sides', so joins fed join outputs would compound it), one task per
-    range, each key's probe and lookup rows in one range.
+    Both sides are pinned first (``materialize``; driver blocks stay as
+    they are): the sort is a barrier anyway, and both schemas are then
+    metadata (``schema()`` of a lazy dataset runs an early-stopped
+    ``limit=1`` execution of it). The union runs through ``map_segments``
+    on ``on``: once on the driver when it is driver blocks (``union``),
+    else range-sorted into ``partitions_for(num_partitions, …)`` ranges (a
+    union's block count is the sum of its sides', so joins fed join
+    outputs would compound it), one task per range, each key's probe and
+    lookup rows in one range.
     """
-    ds = _pin(ds)
+    ds = ds.materialize()
     if ds.schema() is None:       # no rows and no schema: nothing to join
         return ds
-    right = _pin(project(other, [*right_on, *cols]))
+    right = project(other, [*right_on, *cols]).materialize()
     tagged = tagged_union(ds, right, on, right_on, cols)
     if not isinstance(tagged, DriverBlocks):
         tagged = tagged.repartition(
@@ -608,34 +592,28 @@ def keyed_join(ds, other, on: list[str], right_on: list[str],
                      num_partitions)
 
 
-def attach_columns(ds, other, left_key: str, right_key: str,
-                   cols: dict[str, str], *, how: str = "inner",
-                   num_partitions: int = 32):
-    """Attach ``cols`` (value_col → out_col) from ``other`` onto ``ds``.
+def attach_columns(ds, other, left_key: str | list[str],
+                   right_key: str | list[str], cols: dict[str, str], *,
+                   how: str = "inner", num_partitions: int = 32):
+    """Attach ``cols`` (value_col → out_col) from ``other`` onto ``ds``,
+    joined on ``left_key`` = ``right_key`` (one column or a list): the
+    package's one lookup, semi and anti join.
 
     how="inner" drops rows of ds with no match; how="left" keeps them
     (nulls); "semi" and "anti" keep the matched / unmatched rows and
     attach nothing (``cols`` empty). ``other`` is broadcast while gate
     "attach" keeps its bytes within the broadcast budget (``other``
-    pinned first when its plan knows no size), else joined key-local
+    pinned first when its plan knows no size): its sorted side is held by
+    a ``_Lookup`` run through ``map_blocks``, on the driver over a small
+    pinned ``ds``, else a Ray map (several key columns probe by
+    ``_combined_key``). Past the budget it is joined key-local
     (``keyed_join``) in at most ``num_partitions`` sort ranges.
     """
+    left = [left_key] if isinstance(left_key, str) else list(left_key)
+    right = [right_key] if isinstance(right_key, str) else list(right_key)
     other, n = pinned_bytes(other)
     if gates.decide("attach", n) == "broadcast":
-        return as_dataset(ds).map_batches(
-            broadcast_lookup(other, left_key, right_key, cols, how),
-            batch_format="pyarrow")
-    return keyed_join(ds, other, [left_key], [right_key], cols, how,
-                      num_partitions)
-
-
-def anti_lookup(other, left_key: str, right_key: str):
-    """The per-batch function of a broadcast anti join: drops the rows
-    whose ``left_key`` is among ``other``'s ``right_key`` values, collected
-    and put in the object store once. None when gate "anti" does not
-    broadcast ``other`` (the caller joins key-local instead)."""
-    other, n = pinned_bytes(other)
-    if gates.decide("anti", n) != "broadcast":
-        return None
-    return broadcast_lookup(other, left_key, right_key, {}, "anti")
-
+        tbl = _collect_columns(other, [*right, *cols])
+        side = sorted_side(_lookup_key(tbl, right), tbl, list(cols))
+        return map_blocks(ds, _Lookup(side, left, cols, how))
+    return keyed_join(ds, other, left, right, cols, how, num_partitions)

@@ -9,14 +9,14 @@ docs sharing a key are LSH candidates.
 ``Signatures`` is the one per-doc sketch map: each fuzzy-tier doc's text is
 read once and leaves one row holding its MinHash bands, its SimHash and its
 winnowed fingerprints with their positions. The flagship runs it over each
-exact group's rep only (``drop``), one row per distinct fuzzy text. ``add_stage`` runs it as Ray
-Data tasks over one instance built when the stage is planned (permutation
-parameters are derived once in ``__init__``, never per batch). The three
-key-row derivations (``band_key_rows``, ``simhash_key_rows``,
-``winnow_key_rows``) are plain per-batch reshapes of that table, run through
-``joins.map_blocks``: on the driver when the sketch is materialized and
-small, as a Ray map otherwise. Per-batch work is vectorized numpy over the
-concatenated batch bytes.
+exact group's rep only, one row per distinct fuzzy text. ``add_stage`` runs
+it as Ray Data tasks over one instance built when the stage is planned
+(permutation parameters are derived once in ``__init__``, never per
+batch). The three key-row derivations (``band_key_rows``,
+``simhash_key_rows``, ``winnow_key_rows``) are plain per-batch reshapes of
+that table, run through ``joins.map_blocks``: on the driver when the
+sketch is materialized and small, as a Ray map otherwise. Per-batch work
+is vectorized numpy over the concatenated batch bytes.
 """
 
 from __future__ import annotations
@@ -63,22 +63,15 @@ class Signatures:
     compact table — never the text. Exact-only docs emit nothing — they are
     handled by the content-hash pre-pass (≙ short-name exact tier,
     example_source.go:28-39).
-
-    ``drop``: a per-batch row filter run ahead of the sketch in the same
-    task (``joins.anti_lookup``: the exact copies that reach the fuzzy
-    passes through their rep).
     """
 
-    def __init__(self, cfg: PipelineConfig, drop=None):
+    def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
-        self.drop = drop
         self.a, self.b = perm_params(cfg.num_perms, cfg.seed)   # once per actor
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
         batch = _fuzzy_subset(batch)
-        if self.drop is not None:
-            batch = self.drop(batch)
         if len(batch) == 0:
             return pa.table({
                 "doc_id": pa.array([], pa.int64()),
@@ -201,13 +194,13 @@ class Winnower:
         })
 
 
-def add_stage(docs_norm, cls, cfg: PipelineConfig, **kw):
+def add_stage(docs_norm, cls, cfg: PipelineConfig):
     """Run a signature stage as stateless-instance tasks: the per-worker
     state is a 2 KB permutation matrix rebuilt in ~50 us — far below the
     actor-pool amortization threshold, and elastic tasks avoid idle CPU
     reservation (pool startup costs ~5 s per stage on a cold cluster).
     Stages with heavy per-actor state pool on their own (see
-    pipelines/multimodal.py). ``kw`` goes to ``cls`` beside ``cfg``."""
+    pipelines/multimodal.py)."""
     return docs_norm.map_batches(
-        cls(cfg, **kw), batch_format="pyarrow", batch_size=cfg.batch_size,
+        cls(cfg), batch_format="pyarrow", batch_size=cfg.batch_size,
         zero_copy_batch=True)

@@ -56,15 +56,9 @@ def _chunked_unique_sets(uniq_texts: pa.Array, k: int, seed: int
 
 
 def attach_pair_texts(pairs, docs_norm, col: str = "norm_text",
-                      attacher=None, num_partitions: int = 32):
-    """pairs (a,b) → (a, b, text_a, text_b).
-
-    Pass a shared ``BroadcastAttacher`` to reuse one collected/broadcast copy
-    of the doc texts across every pass of a pipeline run.
-    """
-    if attacher is not None:
-        out = attacher.attach(pairs, "a", {col: "text_a"})
-        return attacher.attach(out, "b", {col: "text_b"})
+                      num_partitions: int = 32):
+    """pairs (a,b) → (a, b, text_a, text_b): two inner
+    ``attach_columns`` of ``docs_norm``'s ``col`` by doc_id."""
     out = attach_columns(pairs, docs_norm, "a", "doc_id", {col: "text_a"},
                          num_partitions=num_partitions)
     return attach_columns(out, docs_norm, "b", "doc_id", {col: "text_b"},

@@ -225,8 +225,8 @@ assert early == [], early
 assert grouped == [], grouped
 # both budgets 0: every gate takes its distributed or join branch
 names = {name for name, _, _ in decisions.seen}
-assert {"blocks", "segments", "labels", "attach", "relabel", "texts",
-        "keys", "anti"} <= names, names
+assert {"blocks", "segments", "labels", "attach", "relabel",
+        "texts"} <= names, names
 assert all(b in ("distributed", "join") for _, _, b in decisions.seen), [
     d for d in decisions.seen if d[2] not in ("distributed", "join")]
 ray.shutdown()
@@ -378,10 +378,14 @@ def test_keyed_join_matches_broadcast_lookup(ray_session, monkeypatch, how,
     attaches exactly what the broadcast lookup does, with the same
     schema: keys absent from either side, an empty right side, a string
     key, and a two-column key (its broadcast twin looks up one column
-    holding both)."""
+    holding both). ``attach_columns`` gives the same on both branches:
+    its broadcast branch (a Ray map of the lookup, two key columns
+    probed by their combined key) under the default broadcast budget and
+    its key-local branch under ``FMR_BROADCAST_BYTES=0``."""
     import ray.data as rd
-    from fuzzy_matcher_ray.stages.joins import (_Lookup, broadcast_table,
-                                                collect_table, keyed_join)
+    from fuzzy_matcher_ray.stages.joins import (_Lookup, attach_columns,
+                                                collect_table, keyed_join,
+                                                sorted_side)
 
     monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
 
@@ -398,12 +402,24 @@ def test_keyed_join_matches_broadcast_lookup(ray_session, monkeypatch, how,
             [str(r) for r in zip(*(t[c].to_pylist() for c in names))]))
 
     lt, rt = packed(left, on), packed(right, right_on)
-    lookup = _Lookup(broadcast_table(rt, "_key", list(cols)), "_key", cols,
+    lookup = _Lookup(sorted_side(rt["_key"], rt, list(cols)), "_key", cols,
                      how)
     want = lookup(lt).drop_columns(["_key"])
     assert got.schema == want.schema
     assert (len(want) == 0) == (key == "empty" and how in ("inner", "semi"))
     assert got.sort_by("x").equals(want.sort_by("x"))
+
+    one = lambda names: names[0] if len(names) == 1 else names
+    for budget in (None, "0"):
+        if budget is None:
+            monkeypatch.delenv("FMR_BROADCAST_BYTES", raising=False)
+        else:
+            monkeypatch.setenv("FMR_BROADCAST_BYTES", budget)
+        att = collect_table(attach_columns(
+            rd.from_arrow(left).repartition(7), rd.from_arrow(right),
+            one(on), one(right_on), cols, how=how))
+        assert att.schema == want.schema, budget
+        assert att.sort_by("x").equals(want.sort_by("x")), budget
 
 
 def _hand_cut_union(kind: str) -> pa.Table:
@@ -669,7 +685,7 @@ def test_key_local_hot_key_gathers_no_rows_on_driver(ray_session,
         rd.from_arrow(q).repartition(7), rd.from_arrow(i), ["field", "gram"],
         ["field", "gram"], ["rec_id"], _block_pairs))
     assert gathered == []
-    lookup = joins._Lookup(joins.broadcast_table(right, "k", ["v"]), "k",
+    lookup = joins._Lookup(joins.sorted_side(right["k"], right, ["v"]), "k",
                            {"v": "vv"}, "left")
     assert attached.sort_by("x").equals(lookup(left).sort_by("x"))
     want = q.to_pandas().merge(i.to_pandas(), on=["field", "gram"])

@@ -239,6 +239,32 @@ def test_forced_flagship_labels_with_no_groupby(shards, monkeypatch):
     assert counter.count <= 48
 
 
+def test_forced_fold_labels_with_no_groupby(shards, tmp_path, monkeypatch):
+    """A fold of 400 docs onto a 400-doc link with both budgets forced to
+    0: the id guard, each pass's semi-join of the prior key rows and the
+    touched-label star are key-local joins, every key-local operator is
+    range-sorted and the labels are contracted over ranges. The labels
+    equal the unforced fold's, no executed DAG holds a groupby
+    (``Aggregate``), and the fold takes at most 64 executions."""
+    from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
+                                                   incremental_update)
+    from fuzzy_matcher_ray.sources.protocol import webpages_source
+
+    root = str(tmp_path / "link0")
+    find_duplicates(webpages_source(shards[0]), CFG,
+                    checkpointer=Checkpointer(root, CFG.config_hash()))
+    fold = lambda: collect_table(incremental_update(
+        [root], webpages_source(shards[1]), CFG)).sort_by("doc_id")
+    want = fold()
+    monkeypatch.setenv("FMR_DRIVER_BYTES", "0")
+    monkeypatch.setenv("FMR_BROADCAST_BYTES", "0")
+    with ExecutionCounter().installed() as counter:
+        got = fold()
+    assert got.equals(want)
+    assert all("Aggregate" not in dag for dag in counter.dags)
+    assert counter.count <= 64
+
+
 def test_default_flagship_gates_take_driver_and_broadcast(pages, caplog):
     """Every gate decision of a default flagship on the 300-doc plan-test
     corpus, logged by ``stages/gates`` as (name, nbytes, branch), takes

@@ -327,17 +327,29 @@ def test_sharded_touched_only_relabel_parity(ray_session, tmp_path):
 def test_sharded_fold_error_does_not_wait_for_prebuilds(ray_session, tmp_path,
                                                         monkeypatch):
     """A raising fold propagates at once: dedup_sharded must not wait for
-    a queued prebuild (here shard 2's factory, blocked on an event)."""
+    a queued prebuild (here shard 2's factory, blocked on an event). Once
+    that factory returns, the abandoned prebuild builds nothing: no Dataset
+    execution starts on its thread and no stage lands under its root."""
     import threading
     import time
+    from concurrent.futures import ThreadPoolExecutor, wait
 
     import pytest
     import ray.data as rd
     from fuzzy_matcher_ray.pipelines import dedup
+    from test_flagship_plan import ExecutionCounter
 
     def _boom(*args, **kwargs):
         raise RuntimeError("fold failed")
 
+    prebuilds = []
+
+    class _Pool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            prebuilds.append(super().submit(*args, **kwargs))
+            return prebuilds[-1]
+
+    monkeypatch.setattr(dedup, "ThreadPoolExecutor", _Pool)
     monkeypatch.setattr(dedup, "find_duplicates", lambda *a, **k: None)
     monkeypatch.setattr(dedup, "incremental_update", _boom)
     release = threading.Event()
@@ -356,6 +368,13 @@ def test_sharded_fold_error_does_not_wait_for_prebuilds(ray_session, tmp_path,
         with pytest.raises(RuntimeError, match="fold failed"):
             dedup.dedup_sharded(shards, str(tmp_path / "state"))
         assert time.perf_counter() - t0 < 30
+        with ExecutionCounter().installed() as counter:
+            release.set()
+            _, running = wait(prebuilds, timeout=30)
+        assert not running
+        assert counter.count == 0
+        root = tmp_path / "state" / "shard-00002-s2"
+        assert [p for p in root.glob("*") if p.is_dir()] == []
     finally:
         release.set()
         safety.cancel()
