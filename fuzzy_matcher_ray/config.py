@@ -14,6 +14,13 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
+# The exact-dedup key scheme of the normalize stage's (text_hash,
+# text_hash2) columns (``functions/fingerprint.py::exact_key``). It is in
+# the lineage key and in the normalize manifest: keys of two schemes never
+# meet, so stages and chain links written under another scheme rebuild,
+# and a fold refuses a prior root of another scheme.
+EXACT_KEY_SCHEME = "blake2b-128"
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -85,7 +92,8 @@ class PipelineConfig:
 
     def config_hash(self) -> str:
         """Stable hash of all semantic parameters — keys checkpoint manifests."""
-        payload = json.dumps(asdict(self), sort_keys=True, default=str)
+        payload = json.dumps({**asdict(self), "exact_key": EXACT_KEY_SCHEME},
+                             sort_keys=True, default=str)
         return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
 
 

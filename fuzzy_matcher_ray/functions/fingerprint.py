@@ -1,10 +1,14 @@
-"""Document fingerprints: content hash + winnowed window fingerprints.
+"""Document fingerprints: exact-dedup keys, content hashes and winnowed
+window fingerprints.
 
-- ``content_hash``: vectorized 64-bit position-sensitive hash of each string →
-  exact-dedup key (≙ terminal-node ID set dedup, fuzzy_types/types.go:38).
-  64-bit keys can collide at 10^12-doc scale, so the exact-dedup stage groups
-  by (hash, length) and compares actual texts within each group — a collision
-  costs a few extra bytes in one group, never a wrong dedup.
+- ``exact_key``: one keyed blake2b-128 digest per string, read as two
+  int64 halves → the exact-dedup key (≙ terminal-node ID set dedup,
+  fuzzy_types/types.go:38). Exact groups are key groups and no text is
+  compared: two different texts share a key only by a 128-bit collision,
+  about 2^-49 odds over 10^12 docs (the birthday bound).
+- ``content_hash``: vectorized 64-bit position-sensitive hash of each
+  string, for keys that tolerate 64-bit collisions (Bloom filters, HLL
+  registers, token ids, doc ids from urls).
 - ``winnow_batch``: Schleimer et al. winnowing — ``window``-char rolling
   hashes, keep the minimum of every ``winnow`` consecutive hashes. Any shared
   substring of length >= window + winnow - 1 yields at least one identical
@@ -15,6 +19,8 @@
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pyarrow as pa
@@ -29,6 +35,23 @@ from fuzzy_matcher_ray.functions.shingle import (
 
 _K1 = np.uint64(0x9DDFEA08EB382D69)
 _K2 = np.uint64(0xC2B2AE3D27D4EB4F)
+
+
+def exact_key(norm: pa.Array | pa.ChunkedArray, seed: int) -> np.ndarray:
+    """(2, n) int64 exact-dedup key of each string: one blake2b digest of
+    16 bytes, keyed by ``seed``'s 8 little-endian bytes, read as two
+    int64 halves. One digest per doc over a slice of the batch buffer,
+    no per-byte temporaries; nulls key as empty strings. The scheme is
+    ``config.EXACT_KEY_SCHEME``: change both together."""
+    data, offsets = string_buffer(norm)
+    keyed = hashlib.blake2b(digest_size=16, key=seed.to_bytes(8, "little"))
+    view, bounds = memoryview(data), offsets.tolist()
+    digests = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        h = keyed.copy()
+        h.update(view[lo:hi])
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), np.int64).reshape(-1, 2).T.copy()
 
 
 def content_hash(texts: pa.Array | pa.ChunkedArray, seed: int = 0) -> np.ndarray:

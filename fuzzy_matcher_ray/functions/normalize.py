@@ -23,8 +23,11 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from fuzzy_matcher_ray.functions.shingle import string_buffer
 
 _NORM_RE = re.compile(r"[^a-zA-Z0-9]+")
 
@@ -65,7 +68,6 @@ def confusable_table():
     confusable pair (symmetric closure of OCR_MISREADS). Cached."""
     global _CONF_TABLE
     if _CONF_TABLE is None:
-        import numpy as np
         t = np.zeros((128, 128), dtype=bool)
         for a, bs in OCR_MISREADS.items():
             for b in bs:
@@ -88,12 +90,29 @@ def fold_confusables(s: str) -> str:
 
 
 def normalize_array(arr: pa.Array | pa.ChunkedArray) -> pa.Array:
-    """Vectorized normalize over an Arrow string array (zero Python loop)."""
+    """Vectorized normalize over an Arrow string array: ``utf8_lower``,
+    then one numpy pass that deletes every byte outside ``[a-z0-9]``.
+
+    Byte deletion is the regex's character deletion: after ``utf8_lower``
+    every ASCII letter is lower-case, and every byte of a non-ASCII
+    character is >= 0x80, so the kept bytes are exactly the kept
+    characters (İ U+0130 and K U+212A, the code points that lowercase to
+    ASCII, are lowered before the filter). Nulls stay null."""
     lowered = pc.utf8_lower(arr)
-    out = pc.replace_substring_regex(lowered, pattern="[^a-zA-Z0-9]+", replacement="")
-    if isinstance(out, pa.ChunkedArray):
-        out = out.combine_chunks()
-    return out
+    if isinstance(lowered, pa.ChunkedArray):
+        lowered = lowered.combine_chunks()
+    data, offsets = string_buffer(lowered)
+    kept = np.flatnonzero((np.subtract(data, 97, dtype=np.uint8) < 26)
+                          | (np.subtract(data, 48, dtype=np.uint8) < 10))
+    # each row's new bounds: the kept bytes before its old bounds
+    bounds = np.searchsorted(kept, offsets).astype(
+        np.int64 if pa.types.is_large_string(lowered.type) else np.int32)
+    validity = (pc.is_valid(lowered).buffers()[1]
+                if lowered.null_count else None)
+    return pa.Array.from_buffers(
+        lowered.type, len(lowered),
+        [validity, pa.py_buffer(bounds), pa.py_buffer(data[kept])],
+        null_count=lowered.null_count)
 
 
 def fold_array(arr: pa.Array | pa.ChunkedArray) -> pa.Array:

@@ -80,21 +80,18 @@ def _exact_winners(docs, representative: str = "min"):
     (ties → min doc_id) — the quality-aware selection of
     ``tier.keep_best_representatives``. Either way only slim rows enter
     the exchange: "min" groups on the normalized string, "best" keys on
-    the 128-bit content hash and rides ``grouped_topk`` (k=1)."""
+    the 128-bit exact key (``fingerprint.exact_key``) and rides
+    ``grouped_topk`` (k=1)."""
     from ray.data.aggregate import Min
 
     from fuzzy_matcher_ray.functions.normalize import normalize_array
 
     if representative == "best":
-        from fuzzy_matcher_ray.functions.fingerprint import content_hash
+        from fuzzy_matcher_ray.functions.fingerprint import exact_key
         from fuzzy_matcher_ray.stages.ranks import grouped_topk
 
         def _key(t: pa.Table) -> pa.Table:
-            norm = pc.fill_null(normalize_array(t["text"]), "")
-            if isinstance(norm, pa.ChunkedArray):
-                norm = norm.combine_chunks()
-            h1 = content_hash(norm).view(np.int64)
-            h2 = content_hash(norm, seed=0x5F3759DF).view(np.int64)
+            h1, h2 = exact_key(normalize_array(t["text"]), 0)
             key = pc.binary_join_element_wise(
                 pc.cast(pa.array(h1), pa.string()),
                 pc.cast(pa.array(h2), pa.string()), ":")

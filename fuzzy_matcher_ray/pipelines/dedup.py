@@ -58,7 +58,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from fuzzy_matcher_ray.config import PipelineConfig
+from fuzzy_matcher_ray.config import EXACT_KEY_SCHEME, PipelineConfig
 from fuzzy_matcher_ray.stages.candidates import (_numpy_dedup_pairs,
                                                  dedup_pairs, key_pairs)
 from fuzzy_matcher_ray.stages.cluster import (cluster_edges,
@@ -77,12 +77,15 @@ from fuzzy_matcher_ray.stages.verify import (
 from fuzzy_matcher_ray.state.checkpoint import Checkpointer
 
 PASSES = ("exact", "minhash", "simhash", "substring")
-# the exact pass's 128-bit content key
+# the exact pass's 128-bit key (``fingerprint.exact_key``)
 _HASH_KEY = ["text_hash", "text_hash2"]
 # the passes whose key rows come from the sketch (``signature_table``)
 _SKETCH_PASSES = {"minhash", "simhash", "substring"}
 # the normalize columns a fold reads from a prior link
 _PRIOR_NORM_COLUMNS = ["doc_id", "norm_text", "text_hash", "text_hash2", "tier"]
+# the normalize manifest field naming its exact key scheme: a fold never
+# joins the keys of two schemes
+_NORM_META = {"exact_key": EXACT_KEY_SCHEME}
 EDGE_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 
 
@@ -511,7 +514,8 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
                                            "edges_all", "clusters"), passes)
     norm = ck.stage("normalize",
                     lambda: normalized_docs(docs, cfg).repartition(n_blocks),
-                    empty_schema=_link_schemas(cfg)["normalize"])
+                    empty_schema=_link_schemas(cfg)["normalize"],
+                    meta=_NORM_META)
     # norm is materialized or a checkpoint read: its count is metadata
     if norm.count() == 0:
         import ray.data as rd
@@ -793,7 +797,7 @@ def _write_empty_link(ck: Checkpointer, cfg: PipelineConfig) -> None:
 
 
 def _shard_artifacts(ck: Checkpointer, docs, cfg: PipelineConfig,
-                     passes: tuple):
+                     passes: tuple, stop=None):
     """A shard's fold-independent artifacts → (normalize, signatures,
     exact star); the sketch is None when no pass needs it, the star when
     the exact pass does not run or the shard is empty. With the exact pass
@@ -803,14 +807,23 @@ def _shard_artifacts(ck: Checkpointer, docs, cfg: PipelineConfig,
     own text, so ``dedup_sharded`` prebuilds them ahead of the shard's
     fold with this same builder and cfg, and the fold's ``ck.stage``
     calls resume them from the manifest, or the prebuild hands its
-    pinned artifacts to the fold itself."""
+    pinned artifacts to the fold itself. ``stop`` (a prebuild's
+    ``threading.Event``, set once the chain has ended) is checked before
+    each stage: once it is set, no further stage builds."""
+    def unstopped():
+        if stop is not None and stop.is_set():
+            raise RuntimeError("dedup_sharded: the chain has ended")
+
+    unstopped()
     if ck.enabled:
         _drop_stale_stages(ck, cfg, docs, ("normalize", "signatures"), passes)
     norm = ck.stage("normalize", lambda: normalized_docs(docs, cfg),
-                    empty_schema=_link_schemas(cfg)["normalize"])
+                    empty_schema=_link_schemas(cfg)["normalize"],
+                    meta=_NORM_META)
     # norm is materialized or a checkpoint read: its count is metadata
     star = _ExactStar(norm) \
         if "exact" in passes and norm.count() else None
+    unstopped()
     return norm, _sketch_stage(ck, norm, cfg, passes, star), star
 
 
@@ -845,7 +858,10 @@ def incremental_update(prior_root: str | list[str], new_docs,
     tests/test_incremental.py.
 
     Returns (doc_id, cluster_id) for every doc in prior ∪ new. Requires
-    disjoint doc_id spaces (checked) and the same ``cfg`` AND pass set as
+    disjoint doc_id spaces (checked), prior roots whose normalize manifest
+    records ``config.EXACT_KEY_SCHEME`` (checked: a ValueError names a
+    root of another scheme, whose exact keys would never meet the
+    increment's), and the same ``cfg`` AND pass set as
     the prior run for full-rerun byte-parity. Folding a WIDER pass set
     over a narrower prior root still works (missing artifacts re-derive
     from the normalize artifact) but is deliberately weaker: only pairs
@@ -884,6 +900,12 @@ def incremental_update(prior_root: str | list[str], new_docs,
     loaded = []                       # [(root, normalize_ds, config_hash)]
     for r in roots:
         n, m = _load_stage(r, "normalize")
+        if m.get("exact_key") != EXACT_KEY_SCHEME:
+            raise ValueError(
+                f"incremental_update: the prior root {r!r} has no "
+                f"{EXACT_KEY_SCHEME} exact keys (its normalize manifest "
+                f"records {m.get('exact_key') or 'no key scheme'}); "
+                "rebuild it, as dedup_sharded rebuilds such a link")
         # the columns the fold reads: the artifacts of older layouts
         # (with fold_text / n_norm) union with the current ones
         loaded.append((r, n.select_columns(_PRIOR_NORM_COLUMNS),
@@ -1038,14 +1060,13 @@ def _prebuild_increment(sroot: str, key: str, ds, cfg: PipelineConfig,
     exact star), so the fold reads no stage back and its exact pass
     reuses the key rows the sketch filter built. ``stop`` (a
     ``threading.Event``): set once the chain has ended, e.g. on a fold's
-    error; a prebuild whose factory returns after that builds nothing, so
-    no abandoned thread runs Ray work or writes under the chain's root."""
+    error; ``_shard_artifacts`` checks it before each stage, so an
+    abandoned prebuild builds no further stage: no Ray work on its thread
+    and no write under the chain's root."""
     data = ds() if callable(ds) else ds
-    if stop is not None and stop.is_set():
-        return
     box["data"] = data
     box["built"] = _shard_artifacts(Checkpointer(sroot, key), data, cfg,
-                                    passes)
+                                    passes, stop)
 
 
 def dedup_sharded(shards, state_root: str,

@@ -54,26 +54,20 @@ def _doc_winner(sf_dir: str):
     """(doc_id, w): w = min doc_id sharing this doc's normalized text
     (nulls ≡ empty, the shared dedup-gate rule).
 
-    Keys are the shared 128-bit content hash (two independent 64-bit
-    halves, collision ~2^-128 — the exact_dup_edges convention), so only
-    24 B/row ever enters an exchange: the full normalized text never
-    leaves the batch that computed it. The min-rep core is exact_dup_edges'
+    Keys are the normalize stage's 128-bit exact key
+    (``fingerprint.exact_key``, which keys nulls as empty), so only 24
+    B/row ever enters an exchange: the full normalized text never leaves
+    the batch that computed it. The min-rep core is exact_dup_edges'
     own (``dedup.min_reps``): a lexsort + segment min over key segments,
     once on the driver on small corpora, per range of a range sort on the
     key at scale, no key's rows on the driver.
     """
-    from fuzzy_matcher_ray.functions.fingerprint import content_hash
+    from fuzzy_matcher_ray.functions.fingerprint import exact_key
     from fuzzy_matcher_ray.pipelines.dedup import min_reps
 
     def _key(t: pa.Table) -> pa.Table:
-        norm = pc.fill_null(normalize_array(t["text"]), "")
-        if isinstance(norm, pa.ChunkedArray):
-            norm = norm.combine_chunks()
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "h1": pa.array(content_hash(norm).view(np.int64)),
-            "h2": pa.array(content_hash(norm, seed=0x5F3759DF).view(np.int64)),
-        })
+        h1, h2 = exact_key(normalize_array(t["text"]), 0)
+        return pa.table({"doc_id": t["doc_id"], "h1": h1, "h2": h2})
 
     keyed = _docs(sf_dir).map_batches(_key, batch_format="pyarrow") \
                          .materialize()

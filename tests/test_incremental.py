@@ -404,3 +404,71 @@ def test_incremental_bridge_relabels_whole_component(ray_session, tmp_path):
     now = dict(zip(inc.doc_id, inc.cluster_id))
     assert [now[d] for d in xs + ys + [1_000_000]] == [500] * 7
     assert inc.equals(full)
+
+
+def test_fold_refuses_a_prior_of_another_key_scheme(ray_session, tmp_path):
+    """A chain link written before the blake2b-128 exact key (another
+    config hash, a normalize manifest that names no key scheme, and the
+    older two-``content_hash`` key in its text_hash columns) is never
+    folded onto: ``incremental_update`` raises ValueError naming the root,
+    and ``dedup_sharded`` over that state root rebuilds the link to the
+    labels of ``find_duplicates``. The increment copies prior texts, short
+    ones too, which only the exact pass links."""
+    import glob
+    import json
+    import re
+
+    import ray.data as rd
+    from fuzzy_matcher_ray.config import EXACT_KEY_SCHEME
+    from fuzzy_matcher_ray.functions.fingerprint import content_hash
+    from fuzzy_matcher_ray.pipelines.dedup import (dedup_sharded,
+                                                   find_duplicates,
+                                                   incremental_update)
+    from fuzzy_matcher_ray.stages.joins import collect_table
+
+    cfg = PipelineConfig()
+
+    def shard(tbl, extra, id0):
+        text = tbl["text"].to_pylist() + extra
+        return pa.table({"doc_id": pa.array(range(id0, id0 + len(text)),
+                                            pa.int64()),
+                         "text": pa.array(text, pa.string())})
+
+    short = ["tiny copy one", "Tiny copy, two!"]
+    a = shard(_docs_tbl(150, seed=61), short, 0)
+    b = shard(_docs_tbl(80, seed=62), a["text"].to_pylist()[:20] + short,
+              1_000_000)
+    state = str(tmp_path / "state")
+    dedup_sharded([("s0", rd.from_arrow(a))], state, cfg)
+    link = glob.glob(os.path.join(state, "shard-00000-*"))[0]
+    for path in glob.glob(os.path.join(link, "*", "_MANIFEST.json")):
+        with open(path) as f:
+            m = json.load(f)
+        m["config_hash"] = "0123456789abcdef" + m["config_hash"][16:]
+        m.pop("exact_key", None)
+        with open(path, "w") as f:
+            json.dump(m, f)
+    data = os.path.join(link, "normalize", "data")
+    for name in os.listdir(data):
+        t = pq.read_table(os.path.join(data, name))
+        norm = t["norm_text"].combine_chunks()
+        for col, seed in (("text_hash", cfg.seed),
+                          ("text_hash2", cfg.seed ^ 0x5F3759DF)):
+            t = t.set_column(t.column_names.index(col), col, pa.array(
+                content_hash(norm, seed=seed).view(np.int64)))
+        pq.write_table(t, os.path.join(data, name))
+
+    with pytest.raises(ValueError, match=re.escape(repr(link))):
+        incremental_update(link, rd.from_arrow(b), cfg)
+
+    def labels(ds):
+        return collect_table(ds).select(["doc_id", "cluster_id"]) \
+            .sort_by("doc_id")
+
+    got = labels(dedup_sharded([("s0", rd.from_arrow(a)),
+                                ("s1", rd.from_arrow(b))], state, cfg))
+    want = labels(find_duplicates(rd.from_arrow(pa.concat_tables([a, b])),
+                                  cfg))
+    assert got.equals(want)
+    with open(os.path.join(link, "normalize", "_MANIFEST.json")) as f:
+        assert json.load(f)["exact_key"] == EXACT_KEY_SCHEME

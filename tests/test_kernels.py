@@ -9,7 +9,8 @@ import pytest
 
 from fuzzy_matcher_ray.functions import normalize as nz
 from fuzzy_matcher_ray.functions import similarity as sim
-from fuzzy_matcher_ray.functions.fingerprint import content_hash, winnow_batch
+from fuzzy_matcher_ray.functions.fingerprint import (
+    content_hash, exact_key, winnow_batch)
 from fuzzy_matcher_ray.functions.minhash import (
     EMPTY_SIG, band_hashes, minhash_signatures, perm_params)
 from fuzzy_matcher_ray.functions.shingle import (
@@ -35,9 +36,30 @@ def test_normalize_scalar(raw, expected):
 
 
 def test_normalize_array_matches_scalar():
-    vals = ["John  O'Brien-2", "", "A b C", "x!y?z", "ÄÖÜ test"]  # unicode dropped
-    arr = nz.normalize_array(pa.array(vals))
-    assert arr.to_pylist() == [nz.normalize_text(v) for v in vals]
+    # İ (U+0130) and K (U+212A) lowercase to ASCII i / k and are kept; ß,
+    # the ﬃ ligature, CJK, emoji and other non-ASCII characters are dropped
+    vals = ["John  O'Brien-2", "", "A b C", "x!y?z", "ÄÖÜ test",
+            "İstanbul", "273 K", "Straße", "eﬃcient", "漢字 kanji 42",
+            "ok 😀 👍🏽 done", None, "", "ZZ\u0000top\n9", None]
+
+    def scalar(vs):
+        return [None if v is None else nz.normalize_text(v) for v in vs]
+
+    arr = pa.array(vals)
+    out = nz.normalize_array(arr)
+    assert out.type == pa.string()
+    assert out.to_pylist() == scalar(vals)
+    assert out.to_pylist()[5:7] == ["istanbul", "273k"]
+    # a slice with a nonzero offset, and a chunked array of slices
+    assert nz.normalize_array(arr.slice(4, 9)).to_pylist() == \
+        scalar(vals[4:13])
+    chunked = pa.chunked_array([arr.slice(0, 6), arr.slice(6, 0),
+                                arr.slice(6)])
+    assert nz.normalize_array(chunked).to_pylist() == scalar(vals)
+    large = nz.normalize_array(pa.array(vals, pa.large_string()))
+    assert large.type == pa.large_string()
+    assert large.to_pylist() == scalar(vals)
+    assert nz.normalize_array(pa.array([], pa.string())).to_pylist() == []
 
 
 def test_fold_confusables():
@@ -341,6 +363,24 @@ def test_content_hash_properties():
     assert len(set(h.tolist())) == 6                 # all others distinct
     # deterministic across calls
     assert (content_hash(arr) == h).all()
+
+
+def test_exact_key_properties():
+    arr = pa.array(["abc", "abd", "abc", "", "acb", "ab", "abc ", None])
+    h1, h2 = exact_key(arr, seed=7)
+    assert h1.dtype == h2.dtype == np.int64 and len(h1) == len(arr)
+    keys = list(zip(h1.tolist(), h2.tolist()))
+    assert keys[0] == keys[2]                 # equal texts, equal keys
+    assert keys[3] == keys[7]                 # a null keys as the empty text
+    assert len(set(keys)) == 6                # all other texts distinct
+    assert keys[3] != (0, 0)                  # the empty text gets a key
+    # the seed keys the hash: another seed gives other keys
+    g1, g2 = exact_key(arr, seed=8)
+    assert not set(keys) & set(zip(g1.tolist(), g2.tolist()))
+    # a slice keys its own rows, deterministic across calls
+    s1, s2 = exact_key(arr.slice(2, 3), seed=7)
+    assert (s1 == h1[2:5]).all() and (s2 == h2[2:5]).all()
+    assert exact_key(pa.array([], pa.string()), seed=7).shape == (2, 0)
 
 
 def test_winnow_shared_substring_guarantee():

@@ -378,3 +378,67 @@ def test_sharded_fold_error_does_not_wait_for_prebuilds(ray_session, tmp_path,
     finally:
         release.set()
         safety.cancel()
+
+
+def test_abandoned_prebuild_stops_after_its_normalize_stage(ray_session,
+                                                            tmp_path,
+                                                            monkeypatch):
+    """A prebuild already inside ``_shard_artifacts`` when the chain raises
+    builds no further stage: shard 2's prebuild is held right after its
+    normalize stage until shard 1's fold has raised. Once released, no
+    Dataset execution starts and no signatures stage lands under its
+    root."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    import pytest
+    import ray.data as rd
+    from fuzzy_matcher_ray.pipelines import dedup
+    from fuzzy_matcher_ray.state.checkpoint import Checkpointer
+    from test_flagship_plan import ExecutionCounter
+
+    prebuilds = []
+
+    class _Pool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            prebuilds.append(super().submit(*args, **kwargs))
+            return prebuilds[-1]
+
+    normalized, release = threading.Event(), threading.Event()
+    safety = threading.Timer(60, release.set)   # never hang the suite
+    safety.start()
+    stage = Checkpointer.stage
+
+    def _held_stage(ck, name, *args, **kwargs):
+        out = stage(ck, name, *args, **kwargs)
+        if name == "normalize" and "shard-00002" in ck.root:
+            normalized.set()
+            release.wait()
+        return out
+
+    def _boom(*args, **kwargs):
+        normalized.wait(60)
+        raise RuntimeError("fold failed")
+
+    monkeypatch.setattr(Checkpointer, "stage", _held_stage)
+    monkeypatch.setattr(dedup, "ThreadPoolExecutor", _Pool)
+    monkeypatch.setattr(dedup, "find_duplicates", lambda *a, **k: None)
+    monkeypatch.setattr(dedup, "incremental_update", _boom)
+    shards = [("s0", rd.from_arrow(_docs_tbl(5, seed=94))),
+              ("s1", rd.from_arrow(_docs_tbl(5, seed=95, id_offset=100))),
+              ("s2", rd.from_arrow(_docs_tbl(40, seed=96, id_offset=200)))]
+    root = tmp_path / "state" / "shard-00002-s2"
+    try:
+        with pytest.raises(RuntimeError, match="fold failed"):
+            dedup.dedup_sharded(shards, str(tmp_path / "state"))
+        assert normalized.is_set()
+        assert (root / "normalize" / "data").is_dir()
+        with ExecutionCounter().installed() as counter:
+            release.set()
+            _, running = wait(prebuilds, timeout=30)
+        assert not running
+        assert counter.count == 0
+        assert not (root / "signatures").exists()
+    finally:
+        release.set()
+        safety.cancel()
