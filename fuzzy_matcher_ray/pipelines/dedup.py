@@ -40,12 +40,15 @@ clusters output, so the source is read once and never joined back. With a
 Checkpointer, normalize, the sketch (``signatures``), ``edges_all`` and
 ``clusters`` are immutable Parquet artifacts with manifests (resume = skip).
 
-A fold (``incremental_update``, chained by ``dedup_sharded``) is the same
-pass builders run over a delta: handed a ``PriorIndex``, each builder
-semi-joins the prior run's key rows against the increment's, keeps only
-pairs touching a new doc, and fans in at the same ``edges_all`` stage.
-The prior labels are read once and pinned: the disjoint-id guard, the
-touched-label star and the output fill all run over those blocks.
+The flagship is link 0 of a chain: ``find_duplicates`` and a fold
+(``incremental_update``, chained by ``dedup_sharded``) are one link
+builder (``_link``); a fold also gets the prior links' roots. It runs
+the same stages over the increment: handed a ``PriorIndex``, each pass
+builder semi-joins the prior links' key rows against the increment's,
+keeps only pairs touching a new doc, and fans in at the same
+``edges_all`` stage. The prior labels are read once and pinned: the
+disjoint-id guard, the touched-label star and the output fill all run
+over those blocks.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ from fuzzy_matcher_ray.stages.joins import (BroadcastAttacher,
                                             DriverBlocks, as_dataset,
                                             attach_columns, is_pinned,
                                             map_blocks, map_segments, nbytes,
-                                            pinned_bytes, project, union)
+                                            partitions_for, pinned_bytes,
+                                            plan_bytes, project, union)
 from fuzzy_matcher_ray.stages.minhash_stage import (
     Signatures, add_stage, band_key_rows, simhash_key_rows, winnow_key_rows)
 from fuzzy_matcher_ray.stages.normalize_stage import normalized_docs
@@ -81,6 +85,8 @@ PASSES = ("exact", "minhash", "simhash", "substring")
 _HASH_KEY = ["text_hash", "text_hash2"]
 # the passes whose key rows come from the sketch (``signature_table``)
 _SKETCH_PASSES = {"minhash", "simhash", "substring"}
+# the checkpointed stages of a chain link, in build order
+_LINK_STAGES = ("normalize", "signatures", "edges_all", "clusters")
 # the normalize columns a fold reads from a prior link
 _PRIOR_NORM_COLUMNS = ["doc_id", "norm_text", "text_hash", "text_hash2", "tier"]
 # the normalize manifest field naming its exact key scheme: a fold never
@@ -147,7 +153,8 @@ def exact_dup_edges(norm, cfg: PipelineConfig,
     story needs no cap here.
 
     With ``prior`` the prior rows sharing a key with the increment join its
-    rows before the min-rep star. Exact equality is transitive, so the
+    rows before the min-rep star; pinned, so that union is driver blocks
+    while both are small. Exact equality is transitive, so the
     components — hence the min-id labels — match a full re-run's.
 
     ``star``: ``norm``'s key rows and star when the sketch filter already
@@ -158,11 +165,10 @@ def exact_dup_edges(norm, cfg: PipelineConfig,
     if prior is None:
         reps = star.reps()
     else:
-        rows = union(attach_columns(
+        reps = min_reps(union(attach_columns(
             _hash_rows(prior.norm), star.rows(), _HASH_KEY, _HASH_KEY, {},
-            how="semi", num_partitions=cfg.join_num_partitions),
-            star.rows()).materialize()
-        reps = min_reps(rows, _HASH_KEY)
+            how="semi", num_partitions=cfg.join_num_partitions).materialize(),
+            star.rows()), _HASH_KEY)
 
     def _edges(t: pa.Table) -> pa.Table:
         t = t.filter(pc.not_equal(t["doc_id"], t["rep"]))
@@ -460,15 +466,94 @@ def _edges_all(ck: Checkpointer, builders, passes: tuple):
                     meta=_passes_meta(passes))
 
 
+def _link(checkpointer: Checkpointer | None, docs, cfg: PipelineConfig,
+          passes: tuple, roots=(), prebuilt: tuple | None = None):
+    """One link of a chain → (doc_id, cluster_id [, url]): ``docs``
+    clustered on their own (the flagship, link 0) or, given the prior
+    links' ``roots`` (oldest first), folded onto them. Both build the
+    shard's artifacts (``_shard_artifacts``) unless ``prebuilt``, the pass
+    inputs only when ``edges_all`` builds (``builders``), the
+    ``edges_all`` fan-in, and ``clusters``: the labeller over the edges,
+    or the prior labels remapped through them (``_fold_labels``). An
+    empty shard's link carries the prior labels forward (none in link
+    0)."""
+    ck = checkpointer or Checkpointer("/tmp/fmr-ck-disabled",
+                                      cfg.config_hash(), enabled=False)
+    if roots:
+        loaded, norm_A, clusters_A = _load_chain(roots)
+    norm, sigs, star = prebuilt or _shard_artifacts(ck, docs, cfg, passes)
+    meta = _passes_meta(passes)
+    # norm is materialized or a checkpoint read: its count is metadata
+    if norm.count() == 0:
+        sch = _link_schemas(cfg)["clusters"]
+        return as_dataset(ck.stage(
+            "clusters",
+            lambda: clusters_A.select_columns(["doc_id", "cluster_id"])
+            if roots else DriverBlocks([sch.empty_table()]),
+            empty_schema=sch, meta=meta))
+    if roots:
+        # the prior labels, pinned: the id guard, the touched-label star
+        # and the output fill read them, and the prior clusters stage is
+        # read once
+        labels_A = project(clusters_A, ["doc_id", "cluster_id"]).materialize()
+        ids = project(norm, ["doc_id"])
+        n_overlap = attach_columns(
+            project(labels_A, ["doc_id"]), ids, "doc_id", "doc_id", {},
+            how="semi", num_partitions=cfg.join_num_partitions).count()
+        if n_overlap:
+            raise ValueError(
+                f"incremental_update: {n_overlap} doc_ids of the "
+                "increment already exist in the prior corpus")
+
+    def builders():
+        # the verify text source (doc_id → norm_text): the link's own
+        # normalize, or prior ∪ increment (slim columns) in a fold
+        texts, prior = norm, None
+        if roots:
+            cols = ["doc_id", "norm_text"]
+            texts = norm_A.select_columns(cols).union(
+                norm.select_columns(cols)).materialize()
+            prior = PriorIndex(norm_A, None if sigs is None else
+                               _prior_sketch(loaded, cfg, passes), texts)
+        # one broadcast copy of (doc_id → norm_text) shared by every verify
+        # pass, and the corpus shingle-set artifact: the LSH passes' one
+        # Jaccard verify intersects zero-copy against ONE plasma object
+        # instead of re-shingling every batch's distinct docs (size-gated;
+        # None ⇒ verifiers fall back to the text broadcast / join paths).
+        # Off by default — see config.use_shingle_set_artifact.
+        attacher = None
+        if gates.decide("texts", nbytes(texts)) == "broadcast":
+            attacher = BroadcastAttacher(texts, "doc_id", ["norm_text"])
+        sets_ref = None
+        if ("minhash" in passes or "simhash" in passes) \
+                and cfg.use_shingle_set_artifact:
+            from fuzzy_matcher_ray.stages.verify import build_shingle_sets
+            sets_ref = build_shingle_sets(texts, cfg)
+        return _pass_builders(passes, norm, cfg, attacher, sigs, sets_ref,
+                              prior, star)
+
+    edges = _edges_all(ck, builders, passes)
+
+    def labels():
+        if roots:
+            return _fold_labels(labels_A, edges, ids, cfg)
+        # url rides from the normalize stage: no join back to the source
+        cols = [c for c in ("doc_id", "url") if c in norm.schema().names]
+        return cluster_edges(edges, project(norm, cols), cfg)
+
+    return as_dataset(ck.stage("clusters", labels, meta=meta))
+
+
 def find_duplicates(docs, cfg: PipelineConfig | None = None,
                     checkpointer: Checkpointer | None = None,
                     passes: tuple = PASSES, now=None):
     """docs (doc_id, text [, url], ...) → (doc_id, cluster_id [, url]).
 
-    The full flagship. Returns a Dataset of one row per input doc; ``url``
-    is carried through the normalize stage when ``docs`` has it. A run
-    with no rows after the TTL filter returns an empty (doc_id,
-    cluster_id, url) table.
+    The full flagship: link 0 of a chain (``_link`` with no prior
+    roots). Returns a Dataset of one row per input doc; ``url`` is
+    carried through the normalize stage when ``docs`` has it. A run with
+    no rows after the TTL filter returns an empty (doc_id, cluster_id,
+    url) table.
 
     Uncheckpointed, the run is three Dataset executions: normalize, the
     sketch, and the fan-in of every pass's verify (``_edges_all``); the
@@ -481,11 +566,11 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
     With a ``checkpointer`` the run writes the same chain link as a fold
     (``incremental_update``): the ``normalize``, ``signatures`` (the
     sketch), ``edges_all`` and ``clusters`` stages, so it is link 0 of a
-    ``dedup_sharded`` chain. A zero-row input still writes every stage but
-    ``edges_all``, empty and schema-pinned. A checkpointed stage whose
-    columns are not the ones this code writes (``_link_schemas``), or that
-    was built for another pass set, rebuilds instead of resuming
-    (``_drop_stale_stages``).
+    ``dedup_sharded`` chain. A zero-row input writes normalize, the sketch
+    (when a pass needs it) and clusters, empty and schema-pinned. A
+    checkpointed stage whose columns are not the ones this code writes
+    (``_link_schemas``), or that was built for another pass set, rebuilds
+    instead of resuming (``_drop_stale_stages``).
 
     With ``cfg.ttl_mode`` the expiry invariant is enforced (every row must
     carry a non-null valid_until — ≙ Build error on zero expiry,
@@ -498,79 +583,7 @@ def find_duplicates(docs, cfg: PipelineConfig | None = None,
         from fuzzy_matcher_ray.state.tombstones import filter_expired, validate_ttl
         docs = validate_ttl(docs) if now is None else \
             filter_expired(docs, now, ttl_mode=True)
-    ck = checkpointer or Checkpointer("/tmp/fmr-ck-disabled", cfg.config_hash(),
-                                      enabled=False)
-    from fuzzy_matcher_ray.stages.joins import partitions_for, plan_bytes
-    # Size the block count to the DATA, capped by CPUs: at 100 TB bytes/16
-    # MB dwarfs any cluster so this is always the CPU cap; on small inputs
-    # it stops per-task fixed costs and concurrent allocation contention
-    # from dominating (measured: the 92 MB bench corpus runs 2x faster
-    # 8-wide than 32-wide on a 32-cpu box). ``plan_bytes`` reads the
-    # source's size off its plan; ``docs.size_bytes()`` would run the
-    # whole source pipeline once just to size it.
-    n_blocks = partitions_for(cfg.join_num_partitions, plan_bytes(docs))
-    if ck.enabled:
-        _drop_stale_stages(ck, cfg, docs, ("normalize", "signatures",
-                                           "edges_all", "clusters"), passes)
-    norm = ck.stage("normalize",
-                    lambda: normalized_docs(docs, cfg).repartition(n_blocks),
-                    empty_schema=_link_schemas(cfg)["normalize"],
-                    meta=_NORM_META)
-    # norm is materialized or a checkpoint read: its count is metadata
-    if norm.count() == 0:
-        import ray.data as rd
-        if ck.enabled:
-            _write_empty_link(ck, cfg)
-        empty = {"doc_id": pa.array([], pa.int64()),
-                 "cluster_id": pa.array([], pa.int64()),
-                 "url": pa.array([], pa.string())}
-        return rd.from_blocks([pa.table(empty)])
-    # the exact star (built on first use: a resumed sketch and edges_all
-    # need none), then ONE sketch stage (a single pass over the text of
-    # the star's reps) feeding the LSH and substring passes
-    star = _ExactStar(norm) if "exact" in passes else None
-    sigs = _sketch_stage(ck, norm, cfg, passes, star)
-
-    def builders():
-        # one broadcast copy of (doc_id → norm_text) shared by every verify
-        # pass, and the corpus shingle-set artifact: the LSH passes' one
-        # Jaccard verify intersects zero-copy against ONE plasma object
-        # instead of re-shingling every batch's distinct docs (size-gated;
-        # None ⇒ verifiers fall back to the text broadcast / join paths).
-        # Off by default — see config.use_shingle_set_artifact.
-        attacher = None
-        if gates.decide("texts", nbytes(norm)) == "broadcast":
-            attacher = BroadcastAttacher(norm, "doc_id", ["norm_text"])
-        sets_ref = None
-        if ("minhash" in passes or "simhash" in passes) \
-                and cfg.use_shingle_set_artifact:
-            from fuzzy_matcher_ray.stages.verify import build_shingle_sets
-            sets_ref = build_shingle_sets(norm, cfg)
-        return _pass_builders(passes, norm, cfg, attacher, sigs, sets_ref,
-                              star=star)
-
-    edges = _edges_all(ck, builders, passes)
-    # url rides from the normalize stage: no join back to the source
-    ids = [c for c in ("doc_id", "url") if c in norm.schema().names]
-    return as_dataset(ck.stage(
-        "clusters",
-        lambda: cluster_edges(edges, project(norm, ids), cfg),
-        meta=_passes_meta(passes)))
-
-
-def _sketch_stage(ck: Checkpointer, norm, cfg: PipelineConfig, passes: tuple,
-                  star: _ExactStar | None):
-    """The ``signatures`` stage, None when no pass needs it. With ``star``
-    (the exact pass runs) it holds one row per distinct fuzzy text of
-    ``norm``; its manifest records the pass set (``_built_for``)."""
-    if not _SKETCH_PASSES & set(passes):
-        return None
-    return ck.stage(
-        "signatures",
-        lambda: signature_table(norm, cfg,
-                                None if star is None else star.reps()),
-        empty_schema=_link_schemas(cfg)["signatures"],
-        meta=_passes_meta(passes))
+    return _link(checkpointer, docs, cfg, passes)
 
 
 def _passes_meta(passes: tuple) -> dict:
@@ -736,10 +749,11 @@ def _load_stage(prior_root: str, name: str, expect_hash: str | None = None):
 
 def _prior_stage(loaded, name: str, rebuild, usable):
     """One artifact unioned over a chain's ``loaded`` roots, oldest first.
-    A root built without it (e.g. a pre-LSH checkpoint), or whose manifest
-    is not ``usable`` (an older layout, a rep-only sketch for a fold
-    without the exact pass), re-derives it from its normalize artifact with
-    ``rebuild`` — correct, just not incremental."""
+    A root built without it (a link whose pass set needed no sketch), or
+    whose manifest is not ``usable`` (a sketch of other columns, a
+    rep-only sketch for a fold without the exact pass), re-derives it from
+    its normalize artifact with ``rebuild`` — correct, just not
+    incremental."""
     out = None
     for r, n, h in loaded:
         try:
@@ -786,45 +800,51 @@ def _link_schemas(cfg: PipelineConfig) -> dict:
     }
 
 
-def _write_empty_link(ck: Checkpointer, cfg: PipelineConfig) -> None:
-    """Write the rest of a zero-row first shard's chain link after its
-    normalize stage: empty signatures and clusters stages, so a later fold
-    unions it with the rest of the chain."""
-    for name, sch in _link_schemas(cfg).items():
-        if name != "normalize":
-            ck.stage(name, lambda s=sch: DriverBlocks([s.empty_table()]),
-                     empty_schema=sch)
-
-
 def _shard_artifacts(ck: Checkpointer, docs, cfg: PipelineConfig,
                      passes: tuple, stop=None):
     """A shard's fold-independent artifacts → (normalize, signatures,
-    exact star); the sketch is None when no pass needs it, the star when
-    the exact pass does not run or the shard is empty. With the exact pass
-    the sketch holds one row per distinct fuzzy text of the shard (the
-    min doc_id of each of its exact groups; a copy of another shard's text
-    is still sketched). Both artifacts are pure functions of the shard's
-    own text, so ``dedup_sharded`` prebuilds them ahead of the shard's
-    fold with this same builder and cfg, and the fold's ``ck.stage``
-    calls resume them from the manifest, or the prebuild hands its
-    pinned artifacts to the fold itself. ``stop`` (a prebuild's
-    ``threading.Event``, set once the chain has ended) is checked before
-    each stage: once it is set, no further stage builds."""
+    exact star), after the link's stale stages, all four, are forgotten
+    (``_drop_stale_stages``). The sketch is None when no pass needs it and
+    empty driver blocks for an empty shard; the star is None when the
+    exact pass does not run or the shard is empty. With the star the
+    sketch holds one row per distinct fuzzy text of the shard (the min
+    doc_id of each of its exact groups; a copy of another shard's text is
+    still sketched); its manifest records the pass set (``_built_for``).
+    Both artifacts are pure functions of the shard's own text, so
+    ``dedup_sharded`` prebuilds them ahead of the shard's fold with this
+    same builder and cfg, and the fold's ``ck.stage`` calls resume them
+    from the manifest, or the prebuild hands its pinned artifacts to the
+    fold itself. ``stop`` (a prebuild's ``threading.Event``, set once the
+    chain has ended) is checked before each stage: once it is set, no
+    further stage builds."""
     def unstopped():
         if stop is not None and stop.is_set():
             raise RuntimeError("dedup_sharded: the chain has ended")
 
     unstopped()
     if ck.enabled:
-        _drop_stale_stages(ck, cfg, docs, ("normalize", "signatures"), passes)
-    norm = ck.stage("normalize", lambda: normalized_docs(docs, cfg),
-                    empty_schema=_link_schemas(cfg)["normalize"],
-                    meta=_NORM_META)
+        _drop_stale_stages(ck, cfg, docs, _LINK_STAGES, passes)
+    # blocks sized to the data, capped by CPUs (``partitions_for``): on
+    # small inputs per-task fixed costs would dominate. ``plan_bytes``
+    # reads the source's size off its plan with no execution.
+    norm = ck.stage(
+        "normalize",
+        lambda: normalized_docs(docs, cfg).repartition(partitions_for(
+            cfg.join_num_partitions, plan_bytes(docs))),
+        empty_schema=_link_schemas(cfg)["normalize"], meta=_NORM_META)
     # norm is materialized or a checkpoint read: its count is metadata
     star = _ExactStar(norm) \
         if "exact" in passes and norm.count() else None
     unstopped()
-    return norm, _sketch_stage(ck, norm, cfg, passes, star), star
+    if not _SKETCH_PASSES & set(passes):
+        return norm, None, star
+    sch = _link_schemas(cfg)["signatures"]
+    return norm, ck.stage(
+        "signatures",
+        lambda: signature_table(norm, cfg,
+                                None if star is None else star.reps())
+        if norm.count() else DriverBlocks([sch.empty_table()]),
+        empty_schema=sch, meta=_passes_meta(passes)), star
 
 
 def incremental_update(prior_root: str | list[str], new_docs,
@@ -837,24 +857,19 @@ def incremental_update(prior_root: str | list[str], new_docs,
     (``fuzzy_matcher.go:21-27``: the reference mutates a live trie; here the
     prior run's immutable checkpoint artifacts are the index).
 
-    A fold is the flagship's own pass builders run over a delta. It reads
-    the prior run's artifacts (normalize / signatures / clusters), builds
-    ONLY the increment's (its sketch holds one row per distinct fuzzy text
-    of the increment, as ``find_duplicates``' does), and hands the prior
-    ones to
-    ``exact_dup_edges`` / ``minhash_pairs`` / ``simhash_pairs`` /
-    ``substring_edges`` as a ``PriorIndex``: each semi-joins the prior key
-    rows against the increment's key set, so buckets the increment never
-    touches never explode into pairs, and keeps only pairs with ≥1 new doc.
-    The verified edges fan in at the same ``edges_all`` stage as the
-    flagship; the fold then runs the clustering stage's labeller over the
-    new edges with every prior component contracted to its label, and
-    remaps only the components they touch (``_fold_labels``). The prior
-    labels are read once, pinned: the disjoint-id guard (a semi
-    ``joins.attach_columns``, ahead of every pass), the touched-label star
-    and the output fill share them. Signatures are deterministic per doc, so
-    the result is BYTE-IDENTICAL to a full re-run over prior ∪ new (same
-    edge components ⇒ same min-id labels) — asserted by
+    A fold is the flagship's own link builder (``_link``) handed the
+    chain's roots. It reads the prior run's artifacts (normalize /
+    signatures / clusters), builds ONLY the increment's, and hands the
+    prior ones to the pass builders as a ``PriorIndex``: each semi-joins
+    the prior key rows against the increment's key set, so buckets the
+    increment never touches never explode into pairs, and keeps only
+    pairs with ≥1 new doc. The verified edges fan in at the same
+    ``edges_all`` stage as the flagship; the fold then runs the clustering
+    stage's labeller over the new edges with every prior component
+    contracted to its label, and remaps only the components they touch
+    (``_fold_labels``). Signatures are deterministic per doc, so the
+    result is BYTE-IDENTICAL to a full re-run over prior ∪ new (same edge
+    components ⇒ same min-id labels) — asserted by
     tests/test_incremental.py.
 
     Returns (doc_id, cluster_id) for every doc in prior ∪ new. Requires
@@ -867,9 +882,12 @@ def incremental_update(prior_root: str | list[str], new_docs,
     from the normalize artifact) but is deliberately weaker: only pairs
     touching a new doc are verified, so prior-internal edges stay per the
     prior run's own pass set — asserted in
-    tests/test_incremental.py::test_incremental_resigns_pre_lsh_checkpoint;
-    ``verify_budget_per_doc`` is rejected (its per-doc ranking depends on
-    the global candidate set, which an increment by design does not see).
+    tests/test_incremental.py::test_incremental_resigns_pre_lsh_checkpoint.
+    A rerun into the fold's own root with another pass set rebuilds its
+    edges_all and clusters, as the flagship's does
+    (``_drop_stale_stages``). ``verify_budget_per_doc`` is rejected (its
+    per-doc ranking depends on the global candidate set, which an
+    increment by design does not see).
     Hot-group caveat: parity also assumes no key bucket exceeds
     ``cfg.max_band_group`` — above the cap ``key_pairs`` emits star+chain
     topology whose center shifts when increment ids interleave a prior
@@ -897,7 +915,15 @@ def incremental_update(prior_root: str | list[str], new_docs,
     roots = [prior_root] if isinstance(prior_root, str) else list(prior_root)
     if not roots:
         raise ValueError("incremental_update: no prior roots")
-    loaded = []                       # [(root, normalize_ds, config_hash)]
+    return _link(checkpointer, new_docs, cfg, passes, roots, prebuilt)
+
+
+def _load_chain(roots: list[str]):
+    """A chain's prior roots, oldest first → (loaded: [(root, normalize,
+    config_hash)], the normalize union, the LAST root's clusters: the
+    labels of every doc folded so far). A root of another exact key
+    scheme raises: its keys would never meet the increment's."""
+    loaded = []
     for r in roots:
         n, m = _load_stage(r, "normalize")
         if m.get("exact_key") != EXACT_KEY_SCHEME:
@@ -906,73 +932,33 @@ def incremental_update(prior_root: str | list[str], new_docs,
                 f"{EXACT_KEY_SCHEME} exact keys (its normalize manifest "
                 f"records {m.get('exact_key') or 'no key scheme'}); "
                 "rebuild it, as dedup_sharded rebuilds such a link")
-        # the columns the fold reads: the artifacts of older layouts
-        # (with fold_text / n_norm) union with the current ones
+        # the columns the fold reads: url is left out, so links written
+        # from sources with and without url union
         loaded.append((r, n.select_columns(_PRIOR_NORM_COLUMNS),
                        m.get("config_hash")))
-    chash = loaded[-1][2]
-    norm_A = loaded[0][1]
+    norm = loaded[0][1]
     for _, n, _ in loaded[1:]:
-        norm_A = norm_A.union(n)
-    clusters_A, _ = _load_stage(roots[-1], "clusters", chash)
-    ck = checkpointer or Checkpointer("/tmp/fmr-ck-disabled",
-                                      cfg.config_hash(), enabled=False)
+        norm = norm.union(n)
+    clusters, _ = _load_stage(roots[-1], "clusters", loaded[-1][2])
+    return loaded, norm, clusters
 
-    # the caller's cfg, as in dedup_sharded's prebuild: a prebuilt stage
-    # is exactly what the fold would have built
-    norm_B, sigs_B, star = prebuilt or _shard_artifacts(ck, new_docs, cfg,
-                                                        passes)
-    # norm_B is materialized or a checkpoint read: its count is metadata
-    if norm_B.count() == 0:
-        # an empty shard's link carries the prior labels forward
-        return ck.stage(
-            "clusters",
-            lambda: clusters_A.select_columns(["doc_id", "cluster_id"]),
-            empty_schema=_link_schemas(cfg)["clusters"],
-            meta=_passes_meta(passes))
 
-    # the prior labels, pinned: the id guard, the touched-label star and
-    # the output fill read them, and the prior clusters stage is read once
-    labels_A = project(clusters_A, ["doc_id", "cluster_id"]).materialize()
-    ids_B = project(norm_B, ["doc_id"])
-    n_overlap = attach_columns(project(labels_A, ["doc_id"]), ids_B,
-                               "doc_id", "doc_id", {}, how="semi",
-                               num_partitions=cfg.join_num_partitions).count()
-    if n_overlap:
-        raise ValueError(
-            f"incremental_update: {n_overlap} doc_ids of the "
-            "increment already exist in the prior corpus")
-
-    # the verify stages' text source (A ∪ B, slim columns)
-    texts = norm_A.select_columns(["doc_id", "norm_text"]).union(
-        norm_B.select_columns(["doc_id", "norm_text"])).materialize()
-    attacher = (BroadcastAttacher(texts, "doc_id", ["norm_text"])
-                if gates.decide("texts", nbytes(texts)) == "broadcast"
-                else None)
-
-    sigs_A = None
-    if sigs_B is not None:
-        cols = _link_schemas(cfg)["signatures"].names
-        sigs_A = _prior_stage(
-            loaded, "signatures", lambda n: signature_table(n, cfg),
-            lambda m: m.get("columns") == cols
-            and ("exact" in passes or not _reps_only(m)))
-        # each sketch pass scans this prior-sketch union: pinned once
-        # while gate "sketch_pin" keeps it (the semi-joins share one
-        # execution, not one re-read of the chain's artifacts per pass);
-        # past the budget a pruned parquet re-read per pass streams.
-        if len(_SKETCH_PASSES & set(passes)) > 1:
-            sigs_A, n = pinned_bytes(sigs_A)
-            if gates.decide("sketch_pin", n) == "driver":
-                sigs_A = sigs_A.materialize()
-
-    prior = PriorIndex(norm_A, sigs_A, texts)
-    new_edges = _edges_all(ck, lambda: _pass_builders(
-        passes, norm_B, cfg, attacher, sigs_B, prior=prior, star=star),
-        passes)
-
-    return as_dataset(ck.stage("clusters", lambda: _fold_labels(
-        labels_A, new_edges, ids_B, cfg), meta=_passes_meta(passes)))
+def _prior_sketch(loaded, cfg: PipelineConfig, passes: tuple):
+    """The prior links' sketches, unioned (``_prior_stage``)."""
+    cols = _link_schemas(cfg)["signatures"].names
+    sigs = _prior_stage(
+        loaded, "signatures", lambda n: signature_table(n, cfg),
+        lambda m: m.get("columns") == cols
+        and ("exact" in passes or not _reps_only(m)))
+    # each sketch pass scans this prior-sketch union: pinned once while
+    # gate "sketch_pin" keeps it (the semi-joins share one execution, not
+    # one re-read of the chain's artifacts per pass); past the budget a
+    # pruned parquet re-read per pass streams.
+    if len(_SKETCH_PASSES & set(passes)) > 1:
+        sigs, n = pinned_bytes(sigs)
+        if gates.decide("sketch_pin", n) == "driver":
+            sigs = sigs.materialize()
+    return sigs
 
 
 def _fold_labels(labels_A, new_edges, ids_B, cfg: PipelineConfig):

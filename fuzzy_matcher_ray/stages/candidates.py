@@ -31,9 +31,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from fuzzy_matcher_ray.config import PipelineConfig
-from fuzzy_matcher_ray.stages.joins import (_combined_key, block_tables,
-                                            is_pinned, map_blocks,
-                                            map_segments)
+from fuzzy_matcher_ray.stages.joins import (_combined_key, is_pinned,
+                                            map_blocks, map_segments)
 
 
 def _segment_explode(gk: np.ndarray, ids: np.ndarray, carries: dict,
@@ -213,17 +212,6 @@ def _pairs_schema(derive) -> pa.Table:
     for name in (derive or {}):
         cols[name] = pa.array([], pa.int64())
     return pa.table(cols)
-
-
-def _collect_driver_table(mat, cols: list[str]) -> pa.Table | None:
-    """Materialized Dataset → one driver pa.Table of ``cols``; None if empty.
-
-    Empty blocks are dropped (they may be schema-less and break a concat).
-    """
-    tbls = [tb.select(cols) for tb in block_tables(mat)]
-    if not tbls:
-        return None
-    return pa.concat_tables(tbls).combine_chunks()
 
 
 def dedup_pairs(pairs, min_cols: list[str] | None = None):

@@ -30,7 +30,6 @@ import pyarrow.compute as pc
 
 from fuzzy_matcher_ray.config import PipelineConfig
 from fuzzy_matcher_ray.functions.unionfind import connected_components
-from fuzzy_matcher_ray.stages.candidates import _collect_driver_table
 from fuzzy_matcher_ray.stages import gates
 from fuzzy_matcher_ray.stages.joins import (DriverBlocks, _collect_columns,
                                             _Lookup, as_dataset, keyed_join,
@@ -100,9 +99,10 @@ def component_labels(edges, cfg: PipelineConfig, ranges: int | None = None):
     level passes half its own)."""
     edges = edges.materialize()
     if gates.decide("labels", nbytes(edges)) == "driver":
-        # a materialized edge set collects from its blocks with no execution
+        # a materialized edge set collects from its blocks with no
+        # execution; one with no rows may have no schema either
         return DriverBlocks([_union_find(
-            _collect_driver_table(edges, ["a", "b"]))])
+            _collect_columns(edges, ["a", "b"]) if edges.count() else None)])
     ranges = min(ranges or edges.num_blocks(), edges.num_blocks())
     if ranges < edges.num_blocks():
         edges = as_dataset(edges).repartition(ranges)

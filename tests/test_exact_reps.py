@@ -162,3 +162,31 @@ def test_fold_rebuilds_a_rep_only_prior_sketch_without_exact(
     assert len(out) == len(tbl)
     # the increment's own sketch, then (without exact) the prior's, full
     assert built == ([True] if "exact" in passes else [False, False])
+
+
+def test_fold_rerun_under_another_pass_set_rebuilds(ray_session, corpus,
+                                                    tmp_path):
+    """A fold rerun into its own root with another pass set (the exact
+    pass only) rebuilds edges_all and clusters, as a flagship rerun does:
+    its labels are those of a fresh exact-only fold, not the first
+    fold's (the near variants join only through the fuzzy passes)."""
+    from fuzzy_matcher_ray.pipelines.dedup import (PASSES, find_duplicates,
+                                                   incremental_update)
+
+    tbl, _ = corpus
+    cut = N_BG + N_COPIES // 2
+    link0, link1 = str(tmp_path / "link0"), str(tmp_path / "link1")
+    find_duplicates(_ds(tbl.slice(0, cut)), CFG,
+                    checkpointer=Checkpointer(link0, CFG.config_hash()))
+
+    def fold(passes, ck=None):
+        return _labels(incremental_update(link0, _ds(tbl.slice(cut)), CFG,
+                                          passes=passes, checkpointer=ck))
+
+    first = fold(PASSES, Checkpointer(link1, CFG.config_hash()))
+    ck = Checkpointer(link1, CFG.config_hash())
+    again = fold(("exact",), ck)
+    assert {s: m["resumed"] for s, m in ck.metrics.items()} == {
+        "normalize": True, "edges_all": False, "clusters": False}
+    assert again.equals(fold(("exact",)))
+    assert not again.equals(first)

@@ -188,6 +188,40 @@ def test_fold_runs_in_seven_executions(shards, tmp_path):
     assert counter.puts <= 35
 
 
+def test_fold_resuming_edges_all_builds_no_pass_input(shards, tmp_path):
+    """A checkpointed fold of 400 docs onto a 400-doc link, rerun with
+    only its clusters stage deleted: edges_all resumes, so the rerun
+    builds none of the passes' inputs (the text broadcast over prior ∪
+    increment, the prior-sketch pin) and starts at most 5 executions,
+    with the first run's labels. While those inputs were built ahead of
+    the edges_all stage, the rerun took the cold fold's 7."""
+    import shutil
+
+    from fuzzy_matcher_ray.pipelines.dedup import (find_duplicates,
+                                                   incremental_update)
+    from fuzzy_matcher_ray.sources.protocol import webpages_source
+
+    link0, link1 = str(tmp_path / "link0"), str(tmp_path / "link1")
+    find_duplicates(webpages_source(shards[0]), CFG,
+                    checkpointer=Checkpointer(link0, CFG.config_hash()))
+
+    def fold(ck):
+        return collect_table(incremental_update(
+            [link0], webpages_source(shards[1]), CFG,
+            checkpointer=ck)).sort_by("doc_id")
+
+    first = fold(Checkpointer(link1, CFG.config_hash()))
+    shutil.rmtree(tmp_path / "link1" / "clusters")
+    ck = Checkpointer(link1, CFG.config_hash())
+    with ExecutionCounter().installed() as counter:
+        again = fold(ck)
+    assert {s: m["resumed"] for s, m in ck.metrics.items()} == {
+        "normalize": True, "signatures": True, "edges_all": True,
+        "clusters": False}
+    assert again.equals(first)
+    assert counter.count <= 5
+
+
 def test_two_shard_chain_runs_in_eleven_executions(shards, tmp_path):
     """``dedup_sharded`` over both shards, collected: link 0, the prebuild
     of link 1 and the fold, every stage written from its pinned blocks and
